@@ -21,8 +21,6 @@ from .systems import (
     BlockerElement,
     Clutter,
     CombinatorialSystem,
-    _threshold_witness,
-    ground_size,
     min_member_size,
     min_weight_blocker,
     minimal_transversals,
@@ -39,15 +37,6 @@ class BottleneckResult:
     value: float
     argmin_subset: frozenset[int]
     dual_witness: BlockerElement
-
-
-def _validated_costs(system: CombinatorialSystem, costs) -> np.ndarray:
-    c = np.asarray(costs, dtype=float)
-    if c.shape != (ground_size(system),):
-        raise DomainError("cost vector length must equal the ground size")
-    if not np.all(np.isfinite(c)):
-        raise DomainError("costs must be finite")
-    return c
 
 
 def _zero_weight_blocker(system, c: np.ndarray, level: float) -> BlockerElement:
@@ -70,19 +59,19 @@ def bottleneck_value(system: CombinatorialSystem, costs) -> BottleneckResult:
     the dual witness is a blocker element whose minimum cost equals the value.
     """
 
-    c = _validated_costs(system, costs)
+    c = system.validated_costs(costs)
     levels = np.unique(c)
     lo, hi = 0, len(levels) - 1
-    if _threshold_witness(system, c, levels[hi]) is None:
+    if system.threshold_witness(c, levels[hi]) is None:
         raise DomainError("system is infeasible at the largest cost")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _threshold_witness(system, c, levels[mid]) is None:
+        if system.threshold_witness(c, levels[mid]) is None:
             lo = mid + 1
         else:
             hi = mid
     value = float(levels[lo])
-    member = _threshold_witness(system, c, value)
+    member = system.threshold_witness(c, value)
     witness = _zero_weight_blocker(system, c, value)
     return BottleneckResult(value, member, witness)
 
@@ -96,7 +85,7 @@ def dual_bottleneck_value(system: CombinatorialSystem, costs) -> float:
     threshold search.
     """
 
-    c = _validated_costs(system, costs)
+    c = system.validated_costs(costs)
     levels = np.unique(c)
 
     def attainable(level: float) -> bool:
@@ -127,12 +116,14 @@ def topk_sum_value(
 ) -> tuple[float, frozenset[int]]:
     """Least sum of the k largest costs over feasible subsets.
 
-    Solved by best-first branch and bound: the top-k sum of the elements
-    forced so far never decreases when a subset grows, so it is an
-    admissible bound.  Every feasible subset must have at least k elements.
+    Solved by best-first branch and bound.  The bound of a partial set is
+    its top-k sum, plus the least cost for each of the elements it lacks to
+    reach k when that cost is negative; it never decreases when the set
+    grows, so it is admissible.  Every feasible subset must have at least k
+    elements.
     """
 
-    c = _validated_costs(system, costs)
+    c = system.validated_costs(costs)
     if k < 1:
         raise DomainError("k must be a positive integer")
     if k > min_member_size(system):
@@ -140,8 +131,11 @@ def topk_sum_value(
             f"k={k} exceeds the smallest feasible subset ({min_member_size(system)})"
         )
 
+    floor = min(0.0, float(c.min()))
+
     def bound(elements: frozenset[int]) -> float:
-        return _topk_sum(c[sorted(elements)], k) if elements else 0.0
+        short = k - min(k, len(elements))
+        return _topk_sum(c[sorted(elements)], k) + short * floor
 
     return minimize_members(system, bound, force=force)
 
@@ -193,7 +187,7 @@ def dual_topk_sum_value(system: CombinatorialSystem, costs, k: int) -> float:
 
     from .systems import antichain_reduce
 
-    c = _validated_costs(system, costs)
+    c = system.validated_costs(costs)
     clutter = antichain_reduce(enumerate_members(system))
     families = topk_blocker_enumerate(clutter, k)
     best = -math.inf

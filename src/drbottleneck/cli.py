@@ -52,6 +52,7 @@ from .quantify import (
     quantify_robust_finite_order,
     quantify_topk,
     saa_value,
+    scenario_bottlenecks,
 )
 from .scenarios import load_scenarios, require_matching_width, save_scenarios
 from .search import enumerate_members
@@ -318,11 +319,7 @@ def _run_gamma_decide(args):
 def _run_calibrate(args):
     system, scenarios = _load_pair(args)
     grid = _radius_grid(args)
-    per_scenario = []
-    for k in range(scenarios.count):
-        oriented = scenarios.costs[k] if args.sense == "cost" else -scenarios.costs[k]
-        z = bottleneck_value(system, oriented).value
-        per_scenario.append(z if args.sense == "cost" else -z)
+    per_scenario = scenario_bottlenecks(system, scenarios, args.sense)
     band = asymptotic_ci(per_scenario)
     rows, values = [], []
     for theta in grid:
@@ -378,11 +375,7 @@ def _run_simulate(args):
 def _run_evaluate(args):
     system, scenarios = _load_pair(args)
     start = time.perf_counter()
-    per_scenario = []
-    for k in range(scenarios.count):
-        oriented = scenarios.costs[k] if args.sense == "cost" else -scenarios.costs[k]
-        z = bottleneck_value(system, oriented).value
-        per_scenario.append(z if args.sense == "cost" else -z)
+    per_scenario = scenario_bottlenecks(system, scenarios, args.sense)
     band = asymptotic_ci(per_scenario) if len(per_scenario) > 1 else None
     value = math.fsum(per_scenario) / len(per_scenario)
     elapsed = round(time.perf_counter() - start, 3)

@@ -11,7 +11,9 @@ variants score subsets by the per-scenario sum of their k largest costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -76,19 +78,75 @@ def _scenario_maxima(costs: np.ndarray, elements: frozenset[int]) -> list[float]
 
 
 def _scenario_topk(costs: np.ndarray, elements: frozenset[int], k: int) -> list[float]:
+    """Per-scenario sums of the k largest costs of ``elements``.
+
+    A set of fewer than k elements also counts the scenario's least cost,
+    where it is negative, once for each element it lacks: no superset scores
+    lower, so the value of a partial set is an admissible bound.
+    """
     cols = sorted(elements)
     take = min(k, len(cols))
     block = np.sort(costs[:, cols], axis=1)[:, -take:]
+    if take < k:
+        floor = np.minimum(costs.min(axis=1, keepdims=True), 0.0)
+        block = np.hstack([block, np.repeat(floor, k - take, axis=1)])
     return [math.fsum(row) for row in block]
 
 
-def _mean_max_bound(costs: np.ndarray):
+Score = Callable[[frozenset[int]], list[float]]
+
+
+def _mean_bound(score: Score):
     def bound(elements: frozenset[int]) -> float:
         if not elements:
             return -math.inf
-        return _mean(_scenario_maxima(costs, elements))
+        return _mean(score(elements))
 
     return bound
+
+
+def _topk_score(system: CombinatorialSystem, scenarios: ScenarioSet, k: int) -> Score:
+    require_matching_width(scenarios, system)
+    if k < 1 or k > min_member_size(system):
+        raise DomainError("k must lie between 1 and the smallest member size")
+    return partial(_scenario_topk, scenarios.costs, k=k)
+
+
+def _band(system: CombinatorialSystem, score: Score, threshold: float):
+    """Members whose mean score is at most ``threshold``, in canonical order.
+
+    Yields ``(member, values, mean)``.  The search prunes on the mean score,
+    which is monotone; since monotone bounds can invert by an ulp on partial
+    sets, the prune keeps a tolerance band above the threshold.
+    """
+
+    bound = _mean_bound(score)
+    limit = threshold + 1e-12 * (1.0 + abs(threshold))
+    for member in iter_members(system, prune=lambda els: bool(els) and bound(els) > limit):
+        values = score(member)
+        mean = _mean(values)
+        if mean <= threshold:
+            yield member, values, mean
+
+
+def _least_variance_in_band(
+    system: CombinatorialSystem, score: Score, threshold: float, model: str
+) -> DecisionReport:
+    """The least population variance over the band, ties lexicographic."""
+    best_key = None
+    best = None
+    for member, values, mean in _band(system, score, threshold):
+        variance = _population_variance(values, mean)
+        key = (variance, tuple(sorted(member)))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (member, variance, values)
+    if best is None:
+        raise InvariantViolationError(
+            f"{model} indifference set came back empty; it must contain the optimum"
+        )
+    member, variance, values = best
+    return _report(member, variance, values, model)
 
 
 def _report(chosen, objective, values, model) -> DecisionReport:
@@ -114,8 +172,9 @@ def saa_decision(
     """
 
     require_matching_width(scenarios, system)
-    value, chosen = minimize_members(system, _mean_max_bound(scenarios.costs), force)
-    return _report(chosen, value, _scenario_maxima(scenarios.costs, chosen), "saa")
+    score = partial(_scenario_maxima, scenarios.costs)
+    value, chosen = minimize_members(system, _mean_bound(score), force)
+    return _report(chosen, value, score(chosen), "saa")
 
 
 def robust_decision(
@@ -133,14 +192,7 @@ def robust_decision(
     if radius < 0:
         raise DomainError("radius must be nonnegative")
     base = saa_decision(system, scenarios, force=force)
-    return DecisionReport(
-        chosen=base.chosen,
-        objective=base.objective + radius,
-        per_scenario=base.per_scenario,
-        mean=base.mean,
-        variance=base.variance,
-        model="wasserstein-robust",
-    )
+    return replace(base, objective=base.objective + radius, model="wasserstein-robust")
 
 
 def decision_worst_case_distribution(
@@ -220,20 +272,8 @@ def indifference_set(
     threshold = base.objective + radius
     members = None
     if materialize:
-        bound = _mean_max_bound(scenarios.costs)
-        limit = threshold + 1e-12 * (1.0 + abs(threshold))
-        members = tuple(
-            sorted(
-                (
-                    m
-                    for m in iter_members(
-                        system, prune=lambda els: bool(els) and bound(els) > limit
-                    )
-                    if bound(m) <= threshold
-                ),
-                key=lambda m: tuple(sorted(m)),
-            )
-        )
+        band = _band(system, partial(_scenario_maxima, scenarios.costs), threshold)
+        members = tuple(sorted((m for m, _, _ in band), key=lambda m: tuple(sorted(m))))
     return IndifferenceSet(
         threshold=threshold, baseline=base, members=members, scenarios=scenarios
     )
@@ -257,30 +297,8 @@ def variance_robust_decision(
         raise DomainError("radius must be nonnegative")
     check_search_guard(system, force)
     base = saa_decision(system, scenarios, force=force)
-    threshold = base.objective + radius
-    bound = _mean_max_bound(scenarios.costs)
-    # monotone bounds can invert by an ulp on partial sets; prune tolerantly
-    limit = threshold + 1e-12 * (1.0 + abs(threshold))
-    best_key = None
-    best = None
-    for member in iter_members(
-        system, prune=lambda els: bool(els) and bound(els) > limit
-    ):
-        values = _scenario_maxima(scenarios.costs, member)
-        mean = _mean(values)
-        if mean > threshold:
-            continue
-        variance = _population_variance(values, mean)
-        key = (variance, tuple(sorted(member)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (member, variance, values)
-    if best is None:
-        raise InvariantViolationError(
-            "indifference set came back empty; it must contain the SAA optimum"
-        )
-    member, variance, values = best
-    return _report(member, variance, values, "variance-robust")
+    score = partial(_scenario_maxima, scenarios.costs)
+    return _least_variance_in_band(system, score, base.objective + radius, "variance-robust")
 
 
 def tv_robust_decision(
@@ -344,27 +362,10 @@ def topk_decision(
     r = float(ground_order)
     if r < 1:
         raise DomainError("ground norm order must be at least 1")
-    require_matching_width(scenarios, system)
-    if k < 1 or k > min_member_size(system):
-        raise DomainError("k must lie between 1 and the smallest member size")
-
-    def bound(elements: frozenset[int]) -> float:
-        if not elements:
-            return -math.inf
-        return _mean(_scenario_topk(scenarios.costs, elements, k))
-
-    saa_val, chosen = minimize_members(system, bound, force)
-    values = _scenario_topk(scenarios.costs, chosen, k)
+    score = _topk_score(system, scenarios, k)
+    saa_val, chosen = minimize_members(system, _mean_bound(score), force)
     shift = k ** ((r - 1.0) / r) * radius
-    mean = _mean(values)
-    return DecisionReport(
-        chosen=chosen,
-        objective=saa_val + shift,
-        per_scenario=tuple(values),
-        mean=mean,
-        variance=_population_variance(values, mean),
-        model="topk-robust",
-    )
+    return _report(chosen, saa_val + shift, score(chosen), "topk-robust")
 
 
 def topk_variance_robust_decision(
@@ -385,38 +386,10 @@ def topk_variance_robust_decision(
         raise DomainError("radius must be nonnegative")
     r = float(ground_order)
     check_search_guard(system, force)
-    require_matching_width(scenarios, system)
-    if k < 1 or k > min_member_size(system):
-        raise DomainError("k must lie between 1 and the smallest member size")
-
-    def bound(elements: frozenset[int]) -> float:
-        if not elements:
-            return -math.inf
-        return _mean(_scenario_topk(scenarios.costs, elements, k))
-
-    saa_val, _ = minimize_members(system, bound, force)
+    score = _topk_score(system, scenarios, k)
+    saa_val, _ = minimize_members(system, _mean_bound(score), force)
     threshold = saa_val + k ** ((r - 1.0) / r) * radius
-    limit = threshold + 1e-12 * (1.0 + abs(threshold))
-    best_key = None
-    best = None
-    for member in iter_members(
-        system, prune=lambda els: bool(els) and bound(els) > limit
-    ):
-        values = _scenario_topk(scenarios.costs, member, k)
-        mean = _mean(values)
-        if mean > threshold:
-            continue
-        variance = _population_variance(values, mean)
-        key = (variance, tuple(sorted(member)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (member, variance, values)
-    if best is None:
-        raise InvariantViolationError(
-            "top-k indifference set came back empty; it must contain the optimum"
-        )
-    member, variance, values = best
-    return _report(member, variance, values, "topk-variance-robust")
+    return _least_variance_in_band(system, score, threshold, "topk-variance-robust")
 
 
 def calibrate_radius_topk_decision(

@@ -358,17 +358,23 @@ def worst_case_distribution(quote: RobustQuote, scenarios: ScenarioSet) -> np.nd
     return support
 
 
+def scenario_bottlenecks(
+    system: CombinatorialSystem, scenarios: ScenarioSet, sense: str = "cost"
+) -> list[float]:
+    """Empirical bottleneck value of each scenario, in the given sense."""
+    values = []
+    for k in range(scenarios.count):
+        z = bottleneck_value(system, _oriented(scenarios.costs[k], sense)).value
+        values.append(z if sense == "cost" else -z)
+    return values
+
+
 def saa_value(
     system: CombinatorialSystem, scenarios: ScenarioSet, sense: str = "cost"
 ) -> float:
     """Empirical (sample-average) expected bottleneck value."""
     require_matching_width(scenarios, system)
-    values = []
-    for k in range(scenarios.count):
-        oriented = _oriented(scenarios.costs[k], sense)
-        z = bottleneck_value(system, oriented).value
-        values.append(z if sense == "cost" else -z)
-    return math.fsum(values) / scenarios.count
+    return math.fsum(scenario_bottlenecks(system, scenarios, sense)) / scenarios.count
 
 
 def check_gap_bounds(

@@ -1,9 +1,11 @@
 """Exact search over feasible subsets: enumeration and bound-pruned minimization.
 
-Members are generated in a canonical order per structure (paths extend from
-the source along ascending edge ids, spanning trees decide edges in id order,
-matchings assign rows in order), which makes enumeration deterministic and
-lets the solvers report a canonical lexicographically-smallest argmin.
+Both walk the one state space each system kind defines (``root`` and
+``expand``), whose children come in a canonical order per structure (paths
+extend from the source along ascending edge ids, spanning trees decide edges
+in id order, matchings assign rows in order).  That makes enumeration
+deterministic and lets the solvers report a canonical lexicographically
+smallest argmin.
 """
 
 from __future__ import annotations
@@ -11,126 +13,12 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterator
 
-from ._graphs import DisjointSets
-from .errors import (
-    EnumerationLimitError,
-    InvalidInstanceError,
-    InvariantViolationError,
-)
-from .systems import (
-    AssignmentSystem,
-    CombinatorialSystem,
-    ExplicitSystem,
-    PathSystem,
-    TreeSystem,
-)
-
-#: Guards for exhaustive member enumeration.
-ENUM_MAX_GRAPH_NODES = 8
-ENUM_MAX_ASSIGNMENT_SIDE = 4
-ENUM_MAX_EXPLICIT_MEMBERS = 512
-
-#: Guards for bound-pruned search (branch and bound still visits the tree).
-SEARCH_MAX_GRAPH_NODES = 14
-SEARCH_MAX_ASSIGNMENT_SIDE = 9
-
-
-def _check_enum_guard(system: CombinatorialSystem, force: bool) -> None:
-    if force:
-        return
-    if isinstance(system, (PathSystem, TreeSystem)):
-        if system.nodes > ENUM_MAX_GRAPH_NODES:
-            raise EnumerationLimitError(
-                f"member enumeration limited to {ENUM_MAX_GRAPH_NODES} nodes"
-            )
-    elif isinstance(system, AssignmentSystem):
-        if system.m > ENUM_MAX_ASSIGNMENT_SIDE:
-            raise EnumerationLimitError(
-                f"matching enumeration limited to m <= {ENUM_MAX_ASSIGNMENT_SIDE}"
-            )
-    elif len(system.members) > ENUM_MAX_EXPLICIT_MEMBERS:
-        raise EnumerationLimitError(
-            f"explicit enumeration limited to {ENUM_MAX_EXPLICIT_MEMBERS} members"
-        )
+from .errors import InvalidInstanceError
+from .systems import CombinatorialSystem
 
 
 def check_search_guard(system: CombinatorialSystem, force: bool = False) -> None:
-    if force:
-        return
-    if isinstance(system, (PathSystem, TreeSystem)):
-        if system.nodes > SEARCH_MAX_GRAPH_NODES:
-            raise EnumerationLimitError(
-                f"exact search limited to {SEARCH_MAX_GRAPH_NODES} nodes; "
-                "pass force=True to override"
-            )
-    elif isinstance(system, AssignmentSystem):
-        if system.m > SEARCH_MAX_ASSIGNMENT_SIDE:
-            raise EnumerationLimitError(
-                f"exact search limited to m <= {SEARCH_MAX_ASSIGNMENT_SIDE}; "
-                "pass force=True to override"
-            )
-
-
-def _iter_paths(system: PathSystem, prune) -> Iterator[frozenset[int]]:
-    def walk(node: int, visited: frozenset[int], edges: frozenset[int]):
-        if prune is not None and prune(edges):
-            return
-        if node == system.t:
-            yield edges
-            return
-        for eid, nxt in system.incidence[node]:
-            if nxt not in visited:
-                yield from walk(nxt, visited | {nxt}, edges | {eid})
-
-    yield from walk(system.s, frozenset([system.s]), frozenset())
-
-
-def _can_span(system: TreeSystem, dsu: DisjointSets, start: int) -> bool:
-    probe = dsu.copy()
-    for eid in range(start, len(system.edges)):
-        u, v = system.edges[eid]
-        probe.union(u, v)
-        if probe.groups == 1:
-            return True
-    return probe.groups == 1
-
-
-def _iter_trees(system: TreeSystem, prune) -> Iterator[frozenset[int]]:
-    target = system.nodes - 1
-
-    def walk(idx: int, dsu: DisjointSets, chosen: frozenset[int]):
-        if prune is not None and prune(chosen):
-            return
-        if len(chosen) == target:
-            yield chosen
-            return
-        if idx == len(system.edges):
-            return
-        u, v = system.edges[idx]
-        if dsu.find(u) != dsu.find(v):
-            inc = dsu.copy()
-            inc.union(u, v)
-            yield from walk(idx + 1, inc, chosen | {idx})
-        if _can_span(system, dsu, idx + 1):
-            yield from walk(idx + 1, dsu, chosen)
-
-    yield from walk(0, DisjointSets(system.nodes), frozenset())
-
-
-def _iter_matchings(system: AssignmentSystem, prune) -> Iterator[frozenset[int]]:
-    m = system.m
-
-    def walk(row: int, used: frozenset[int], cells: frozenset[int]):
-        if prune is not None and prune(cells):
-            return
-        if row == m:
-            yield cells
-            return
-        for j in range(m):
-            if j not in used:
-                yield from walk(row + 1, used | {j}, cells | {system.cell(row, j)})
-
-    yield from walk(0, frozenset(), frozenset())
+    system.check_search_guard(force)
 
 
 def iter_members(
@@ -144,86 +32,25 @@ def iter_members(
     the caller still needs.
     """
 
-    if isinstance(system, PathSystem):
-        yield from _iter_paths(system, prune)
-    elif isinstance(system, TreeSystem):
-        yield from _iter_trees(system, prune)
-    elif isinstance(system, AssignmentSystem):
-        yield from _iter_matchings(system, prune)
-    elif isinstance(system, ExplicitSystem):
-        for member in system.members:
-            if prune is None or not prune(member):
-                yield member
-    else:
-        raise InvalidInstanceError(f"unsupported system type {type(system).__name__}")
+    def walk(state):
+        elements, complete, _ = state
+        if prune is not None and prune(elements):
+            return
+        if complete:
+            yield elements
+            return
+        for child in system.expand(state):
+            yield from walk(child)
+
+    yield from walk(system.root())
 
 
 def enumerate_members(
     system: CombinatorialSystem, force: bool = False
 ) -> list[frozenset[int]]:
     """All feasible subsets, exhaustively (guarded to small instances)."""
-    _check_enum_guard(system, force)
+    system.check_enum_guard(force)
     return list(iter_members(system))
-
-
-def _heap_states(system: CombinatorialSystem):
-    """Best-first state space: (elements, complete, payload) triples."""
-
-    if isinstance(system, PathSystem):
-        root = (frozenset(), system.s == system.t, (system.s, frozenset([system.s])))
-
-        def expand(state):
-            _, _, (node, visited) = state
-            for eid, nxt in system.incidence[node]:
-                if nxt not in visited:
-                    els = state[0] | {eid}
-                    yield (els, nxt == system.t, (nxt, visited | {nxt}))
-
-        return root, expand
-
-    if isinstance(system, TreeSystem):
-        target = system.nodes - 1
-        root = (frozenset(), target == 0, (0, tuple(range(system.nodes))))
-
-        def expand(state):
-            els, _, (idx, parents) = state
-            if idx == len(system.edges):
-                return
-            dsu = DisjointSets(system.nodes)
-            dsu.parent = list(parents)
-            dsu.groups = system.nodes - len(els)
-            u, v = system.edges[idx]
-            if dsu.find(u) != dsu.find(v):
-                inc = dsu.copy()
-                inc.union(u, v)
-                new = els | {idx}
-                yield (new, len(new) == target, (idx + 1, tuple(inc.find(x) for x in range(system.nodes))))
-            if _can_span(system, dsu, idx + 1):
-                yield (els, False, (idx + 1, parents))
-
-        return root, expand
-
-    if isinstance(system, AssignmentSystem):
-        m = system.m
-        root = (frozenset(), False, (0, frozenset()))
-
-        def expand(state):
-            els, _, (row, used) = state
-            for j in range(m):
-                if j not in used:
-                    new = els | {system.cell(row, j)}
-                    yield (new, row + 1 == m, (row + 1, used | {j}))
-
-        return root, expand
-
-    root = (frozenset(), False, None)
-
-    def expand(state):
-        if state[2] is None:
-            for member in system.members:
-                yield (member, True, "leaf")
-
-    return root, expand
 
 
 def minimize_members(
@@ -235,40 +62,36 @@ def minimize_members(
 
     ``bound_fn`` must be monotone nondecreasing under element insertion, so
     its value on a partial set is an admissible lower bound and its value on
-    a complete member is the true objective.  Runs a best-first search for
-    the optimum, then re-sweeps with pruning to return the lexicographically
-    smallest optimal member.
+    a complete member is the true objective.  One best-first pass finds the
+    first complete member, then keeps popping states until their bound
+    leaves a band of 1e-12 relative width above it, and returns the smallest
+    ``(value, sorted elements)`` among the complete members popped: the
+    lexicographically smallest optimal member.  The band absorbs rounding
+    that can put a partial set's bound an ulp above a completion's value.
     """
 
     check_search_guard(system, force)
-    root, expand = _heap_states(system)
+    root = system.root()
     counter = 0
     heap = [(bound_fn(root[0]), counter, root)]
-    best: float | None = None
-    while heap:
-        bound, _, state = heapq.heappop(heap)
-        if state[1]:
-            best = bound
-            break
-        for child in expand(state):
-            counter += 1
-            heapq.heappush(heap, (bound_fn(child[0]), counter, child))
-    if best is None:
-        raise InvalidInstanceError("no feasible subset found")
-
-    # Re-sweep with pruning to pick the canonical argmin.  Rounding can make
-    # a partial set's bound land an ulp above a completion's value, so the
-    # prune keeps a tolerance band and the winner is re-scored per member.
-    limit = best + 1e-12 * (1.0 + abs(best))
+    limit = None
     champion: frozenset[int] | None = None
     champion_key: tuple | None = None
-    for member in iter_members(system, prune=lambda els: bound_fn(els) > limit):
-        value = bound_fn(member)
-        if value <= limit:
-            key = (value, tuple(sorted(member)))
+    while heap:
+        bound, _, state = heapq.heappop(heap)
+        if limit is not None and bound > limit:
+            break
+        elements, complete, _ = state
+        if complete:
+            if limit is None:
+                limit = bound + 1e-12 * (1.0 + abs(bound))
+            key = (bound, tuple(sorted(elements)))
             if champion_key is None or key < champion_key:
-                champion = member
-                champion_key = key
+                champion, champion_key = elements, key
+            continue
+        for child in system.expand(state):
+            counter += 1
+            heapq.heappush(heap, (bound_fn(child[0]), counter, child))
     if champion is None:
-        raise InvariantViolationError("bound-pruned sweep lost the optimum")
+        raise InvalidInstanceError("no feasible subset found")
     return champion_key[0], champion

@@ -2,15 +2,19 @@
 
 A system is a ground set of ``n`` elements together with a feasible family of
 subsets given either structurally (s-t paths of a graph, spanning trees,
-square assignments) or as an explicit list.  Every system carries two oracle
-views used throughout the toolkit:
+square assignments) or as an explicit list.  Each kind is one class deriving
+from :class:`CombinatorialSystem` that owns everything specific to it: the
+two oracle views used throughout the toolkit,
 
 * feasibility at a cost threshold (does some feasible subset use only
   elements of cost at most ``t``), and
 * minimum-weight blocker (the cheapest minimal subset meeting every feasible
   subset: a minimum s-t cut, a global minimum cut, a minimum-weight
   h-by-k submatrix with ``|h| + |k| = m + 1``, or an enumerated minimal
-  hitting set).
+  hitting set),
+
+its cardinality facts, its JSON record, its scale guards, and the state
+space that member enumeration and branch and bound search.
 
 All objects are immutable after construction and safe to share between
 threads; the oracles are pure functions of their arguments.
@@ -22,9 +26,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
-from typing import Union
 
 import numpy as np
 
@@ -41,6 +44,15 @@ from .errors import DomainError, EnumerationLimitError, InvalidInstanceError
 BLOCKER_ENUMERATION_LIMIT = 20
 #: Largest assignment side solved by submatrix enumeration.
 ASSIGNMENT_BLOCKER_LIMIT = 10
+
+#: Guards for exhaustive member enumeration.
+ENUM_MAX_GRAPH_NODES = 8
+ENUM_MAX_ASSIGNMENT_SIDE = 4
+ENUM_MAX_EXPLICIT_MEMBERS = 512
+
+#: Guards for bound-pruned search (branch and bound still visits the tree).
+SEARCH_MAX_GRAPH_NODES = 14
+SEARCH_MAX_ASSIGNMENT_SIDE = 9
 
 
 @dataclass(frozen=True)
@@ -62,32 +74,140 @@ class GroundSet:
         return str(j)
 
 
+class CombinatorialSystem:
+    """Shared base of the four system kinds.
+
+    Each kind supplies:
+
+    * ``kind``, the ``type`` of its instance JSON, with ``to_json`` and the
+      class method ``from_json``;
+    * ``ground``, its :class:`GroundSet`;
+    * ``threshold_witness(costs, t)``: a feasible subset using only elements
+      of cost <= t, or None; deterministic, on already validated costs;
+    * ``min_weight_blocker(weights)``, ``min_member_size()`` and
+      ``max_blocker_size()``, behind the module functions of those names;
+    * ``scale`` with the limits and refusals the guards below apply;
+    * one search state space, ``root()`` and ``expand(state)`` over states
+      ``(elements, complete, payload)``: the elements forced so far, whether
+      they form a feasible subset, and what the kind needs to expand further.
+      Elements only grow along a branch, a complete state has no children,
+      and children come in canonical order, which fixes the order of every
+      search.
+    """
+
+    search_limit: float = math.inf
+    search_refusal: str = ""
+
+    def validated_costs(self, costs) -> np.ndarray:
+        c = np.asarray(costs, dtype=float)
+        if c.shape != (self.ground.n,):
+            raise DomainError("cost vector length must equal the ground size")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("costs must be finite")
+        return c
+
+    def validated_weights(self, weights) -> np.ndarray:
+        w = np.asarray(weights, dtype=float)
+        n = self.ground.n
+        if w.shape != (n,):
+            raise DomainError(f"expected {n} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise DomainError("weights must be finite")
+        if np.any(w < 0):
+            raise DomainError("weights must be nonnegative")
+        return w
+
+    def check_enum_guard(self, force: bool = False) -> None:
+        if not force and self.scale > self.enum_limit:
+            raise EnumerationLimitError(self.enum_refusal)
+
+    def check_search_guard(self, force: bool = False) -> None:
+        if not force and self.scale > self.search_limit:
+            raise EnumerationLimitError(self.search_refusal)
+
+
 @dataclass(frozen=True)
-class PathSystem:
+class _GraphSystem(CombinatorialSystem):
+    """An undirected multigraph whose edge ``j`` is ground element ``j``."""
+
+    nodes: int
+    edges: tuple[tuple[int, int], ...]
+
+    enum_limit = ENUM_MAX_GRAPH_NODES
+    enum_refusal = f"member enumeration limited to {ENUM_MAX_GRAPH_NODES} nodes"
+    search_limit = SEARCH_MAX_GRAPH_NODES
+    search_refusal = (
+        f"exact search limited to {SEARCH_MAX_GRAPH_NODES} nodes; "
+        "pass force=True to override"
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        if self.nodes < 2:
+            raise InvalidInstanceError(f"a {self.kind} system needs at least two nodes")
+
+    def _check_edges(self) -> None:
+        for u, v in self.edges:
+            if not (0 <= u < self.nodes and 0 <= v < self.nodes):
+                raise InvalidInstanceError("edge endpoint out of range")
+            if u == v:
+                raise InvalidInstanceError("self-loops are not allowed")
+
+    @property
+    def ground(self) -> GroundSet:
+        return GroundSet(len(self.edges))
+
+    @property
+    def scale(self) -> int:
+        return self.nodes
+
+    def _crossing(self, side) -> list[int]:
+        """Ids of the edges with exactly one endpoint in ``side``."""
+        return [eid for eid, (u, v) in enumerate(self.edges) if (u in side) != (v in side)]
+
+    def _cut_blocker(self, side, w: np.ndarray) -> tuple[float, BlockerElement]:
+        elements = frozenset(self._crossing(side))
+        value = math.fsum(w[j] for j in sorted(elements))
+        return value, BlockerElement(elements, kind="cut", partition=frozenset(side))
+
+    def max_blocker_size(self):
+        # exact up to 16 nodes: enumerate the near sides holding the anchor
+        # and any subset of the other free nodes, keep the minimal cuts
+        if self.nodes > 16:
+            return len(self.edges), False
+        anchor, others = self._cut_sides()
+        best = 0
+        for mask in range(1 << len(others)):
+            side = {anchor} | {others[i] for i in range(len(others)) if mask >> i & 1}
+            crossing = self._crossing(side)
+            if crossing and self._is_minimal_cut(side, crossing):
+                best = max(best, len(crossing))
+        return best, True
+
+    def _edges_json(self) -> list[dict]:
+        return [{"id": i, "u": u, "v": v} for i, (u, v) in enumerate(self.edges)]
+
+
+@dataclass(frozen=True)
+class PathSystem(_GraphSystem):
     """Feasible subsets are the edge sets of simple s-t paths.
 
     Each edge is one ground element (its id equals its position in
     ``edges``); parallel edges are allowed, self-loops are not.
     """
 
-    nodes: int
-    edges: tuple[tuple[int, int], ...]
     s: int
     t: int
 
+    kind = "path"
+
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.nodes < 2:
-            raise InvalidInstanceError("a path system needs at least two nodes")
+        super().__post_init__()
         if not (0 <= self.s < self.nodes and 0 <= self.t < self.nodes):
             raise InvalidInstanceError("s and t must be node ids")
         if self.s == self.t:
             raise InvalidInstanceError("s and t must differ")
-        for u, v in self.edges:
-            if not (0 <= u < self.nodes and 0 <= v < self.nodes):
-                raise InvalidInstanceError("edge endpoint out of range")
-            if u == v:
-                raise InvalidInstanceError("self-loops are not allowed")
+        self._check_edges()
         if not self._reaches_t():
             raise InvalidInstanceError("no s-t path exists")
 
@@ -110,46 +230,159 @@ class PathSystem:
             inc[v].append((eid, u))
         return tuple(tuple(lst) for lst in inc)
 
-    @property
-    def ground(self) -> GroundSet:
-        return GroundSet(len(self.edges))
+    def threshold_witness(self, costs, t):
+        # BFS paths visit edges in id order
+        inc = [
+            [(eid, v) for eid, v in self.incidence[u] if costs[eid] <= t]
+            for u in range(self.nodes)
+        ]
+        path = bfs_path_edges(self.nodes, inc, self.s, self.t)
+        return None if path is None else frozenset(path)
+
+    def min_weight_blocker(self, weights):
+        w = self.validated_weights(weights)
+        return self._cut_blocker(min_st_cut_side(self.nodes, self.edges, w, self.s, self.t), w)
+
+    def min_member_size(self):
+        return len(bfs_path_edges(self.nodes, self.incidence, self.s, self.t))
+
+    def _cut_sides(self) -> tuple[int, list[int]]:
+        return self.s, [u for u in range(self.nodes) if u not in (self.s, self.t)]
+
+    def _is_minimal_cut(self, side, crossing):
+        # the s side must be connected and reach every crossing edge, and
+        # each far endpoint must still reach t
+        removed = set(crossing)
+        dsu = DisjointSets(self.nodes)
+        for eid, (u, v) in enumerate(self.edges):
+            if eid not in removed:
+                dsu.union(u, v)
+        s_root = dsu.find(self.s)
+        t_root = dsu.find(self.t)
+        for eid in crossing:
+            u, v = self.edges[eid]
+            near, far = (u, v) if u in side else (v, u)
+            if dsu.find(near) != s_root or dsu.find(far) != t_root:
+                return False
+        return True
+
+    def to_json(self):
+        return {"type": "path", "nodes": self.nodes, "edges": self._edges_json(),
+                "s": self.s, "t": self.t}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> PathSystem:
+        return cls(nodes=int(payload["nodes"]), edges=_parse_edges(payload),
+                   s=int(payload["s"]), t=int(payload["t"]))
+
+    # search: extend from the current node along ascending edge ids
+    def root(self):
+        return frozenset(), False, (self.s, frozenset([self.s]))
+
+    def expand(self, state):
+        elements, _, (node, visited) = state
+        for eid, nxt in self.incidence[node]:
+            if nxt not in visited:
+                yield elements | {eid}, nxt == self.t, (nxt, visited | {nxt})
 
 
 @dataclass(frozen=True)
-class TreeSystem:
+class TreeSystem(_GraphSystem):
     """Feasible subsets are the edge sets of spanning trees."""
 
-    nodes: int
-    edges: tuple[tuple[int, int], ...]
+    kind = "tree"
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.nodes < 2:
-            raise InvalidInstanceError("a tree system needs at least two nodes")
-        for u, v in self.edges:
-            if not (0 <= u < self.nodes and 0 <= v < self.nodes):
-                raise InvalidInstanceError("edge endpoint out of range")
-            if u == v:
-                raise InvalidInstanceError("self-loops are not allowed")
+        super().__post_init__()
+        self._check_edges()
         dsu = DisjointSets(self.nodes)
         for u, v in self.edges:
             dsu.union(u, v)
         if dsu.groups != 1:
             raise InvalidInstanceError("graph is not connected; no spanning tree exists")
 
-    @property
-    def ground(self) -> GroundSet:
-        return GroundSet(len(self.edges))
+    def threshold_witness(self, costs, t):
+        # the spanning forest accepts cheap edges in id order
+        dsu = DisjointSets(self.nodes)
+        accepted = []
+        for eid, (u, v) in enumerate(self.edges):
+            if costs[eid] <= t and dsu.union(u, v):
+                accepted.append(eid)
+        return frozenset(accepted) if dsu.groups == 1 else None
+
+    def min_weight_blocker(self, weights):
+        w = self.validated_weights(weights)
+        return self._cut_blocker(global_min_cut_side(self.nodes, self.edges, w), w)
+
+    def min_member_size(self):
+        return self.nodes - 1
+
+    def _cut_sides(self) -> tuple[int, list[int]]:
+        return 0, list(range(1, self.nodes))
+
+    def _is_minimal_cut(self, side, crossing):
+        # both sides must be internally connected
+        removed = set(crossing)
+        for part in (side, set(range(self.nodes)) - side):
+            dsu = DisjointSets(self.nodes)
+            for eid, (u, v) in enumerate(self.edges):
+                if eid not in removed and u in part and v in part:
+                    dsu.union(u, v)
+            if len({dsu.find(u) for u in part}) != 1:
+                return False
+        return True
+
+    def to_json(self):
+        return {"type": "tree", "nodes": self.nodes, "edges": self._edges_json()}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> TreeSystem:
+        return cls(nodes=int(payload["nodes"]), edges=_parse_edges(payload))
+
+    # search: decide edges in id order, including an edge before skipping it
+    def root(self):
+        return frozenset(), False, (0, DisjointSets(self.nodes))
+
+    def expand(self, state):
+        # a payload's forest is shared by its children and never merged in place
+        elements, _, (idx, dsu) = state
+        if idx == len(self.edges):
+            return
+        u, v = self.edges[idx]
+        if dsu.find(u) != dsu.find(v):
+            joined = dsu.copy()
+            joined.union(u, v)
+            grown = elements | {idx}
+            yield grown, len(grown) == self.nodes - 1, (idx + 1, joined)
+        if self._can_span(dsu, idx + 1):
+            yield elements, False, (idx + 1, dsu)
+
+    def _can_span(self, dsu: DisjointSets, start: int) -> bool:
+        probe = dsu.copy()
+        for u, v in self.edges[start:]:
+            probe.union(u, v)
+            if probe.groups == 1:
+                return True
+        return probe.groups == 1
 
 
 @dataclass(frozen=True)
-class AssignmentSystem:
+class AssignmentSystem(CombinatorialSystem):
     """Feasible subsets are the perfect matchings of an m-by-m assignment.
 
     Ground element ``i * m + j`` is the cell in row ``i``, column ``j``.
     """
 
     m: int
+
+    kind = "assignment"
+    enum_limit = ENUM_MAX_ASSIGNMENT_SIDE
+    enum_refusal = f"matching enumeration limited to m <= {ENUM_MAX_ASSIGNMENT_SIDE}"
+    search_limit = SEARCH_MAX_ASSIGNMENT_SIDE
+    search_refusal = (
+        f"exact search limited to m <= {SEARCH_MAX_ASSIGNMENT_SIDE}; "
+        "pass force=True to override"
+    )
 
     def __post_init__(self):
         if self.m < 1:
@@ -165,13 +398,78 @@ class AssignmentSystem:
     def ground(self) -> GroundSet:
         return GroundSet(self.m * self.m)
 
+    @property
+    def scale(self) -> int:
+        return self.m
+
+    def threshold_witness(self, costs, t):
+        # matchings augment rows in order
+        m = self.m
+        allowed = [[j for j in range(m) if costs[self.cell(i, j)] <= t] for i in range(m)]
+        row_of_col = max_bipartite_matching(m, allowed)
+        if any(r < 0 for r in row_of_col):
+            return None
+        return frozenset(self.cell(r, j) for j, r in enumerate(row_of_col))
+
+    def min_weight_blocker(self, weights):
+        w = self.validated_weights(weights)
+        m = self.m
+        if m > ASSIGNMENT_BLOCKER_LIMIT:
+            raise EnumerationLimitError(
+                f"assignment blocker enumeration limited to m <= {ASSIGNMENT_BLOCKER_LIMIT}"
+            )
+        grid = w.reshape(m, m)
+        best = None
+        for a in range(1, m + 1):
+            b = m + 1 - a
+            for rows in combinations(range(m), a):
+                col_sums = grid[list(rows), :].sum(axis=0)
+                cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
+                value = math.fsum(grid[i, j] for i in rows for j in sorted(cols))
+                key = (value, rows, cols)
+                if best is None or key < best:
+                    best = key
+        value, rows, cols = best
+        elements = frozenset(self.cell(i, j) for i in rows for j in cols)
+        return value, BlockerElement(
+            elements, kind="submatrix", rows=frozenset(rows), cols=frozenset(cols)
+        )
+
+    def min_member_size(self):
+        return self.m
+
+    def max_blocker_size(self):
+        m = self.m
+        return max(a * (m + 1 - a) for a in range(1, m + 1)), True
+
+    def to_json(self):
+        return {"type": "assignment", "m": self.m}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> AssignmentSystem:
+        return cls(m=int(payload["m"]))
+
+    # search: assign rows in order, each to the free columns in order
+    def root(self):
+        return frozenset(), False, (0, frozenset())
+
+    def expand(self, state):
+        elements, _, (row, used) = state
+        for j in range(self.m):
+            if j not in used:
+                yield elements | {self.cell(row, j)}, row + 1 == self.m, (row + 1, used | {j})
+
 
 @dataclass(frozen=True)
-class ExplicitSystem:
+class ExplicitSystem(CombinatorialSystem):
     """Feasible subsets listed explicitly over ground elements 0..n-1."""
 
     members: tuple[frozenset[int], ...]
     n: int = 0
+
+    kind = "explicit"
+    enum_limit = ENUM_MAX_EXPLICIT_MEMBERS
+    enum_refusal = f"explicit enumeration limited to {ENUM_MAX_EXPLICIT_MEMBERS} members"
 
     def __post_init__(self):
         members = tuple(frozenset(int(e) for e in m) for m in self.members)
@@ -192,8 +490,57 @@ class ExplicitSystem:
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
 
+    @property
+    def scale(self) -> int:
+        return len(self.members)
 
-CombinatorialSystem = Union[PathSystem, TreeSystem, AssignmentSystem, ExplicitSystem]
+    @cached_property
+    def blocker(self) -> tuple[BlockerElement, ...]:
+        """The enumerated blocker, computed once per system."""
+        return tuple(blocker_enumerate(antichain_reduce(self.members)))
+
+    def threshold_witness(self, costs, t):
+        # the first member in canonical order
+        for member in self.members:
+            if all(costs[j] <= t for j in member):
+                return member
+        return None
+
+    def min_weight_blocker(self, weights):
+        w = self.validated_weights(weights)
+        best_key = None
+        best_el = None
+        for el in self.blocker:
+            value = math.fsum(w[j] for j in sorted(el.elements))
+            key = (value, sorted(el.elements))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_el = el
+        return best_key[0], best_el
+
+    def min_member_size(self):
+        return min(len(m) for m in self.members)
+
+    def max_blocker_size(self):
+        return max(len(b.elements) for b in self.blocker), True
+
+    def to_json(self):
+        return {"type": "explicit", "n": self.n, "sets": [sorted(m) for m in self.members]}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> ExplicitSystem:
+        sets = payload.get("sets")
+        if not isinstance(sets, list):
+            raise InvalidInstanceError("explicit instance needs a 'sets' list")
+        return cls(members=tuple(frozenset(s) for s in sets), n=int(payload.get("n", 0)))
+
+    # search: the members are the root's children, in canonical order
+    def root(self):
+        return frozenset(), False, None
+
+    def expand(self, state):
+        for member in self.members:
+            yield member, True, None
 
 
 @dataclass(frozen=True)
@@ -256,12 +603,7 @@ def antichain_reduce(family) -> Clutter:
     subsets = [frozenset(int(e) for e in s) for s in family]
     if not subsets:
         raise InvalidInstanceError("cannot reduce an empty family")
-    unique = sorted(set(subsets), key=lambda s: (len(s), sorted(s)))
-    kept = []
-    for s in unique:
-        if not any(t < s for t in unique):
-            kept.append(s)
-    return Clutter(tuple(kept))
+    return Clutter(tuple(_minimize_family(subsets)))
 
 
 def _minimize_family(families: list[frozenset]) -> list[frozenset]:
@@ -306,12 +648,6 @@ def blocker_enumerate(clutter: Clutter) -> list[BlockerElement]:
     return [BlockerElement(y) for y in trans]
 
 
-@lru_cache(maxsize=128)
-def _explicit_blocker(system: ExplicitSystem) -> tuple[BlockerElement, ...]:
-    # systems are immutable, so the enumerated blocker can be memoized
-    return tuple(blocker_enumerate(antichain_reduce(system.members)))
-
-
 def min_weight_blocker(
     system: CombinatorialSystem, weights
 ) -> tuple[float, BlockerElement]:
@@ -323,145 +659,17 @@ def min_weight_blocker(
     ``ASSIGNMENT_BLOCKER_LIMIT``), and explicit systems scan the enumerated
     blocker.  Weights must be finite and nonnegative.
     """
-
-    w = np.asarray(weights, dtype=float)
-    n = ground_size(system)
-    if w.shape != (n,):
-        raise DomainError(f"expected {n} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise DomainError("weights must be finite")
-    if np.any(w < 0):
-        raise DomainError("weights must be nonnegative")
-
-    if isinstance(system, PathSystem):
-        side = min_st_cut_side(system.nodes, system.edges, w, system.s, system.t)
-        elements = frozenset(
-            eid
-            for eid, (u, v) in enumerate(system.edges)
-            if (u in side) != (v in side)
-        )
-        value = math.fsum(w[j] for j in sorted(elements))
-        return value, BlockerElement(elements, kind="cut", partition=frozenset(side))
-
-    if isinstance(system, TreeSystem):
-        side = global_min_cut_side(system.nodes, system.edges, w)
-        elements = frozenset(
-            eid
-            for eid, (u, v) in enumerate(system.edges)
-            if (u in side) != (v in side)
-        )
-        value = math.fsum(w[j] for j in sorted(elements))
-        return value, BlockerElement(elements, kind="cut", partition=frozenset(side))
-
-    if isinstance(system, AssignmentSystem):
-        m = system.m
-        if m > ASSIGNMENT_BLOCKER_LIMIT:
-            raise EnumerationLimitError(
-                f"assignment blocker enumeration limited to m <= {ASSIGNMENT_BLOCKER_LIMIT}"
-            )
-        grid = w.reshape(m, m)
-        best = None
-        for a in range(1, m + 1):
-            b = m + 1 - a
-            if not (1 <= b <= m):
-                continue
-            for rows in combinations(range(m), a):
-                col_sums = grid[list(rows), :].sum(axis=0)
-                cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
-                value = math.fsum(
-                    grid[i, j] for i in rows for j in sorted(cols)
-                )
-                key = (value, rows, cols)
-                if best is None or key < best:
-                    best = key
-        value, rows, cols = best
-        elements = frozenset(system.cell(i, j) for i in rows for j in cols)
-        return value, BlockerElement(
-            elements,
-            kind="submatrix",
-            rows=frozenset(rows),
-            cols=frozenset(cols),
-        )
-
-    if isinstance(system, ExplicitSystem):
-        best_val = None
-        best_el = None
-        for el in _explicit_blocker(system):
-            value = math.fsum(w[j] for j in sorted(el.elements))
-            key = (value, sorted(el.elements))
-            if best_val is None or key < best_val:
-                best_val = key
-                best_el = el
-        return best_val[0], best_el
-
-    raise DomainError(f"unsupported system type {type(system).__name__}")
-
-
-def _threshold_witness(
-    system: CombinatorialSystem, costs: np.ndarray, t: float
-) -> frozenset[int] | None:
-    """A feasible subset using only elements of cost <= t, or None.
-
-    The witness is deterministic: BFS paths visit edges in id order, spanning
-    forests accept cheap edges in id order, matchings augment rows in order.
-    """
-
-    if isinstance(system, PathSystem):
-        inc = [
-            [(eid, v) for eid, v in system.incidence[u] if costs[eid] <= t]
-            for u in range(system.nodes)
-        ]
-        path = bfs_path_edges(system.nodes, inc, system.s, system.t)
-        return None if path is None else frozenset(path)
-
-    if isinstance(system, TreeSystem):
-        dsu = DisjointSets(system.nodes)
-        accepted = []
-        for eid, (u, v) in enumerate(system.edges):
-            if costs[eid] <= t and dsu.union(u, v):
-                accepted.append(eid)
-        return frozenset(accepted) if dsu.groups == 1 else None
-
-    if isinstance(system, AssignmentSystem):
-        m = system.m
-        allowed = [
-            [j for j in range(m) if costs[system.cell(i, j)] <= t] for i in range(m)
-        ]
-        row_of_col = max_bipartite_matching(m, allowed)
-        if any(r < 0 for r in row_of_col):
-            return None
-        return frozenset(system.cell(r, j) for j, r in enumerate(row_of_col))
-
-    if isinstance(system, ExplicitSystem):
-        for member in system.members:
-            if all(costs[j] <= t for j in member):
-                return member
-        return None
-
-    raise DomainError(f"unsupported system type {type(system).__name__}")
+    return system.min_weight_blocker(weights)
 
 
 def feasible_at_threshold(system: CombinatorialSystem, costs, t: float) -> bool:
     """True iff some feasible subset uses only elements of cost <= t."""
-    c = np.asarray(costs, dtype=float)
-    if c.shape != (ground_size(system),):
-        raise DomainError("cost vector length must equal the ground size")
-    if not np.all(np.isfinite(c)):
-        raise DomainError("costs must be finite")
-    return _threshold_witness(system, c, t) is not None
+    return system.threshold_witness(system.validated_costs(costs), t) is not None
 
 
 def min_member_size(system: CombinatorialSystem) -> int:
     """Smallest cardinality over feasible subsets (fewest path edges, etc.)."""
-    if isinstance(system, PathSystem):
-        inc = [[(eid, v) for eid, v in system.incidence[u]] for u in range(system.nodes)]
-        path = bfs_path_edges(system.nodes, inc, system.s, system.t)
-        return len(path)
-    if isinstance(system, TreeSystem):
-        return system.nodes - 1
-    if isinstance(system, AssignmentSystem):
-        return system.m
-    return min(len(m) for m in system.members)
+    return system.min_member_size()
 
 
 def max_blocker_size(system: CombinatorialSystem) -> tuple[int, bool]:
@@ -471,68 +679,7 @@ def max_blocker_size(system: CombinatorialSystem) -> tuple[int, bool]:
     small graph systems are enumerated; otherwise the edge count is returned
     as a safe upper bound (flagged inexact).
     """
-
-    if isinstance(system, AssignmentSystem):
-        m = system.m
-        return max(a * (m + 1 - a) for a in range(1, m + 1)), True
-    if isinstance(system, ExplicitSystem):
-        blocker = _explicit_blocker(system)
-        return max(len(b.elements) for b in blocker), True
-    if system.nodes <= 16:
-        return _max_minimal_cut_size(system)
-    return len(system.edges), False
-
-
-def _max_minimal_cut_size(system) -> tuple[int, bool]:
-    """Exact maximum over minimal cuts by partition enumeration (<= 16 nodes)."""
-    n = system.nodes
-    anchor = system.s if isinstance(system, PathSystem) else 0
-    others = [u for u in range(n) if u != anchor]
-    best = 0
-    for mask in range(1 << len(others)):
-        side = {anchor} | {others[i] for i in range(len(others)) if mask >> i & 1}
-        if isinstance(system, PathSystem) and system.t in side:
-            continue
-        if len(side) == n:
-            continue
-        crossing = [
-            eid for eid, (u, v) in enumerate(system.edges) if (u in side) != (v in side)
-        ]
-        if not crossing:
-            continue
-        if _is_minimal_cut(system, side, crossing):
-            best = max(best, len(crossing))
-    return best, True
-
-
-def _is_minimal_cut(system, side: set[int], crossing: list[int]) -> bool:
-    """A partition cut is a minimal hitting set iff no crossing edge is redundant."""
-    removed = set(crossing)
-    if isinstance(system, TreeSystem):
-        # both sides must be internally connected
-        for part in (side, set(range(system.nodes)) - side):
-            dsu = DisjointSets(system.nodes)
-            for eid, (u, v) in enumerate(system.edges):
-                if eid not in removed and u in part and v in part:
-                    dsu.union(u, v)
-            roots = {dsu.find(u) for u in part}
-            if len(roots) != 1:
-                return False
-        return True
-    # path system: s side must be connected and reach every crossing edge,
-    # and each far endpoint must still reach t
-    dsu = DisjointSets(system.nodes)
-    for eid, (u, v) in enumerate(system.edges):
-        if eid not in removed:
-            dsu.union(u, v)
-    s_root = dsu.find(system.s)
-    t_root = dsu.find(system.t)
-    for eid in crossing:
-        u, v = system.edges[eid]
-        near, far = (u, v) if u in side else (v, u)
-        if dsu.find(near) != s_root or dsu.find(far) != t_root:
-            return False
-    return True
+    return system.max_blocker_size()
 
 
 # ---------------------------------------------------------------------------
@@ -540,31 +687,7 @@ def _is_minimal_cut(system, side: set[int], crossing: list[int]) -> bool:
 
 
 def system_to_json(system: CombinatorialSystem) -> dict:
-    if isinstance(system, PathSystem):
-        return {
-            "type": "path",
-            "nodes": system.nodes,
-            "edges": [
-                {"id": i, "u": u, "v": v} for i, (u, v) in enumerate(system.edges)
-            ],
-            "s": system.s,
-            "t": system.t,
-        }
-    if isinstance(system, TreeSystem):
-        return {
-            "type": "tree",
-            "nodes": system.nodes,
-            "edges": [
-                {"id": i, "u": u, "v": v} for i, (u, v) in enumerate(system.edges)
-            ],
-        }
-    if isinstance(system, AssignmentSystem):
-        return {"type": "assignment", "m": system.m}
-    return {
-        "type": "explicit",
-        "n": system.n,
-        "sets": [sorted(m) for m in system.members],
-    }
+    return system.to_json()
 
 
 def _parse_edges(payload: dict) -> tuple[tuple[int, int], ...]:
@@ -583,8 +706,14 @@ def _parse_edges(payload: dict) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+_KINDS = {cls.kind: cls for cls in (PathSystem, TreeSystem, AssignmentSystem, ExplicitSystem)}
+
+
 def system_from_json(payload) -> CombinatorialSystem:
-    """Parse an instance from a JSON string, file object, or dict."""
+    """Parse an instance from a JSON string, file object, or dict.
+
+    Malformed instances raise :class:`InvalidInstanceError`.
+    """
     if isinstance(payload, str):
         payload = json.loads(payload)
     elif hasattr(payload, "read"):
@@ -592,22 +721,12 @@ def system_from_json(payload) -> CombinatorialSystem:
     if not isinstance(payload, dict) or "type" not in payload:
         raise InvalidInstanceError("instance JSON must be an object with a 'type'")
     kind = payload["type"]
-    if kind == "path":
-        return PathSystem(
-            nodes=int(payload["nodes"]),
-            edges=_parse_edges(payload),
-            s=int(payload["s"]),
-            t=int(payload["t"]),
-        )
-    if kind == "tree":
-        return TreeSystem(nodes=int(payload["nodes"]), edges=_parse_edges(payload))
-    if kind == "assignment":
-        return AssignmentSystem(m=int(payload["m"]))
-    if kind == "explicit":
-        sets = payload.get("sets")
-        if not isinstance(sets, list):
-            raise InvalidInstanceError("explicit instance needs a 'sets' list")
-        return ExplicitSystem(
-            members=tuple(frozenset(s) for s in sets), n=int(payload.get("n", 0))
-        )
-    raise InvalidInstanceError(f"unknown instance type {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidInstanceError(f"unknown instance type {kind!r}")
+    try:
+        return cls.from_json(payload)
+    except KeyError as exc:
+        raise InvalidInstanceError(f"{kind} instance JSON needs a {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstanceError(f"malformed {kind} instance: {exc}") from exc

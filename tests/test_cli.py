@@ -221,6 +221,21 @@ class TestErrorPaths:
         assert code == 2
         assert "kind=scale-guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"type": "path", "edges": []}', '{"type": "assignment", "m": "x"}'],
+        ids=["missing-field", "non-integer-field"],
+    )
+    def test_malformed_instance(self, generated, tmp_path, capsys, payload):
+        instance = tmp_path / "bad.json"
+        instance.write_text(payload)
+        code = run_cli(
+            "--model", "quantify", "--instance", str(instance),
+            "--scenarios", generated["scenarios"], "--out", str(tmp_path / "v"),
+        )
+        assert code == 1
+        assert "kind=invalid-instance" in capsys.readouterr().err
+
     def test_unreadable_scenarios(self, generated, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1\nnot,numeric\n")
