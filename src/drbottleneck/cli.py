@@ -18,6 +18,8 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from . import __version__
 from .bottleneck import bottleneck_value, dual_bottleneck_value
 from .calibrate import asymptotic_ci, smallest_radius_in_band
 from .decide import (
+    _shifted,
     matching_permutation,
-    robust_decision,
     saa_decision,
     topk_decision,
     tv_robust_decision,
@@ -68,25 +70,16 @@ from .systems import (
 
 JSON_SCHEMA_VERSION = 1
 
-MODELS = (
-    "quantify",
-    "decide",
-    "robust-decide",
-    "tv-decide",
-    "gamma-quantify",
-    "gamma-decide",
-    "calibrate",
-    "simulate",
-    "evaluate",
-    "oracle",
-)
-
 
 def _parse_order(text: str) -> float:
     if text in ("inf", "infinity", "oo"):
         return math.inf
     value = float(text)
     return value
+
+
+def _parse_grid(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenarios", help="scenario CSV path")
     parser.add_argument("--theta", type=float, help="single ambiguity radius")
     parser.add_argument(
-        "--theta-grid",
+        "--theta-grid", type=_parse_grid,
         help="comma-separated ascending radius grid, e.g. 0,0.02,0.04",
     )
     parser.add_argument("--q", type=_parse_order, default=math.inf,
@@ -124,15 +117,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_nan(args) -> None:
+    """NaN fails every ordered comparison, so no domain check downstream sees it."""
+    options = {"--theta": [args.theta], "--theta-grid": args.theta_grid or [],
+               "--d": [args.d], "--q": [args.q], "--r": [args.r]}
+    for option, values in options.items():
+        if any(v is not None and math.isnan(v) for v in values):
+            raise DomainError(f"{option} must be a number, not NaN")
+
+
 def _radius_grid(args) -> list[float]:
     if args.theta_grid:
-        grid = [float(x) for x in args.theta_grid.split(",") if x.strip() != ""]
-        if grid != sorted(grid):
+        if args.theta_grid != sorted(args.theta_grid):
             raise DomainError("--theta-grid must be sorted ascending")
-        return grid
+        return args.theta_grid
     if args.theta is not None:
         return [args.theta]
     return [0.0]
+
+
+def _tv_grid(args) -> list[float]:
+    if args.d is None:
+        raise DomainError(f"--model {args.model} needs --d")
+    return [args.d]
 
 
 def _num(x) -> str:
@@ -164,192 +171,121 @@ def _load_pair(args):
     return system, scenarios
 
 
-def _run_quantify(args):
-    system, scenarios = _load_pair(args)
-    grid = _radius_grid(args)
-    saa = saa_value(system, scenarios, sense=args.sense)
-    rows = []
-    summary = []
-    for theta in grid:
-        start = time.perf_counter()
-        if math.isinf(args.q):
-            ball = WassersteinBall(radius=theta, ground_order=args.r)
-            quote = quantify_robust(system, scenarios, ball, sense=args.sense)
-            value = quote.value
-            extra = {}
-        else:
-            if args.sense != "cost":
-                raise DomainError("finite transport orders support the cost sense only")
-            value, lam = quantify_robust_finite_order(
-                system, scenarios, theta, args.q, args.r
-            )
-            extra = {"multiplier": lam if math.isfinite(lam) else "inf"}
-        elapsed = round(time.perf_counter() - start, 3)
-        rows.append((theta, float(value), elapsed))
-        summary.append({"theta": theta, "value": value, **extra})
-    _write_csv(args.out + ".csv", ["theta", "value", "time_sec"], rows)
-    _write_json(
-        args.out + ".json",
-        {
-            "model": "quantify",
-            "sense": args.sense,
-            "transport_order": "inf" if math.isinf(args.q) else args.q,
-            "ground_order": args.r,
-            "saa": saa,
-            "results": summary,
-        },
-    )
+@dataclass(frozen=True)
+class _GridModel:
+    """A model run once per radius of a grid over one instance/scenario pair.
+
+    ``prepare(args, system, scenarios)`` computes what every radius shares.
+    ``point(args, system, scenarios, prepared, theta)`` is the timed work for
+    one radius; it returns the value, the CSV values of ``columns`` and the
+    JSON record.  ``summary(args, prepared, grid, records)`` gives the JSON
+    fields besides the model name.  ``inf_only`` models take no finite --q.
+    """
+
+    point: Callable
+    summary: Callable = lambda args, prepared, grid, records: {"results": records}
+    prepare: Callable = lambda args, system, scenarios: None
+    columns: tuple[str, ...] = ()
+    grid: Callable = _radius_grid
+    inf_only: bool = False
+
+    def __call__(self, args) -> None:
+        if self.inf_only and not math.isinf(args.q):
+            raise DomainError(f"--model {args.model} supports transport order inf only")
+        system, scenarios = _load_pair(args)
+        grid = self.grid(args)
+        prepared = self.prepare(args, system, scenarios)
+        rows, records = [], []
+        for theta in grid:
+            start = time.perf_counter()
+            value, extra, record = self.point(args, system, scenarios, prepared, theta)
+            rows.append((theta, value, round(time.perf_counter() - start, 3), *extra))
+            records.append(record)
+        _write_csv(args.out + ".csv", ["theta", "value", "time_sec", *self.columns], rows)
+        summary = self.summary(args, prepared, grid, records)
+        _write_json(args.out + ".json", {"model": args.model, **summary})
 
 
-def _decision_json(system, report, extra=None) -> dict:
+def _robust_value(args, system, scenarios, theta) -> float:
+    ball = WassersteinBall(radius=theta, ground_order=args.r)
+    return quantify_robust(system, scenarios, ball, sense=args.sense).value
+
+
+def _quantify_saa(args, system, scenarios) -> float:
+    if not math.isinf(args.q) and args.sense != "cost":
+        raise DomainError("finite transport orders support the cost sense only")
+    return saa_value(system, scenarios, sense=args.sense)
+
+
+def _quantify_point(args, system, scenarios, saa, theta):
+    if math.isinf(args.q):
+        value = _robust_value(args, system, scenarios, theta)
+        return value, (), {"theta": theta, "value": value}
+    value, lam = quantify_robust_finite_order(system, scenarios, theta, args.q, args.r)
+    multiplier = lam if math.isfinite(lam) else "inf"
+    return value, (), {"theta": theta, "value": value, "multiplier": multiplier}
+
+
+def _decision(solve, key: str = "theta"):
+    """A point that records the report of ``solve(args, system, scenarios, theta)``."""
+
+    def point(args, system, scenarios, prepared, theta):
+        return _decision_record(system, solve(args, system, scenarios, theta), {key: theta})
+
+    return point
+
+
+def _decision_record(system, report, fields):
     record = report.to_dict()
     if isinstance(system, AssignmentSystem):
         record["permutation"] = matching_permutation(system, report.chosen)
-    if extra:
-        record.update(extra)
-    return record
+    return report.objective, (), {**record, **fields}
 
 
-def _run_decide(args):
-    system, scenarios = _load_pair(args)
-    grid = _radius_grid(args)
-    rows, results = [], []
-    base = saa_decision(system, scenarios, force=args.force_enumeration)
-    for theta in grid:
-        start = time.perf_counter()
-        report = robust_decision(system, scenarios, theta, force=args.force_enumeration)
-        elapsed = round(time.perf_counter() - start, 3)
-        rows.append((theta, report.objective, elapsed))
-        results.append(
-            _decision_json(
-                system,
-                report,
-                {"theta": theta, "saa_objective": base.objective,
-                 "shift_identity_gap": report.objective - base.objective - theta},
-            )
-        )
-    _write_csv(args.out + ".csv", ["theta", "value", "time_sec"], rows)
-    _write_json(args.out + ".json", {"model": "decide", "results": results})
+def _shift_point(args, system, scenarios, base, theta):
+    """The robust decision is the sample-average one, searched once, shifted."""
+    report = _shifted(base, theta)
+    gap = report.objective - base.objective - theta
+    fields = {"theta": theta, "saa_objective": base.objective, "shift_identity_gap": gap}
+    return _decision_record(system, report, fields)
 
 
-def _run_robust_decide(args):
-    system, scenarios = _load_pair(args)
-    grid = _radius_grid(args)
-    rows, results = [], []
-    for theta in grid:
-        start = time.perf_counter()
-        report = variance_robust_decision(
-            system, scenarios, theta, force=args.force_enumeration
-        )
-        elapsed = round(time.perf_counter() - start, 3)
-        rows.append((theta, report.objective, elapsed))
-        results.append(_decision_json(system, report, {"theta": theta}))
-    _write_csv(args.out + ".csv", ["theta", "value", "time_sec"], rows)
-    _write_json(args.out + ".json", {"model": "robust-decide", "results": results})
+def _gamma_quantify_point(args, system, scenarios, prepared, theta):
+    quote = quantify_topk(system, scenarios, theta, args.gamma, args.r,
+                          exact=True, force=args.force_enumeration)
+    value = quote.exact if quote.exact is not None else quote.upper
+    record = {"theta": theta, "value": value, "saa": quote.saa, "lower": quote.lower,
+              "upper": quote.upper, "exact_available": quote.exact is not None,
+              "downgraded": quote.downgraded}
+    return value, (quote.saa, quote.lower, quote.upper), record
 
 
-def _run_tv_decide(args):
-    system, scenarios = _load_pair(args)
-    if args.d is None:
-        raise DomainError("--model tv-decide needs --d")
-    start = time.perf_counter()
-    report = tv_robust_decision(system, scenarios, args.d, force=args.force_enumeration)
-    elapsed = round(time.perf_counter() - start, 3)
-    _write_csv(
-        args.out + ".csv",
-        ["theta", "value", "time_sec"],
-        [(args.d, report.objective, elapsed)],
-    )
-    _write_json(
-        args.out + ".json",
-        {"model": "tv-decide", "results": [_decision_json(system, report, {"d": args.d})]},
-    )
+def _calibrate_point(args, system, scenarios, band, theta):
+    value = _robust_value(args, system, scenarios, theta)
+    return value, (band.lower, band.upper), {"theta": theta, "value": value}
 
 
-def _run_gamma_quantify(args):
-    system, scenarios = _load_pair(args)
-    grid = _radius_grid(args)
-    rows, results = [], []
-    for theta in grid:
-        start = time.perf_counter()
-        quote = quantify_topk(
-            system, scenarios, theta, args.gamma, args.r,
-            exact=True, force=args.force_enumeration,
-        )
-        elapsed = round(time.perf_counter() - start, 3)
-        value = quote.exact if quote.exact is not None else quote.upper
-        rows.append((theta, value, elapsed, quote.saa, quote.lower, quote.upper))
-        results.append(
-            {
-                "theta": theta,
-                "value": value,
-                "saa": quote.saa,
-                "lower": quote.lower,
-                "upper": quote.upper,
-                "exact_available": quote.exact is not None,
-                "downgraded": quote.downgraded,
-            }
-        )
-    _write_csv(
-        args.out + ".csv",
-        ["theta", "value", "time_sec", "saa", "lower", "upper"],
-        rows,
-    )
-    _write_json(args.out + ".json", {"model": "gamma-quantify", "k": args.gamma,
-                                     "ground_order": args.r, "results": results})
-
-
-def _run_gamma_decide(args):
-    system, scenarios = _load_pair(args)
-    grid = _radius_grid(args)
-    rows, results = [], []
-    for theta in grid:
-        start = time.perf_counter()
-        report = topk_decision(
-            system, scenarios, theta, args.gamma, args.r, force=args.force_enumeration
-        )
-        elapsed = round(time.perf_counter() - start, 3)
-        rows.append((theta, report.objective, elapsed))
-        results.append(_decision_json(system, report, {"theta": theta}))
-    _write_csv(args.out + ".csv", ["theta", "value", "time_sec"], rows)
-    _write_json(args.out + ".json", {"model": "gamma-decide", "k": args.gamma,
-                                     "results": results})
-
-
-def _run_calibrate(args):
-    system, scenarios = _load_pair(args)
-    grid = _radius_grid(args)
-    per_scenario = scenario_bottlenecks(system, scenarios, args.sense)
-    band = asymptotic_ci(per_scenario)
-    rows, values = [], []
-    for theta in grid:
-        start = time.perf_counter()
-        ball = WassersteinBall(radius=theta, ground_order=args.r)
-        value = quantify_robust(system, scenarios, ball, sense=args.sense).value
-        elapsed = round(time.perf_counter() - start, 3)
-        values.append(value)
-        rows.append((theta, value, elapsed, band.lower, band.upper))
+def _calibrate_summary(args, band, grid, records):
     endpoint = "lower" if args.sense == "capacity" else "upper"
-    chosen = smallest_radius_in_band(grid, values, band, args.sense, endpoint)
-    _write_csv(
-        args.out + ".csv",
-        ["theta", "value", "time_sec", "ci_lower", "ci_upper"],
-        rows,
-    )
-    _write_json(
-        args.out + ".json",
-        {
-            "model": "calibrate",
-            "sense": args.sense,
-            "saa_ci": {"lower": band.lower, "upper": band.upper, "point": band.point},
-            "band_endpoint": endpoint,
-            "selected_theta": chosen,
-            "results": [{"theta": t, "value": v} for t, v in zip(grid, values)],
-        },
-    )
+    values = [record["value"] for record in records]
+    return {
+        "sense": args.sense,
+        "saa_ci": {"lower": band.lower, "upper": band.upper, "point": band.point},
+        "band_endpoint": endpoint,
+        "selected_theta": smallest_radius_in_band(grid, values, band, args.sense, endpoint),
+        "results": records,
+    }
 
 
-def _run_simulate(args):
+def _evaluate_point(args, system, scenarios, prepared, theta):
+    per_scenario = scenario_bottlenecks(system, scenarios, args.sense)
+    band = asymptotic_ci(per_scenario) if len(per_scenario) > 1 else None
+    value = math.fsum(per_scenario) / len(per_scenario)
+    ci = (band.lower, band.upper) if band else (value, value)
+    return value, ci, {"mean_value": value, "per_scenario": per_scenario}
+
+
+def _simulate(args):
     if args.generator == "multihop":
         params = MultihopParams(
             nodes=args.nodes, sample_count=args.samples, seed=args.seed
@@ -372,29 +308,7 @@ def _run_simulate(args):
     _write_json(args.out + ".meta.json", metadata)
 
 
-def _run_evaluate(args):
-    system, scenarios = _load_pair(args)
-    start = time.perf_counter()
-    per_scenario = scenario_bottlenecks(system, scenarios, args.sense)
-    band = asymptotic_ci(per_scenario) if len(per_scenario) > 1 else None
-    value = math.fsum(per_scenario) / len(per_scenario)
-    elapsed = round(time.perf_counter() - start, 3)
-    row = (0.0, value, elapsed,
-           band.lower if band else value, band.upper if band else value)
-    _write_csv(args.out + ".csv",
-               ["theta", "value", "time_sec", "ci_lower", "ci_upper"], [row])
-    _write_json(
-        args.out + ".json",
-        {
-            "model": "evaluate",
-            "sense": args.sense,
-            "mean_value": value,
-            "per_scenario": per_scenario,
-        },
-    )
-
-
-def _run_oracle(args):
+def _oracle(args):
     """Cross-check the fast oracles against enumeration on the instance."""
     system, scenarios = _load_pair(args)
     rng = np.random.default_rng(args.seed)
@@ -432,22 +346,74 @@ def _run_oracle(args):
           f"{len(members)} members, {len(blocker)} blocker elements)")
     _write_csv(args.out + ".csv", ["theta", "value", "time_sec"],
                [(0.0, float(checks), 0.0)])
-    _write_json(args.out + ".json", {"model": "oracle", "comparisons": checks,
+    _write_json(args.out + ".json", {"model": args.model, "comparisons": checks,
                                      "members": len(members),
                                      "blocker_elements": len(blocker)})
 
 
-_RUNNERS = {
-    "quantify": _run_quantify,
-    "decide": _run_decide,
-    "robust-decide": _run_robust_decide,
-    "tv-decide": _run_tv_decide,
-    "gamma-quantify": _run_gamma_quantify,
-    "gamma-decide": _run_gamma_decide,
-    "calibrate": _run_calibrate,
-    "simulate": _run_simulate,
-    "evaluate": _run_evaluate,
-    "oracle": _run_oracle,
+MODELS = {
+    "quantify": _GridModel(
+        _quantify_point,
+        prepare=_quantify_saa,
+        summary=lambda args, saa, grid, records: {
+            "sense": args.sense,
+            "transport_order": "inf" if math.isinf(args.q) else args.q,
+            "ground_order": args.r,
+            "saa": saa,
+            "results": records,
+        },
+    ),
+    "decide": _GridModel(
+        _shift_point,
+        prepare=lambda args, system, scenarios: saa_decision(
+            system, scenarios, force=args.force_enumeration
+        ),
+        inf_only=True,
+    ),
+    "robust-decide": _GridModel(
+        _decision(lambda args, system, scenarios, theta: variance_robust_decision(
+            system, scenarios, theta, force=args.force_enumeration
+        )),
+        inf_only=True,
+    ),
+    "tv-decide": _GridModel(
+        _decision(lambda args, system, scenarios, d: tv_robust_decision(
+            system, scenarios, d, force=args.force_enumeration
+        ), key="d"),
+        grid=_tv_grid,
+    ),
+    "gamma-quantify": _GridModel(
+        _gamma_quantify_point,
+        columns=("saa", "lower", "upper"),
+        summary=lambda args, _, grid, records: {
+            "k": args.gamma, "ground_order": args.r, "results": records
+        },
+        inf_only=True,
+    ),
+    "gamma-decide": _GridModel(
+        _decision(lambda args, system, scenarios, theta: topk_decision(
+            system, scenarios, theta, args.gamma, args.r, force=args.force_enumeration
+        )),
+        summary=lambda args, _, grid, records: {"k": args.gamma, "results": records},
+        inf_only=True,
+    ),
+    "calibrate": _GridModel(
+        _calibrate_point,
+        prepare=lambda args, system, scenarios: asymptotic_ci(
+            scenario_bottlenecks(system, scenarios, args.sense)
+        ),
+        columns=("ci_lower", "ci_upper"),
+        summary=_calibrate_summary,
+        inf_only=True,
+    ),
+    "simulate": _simulate,
+    "evaluate": _GridModel(
+        _evaluate_point,
+        grid=lambda args: [0.0],
+        columns=("ci_lower", "ci_upper"),
+        summary=lambda args, _, grid, records: {"sense": args.sense, **records[0]},
+    ),
+    "oracle": _oracle,
 }
 
 
@@ -455,7 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _RUNNERS[args.model](args)
+        _reject_nan(args)
+        MODELS[args.model](args)
     except (DomainError, InvalidInstanceError, ScenarioParseError, ConvergenceError,
             OSError, json.JSONDecodeError) as exc:
         kind = getattr(exc, "kind", "io")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolationError
 from .scenarios import ScenarioSet, require_matching_width
-from .search import check_search_guard, iter_members, minimize_members
+from .search import iter_members, minimize_members
 from .systems import AssignmentSystem, CombinatorialSystem, min_member_size
 
 
@@ -94,22 +94,43 @@ def _scenario_topk(costs: np.ndarray, elements: frozenset[int], k: int) -> list[
 
 
 Score = Callable[[frozenset[int]], list[float]]
+Aggregate = Callable[[list[float]], float]
 
 
-def _mean_bound(score: Score):
-    def bound(elements: frozenset[int]) -> float:
-        if not elements:
-            return -math.inf
-        return _mean(score(elements))
-
-    return bound
-
-
-def _topk_score(system: CombinatorialSystem, scenarios: ScenarioSet, k: int) -> Score:
+def _score(
+    system: CombinatorialSystem, scenarios: ScenarioSet, radius: float = 0.0,
+    k: int | None = None, ground_order: float = 1.0,
+) -> Score:
+    """The checks every decision model shares, then its per-scenario score: the
+    maximum, or with ``k`` the sum of the k largest (at k = 1, the maximum)."""
+    if radius < 0:
+        raise DomainError("radius must be nonnegative")
+    if ground_order < 1:
+        raise DomainError("ground norm order must be at least 1")
     require_matching_width(scenarios, system)
-    if k < 1 or k > min_member_size(system):
+    if k is not None and not 1 <= k <= min_member_size(system):
         raise DomainError("k must lie between 1 and the smallest member size")
+    if k is None or k == 1:
+        return partial(_scenario_maxima, scenarios.costs)
     return partial(_scenario_topk, scenarios.costs, k=k)
+
+
+def _objective(score: Score, aggregate: Aggregate) -> Callable[[frozenset[int]], float]:
+    """The aggregate of a subset's scores, -inf on the empty set; it is monotone,
+    so its value on a partial set bounds every completion."""
+    return lambda elements: aggregate(score(elements)) if elements else -math.inf
+
+
+def _minimize(system: CombinatorialSystem, score: Score, aggregate: Aggregate, force: bool):
+    """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
+    to the lexicographically smallest set."""
+    value, chosen = minimize_members(system, _objective(score, aggregate), force)
+    return value, chosen, score(chosen)
+
+
+def _radius_shift(radius: float, k: int, ground_order: float) -> float:
+    """k^((r-1)/r) times the radius: how far the ball lifts a top-k objective."""
+    return k ** ((ground_order - 1.0) / ground_order) * radius
 
 
 def _band(system: CombinatorialSystem, score: Score, threshold: float):
@@ -120,7 +141,7 @@ def _band(system: CombinatorialSystem, score: Score, threshold: float):
     sets, the prune keeps a tolerance band above the threshold.
     """
 
-    bound = _mean_bound(score)
+    bound = _objective(score, _mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
     for member in iter_members(system, prune=lambda els: bool(els) and bound(els) > limit):
         values = score(member)
@@ -130,22 +151,19 @@ def _band(system: CombinatorialSystem, score: Score, threshold: float):
 
 
 def _least_variance_in_band(
-    system: CombinatorialSystem, score: Score, threshold: float, model: str
+    system: CombinatorialSystem, score: Score, shift: float, force: bool, model: str
 ) -> DecisionReport:
-    """The least population variance over the band, ties lexicographic."""
-    best_key = None
-    best = None
-    for member, values, mean in _band(system, score, threshold):
-        variance = _population_variance(values, mean)
-        key = (variance, tuple(sorted(member)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (member, variance, values)
+    """The least population variance among subsets whose mean score is within
+    ``shift`` of the sample-average optimum, ties lexicographic."""
+    saa_value, _, _ = _minimize(system, score, _mean, force)
+    band = _band(system, score, saa_value + shift)
+    keyed = ((_population_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
+    best = min(keyed, default=None)
     if best is None:
         raise InvariantViolationError(
             f"{model} indifference set came back empty; it must contain the optimum"
         )
-    member, variance, values = best
+    variance, _, member, values = best
     return _report(member, variance, values, model)
 
 
@@ -161,6 +179,13 @@ def _report(chosen, objective, values, model) -> DecisionReport:
     )
 
 
+def _shifted(base: DecisionReport, radius: float) -> DecisionReport:
+    """The sample-average optimum ``base`` as the robust decision at ``radius``."""
+    if radius < 0:
+        raise DomainError("radius must be nonnegative")
+    return replace(base, objective=base.objective + radius, model="wasserstein-robust")
+
+
 def saa_decision(
     system: CombinatorialSystem, scenarios: ScenarioSet, force: bool = False
 ) -> DecisionReport:
@@ -171,10 +196,8 @@ def saa_decision(
     smallest element set.
     """
 
-    require_matching_width(scenarios, system)
-    score = partial(_scenario_maxima, scenarios.costs)
-    value, chosen = minimize_members(system, _mean_bound(score), force)
-    return _report(chosen, value, score(chosen), "saa")
+    value, chosen, values = _minimize(system, _score(system, scenarios), _mean, force)
+    return _report(chosen, value, values, "saa")
 
 
 def robust_decision(
@@ -189,10 +212,9 @@ def robust_decision(
     radius and every ground norm; the objective shifts by exactly the radius.
     """
 
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    base = saa_decision(system, scenarios, force=force)
-    return replace(base, objective=base.objective + radius, model="wasserstein-robust")
+    score = _score(system, scenarios, radius)
+    value, chosen, values = _minimize(system, score, _mean, force)
+    return _shifted(_report(chosen, value, values, "saa"), radius)
 
 
 def decision_worst_case_distribution(
@@ -293,12 +315,8 @@ def variance_robust_decision(
     ties broken lexicographically.
     """
 
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    check_search_guard(system, force)
-    base = saa_decision(system, scenarios, force=force)
-    score = partial(_scenario_maxima, scenarios.costs)
-    return _least_variance_in_band(system, score, base.objective + radius, "variance-robust")
+    score = _score(system, scenarios, radius)
+    return _least_variance_in_band(system, score, radius, force, "variance-robust")
 
 
 def tv_robust_decision(
@@ -318,16 +336,8 @@ def tv_robust_decision(
 
     if not 0.0 <= tv_radius <= 2.0:
         raise DomainError("total-variation radius must lie in [0, 2]")
-    require_matching_width(scenarios, system)
-    d = tv_radius
-
-    def bound(elements: frozenset[int]) -> float:
-        if not elements:
-            return -math.inf
-        return _tv_objective(_scenario_maxima(scenarios.costs, elements), d)
-
-    value, chosen = minimize_members(system, bound, force)
-    values = _scenario_maxima(scenarios.costs, chosen)
+    aggregate = partial(_tv_objective, d=tv_radius)
+    value, chosen, values = _minimize(system, _score(system, scenarios), aggregate, force)
     return _report(chosen, value, values, "total-variation")
 
 
@@ -357,15 +367,9 @@ def topk_decision(
     shared with the sample-average problem.
     """
 
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    r = float(ground_order)
-    if r < 1:
-        raise DomainError("ground norm order must be at least 1")
-    score = _topk_score(system, scenarios, k)
-    saa_val, chosen = minimize_members(system, _mean_bound(score), force)
-    shift = k ** ((r - 1.0) / r) * radius
-    return _report(chosen, saa_val + shift, score(chosen), "topk-robust")
+    score = _score(system, scenarios, radius, k, ground_order)
+    value, chosen, values = _minimize(system, score, _mean, force)
+    return _report(chosen, value + _radius_shift(radius, k, ground_order), values, "topk-robust")
 
 
 def topk_variance_robust_decision(
@@ -382,14 +386,9 @@ def topk_variance_robust_decision(
     k^((r-1)/r) times the radius.
     """
 
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    r = float(ground_order)
-    check_search_guard(system, force)
-    score = _topk_score(system, scenarios, k)
-    saa_val, _ = minimize_members(system, _mean_bound(score), force)
-    threshold = saa_val + k ** ((r - 1.0) / r) * radius
-    return _least_variance_in_band(system, score, threshold, "topk-variance-robust")
+    score = _score(system, scenarios, radius, k, ground_order)
+    shift = _radius_shift(radius, k, ground_order)
+    return _least_variance_in_band(system, score, shift, force, "topk-variance-robust")
 
 
 def calibrate_radius_topk_decision(

@@ -266,3 +266,126 @@ class TestFiniteOrderCli:
         summary = json.load(open(str(out) + ".json"))
         # single relevant element: worst case moves it by the whole budget
         assert abs(summary["results"][0]["value"] - 5.3) < 1e-6
+
+
+@pytest.fixture
+def matching(tmp_path):
+    out = tmp_path / "match3"
+    code = run_cli(
+        "--model", "simulate", "--generator", "matching-gaussian",
+        "--side", "3", "--samples", "6", "--seed", "4", "--out", str(out),
+    )
+    assert code == 0
+    return {
+        "instance": str(out) + ".instance.json",
+        "scenarios": str(out) + ".scenarios.csv",
+        "meta": str(out) + ".meta.json",
+    }
+
+
+REPORT = {"model", "chosen", "objective", "per_scenario", "mean", "variance"}
+BASE_CSV = ["theta", "value", "time_sec"]
+CI_CSV = BASE_CSV + ["ci_lower", "ci_upper"]
+
+# model -> (CSV header, top-level JSON keys, keys of each results entry or None)
+OUTPUT_SHAPES = {
+    "quantify": (
+        BASE_CSV,
+        {"model", "sense", "transport_order", "ground_order", "saa", "results"},
+        {"theta", "value"},
+    ),
+    "decide": (
+        BASE_CSV,
+        {"model", "results"},
+        REPORT | {"theta", "saa_objective", "shift_identity_gap"},
+    ),
+    "robust-decide": (BASE_CSV, {"model", "results"}, REPORT | {"theta"}),
+    "tv-decide": (BASE_CSV, {"model", "results"}, REPORT | {"d"}),
+    "gamma-quantify": (
+        BASE_CSV + ["saa", "lower", "upper"],
+        {"model", "k", "ground_order", "results"},
+        {"theta", "value", "saa", "lower", "upper", "exact_available", "downgraded"},
+    ),
+    "gamma-decide": (BASE_CSV, {"model", "k", "results"}, REPORT | {"theta"}),
+    "calibrate": (
+        CI_CSV,
+        {"model", "sense", "saa_ci", "band_endpoint", "selected_theta", "results"},
+        {"theta", "value"},
+    ),
+    "evaluate": (CI_CSV, {"model", "sense", "mean_value", "per_scenario"}, None),
+    "oracle": (BASE_CSV, {"model", "comparisons", "members", "blocker_elements"}, None),
+}
+
+
+class TestOutputShape:
+    """Pins every model's CSV header and JSON field names."""
+
+    @pytest.mark.parametrize("fixture", ["generated", "matching"])
+    @pytest.mark.parametrize("model", [*OUTPUT_SHAPES, "simulate"])
+    def test_fields(self, model, fixture, request, tmp_path):
+        pair = request.getfixturevalue(fixture)
+        if model == "simulate":
+            header = read_csv(pair["scenarios"])[0]
+            assert header == [str(j) for j in range(len(header))]
+            meta = json.load(open(pair["meta"]))
+            assert set(meta) == {"schema_version", "generator", "params", "rng"}
+            instance = json.load(open(pair["instance"]))
+            kind = {"generated": "path", "matching": "assignment"}[fixture]
+            assert instance["type"] == kind
+            return
+        out = str(tmp_path / model)
+        code = run_cli(
+            "--model", model, "--instance", pair["instance"],
+            "--scenarios", pair["scenarios"], "--theta-grid", "0,0.5",
+            "--d", "0.5", "--seed", "3", "--out", out,
+        )
+        assert code == 0
+        header, top, entry = OUTPUT_SHAPES[model]
+        assert read_csv(out + ".csv")[0] == header
+        summary = json.load(open(out + ".json"))
+        assert set(summary) == top | {"schema_version"}
+        assert summary["model"] == model
+        if entry is None:
+            return
+        if fixture == "matching" and entry >= REPORT:
+            entry = entry | {"permutation"}
+        assert [set(record) for record in summary["results"]] == [entry] * (
+            1 if model == "tv-decide" else 2
+        )
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "quantify", "--theta", "0.3", "--q", "nan"],
+            ["--model", "quantify", "--theta", "0.3", "--r", "nan"],
+            ["--model", "decide", "--theta", "nan"],
+            ["--model", "robust-decide", "--theta-grid", "0,nan"],
+            ["--model", "tv-decide", "--d", "nan"],
+        ],
+        ids=["q", "r", "theta", "theta-grid", "d"],
+    )
+    def test_nan_rejected(self, generated, tmp_path, capsys, argv):
+        code = run_cli(
+            *argv, "--instance", generated["instance"],
+            "--scenarios", generated["scenarios"], "--out", str(tmp_path / "n"),
+        )
+        assert code == 1
+        assert "kind=domain" in capsys.readouterr().err
+        assert not (tmp_path / "n.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model", ["decide", "robust-decide", "gamma-quantify", "gamma-decide", "calibrate"]
+    )
+    def test_finite_q_rejected_by_order_infinity_models(
+        self, generated, tmp_path, capsys, model
+    ):
+        code = run_cli(
+            "--model", model, "--instance", generated["instance"],
+            "--scenarios", generated["scenarios"], "--theta", "0.1",
+            "--q", "2", "--out", str(tmp_path / "f"),
+        )
+        assert code == 1
+        assert "kind=domain" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()

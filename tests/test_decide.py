@@ -418,3 +418,10 @@ class TestIndifferencePredicate:
             listed = set(report.members)
             for member in brute_members(system):
                 assert report.contains(member) == (member in listed)
+
+
+@pytest.mark.parametrize("model", [topk_decision, topk_variance_robust_decision])
+def test_topk_models_reject_ground_order_below_one(triangle, model):
+    scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
+    with pytest.raises(DomainError, match="ground norm order"):
+        model(triangle, scen, 0.1, 1, 0.5)
