@@ -128,13 +128,17 @@ class MaxFlow:
 def min_st_cut_side(n: int, edges, weights, s: int, t: int) -> set[int]:
     """Source side of a minimum s-t cut for nonnegative real edge weights.
 
-    ``edges`` is a sequence of (u, v) pairs; parallel edges are fine.
+    ``edges`` is a sequence of (u, v) pairs; parallel edges are fine.  An
+    edge of weight at most the residual tolerance gets no arc pair: no flow
+    can cross it and the residual walk never uses it, so leaving it out
+    changes neither the flow nor the source side.
     """
-    scale = max([w for w in weights] + [1.0])
-    eps = 1e-12 * scale
+    weights = list(map(float, weights))
+    eps = 1e-12 * max(weights + [1.0])
     flow = MaxFlow(n)
     for (u, v), w in zip(edges, weights):
-        flow.add_undirected(u, v, float(w))
+        if w > eps:
+            flow.add_undirected(u, v, w)
     flow.max_flow(s, t, eps)
     return flow.source_side(s, eps)
 

@@ -2,23 +2,23 @@
 
 The bottleneck value of a cost vector is the least possible maximum element
 cost over feasible subsets.  Its dual form maximizes, over blocker elements,
-the minimum element cost; both are computed here by threshold search so each
-can certify the other.  The top-k generalization scores a subset by the sum
+the minimum element cost; the primal comes with a dual witness, and the dual
+has its own threshold search through the blocker oracle, so each can certify
+the other.  The top-k generalization scores a subset by the sum
 of its k largest costs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, EnumerationLimitError, InvariantViolationError
+from .errors import DomainError, EnumerationLimitError
 from .search import enumerate_members, minimize_members
 from .systems import (
-    BlockerElement,
+    BottleneckResult,
     Clutter,
     CombinatorialSystem,
     min_member_size,
@@ -30,50 +30,17 @@ TOPK_BLOCKER_MAX_GROUND = 8
 TOPK_BLOCKER_MAX_K = 3
 
 
-@dataclass(frozen=True)
-class BottleneckResult:
-    """Optimal value with a primal member and a dual blocker certificate."""
-
-    value: float
-    argmin_subset: frozenset[int]
-    dual_witness: BlockerElement
-
-
-def _zero_weight_blocker(system, c: np.ndarray, level: float) -> BlockerElement:
-    """A blocker element avoiding all elements cheaper than ``level``."""
-    weights = (c < level).astype(float)
-    value, witness = min_weight_blocker(system, weights)
-    if value != 0.0:
-        raise InvariantViolationError(
-            "no blocker element attains the bottleneck level; duality is broken"
-        )
-    return witness
-
-
 def bottleneck_value(system: CombinatorialSystem, costs) -> BottleneckResult:
-    """Least max-cost over feasible subsets, by threshold bisection.
+    """Least max-cost over feasible subsets, with both certificates.
 
     Feasibility uses the closed threshold (cost <= t), so the optimum is the
     smallest distinct cost passing the test and is always attained.  The
     returned member is the deterministic feasibility witness at the optimum;
     the dual witness is a blocker element whose minimum cost equals the value.
+    Threshold bisection by default; path systems join edges in cost order.
     """
 
-    c = system.validated_costs(costs)
-    levels = np.unique(c)
-    lo, hi = 0, len(levels) - 1
-    if system.threshold_witness(c, levels[hi]) is None:
-        raise DomainError("system is infeasible at the largest cost")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if system.threshold_witness(c, levels[mid]) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    value = float(levels[lo])
-    member = system.threshold_witness(c, value)
-    witness = _zero_weight_blocker(system, c, value)
-    return BottleneckResult(value, member, witness)
+    return system.bottleneck(system.validated_costs(costs))
 
 
 def dual_bottleneck_value(system: CombinatorialSystem, costs) -> float:

@@ -179,7 +179,8 @@ class _GridModel:
     ``point(args, system, scenarios, prepared, theta)`` is the timed work for
     one radius; it returns the value, the CSV values of ``columns`` and the
     JSON record.  ``summary(args, prepared, grid, records)`` gives the JSON
-    fields besides the model name.  ``inf_only`` models take no finite --q.
+    fields besides the model name.  ``inf_only`` models take no finite --q,
+    and ``cost_only`` models no ``--sense capacity``.
     """
 
     point: Callable
@@ -188,10 +189,13 @@ class _GridModel:
     columns: tuple[str, ...] = ()
     grid: Callable = _radius_grid
     inf_only: bool = False
+    cost_only: bool = False
 
     def __call__(self, args) -> None:
         if self.inf_only and not math.isinf(args.q):
             raise DomainError(f"--model {args.model} supports transport order inf only")
+        if self.cost_only and args.sense != "cost":
+            raise DomainError(f"--model {args.model} supports the cost sense only")
         system, scenarios = _load_pair(args)
         grid = self.grid(args)
         prepared = self.prepare(args, system, scenarios)
@@ -319,13 +323,29 @@ def _oracle(args):
     checks = 0
     for _ in range(50):
         costs = rng.uniform(0.0, 10.0, size=n)
-        primal = bottleneck_value(system, costs).value
+        result = bottleneck_value(system, costs)
+        primal = result.value
         brute_primal = min(max(costs[j] for j in m) for m in members)
         dual = dual_bottleneck_value(system, costs)
         brute_dual = max(min(costs[j] for j in b.elements) for b in blocker)
         if not (primal == brute_primal == dual == brute_dual):
             raise InvariantViolationError(
                 f"bottleneck oracle mismatch: {primal} {brute_primal} {dual} {brute_dual}"
+            )
+        checks += 1
+        # the certificates: a member whose largest cost is the value, and a
+        # blocker element, meeting every member, whose least cost is the value
+        member, witness = result.argmin_subset, result.dual_witness.elements
+        top = max(costs[j] for j in member)
+        low = min(costs[j] for j in witness)
+        if not (top == primal == low):
+            raise InvariantViolationError(
+                f"bottleneck certificate mismatch: member max {top}, value {primal}, "
+                f"witness min {low}"
+            )
+        if member not in members or not all(m & witness for m in members):
+            raise InvariantViolationError(
+                "bottleneck certificates are not a member and a blocker element"
             )
         checks += 1
         weights = rng.uniform(0.0, 1.0, size=n)
@@ -369,18 +389,21 @@ MODELS = {
             system, scenarios, force=args.force_enumeration
         ),
         inf_only=True,
+        cost_only=True,
     ),
     "robust-decide": _GridModel(
         _decision(lambda args, system, scenarios, theta: variance_robust_decision(
             system, scenarios, theta, force=args.force_enumeration
         )),
         inf_only=True,
+        cost_only=True,
     ),
     "tv-decide": _GridModel(
         _decision(lambda args, system, scenarios, d: tv_robust_decision(
             system, scenarios, d, force=args.force_enumeration
         ), key="d"),
         grid=_tv_grid,
+        cost_only=True,
     ),
     "gamma-quantify": _GridModel(
         _gamma_quantify_point,
@@ -389,6 +412,7 @@ MODELS = {
             "k": args.gamma, "ground_order": args.r, "results": records
         },
         inf_only=True,
+        cost_only=True,
     ),
     "gamma-decide": _GridModel(
         _decision(lambda args, system, scenarios, theta: topk_decision(
@@ -396,6 +420,7 @@ MODELS = {
         )),
         summary=lambda args, _, grid, records: {"k": args.gamma, "results": records},
         inf_only=True,
+        cost_only=True,
     ),
     "calibrate": _GridModel(
         _calibrate_point,

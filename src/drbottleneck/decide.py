@@ -103,9 +103,9 @@ def _score(
 ) -> Score:
     """The checks every decision model shares, then its per-scenario score: the
     maximum, or with ``k`` the sum of the k largest (at k = 1, the maximum)."""
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    if ground_order < 1:
+    if not ground_order >= 1:
         raise DomainError("ground norm order must be at least 1")
     require_matching_width(scenarios, system)
     if k is not None and not 1 <= k <= min_member_size(system):
@@ -181,7 +181,7 @@ def _report(chosen, objective, values, model) -> DecisionReport:
 
 def _shifted(base: DecisionReport, radius: float) -> DecisionReport:
     """The sample-average optimum ``base`` as the robust decision at ``radius``."""
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
     return replace(base, objective=base.objective + radius, model="wasserstein-robust")
 
@@ -227,7 +227,7 @@ def decision_worst_case_distribution(
     then its empirical mean plus the radius, exactly.
     """
 
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
     cols = sorted(chosen)
     if not cols:
@@ -251,7 +251,7 @@ def calibrate_radius_decision(
 
     if sample_count < 1:
         raise DomainError("sample count must be at least 1")
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError("sigma must be positive")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -288,7 +288,7 @@ def indifference_set(
     tested against the threshold.
     """
 
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
     base = saa_decision(system, scenarios, force=force)
     threshold = base.objective + radius

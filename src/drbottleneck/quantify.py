@@ -59,11 +59,11 @@ class WassersteinBall:
     ground_order: float = 1.0
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise DomainError("radius must be nonnegative")
-        if self.order < 1:
+        if not self.order >= 1:
             raise DomainError("transport order must be at least 1")
-        if self.ground_order < 1:
+        if not self.ground_order >= 1:
             raise DomainError("ground norm order must be at least 1")
 
 
@@ -158,12 +158,57 @@ class GapReport:
 # per-blocker-element level solves
 
 
+def _screened_prefixes(c: np.ndarray, radius: float, budget: float, r: float) -> list[int]:
+    """The prefix lengths i whose level can lie in [c_i, c_{i+1}).
+
+    g(x) = sum_j (x - c_j)_+^r is nondecreasing and equals the prefix-i
+    budget function on [c_i, c_{i+1}], so the prefix-i level lies there only
+    if g(c_i) <= budget <= g(c_{i+1}).  The scan walks up the costs with
+    running sums (one power sum per step for r outside {1, 2}) and stops at
+    the first cost where g exceeds the budget.  The padding exceeds the
+    rounding of the scan and of the per-prefix solves by orders of
+    magnitude, so every prefix those solves accept is kept; an overflow to
+    NaN keeps its prefix too.
+    """
+
+    costs = c.tolist()
+    first, m = costs[0], len(costs)
+    try:
+        reach = (costs[-1] - first + radius) ** (r - 1.0)
+    except OverflowError:
+        reach = math.inf
+    # a level error of ulps of the cost magnitude, or of the root tolerance,
+    # times the largest slope of g
+    slack = budget + r * m * reach * (max(abs(first), abs(costs[-1])) + radius + 1.0)
+    kept = []
+    run = run_sq = 0.0
+    fits = True
+    for i in range(m):
+        x = costs[i] - first
+        if r == 1.0:
+            g = i * x - run
+        elif r == 2.0:
+            g = i * x * x - 2.0 * x * run + run_sq
+        else:
+            g = float(np.sum((c[i] - c[:i]) ** r))
+        run += x
+        run_sq += x * x
+        pad = 1e-9 * (slack + g)
+        if i and fits and not g < budget - pad:
+            kept.append(i)
+        fits = not g > budget + pad
+        if not fits:
+            return kept
+    return kept + [m]
+
+
 def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     """Largest t with sum over {j : c_j <= t} of (t - c_j)^r within radius^r.
 
     Exactly one ascending prefix I satisfies c_{|I|} <= t(I) < c_{|I|+1}; the
     prefix solve is closed-form for r in {1, 2} and a bracketed root
-    otherwise.  Falls back to bisection if rounding rejects every prefix.
+    otherwise, and runs only on the prefixes a monotone screen keeps.  Falls
+    back to bisection if rounding rejects every prefix.
     """
 
     c = np.asarray(sorted_costs, dtype=float)
@@ -171,7 +216,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     m = len(c)
     prefix_sum = np.cumsum(c)
     candidates = []
-    for i in range(1, m + 1):
+    for i in _screened_prefixes(c, radius, budget, r):
         top = c[i - 1]
         nxt = c[i] if i < m else math.inf
         if r == 1.0:
@@ -221,7 +266,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
 def element_level(costs, elements, radius: float, r: float = 1.0) -> float:
     """Robust level of one blocker element: raise its cheap costs to a
     common level within the r-norm budget and report that level."""
-    c = np.sort(np.asarray([costs[j] for j in elements], dtype=float))
+    c = np.sort(np.asarray(costs, dtype=float)[list(elements)])
     return _prefix_level(c, radius, r)
 
 
@@ -239,7 +284,7 @@ def l1_robust_level(sorted_costs, radius: float) -> float:
         raise DomainError("expected a nonempty cost vector")
     if np.any(np.diff(c) < 0):
         raise DomainError("costs must be sorted ascending")
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
     return _prefix_level(c, radius, 1.0)
 
@@ -262,9 +307,9 @@ def robust_scenario_value(
     attained level.
     """
 
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    if ground_order < 1:
+    if not ground_order >= 1:
         raise DomainError("ground norm order must be at least 1")
     c = np.asarray(costs, dtype=float)
     r = ground_order
@@ -422,7 +467,7 @@ def calibrate_radius(
 
     if sample_count < 1:
         raise DomainError("sample count must be at least 1")
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError("sigma must be positive")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -523,11 +568,11 @@ def quantify_robust_finite_order(
     """
 
     require_matching_width(scenarios, system)
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    if order < 1 or math.isinf(order):
+    if not 1 <= order < math.inf:
         raise DomainError("transport order must be finite and at least 1")
-    if ground_order < 1:
+    if not ground_order >= 1:
         raise DomainError("ground norm order must be at least 1")
     if radius == 0.0:
         return saa_value(system, scenarios), math.inf
@@ -721,10 +766,10 @@ def quantify_topk(
     """
 
     require_matching_width(scenarios, system)
-    if radius < 0:
+    if not radius >= 0:
         raise DomainError("radius must be nonnegative")
     r = float(ground_order)
-    if r < 1:
+    if not r >= 1:
         raise DomainError("ground norm order must be at least 1")
     n = ground_size(system)
 

@@ -38,7 +38,12 @@ from ._graphs import (
     max_bipartite_matching,
     min_st_cut_side,
 )
-from .errors import DomainError, EnumerationLimitError, InvalidInstanceError
+from .errors import (
+    DomainError,
+    EnumerationLimitError,
+    InvalidInstanceError,
+    InvariantViolationError,
+)
 
 #: Largest ground set for which explicit blocker enumeration is attempted.
 BLOCKER_ENUMERATION_LIMIT = 20
@@ -86,6 +91,8 @@ class CombinatorialSystem:
       of cost <= t, or None; deterministic, on already validated costs;
     * ``min_weight_blocker(weights)``, ``min_member_size()`` and
       ``max_blocker_size()``, behind the module functions of those names;
+    * ``bottleneck(c)`` behind ``bottleneck.bottleneck_value``; the base
+      class bisects with the two oracles above, and a kind may override it;
     * ``scale`` with the limits and refusals the guards below apply;
     * one search state space, ``root()`` and ``expand(state)`` over states
       ``(elements, complete, payload)``: the elements forced so far, whether
@@ -111,11 +118,40 @@ class CombinatorialSystem:
         n = self.ground.n
         if w.shape != (n,):
             raise DomainError(f"expected {n} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise DomainError("weights must be finite")
-        if np.any(w < 0):
+        # two reductions on the hot path; NaN fails the first comparison
+        if not (w.min() >= 0.0 and w.max() < math.inf):
+            if not np.all(np.isfinite(w)):
+                raise DomainError("weights must be finite")
             raise DomainError("weights must be nonnegative")
         return w
+
+    def bottleneck(self, c: np.ndarray) -> BottleneckResult:
+        """Least max-cost over feasible subsets, on validated costs.
+
+        Bisects the distinct costs with the closed threshold (cost <= t), so
+        the value is attained.  The member is the threshold witness at the
+        value; the dual witness is a blocker element of zero weight when
+        every element cheaper than the value weighs one, so its minimum cost
+        is the value.
+        """
+        levels = np.unique(c)
+        lo, hi = 0, len(levels) - 1
+        if self.threshold_witness(c, levels[hi]) is None:
+            raise DomainError("system is infeasible at the largest cost")
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.threshold_witness(c, levels[mid]) is None:
+                lo = mid + 1
+            else:
+                hi = mid
+        value = float(levels[lo])
+        member = self.threshold_witness(c, value)
+        used, witness = min_weight_blocker(self, (c < value).astype(float))
+        if used != 0.0:
+            raise InvariantViolationError(
+                "no blocker element attains the bottleneck level; duality is broken"
+            )
+        return BottleneckResult(value, member, witness)
 
     def check_enum_guard(self, force: bool = False) -> None:
         if not force and self.scale > self.enum_limit:
@@ -161,14 +197,32 @@ class _GraphSystem(CombinatorialSystem):
     def scale(self) -> int:
         return self.nodes
 
-    def _crossing(self, side) -> list[int]:
-        """Ids of the edges with exactly one endpoint in ``side``."""
-        return [eid for eid, (u, v) in enumerate(self.edges) if (u in side) != (v in side)]
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.nodes)]
+        for eid, (u, v) in enumerate(self.edges):
+            inc[u].append((eid, v))
+            inc[v].append((eid, u))
+        return tuple(tuple(lst) for lst in inc)
 
-    def _cut_blocker(self, side, w: np.ndarray) -> tuple[float, BlockerElement]:
-        elements = frozenset(self._crossing(side))
-        value = math.fsum(w[j] for j in sorted(elements))
-        return value, BlockerElement(elements, kind="cut", partition=frozenset(side))
+    def _crossing(self, side) -> list[int]:
+        """Ids of the edges with exactly one endpoint in ``side``, ascending.
+
+        Walks the incidence lists of the smaller side, so a cut next to one
+        node costs that node's degree rather than the edge count.
+        """
+        if 2 * len(side) > self.nodes:
+            side = set(range(self.nodes)).difference(side)
+        crossing = [eid for u in side for eid, v in self.incidence[u] if v not in side]
+        crossing.sort()
+        return crossing
+
+    def _cut_blocker(self, side, w) -> tuple[float, BlockerElement]:
+        crossing = self._crossing(side)
+        value = math.fsum(w[j] for j in crossing)
+        return value, BlockerElement(
+            frozenset(crossing), kind="cut", partition=frozenset(side)
+        )
 
     def max_blocker_size(self):
         # exact up to 16 nodes: enumerate the near sides holding the anchor
@@ -222,14 +276,6 @@ class PathSystem(_GraphSystem):
                     queue.append(v)
         return self.t in seen
 
-    @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.nodes)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append((eid, v))
-            inc[v].append((eid, u))
-        return tuple(tuple(lst) for lst in inc)
-
     def threshold_witness(self, costs, t):
         # BFS paths visit edges in id order
         inc = [
@@ -240,8 +286,29 @@ class PathSystem(_GraphSystem):
         return None if path is None else frozenset(path)
 
     def min_weight_blocker(self, weights):
-        w = self.validated_weights(weights)
+        w = self.validated_weights(weights).tolist()
         return self._cut_blocker(min_st_cut_side(self.nodes, self.edges, w, self.s, self.t), w)
+
+    def bottleneck(self, c):
+        # Kruskal order: s and t first join at the value.  No flow crosses the
+        # zero-weight cut of the base route, so its source side is s's
+        # component over the strictly cheaper edges.
+        cost = c.tolist()
+        order = np.argsort(c, kind="stable").tolist()
+        joined = DisjointSets(self.nodes)
+        for eid in order:
+            if joined.union(*self.edges[eid]) and joined.find(self.s) == joined.find(self.t):
+                break
+        value = cost[eid]
+        cheaper = DisjointSets(self.nodes)
+        for eid in order:
+            if cost[eid] >= value:
+                break
+            cheaper.union(*self.edges[eid])
+        near = cheaper.find(self.s)
+        side = frozenset(u for u in range(self.nodes) if cheaper.find(u) == near)
+        witness = BlockerElement(frozenset(self._crossing(side)), kind="cut", partition=side)
+        return BottleneckResult(value, self.threshold_witness(c, value), witness)
 
     def min_member_size(self):
         return len(bfs_path_edges(self.nodes, self.incidence, self.s, self.t))
@@ -586,6 +653,15 @@ class BlockerElement:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", frozenset(int(e) for e in self.elements))
+
+
+@dataclass(frozen=True)
+class BottleneckResult:
+    """Optimal value with a primal member and a dual blocker certificate."""
+
+    value: float
+    argmin_subset: frozenset[int]
+    dual_witness: BlockerElement
 
 
 def ground_size(system: CombinatorialSystem) -> int:

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used only by the test suite.
 
-Everything here is implemented from first principles (itertools, networkx,
-bitmask scans, direct perturbation search) so library results can be checked
-against code that shares none of the library's algorithmic machinery.
+The brute-force oracles are implemented from first principles (itertools,
+networkx, bitmask scans, direct perturbation search) so library results can
+be checked against code that shares none of the library's algorithmic
+machinery.  The frozen references at the end are the exception: verbatim
+copies of library routes that fast paths replaced (on the library's max-flow
+and breadth-first search), so the fast paths can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -12,14 +15,17 @@ from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import differential_evolution, minimize as scipy_minimize
+from scipy.optimize import brentq, differential_evolution, minimize as scipy_minimize
 
 from drbottleneck import (
     AssignmentSystem,
+    BlockerElement,
+    BottleneckResult,
     ExplicitSystem,
     PathSystem,
     TreeSystem,
 )
+from drbottleneck._graphs import MaxFlow, bfs_path_edges
 
 
 def brute_members(system) -> list[frozenset]:
@@ -92,7 +98,8 @@ def common_level_robust_oracle(members, costs, radius: float, r: float) -> float
     (each subset's largest feasible level found by bisection on the budget),
     evaluating the new bottleneck value by scanning the enumerated members.
     The optimum of the ball has this shape, so the search is exact up to the
-    bisection tolerance.
+    bisection tolerance.  The subsets of one size are bisected together, 80
+    steps from the bracket [least cost, least cost + radius + 1].
     """
 
     c = np.asarray(costs, dtype=float)
@@ -100,25 +107,26 @@ def common_level_robust_oracle(members, costs, radius: float, r: float) -> float
     budget = radius**r
     member_lists = [sorted(m) for m in members]
 
-    def bottleneck(vec) -> float:
-        return min(max(vec[j] for j in m) for m in member_lists)
+    def bottleneck(vec) -> np.ndarray:
+        # one value per row of vec
+        return np.min([np.max(vec[:, m], axis=1) for m in member_lists], axis=0)
 
-    best = bottleneck(c)
+    best = float(bottleneck(c[None, :])[0])
     for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            idx = list(subset)
-            lo = float(np.min(c[idx]))
-            hi = lo + radius + 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                used = float(np.sum(np.clip(mid - c[idx], 0.0, None) ** r))
-                if used <= budget:
-                    lo = mid
-                else:
-                    hi = mid
-            lifted = c.copy()
-            lifted[idx] = np.maximum(lifted[idx], lo)
-            best = max(best, bottleneck(lifted))
+        idx = np.array(list(combinations(range(n), size)))
+        sub = c[idx]
+        lo = sub.min(axis=1)
+        hi = lo + radius + 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            used = np.sum(np.clip(mid[:, None] - sub, 0.0, None) ** r, axis=1)
+            fits = used <= budget
+            lo = np.where(fits, mid, lo)
+            hi = np.where(fits, hi, mid)
+        lifted = np.repeat(c[None, :], len(idx), axis=0)
+        rows = np.arange(len(idx))[:, None]
+        lifted[rows, idx] = np.maximum(sub, lo[:, None])
+        best = max(best, float(bottleneck(lifted).max()))
     return best
 
 
@@ -255,3 +263,112 @@ def two_point_mixture_oracle(members, costs, radius, order, ground_order):
                     f1 = mixture_value(subset, x1)
             best = max(best, max(vals), f1, f2)
     return best
+
+
+# ---------------------------------------------------------------------------
+# frozen references: the path oracles before their fast paths, kept verbatim
+# so the fast paths can be compared with them bit for bit
+
+
+def reference_min_st_cut_side(n: int, edges, weights, s: int, t: int) -> set[int]:
+    """Source side of a minimum s-t cut over an arc pair for every edge."""
+    scale = max([w for w in weights] + [1.0])
+    eps = 1e-12 * scale
+    flow = MaxFlow(n)
+    for (u, v), w in zip(edges, weights):
+        flow.add_undirected(u, v, float(w))
+    flow.max_flow(s, t, eps)
+    return flow.source_side(s, eps)
+
+
+def reference_path_blocker(system: PathSystem, weights) -> tuple[float, BlockerElement]:
+    """Minimum s-t cut blocker with the crossing edges found by a full scan."""
+    w = np.asarray(weights, dtype=float)
+    side = reference_min_st_cut_side(system.nodes, system.edges, w, system.s, system.t)
+    elements = frozenset(
+        eid for eid, (u, v) in enumerate(system.edges) if (u in side) != (v in side)
+    )
+    value = math.fsum(w[j] for j in sorted(elements))
+    return value, BlockerElement(elements, kind="cut", partition=frozenset(side))
+
+
+def _reference_path_witness(system: PathSystem, costs, t):
+    inc = [
+        [(eid, v) for eid, v in system.incidence[u] if costs[eid] <= t]
+        for u in range(system.nodes)
+    ]
+    path = bfs_path_edges(system.nodes, inc, system.s, system.t)
+    return None if path is None else frozenset(path)
+
+
+def reference_path_bottleneck(system: PathSystem, costs) -> BottleneckResult:
+    """Threshold bisection plus a zero-weight minimum cut, the route that
+    ``bottleneck_value`` took for path systems before its one-pass form."""
+    c = np.asarray(costs, dtype=float)
+    levels = np.unique(c)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _reference_path_witness(system, c, levels[mid]) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    value = float(levels[lo])
+    member = _reference_path_witness(system, c, value)
+    used, witness = reference_path_blocker(system, (c < value).astype(float))
+    if used != 0.0:
+        raise AssertionError("no blocker element attains the bottleneck level")
+    return BottleneckResult(value, member, witness)
+
+
+def reference_prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
+    """The element level solve that evaluates every ascending prefix."""
+
+    c = np.asarray(sorted_costs, dtype=float)
+    budget = radius**r
+    m = len(c)
+    prefix_sum = np.cumsum(c)
+    candidates = []
+    for i in range(1, m + 1):
+        top = c[i - 1]
+        nxt = c[i] if i < m else math.inf
+        if r == 1.0:
+            t = (prefix_sum[i - 1] + radius) / i
+        elif r == 2.0:
+            mean = prefix_sum[i - 1] / i
+            spread = float(np.sum((c[:i] - mean) ** 2))
+            if radius**2 < spread:
+                continue
+            t = mean + math.sqrt((radius**2 - spread) / i)
+        else:
+            at_top = float(np.sum((top - c[:i]) ** r))
+            if at_top > budget:
+                continue
+            if at_top == budget:
+                t = float(top)
+            else:
+                spent = lambda x: float(np.sum((x - c[:i]) ** r)) - budget
+                hi_end = top + radius
+                if spent(hi_end) < 0.0:
+                    hi_end = top + radius * (1.0 + 1e-9) + 1e-12 * (1.0 + abs(top))
+                if spent(hi_end) < 0.0:
+                    t = float(hi_end)
+                else:
+                    t = float(
+                        brentq(spent, top, hi_end, xtol=1e-15, rtol=8.9e-16)
+                    )
+        if top <= t < nxt:
+            candidates.append(t)
+    if candidates:
+        return max(candidates)
+    lo, hi = float(c[0]), float(c[0]) + radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        used = float(np.sum(np.clip(mid - c, 0.0, None) ** r))
+        if used <= budget:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * (1.0 + abs(hi)):
+            break
+    return lo

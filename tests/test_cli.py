@@ -389,3 +389,16 @@ class TestOptionChecks:
         assert code == 1
         assert "kind=domain" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model", ["decide", "robust-decide", "tv-decide", "gamma-decide", "gamma-quantify"]
+    )
+    def test_capacity_sense_rejected_by_cost_models(self, generated, tmp_path, capsys, model):
+        code = run_cli(
+            "--model", model, "--instance", generated["instance"],
+            "--scenarios", generated["scenarios"], "--theta", "0.1", "--d", "0.5",
+            "--sense", "capacity", "--out", str(tmp_path / "c"),
+        )
+        assert code == 1
+        assert "kind=domain" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()

@@ -425,3 +425,28 @@ def test_topk_models_reject_ground_order_below_one(triangle, model):
     scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
     with pytest.raises(DomainError, match="ground norm order"):
         model(triangle, scen, 0.1, 1, 0.5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system, scen: robust_decision(system, scen, NAN),
+        lambda system, scen: variance_robust_decision(system, scen, NAN),
+        lambda system, scen: topk_decision(system, scen, NAN, 1, 1.0),
+        lambda system, scen: topk_decision(system, scen, 0.1, 1, NAN),
+        lambda system, scen: topk_variance_robust_decision(system, scen, 0.1, 1, NAN),
+        lambda system, scen: indifference_set(system, scen, NAN),
+        lambda system, scen: decision_worst_case_distribution(frozenset({0}), scen, NAN),
+        lambda system, scen: calibrate_radius_decision(10, NAN, 0.05, 3),
+    ],
+    ids=["robust-radius", "variance-radius", "topk-radius", "topk-ground-order",
+         "topk-variance-ground-order", "indifference-radius", "worst-case-radius",
+         "calibrate-sigma"],
+)
+def test_decision_entry_points_reject_nan(triangle, call):
+    scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
+    with pytest.raises(DomainError):
+        call(triangle, scen)

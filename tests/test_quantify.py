@@ -526,3 +526,50 @@ class TestConcurrentUse:
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(solve, costs))
         assert threaded == serial
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"radius": NAN}, {"radius": 0.1, "order": NAN}, {"radius": 0.1, "ground_order": NAN}],
+    ids=["radius", "order", "ground-order"],
+)
+def test_wasserstein_ball_rejects_nan(fields):
+    with pytest.raises(DomainError):
+        WassersteinBall(**fields)
+
+
+@pytest.mark.parametrize("radius, r", [(NAN, 1.0), (0.1, NAN)], ids=["radius", "ground-order"])
+def test_robust_scenario_value_rejects_nan(triangle, radius, r):
+    with pytest.raises(DomainError, match="radius|ground norm"):
+        robust_scenario_value(triangle, [1.0, 2.0, 3.0], radius, r)
+
+
+@pytest.mark.parametrize(
+    "radius, order, r, message",
+    [(NAN, 2.0, 1.0, "radius"), (0.1, NAN, 1.0, "transport order"),
+     (0.1, 2.0, NAN, "ground norm order")],
+    ids=["radius", "order", "ground-order"],
+)
+def test_finite_order_rejects_nan(triangle, radius, order, r, message):
+    scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
+    with pytest.raises(DomainError, match=message):
+        quantify_robust_finite_order(triangle, scen, radius, order, r)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system, scen: quantify_topk(system, scen, NAN, 1),
+        lambda system, scen: quantify_topk(system, scen, 0.1, 1, NAN),
+        lambda system, scen: l1_robust_level([1.0, 2.0], NAN),
+        lambda system, scen: calibrate_radius(10, NAN, 0.05, 3),
+    ],
+    ids=["topk-radius", "topk-ground-order", "l1-radius", "calibrate-sigma"],
+)
+def test_other_quantify_entry_points_reject_nan(triangle, call):
+    scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
+    with pytest.raises(DomainError):
+        call(triangle, scen)
