@@ -89,27 +89,43 @@ class MaxFlow:
             if level is None:
                 return total
             it = [0] * self.n
-
-            def dfs(u: int, limit: float) -> float:
-                if u == t:
-                    return limit
-                while it[u] < len(self.adj[u]):
-                    i = self.adj[u][it[u]]
-                    v = self.to[i]
-                    if self.cap[i] > eps and level[v] == level[u] + 1:
-                        pushed = dfs(v, min(limit, self.cap[i]))
-                        if pushed > 0.0:
-                            self.cap[i] -= pushed
-                            self.cap[i ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0.0
-
             while True:
-                pushed = dfs(s, float("inf"))
+                pushed = self._augment(s, t, eps, level, it)
                 if pushed <= 0.0:
                     break
                 total += pushed
+
+    def _augment(self, s: int, t: int, eps: float, level: list[int], it: list[int]) -> float:
+        """Push flow along one level-graph path from ``s`` to ``t``.
+
+        A depth-first walk with an explicit stack of arcs: it follows each
+        node's arc pointer, advances the pointer past an arc only when the
+        walk retreats over it, and pushes the path's least capacity.  Returns
+        0.0 when ``t`` is cut off.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(adj[u]):
+                i = adj[u][it[u]]
+                v = to[i]
+                if cap[i] > eps and level[v] == level[u] + 1:
+                    path.append(i)
+                    u = v
+                    break
+                it[u] += 1
+            else:
+                # dead end: retreat over the arc that led here
+                if not path:
+                    return 0.0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min((cap[i] for i in path), default=float("inf"))
+        for i in path:
+            cap[i] -= pushed
+            cap[i ^ 1] += pushed
+        return pushed
 
     def source_side(self, s: int, eps: float) -> set[int]:
         """Nodes reachable from ``s`` in the residual graph."""
@@ -195,18 +211,33 @@ def max_bipartite_matching(m: int, allowed: list[list[int]]) -> list[int]:
     in ascending order so the result is deterministic.
     """
     row_of_col = [-1] * m
-
-    def augment(i: int, visited: list[bool]) -> bool:
-        for j in allowed[i]:
-            if not visited[j]:
-                visited[j] = True
-                if row_of_col[j] < 0 or augment(row_of_col[j], visited):
-                    row_of_col[j] = i
-                    return True
-        return False
-
     for i in range(m):
-        augment(i, [False] * m)
+        # depth-first search for an augmenting path with an explicit stack:
+        # frames[d] holds a row and the position of the next column it tries,
+        # cols[d] the column it descended through; columns are tried in
+        # ascending order and each is visited once
+        visited = [False] * m
+        frames, cols = [[i, 0]], []
+        while frames:
+            frame = frames[-1]
+            row, k = frame
+            options = allowed[row]
+            while k < len(options) and visited[options[k]]:
+                k += 1
+            if k == len(options):
+                frames.pop()
+                if cols:
+                    cols.pop()
+                continue
+            j = options[k]
+            frame[1] = k + 1
+            visited[j] = True
+            cols.append(j)
+            if row_of_col[j] < 0:
+                for (r, _), c in zip(frames, cols):
+                    row_of_col[c] = r
+                break
+            frames.append([row_of_col[j], 0])
     return row_of_col
 
 

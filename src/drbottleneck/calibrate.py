@@ -28,7 +28,7 @@ class CiReport:
     method: str
 
     def __post_init__(self):
-        if self.half_width < 0:
+        if not self.half_width >= 0:
             raise DomainError("half width must be nonnegative")
 
     @property
@@ -61,6 +61,8 @@ def asymptotic_ci(values, level: float = 0.95) -> CiReport:
     arr = np.asarray(list(values), dtype=float)
     if arr.size < 2:
         raise DomainError("need at least two values for a confidence interval")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("confidence interval values must be finite")
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
     z = 1.96 if level == 0.95 else float(norm.ppf(0.5 * (1.0 + level)))

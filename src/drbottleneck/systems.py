@@ -26,7 +26,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -433,6 +433,58 @@ class TreeSystem(_GraphSystem):
         return probe.groups == 1
 
 
+# The assignment blocker screens every row subset at once in floating point,
+# then re-scores exactly only the subsets whose screened value lies within a
+# proven padding of the smallest.  The padding, for weights w >= 0 with sum W
+# and unit roundoff u = 2**-53: a subset of a rows has b = m + 1 - a columns.
+# Its screen sums each column over the a rows (error <= (a-1)u per column sum,
+# in any order; products with the 0/1 mask are exact), sorts, and adds the b
+# smallest (error <= (b-1)u of their sum).  The exact score picks its columns
+# by numpy column sums (error <= (a-1)u each, so the picked columns overshoot
+# the b cheapest by at most 2(a-1)uW) and rounds their sum once (u).  Summed,
+# screen and score differ by at most (b - 1 + 3(a - 1) + 1)uW <= 3muW, so the
+# best score's screen lies within 2 * 3muW = 3m*eps*W of the smallest screen
+# (eps = 2u).  The padding is 16(m + 1)*eps*W, five times that and more, which
+# also covers the rounding of W and of the comparison.  Additions never lose
+# accuracy to underflow (a subnormal sum is exact), so the bound holds down to
+# subnormal weights; an overflowing W makes the padding infinite and keeps
+# every subset.
+_SCREEN_PAD_UNIT = 16 * 2.0**-52
+
+
+@lru_cache(maxsize=ASSIGNMENT_BLOCKER_LIMIT)
+def _row_subsets(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """Every nonempty row subset of an m-row grid, in the lexicographic order
+    of its row tuple (the blocker's tie-break), with its 0/1 row mask and the
+    index ``b - 1 = m - |rows|`` of its column count.  The arrays are shared
+    by every caller, so they are read-only."""
+    subsets = tuple(sorted(c for a in range(1, m + 1) for c in combinations(range(m), a)))
+    mask = np.zeros((len(subsets), m))
+    for k, rows in enumerate(subsets):
+        mask[k, list(rows)] = 1.0
+    last = np.array([m - len(rows) for rows in subsets])
+    mask.flags.writeable = False
+    last.flags.writeable = False
+    return subsets, mask, last
+
+
+def _screened_blocker_values(mask: np.ndarray, last: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each row subset's sum of its ``b`` cheapest column sums, in floating
+    point: all column sums at once, sorted, then prefix sums."""
+    prefix = np.sort(np.einsum("sr,rc->sc", mask, grid), axis=1).cumsum(axis=1)
+    return prefix[np.arange(len(last)), last]
+
+
+def _scored_submatrix(grid: np.ndarray, rows: tuple[int, ...], b: int):
+    """The exact score of one row subset: its ``b`` cheapest columns by numpy
+    column sums (ties to the lower column) and their cells' ``fsum``."""
+    m = grid.shape[1]
+    col_sums = grid[list(rows), :].sum(axis=0)
+    cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
+    value = math.fsum(grid[i, j] for i in rows for j in sorted(cols))
+    return value, rows, cols
+
+
 @dataclass(frozen=True)
 class AssignmentSystem(CombinatorialSystem):
     """Feasible subsets are the perfect matchings of an m-by-m assignment.
@@ -486,17 +538,26 @@ class AssignmentSystem(CombinatorialSystem):
                 f"assignment blocker enumeration limited to m <= {ASSIGNMENT_BLOCKER_LIMIT}"
             )
         grid = w.reshape(m, m)
-        best = None
-        for a in range(1, m + 1):
-            b = m + 1 - a
-            for rows in combinations(range(m), a):
-                col_sums = grid[list(rows), :].sum(axis=0)
-                cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
-                value = math.fsum(grid[i, j] for i in rows for j in sorted(cols))
-                key = (value, rows, cols)
-                if best is None or key < best:
-                    best = key
-        value, rows, cols = best
+        subsets, mask, last = _row_subsets(m)
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if total < 2.0**53 and np.all(w == np.floor(w)):
+            # integral weights: every partial sum is an exact integer, so the
+            # screen is each subset's score and all survivors tie
+            pad = 0.0
+        else:
+            pad = _SCREEN_PAD_UNIT * (m + 1) * total
+        if pad < math.inf:
+            screened = _screened_blocker_values(mask, last, grid)
+            keep = np.flatnonzero(screened <= screened.min() + pad)
+            if pad == 0.0:
+                # equal scores fall to the row tuple, so the lowest rank wins
+                keep = keep[:1]
+        else:
+            keep = range(len(subsets))
+        value, rows, cols = min(
+            _scored_submatrix(grid, subsets[k], int(last[k]) + 1) for k in keep
+        )
         elements = frozenset(self.cell(i, j) for i in rows for j in cols)
         return value, BlockerElement(
             elements, kind="submatrix", rows=frozenset(rows), cols=frozenset(cols)

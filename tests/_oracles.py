@@ -5,7 +5,8 @@ networkx, bitmask scans, direct perturbation search) so library results can
 be checked against code that shares none of the library's algorithmic
 machinery.  The frozen references at the end are the exception: verbatim
 copies of library routes that fast paths replaced (on the library's max-flow
-and breadth-first search), so the fast paths can be compared bit for bit.
+and breadth-first search, and the assignment blocker's loop over row subsets),
+so the fast paths can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def two_point_mixture_oracle(members, costs, radius, order, ground_order):
 
 
 # ---------------------------------------------------------------------------
-# frozen references: the path oracles before their fast paths, kept verbatim
+# frozen references: the oracles before their fast paths, kept verbatim
 # so the fast paths can be compared with them bit for bit
 
 
@@ -372,3 +373,26 @@ def reference_prefix_level(sorted_costs: np.ndarray, radius: float, r: float) ->
         if hi - lo <= 1e-15 * (1.0 + abs(hi)):
             break
     return lo
+
+
+def reference_assignment_blocker(system: AssignmentSystem, weights) -> tuple[float, BlockerElement]:
+    """Minimum-weight submatrix blocker by a loop over every row subset, the
+    route ``AssignmentSystem.min_weight_blocker`` took before its screen."""
+    w = np.asarray(weights, dtype=float)
+    m = system.m
+    grid = w.reshape(m, m)
+    best = None
+    for a in range(1, m + 1):
+        b = m + 1 - a
+        for rows in combinations(range(m), a):
+            col_sums = grid[list(rows), :].sum(axis=0)
+            cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
+            value = math.fsum(grid[i, j] for i in rows for j in sorted(cols))
+            key = (value, rows, cols)
+            if best is None or key < best:
+                best = key
+    value, rows, cols = best
+    elements = frozenset(system.cell(i, j) for i in rows for j in cols)
+    return value, BlockerElement(
+        elements, kind="submatrix", rows=frozenset(rows), cols=frozenset(cols)
+    )

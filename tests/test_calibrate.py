@@ -46,6 +46,15 @@ class TestAsymptoticCi:
         wide = asymptotic_ci([0.0, 2.0], level=0.99)
         assert wide.half_width > asymptotic_ci([0.0, 2.0]).half_width
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            asymptotic_ci([1.0, bad, 2.0])
+
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(DomainError):
+            CiReport(point=1.0, half_width=math.nan, level=0.95, method="x")
+
 
 class TestEstimateSigma:
     def test_constant(self):

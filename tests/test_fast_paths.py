@@ -1,4 +1,4 @@
-"""The path-oracle fast paths against frozen copies of the routes they replace.
+"""The oracle fast paths against frozen copies of the routes they replace.
 
 Every comparison is ``==``: the fast paths must return the same values,
 members, witnesses and partitions bit for bit.
@@ -8,13 +8,20 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    reference_assignment_blocker,
     reference_min_st_cut_side,
     reference_path_blocker,
     reference_path_bottleneck,
     reference_prefix_level,
 )
 from conftest import random_path_system
-from drbottleneck import PathSystem, bottleneck_value, min_weight_blocker
+from drbottleneck import (
+    AssignmentSystem,
+    PathSystem,
+    bottleneck_value,
+    min_weight_blocker,
+    systems,
+)
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.quantify import _prefix_level
 
@@ -106,3 +113,76 @@ def test_path_blocker_matches_reference():
             assert min_st_cut_side(n, edges, as_list, s, t) == reference_min_st_cut_side(
                 n, edges, as_list, s, t
             )
+
+
+def _assignment_weights(rng, m):
+    """Seeded random weights, then the degenerate shapes."""
+    n = m * m
+    yield rng.uniform(0.0, 1.0, size=n)
+    yield rng.integers(0, 2, size=n).astype(float)  # 0/1, as in the dual witness
+    yield rng.integers(0, 4, size=n) * 0.1  # few-level decimal ties
+    yield np.full(n, 0.3)
+    yield np.zeros(n)
+    yield np.where(rng.uniform(size=n) < 0.5, -0.0, 1.0)
+    yield 1.0 + rng.integers(0, 5, size=n) * np.spacing(1.0)  # ulps apart near 1
+    yield rng.integers(0, 3, size=n) * 2.0**50  # integral, sums reach 2**53
+    # near 1e300: for m >= 4 the sum of all weights overflows, no submatrix does
+    largest_blocker = max(a * (m + 1 - a) for a in range(1, m + 1))
+    yield rng.uniform(0.5, 1.0, size=n) * (1.5e308 / largest_blocker)
+    yield rng.uniform(0.0, 1.0, size=n) * 1e-310  # subnormal
+    yield rng.integers(0, 4, size=n) * 5e-324  # multiples of the least subnormal
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_assignment_blocker_matches_reference(m):
+    system = AssignmentSystem(m=m)
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        for w in _assignment_weights(rng, m):
+            value, witness = min_weight_blocker(system, w)
+            ref_value, ref_witness = reference_assignment_blocker(system, w)
+            assert value == ref_value
+            assert witness.rows == ref_witness.rows
+            assert witness.cols == ref_witness.cols
+            assert witness.elements == ref_witness.elements
+
+
+def test_assignment_overflowing_sum_keeps_every_subset():
+    m = 10
+    w = _assignment_weights(np.random.default_rng(3), m)
+    huge = [v for v in w if v.max() > 1e300][0]
+    with np.errstate(over="ignore"):
+        assert huge.sum() == np.inf
+    assert min_weight_blocker(AssignmentSystem(m=m), huge) == reference_assignment_blocker(
+        AssignmentSystem(m=m), huge
+    )
+
+
+@pytest.mark.parametrize("m", [2, 5, 9])
+def test_assignment_padding_absorbs_worst_screen_error(monkeypatch, m):
+    """The blocker tolerates any screen error up to half its padding, which is
+    16 (m + 1) eps times the weight sum.  An adversarial screen errs by 0.9 of
+    that amount upwards on the best subset and downwards on every other one;
+    the best must still be re-scored, among near ties that a smaller padding
+    would let win."""
+    system = AssignmentSystem(m=m)
+    subsets, _, last = systems._row_subsets(m)
+    rng = np.random.default_rng(m)
+    for w in (
+        1.0 + rng.integers(0, 5, size=m * m) * np.spacing(1.0),
+        rng.integers(0, 4, size=m * m) * 0.1,
+        rng.uniform(0.0, 1.0, size=m * m),
+    ):
+        grid = w.reshape(m, m)
+        scores = [
+            systems._scored_submatrix(grid, rows, int(b) + 1)
+            for rows, b in zip(subsets, last)
+        ]
+        best = scores.index(min(scores))
+        error = 0.9 * 0.5 * 16 * (m + 1) * 2.0**-52 * float(w.sum())
+        sign = np.full(len(subsets), -1.0)
+        sign[best] = 1.0
+        adversary = np.array([s[0] for s in scores]) + sign * error
+
+        monkeypatch.setattr(systems, "_screened_blocker_values", lambda *_: adversary)
+        assert min_weight_blocker(system, w) == reference_assignment_blocker(system, w)

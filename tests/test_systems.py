@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from drbottleneck import (
     system_from_json,
     system_to_json,
 )
+from drbottleneck._graphs import max_bipartite_matching
 
 
 class TestConstruction:
@@ -250,3 +252,24 @@ class TestInstanceJson:
     def test_unknown_type(self):
         with pytest.raises(InvalidInstanceError):
             system_from_json('{"type": "matroid"}')
+
+
+class TestDeepInstances:
+    """Flow and matching searches deeper than the interpreter's recursion limit."""
+
+    def test_long_line_path_blocker(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        line = PathSystem(nodes=n, edges=tuple((i, i + 1) for i in range(n - 1)), s=0, t=n - 1)
+        value, witness = min_weight_blocker(line, np.ones(n - 1))
+        # one unit of flow saturates every edge; the source side is {s}
+        assert value == 1.0
+        assert witness.elements == frozenset({0})
+        assert witness.partition == frozenset({0})
+
+    def test_deep_augmenting_chain(self):
+        # rows 0..m-2 take columns 0..m-2; the last row wants column 0, and
+        # the augmenting path shifts every earlier row one column right
+        m = sys.getrecursionlimit() + 500
+        allowed = [[i, i + 1] for i in range(m - 1)] + [[0]]
+        assert max_bipartite_matching(m, allowed) == [m - 1] + list(range(m - 1))
