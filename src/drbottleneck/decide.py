@@ -60,7 +60,10 @@ class IndifferenceSet:
 
     def contains(self, elements) -> bool:
         """Membership test: mean per-scenario maximum within the threshold."""
-        values = _scenario_maxima(self.scenarios.costs, frozenset(elements))
+        elements = frozenset(elements)
+        if not elements or min(elements) < 0 or max(elements) >= self.scenarios.width:
+            raise DomainError("elements must be a nonempty set of ground element ids")
+        values = _Maxima(self.scenarios.costs).score(elements)
         return _mean(values) <= self.threshold
 
 
@@ -72,36 +75,62 @@ def _population_variance(values, mean: float) -> float:
     return math.fsum((v - mean) ** 2 for v in values) / len(values)
 
 
-def _scenario_maxima(costs: np.ndarray, elements: frozenset[int]) -> list[float]:
-    cols = sorted(elements)
-    return [float(x) for x in costs[:, cols].max(axis=1)]
+class _Maxima:
+    """Per-scenario maxima of a subset's costs, folded one element at a time
+    into an N-vector, ``None`` for the empty set.  A maximum is exact, so the
+    order the elements arrive in does not change it."""
+
+    def __init__(self, costs: np.ndarray):
+        self.columns = np.ascontiguousarray(costs.T)  # one row per element
+
+    def extend(self, acc, added):
+        for j in added:
+            acc = self.columns[j] if acc is None else np.maximum(acc, self.columns[j])
+        return acc
+
+    def values(self, acc) -> list[float]:
+        return acc.tolist()
+
+    def score(self, elements) -> list[float]:
+        return self.values(self.extend(None, elements))
 
 
-def _scenario_topk(costs: np.ndarray, elements: frozenset[int], k: int) -> list[float]:
-    """Per-scenario sums of the k largest costs of ``elements``.
+class _TopK(_Maxima):
+    """Per-scenario sums of a subset's k largest costs, folded into the
+    N-by-min(k, |S|) block of those costs, rows ascending.
 
     A set of fewer than k elements also counts the scenario's least cost,
     where it is negative, once for each element it lacks: no superset scores
     lower, so the value of a partial set is an admissible bound.
     """
-    cols = sorted(elements)
-    take = min(k, len(cols))
-    block = np.sort(costs[:, cols], axis=1)[:, -take:]
-    if take < k:
-        floor = np.minimum(costs.min(axis=1, keepdims=True), 0.0)
-        block = np.hstack([block, np.repeat(floor, k - take, axis=1)])
-    return [math.fsum(row) for row in block]
+
+    def __init__(self, costs: np.ndarray, k: int):
+        super().__init__(costs)
+        self.k = k
+        self.floor = np.minimum(costs.min(axis=1, keepdims=True), 0.0)
+
+    def extend(self, acc, added):
+        if not added:
+            return acc
+        block = self.columns[list(added)].T
+        block = block if acc is None else np.hstack([acc, block])
+        return np.sort(block, axis=1)[:, -self.k:]
+
+    def values(self, acc) -> list[float]:
+        short = self.k - acc.shape[1]
+        if short:
+            acc = np.hstack([acc, np.repeat(self.floor, short, axis=1)])
+        return [math.fsum(row) for row in acc.tolist()]
 
 
-Score = Callable[[frozenset[int]], list[float]]
 Aggregate = Callable[[list[float]], float]
 
 
-def _score(
+def _fold(
     system: CombinatorialSystem, scenarios: ScenarioSet, radius: float = 0.0,
     k: int | None = None, ground_order: float = 1.0,
-) -> Score:
-    """The checks every decision model shares, then its per-scenario score: the
+) -> _Maxima:
+    """The checks every decision model shares, then its per-scenario fold: the
     maximum, or with ``k`` the sum of the k largest (at k = 1, the maximum)."""
     if not radius >= 0:
         raise DomainError("radius must be nonnegative")
@@ -111,21 +140,20 @@ def _score(
     if k is not None and not 1 <= k <= min_member_size(system):
         raise DomainError("k must lie between 1 and the smallest member size")
     if k is None or k == 1:
-        return partial(_scenario_maxima, scenarios.costs)
-    return partial(_scenario_topk, scenarios.costs, k=k)
+        return _Maxima(scenarios.costs)
+    return _TopK(scenarios.costs, k)
 
 
-def _objective(score: Score, aggregate: Aggregate) -> Callable[[frozenset[int]], float]:
-    """The aggregate of a subset's scores, -inf on the empty set; it is monotone,
-    so its value on a partial set bounds every completion."""
-    return lambda elements: aggregate(score(elements)) if elements else -math.inf
-
-
-def _minimize(system: CombinatorialSystem, score: Score, aggregate: Aggregate, force: bool):
+def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, force: bool):
     """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
-    to the lexicographically smallest set."""
-    value, chosen = minimize_members(system, _objective(score, aggregate), force)
-    return value, chosen, score(chosen)
+    to the lexicographically smallest set.  The aggregate is monotone, so its
+    value on a partial set bounds every completion; the empty set scores -inf."""
+
+    def bound(acc) -> float:
+        return -math.inf if acc is None else aggregate(fold.values(acc))
+
+    value, chosen = minimize_members(system, bound, force, extend=fold.extend)
+    return value, chosen, fold.score(chosen)
 
 
 def _radius_shift(radius: float, k: int, ground_order: float) -> float:
@@ -133,7 +161,7 @@ def _radius_shift(radius: float, k: int, ground_order: float) -> float:
     return k ** ((ground_order - 1.0) / ground_order) * radius
 
 
-def _band(system: CombinatorialSystem, score: Score, threshold: float):
+def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
     """Members whose mean score is at most ``threshold``, in canonical order.
 
     Yields ``(member, values, mean)``.  The search prunes on the mean score,
@@ -141,22 +169,25 @@ def _band(system: CombinatorialSystem, score: Score, threshold: float):
     sets, the prune keeps a tolerance band above the threshold.
     """
 
-    bound = _objective(score, _mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
-    for member in iter_members(system, prune=lambda els: bool(els) and bound(els) > limit):
-        values = score(member)
+
+    def prune(acc) -> bool:
+        return acc is not None and _mean(fold.values(acc)) > limit
+
+    for member in iter_members(system, prune, extend=fold.extend):
+        values = fold.score(member)
         mean = _mean(values)
         if mean <= threshold:
             yield member, values, mean
 
 
 def _least_variance_in_band(
-    system: CombinatorialSystem, score: Score, shift: float, force: bool, model: str
+    system: CombinatorialSystem, fold: _Maxima, shift: float, force: bool, model: str
 ) -> DecisionReport:
     """The least population variance among subsets whose mean score is within
     ``shift`` of the sample-average optimum, ties lexicographic."""
-    saa_value, _, _ = _minimize(system, score, _mean, force)
-    band = _band(system, score, saa_value + shift)
+    saa_value, _, _ = _minimize(system, fold, _mean, force)
+    band = _band(system, fold, saa_value + shift)
     keyed = ((_population_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
     best = min(keyed, default=None)
     if best is None:
@@ -196,7 +227,7 @@ def saa_decision(
     smallest element set.
     """
 
-    value, chosen, values = _minimize(system, _score(system, scenarios), _mean, force)
+    value, chosen, values = _minimize(system, _fold(system, scenarios), _mean, force)
     return _report(chosen, value, values, "saa")
 
 
@@ -212,8 +243,8 @@ def robust_decision(
     radius and every ground norm; the objective shifts by exactly the radius.
     """
 
-    score = _score(system, scenarios, radius)
-    value, chosen, values = _minimize(system, score, _mean, force)
+    fold = _fold(system, scenarios, radius)
+    value, chosen, values = _minimize(system, fold, _mean, force)
     return _shifted(_report(chosen, value, values, "saa"), radius)
 
 
@@ -294,7 +325,7 @@ def indifference_set(
     threshold = base.objective + radius
     members = None
     if materialize:
-        band = _band(system, partial(_scenario_maxima, scenarios.costs), threshold)
+        band = _band(system, _Maxima(scenarios.costs), threshold)
         members = tuple(sorted((m for m, _, _ in band), key=lambda m: tuple(sorted(m))))
     return IndifferenceSet(
         threshold=threshold, baseline=base, members=members, scenarios=scenarios
@@ -315,8 +346,8 @@ def variance_robust_decision(
     ties broken lexicographically.
     """
 
-    score = _score(system, scenarios, radius)
-    return _least_variance_in_band(system, score, radius, force, "variance-robust")
+    fold = _fold(system, scenarios, radius)
+    return _least_variance_in_band(system, fold, radius, force, "variance-robust")
 
 
 def tv_robust_decision(
@@ -337,18 +368,18 @@ def tv_robust_decision(
     if not 0.0 <= tv_radius <= 2.0:
         raise DomainError("total-variation radius must lie in [0, 2]")
     aggregate = partial(_tv_objective, d=tv_radius)
-    value, chosen, values = _minimize(system, _score(system, scenarios), aggregate, force)
+    value, chosen, values = _minimize(system, _fold(system, scenarios), aggregate, force)
     return _report(chosen, value, values, "total-variation")
 
 
 def _tv_objective(values, d: float) -> float:
-    worst = max(values)
-    n = len(values)
-    best = math.inf
-    for beta in sorted(set(values)):
-        shortfall = math.fsum(v - beta for v in values if v > beta) / n
-        best = min(best, (1.0 - d / 2.0) * beta + shortfall + d * worst / 2.0)
-    return best
+    # every breakpoint at once; each shortfall is the fsum of its row of
+    # (v - beta)_+, whose zeros leave the sum unchanged
+    v = np.array(values)
+    betas = np.unique(v)
+    excess = np.maximum(v - betas[:, None], 0.0).tolist()
+    shortfall = np.array([math.fsum(row) for row in excess]) / len(values)
+    return float(((1.0 - d / 2.0) * betas + shortfall + d * v.max() / 2.0).min())
 
 
 def topk_decision(
@@ -367,8 +398,8 @@ def topk_decision(
     shared with the sample-average problem.
     """
 
-    score = _score(system, scenarios, radius, k, ground_order)
-    value, chosen, values = _minimize(system, score, _mean, force)
+    fold = _fold(system, scenarios, radius, k, ground_order)
+    value, chosen, values = _minimize(system, fold, _mean, force)
     return _report(chosen, value + _radius_shift(radius, k, ground_order), values, "topk-robust")
 
 
@@ -386,9 +417,9 @@ def topk_variance_robust_decision(
     k^((r-1)/r) times the radius.
     """
 
-    score = _score(system, scenarios, radius, k, ground_order)
+    fold = _fold(system, scenarios, radius, k, ground_order)
     shift = _radius_shift(radius, k, ground_order)
-    return _least_variance_in_band(system, score, shift, force, "topk-variance-robust")
+    return _least_variance_in_band(system, fold, shift, force, "topk-variance-robust")
 
 
 def calibrate_radius_topk_decision(

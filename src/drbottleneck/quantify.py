@@ -335,6 +335,12 @@ def robust_scenario_value(
             best_level, best_witness = cand, witness
         if used > budget:
             hi = mid
+    else:
+        if hi - best_level > tol:
+            raise ConvergenceError(
+                f"level search left a gap of {hi - best_level!r} above the tolerance "
+                f"{tol!r} after {LEVEL_SEARCH_MAX_ITER} blocker calls"
+            )
     raised = frozenset(j for j in best_witness.elements if c[j] <= best_level)
     return ScenarioRobustness(best_level, best_witness, raised)
 

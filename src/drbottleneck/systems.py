@@ -60,6 +60,15 @@ SEARCH_MAX_GRAPH_NODES = 14
 SEARCH_MAX_ASSIGNMENT_SIDE = 9
 
 
+def _weight_sum(weights) -> float:
+    """``math.fsum`` of nonnegative weights, or ``math.inf``, their IEEE-rounded
+    sum, where the exact sum overflows (``fsum`` raises there instead)."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """The indexed element universe 0..n-1, with optional display labels."""
@@ -219,7 +228,7 @@ class _GraphSystem(CombinatorialSystem):
 
     def _cut_blocker(self, side, w) -> tuple[float, BlockerElement]:
         crossing = self._crossing(side)
-        value = math.fsum(w[j] for j in crossing)
+        value = _weight_sum(w[j] for j in crossing)
         return value, BlockerElement(
             frozenset(crossing), kind="cut", partition=frozenset(side)
         )
@@ -481,7 +490,7 @@ def _scored_submatrix(grid: np.ndarray, rows: tuple[int, ...], b: int):
     m = grid.shape[1]
     col_sums = grid[list(rows), :].sum(axis=0)
     cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
-    value = math.fsum(grid[i, j] for i in rows for j in sorted(cols))
+    value = _weight_sum(grid[i, j] for i in rows for j in sorted(cols))
     return value, rows, cols
 
 
@@ -639,7 +648,7 @@ class ExplicitSystem(CombinatorialSystem):
         best_key = None
         best_el = None
         for el in self.blocker:
-            value = math.fsum(w[j] for j in sorted(el.elements))
+            value = _weight_sum(w[j] for j in sorted(el.elements))
             key = (value, sorted(el.elements))
             if best_key is None or key < best_key:
                 best_key = key

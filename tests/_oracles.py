@@ -5,13 +5,15 @@ networkx, bitmask scans, direct perturbation search) so library results can
 be checked against code that shares none of the library's algorithmic
 machinery.  The frozen references at the end are the exception: verbatim
 copies of library routes that fast paths replaced (on the library's max-flow
-and breadth-first search, and the assignment blocker's loop over row subsets),
-so the fast paths can be compared bit for bit.
+and breadth-first search, the assignment blocker's loop over row subsets, and
+the decision models' from-scratch subset scores on the library's search), so
+the fast paths can be compared bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -25,8 +27,11 @@ from drbottleneck import (
     ExplicitSystem,
     PathSystem,
     TreeSystem,
+    iter_members,
+    minimize_members,
 )
 from drbottleneck._graphs import MaxFlow, bfs_path_edges
+from drbottleneck.decide import _mean, _population_variance, _report
 
 
 def brute_members(system) -> list[frozenset]:
@@ -396,3 +401,70 @@ def reference_assignment_blocker(system: AssignmentSystem, weights) -> tuple[flo
     return value, BlockerElement(
         elements, kind="submatrix", rows=frozenset(rows), cols=frozenset(cols)
     )
+
+
+# the decision models' route before their per-scenario accumulators: every
+# search state's subset scored from scratch by a set function
+
+
+def reference_scenario_maxima(costs: np.ndarray, elements: frozenset[int]) -> list[float]:
+    cols = sorted(elements)
+    return [float(x) for x in costs[:, cols].max(axis=1)]
+
+
+def reference_scenario_topk(costs: np.ndarray, elements: frozenset[int], k: int) -> list[float]:
+    """Per-scenario sums of the k largest costs of ``elements``, padded by the
+    scenario's least negative cost for each element a partial set lacks."""
+    cols = sorted(elements)
+    take = min(k, len(cols))
+    block = np.sort(costs[:, cols], axis=1)[:, -take:]
+    if take < k:
+        floor = np.minimum(costs.min(axis=1, keepdims=True), 0.0)
+        block = np.hstack([block, np.repeat(floor, k - take, axis=1)])
+    return [math.fsum(row) for row in block]
+
+
+def reference_score(costs: np.ndarray, k: int | None = None):
+    """The set-function score of a decision model: maxima, or top-k sums."""
+    if k is None or k == 1:
+        return partial(reference_scenario_maxima, costs)
+    return partial(reference_scenario_topk, costs, k=k)
+
+
+def _reference_objective(score, aggregate):
+    return lambda elements: aggregate(score(elements)) if elements else -math.inf
+
+
+def reference_minimize(system, score, aggregate, force=False):
+    """``(value, chosen, scores)`` of the subset of least aggregate score."""
+    value, chosen = minimize_members(system, _reference_objective(score, aggregate), force)
+    return value, chosen, score(chosen)
+
+
+def reference_band(system, score, threshold: float):
+    """Members whose mean score is at most ``threshold``: ``(member, values, mean)``."""
+    bound = _reference_objective(score, _mean)
+    limit = threshold + 1e-12 * (1.0 + abs(threshold))
+    for member in iter_members(system, prune=lambda els: bool(els) and bound(els) > limit):
+        values = score(member)
+        mean = _mean(values)
+        if mean <= threshold:
+            yield member, values, mean
+
+
+def reference_least_variance_in_band(system, score, shift: float, model: str):
+    saa_value, _, _ = reference_minimize(system, score, _mean)
+    band = reference_band(system, score, saa_value + shift)
+    keyed = ((_population_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
+    variance, _, member, values = min(keyed)
+    return _report(member, variance, values, model)
+
+
+def reference_tv_objective(values, d: float) -> float:
+    worst = max(values)
+    n = len(values)
+    best = math.inf
+    for beta in sorted(set(values)):
+        shortfall = math.fsum(v - beta for v in values if v > beta) / n
+        best = min(best, (1.0 - d / 2.0) * beta + shortfall + d * worst / 2.0)
+    return best

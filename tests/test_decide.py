@@ -419,6 +419,12 @@ class TestIndifferencePredicate:
             for member in brute_members(system):
                 assert report.contains(member) == (member in listed)
 
+    @pytest.mark.parametrize("elements", [(), (-1,), (0, 3)], ids=["empty", "negative", "past"])
+    def test_contains_rejects_non_element_ids(self, triangle, elements):
+        scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
+        with pytest.raises(DomainError, match="ground element ids"):
+            indifference_set(triangle, scen, 0.5).contains(elements)
+
 
 @pytest.mark.parametrize("model", [topk_decision, topk_variance_robust_decision])
 def test_topk_models_reject_ground_order_below_one(triangle, model):

@@ -1,28 +1,46 @@
-"""The oracle fast paths against frozen copies of the routes they replace.
+"""The oracle and search fast paths against frozen copies of the routes they
+replace.
 
 Every comparison is ``==``: the fast paths must return the same values,
-members, witnesses and partitions bit for bit.
+members, witnesses, partitions and decision reports bit for bit.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from _oracles import (
     reference_assignment_blocker,
+    reference_band,
+    reference_least_variance_in_band,
     reference_min_st_cut_side,
+    reference_minimize,
     reference_path_blocker,
     reference_path_bottleneck,
     reference_prefix_level,
+    reference_score,
+    reference_tv_objective,
 )
-from conftest import random_path_system
+from conftest import random_path_system, random_system
 from drbottleneck import (
     AssignmentSystem,
     PathSystem,
+    ScenarioSet,
     bottleneck_value,
+    indifference_set,
+    min_member_size,
     min_weight_blocker,
+    robust_decision,
+    saa_decision,
     systems,
+    topk_decision,
+    topk_variance_robust_decision,
+    tv_robust_decision,
+    variance_robust_decision,
 )
 from drbottleneck._graphs import min_st_cut_side
+from drbottleneck.decide import _mean, _radius_shift, _report, _shifted, _tv_objective
 from drbottleneck.quantify import _prefix_level
 
 ORDERS = (1.0, 2.0, 1.5)
@@ -186,3 +204,71 @@ def test_assignment_padding_absorbs_worst_screen_error(monkeypatch, m):
 
         monkeypatch.setattr(systems, "_screened_blocker_values", lambda *_: adversary)
         assert min_weight_blocker(system, w) == reference_assignment_blocker(system, w)
+
+
+def _scenario_costs(rng, count, n):
+    """Seeded scenario matrices: floats, integer ties, and negative costs."""
+    yield rng.uniform(0.0, 10.0, size=(count, n))
+    yield rng.integers(0, 4, size=(count, n)).astype(float)
+    yield rng.uniform(-10.0, 5.0, size=(count, n))
+    yield -rng.integers(0, 3, size=(count, n)).astype(float)
+
+
+@pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
+def test_decisions_match_reference(kind):
+    rng = np.random.default_rng(["path", "tree", "assignment", "explicit"].index(kind))
+    for _ in range(12):
+        system = random_system(rng, kind)
+        for costs in _scenario_costs(rng, int(rng.integers(1, 7)), system.ground.n):
+            scenarios = ScenarioSet(costs)
+            radius = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 3.0)]))
+            score = reference_score(scenarios.costs)
+
+            value, chosen, values = reference_minimize(system, score, _mean)
+            saa = _report(chosen, value, values, "saa")
+            assert saa_decision(system, scenarios) == saa
+            assert robust_decision(system, scenarios, radius) == _shifted(saa, radius)
+            assert variance_robust_decision(
+                system, scenarios, radius
+            ) == reference_least_variance_in_band(system, score, radius, "variance-robust")
+            for d in (0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 2.0))):
+                aggregate = partial(reference_tv_objective, d=d)
+                value, chosen, values = reference_minimize(system, score, aggregate)
+                expected = _report(chosen, value, values, "total-variation")
+                assert tv_robust_decision(system, scenarios, d) == expected
+
+            listed = indifference_set(system, scenarios, radius, materialize=True)
+            band = reference_band(system, score, saa.objective + radius)
+            assert listed.threshold == saa.objective + radius
+            assert listed.baseline == saa
+            assert listed.members == tuple(
+                sorted((m for m, _, _ in band), key=lambda m: tuple(sorted(m)))
+            )
+
+            for k in range(1, min(3, min_member_size(system)) + 1):
+                order = float(rng.choice([1.0, 2.0]))
+                score = reference_score(scenarios.costs, k)
+                shift = _radius_shift(radius, k, order)
+                value, chosen, values = reference_minimize(system, score, _mean)
+                expected = _report(chosen, value + shift, values, "topk-robust")
+                assert topk_decision(system, scenarios, radius, k, order) == expected
+                expected = reference_least_variance_in_band(
+                    system, score, shift, "topk-variance-robust"
+                )
+                assert topk_variance_robust_decision(system, scenarios, radius, k, order) == (
+                    expected
+                )
+
+
+def test_tv_objective_matches_reference():
+    rng = np.random.default_rng(61)
+    for case in range(3000):
+        n = int(rng.integers(1, 60))
+        values = [
+            rng.normal(size=n) * 10.0,
+            rng.integers(-3, 4, size=n).astype(float),  # ties, negatives, zeros
+            np.round(rng.normal(size=n), 1) * 1e6,  # ties at a large magnitude
+            1.0 + rng.integers(0, 5, size=n) * np.spacing(1.0),  # ulps apart
+        ][case % 4].tolist()
+        d = [0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 2.0))][case % 5]
+        assert _tv_objective(values, d) == reference_tv_objective(values, d), (values, d)

@@ -14,8 +14,10 @@ from _oracles import (
 )
 from conftest import random_system
 from drbottleneck import (
+    ConvergenceError,
     DomainError,
     ExplicitSystem,
+    PathSystem,
     ScenarioSet,
     WassersteinBall,
     calibrate_radius,
@@ -31,6 +33,7 @@ from drbottleneck import (
     saa_value,
     worst_case_distribution,
 )
+from drbottleneck import quantify
 from drbottleneck.errors import InvariantViolationError
 
 
@@ -110,6 +113,27 @@ class TestRobustScenarioValue:
             fast = robust_scenario_value(system, costs, radius, r).level
             grid = common_level_robust_oracle(brute_members(system), costs, radius, r)
             assert fast == pytest.approx(grid, abs=1e-4)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_exhausted_level_search_raises(self, monkeypatch, r):
+        # two disjoint unit-cost paths: every cut raises two edges, so the
+        # level stays below Z + radius and the search bisects about 40 times
+        system = PathSystem(nodes=4, edges=((0, 1), (1, 3), (0, 2), (2, 3)), s=0, t=3)
+        costs = [1.0, 3.0, 2.0, 3.0]
+        calls = []
+        raise_cost = quantify._raise_cost
+        monkeypatch.setattr(
+            quantify, "_raise_cost", lambda *args: calls.append(1) or raise_cost(*args)
+        )
+        expected = robust_scenario_value(system, costs, 1.0, r)
+        needed = len(calls)
+        assert needed > 1
+        monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", needed)
+        assert robust_scenario_value(system, costs, 1.0, r) == expected
+        for cap in (needed - 1, 1):
+            monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", cap)
+            with pytest.raises(ConvergenceError, match=f"after {cap} blocker calls"):
+                robust_scenario_value(system, costs, 1.0, r)
 
     def test_budget_monotone_in_level(self):
         rng = np.random.default_rng(77)

@@ -174,6 +174,25 @@ class TestMinWeightBlocker:
         with pytest.raises(EnumerationLimitError):
             min_weight_blocker(AssignmentSystem(m=11), np.ones(121))
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            PathSystem(nodes=4, edges=((0, 1), (1, 3), (0, 2), (2, 3)), s=0, t=3),
+            TreeSystem(nodes=4, edges=((0, 1), (1, 2), (2, 3), (3, 0))),
+            AssignmentSystem(m=4),
+            ExplicitSystem(members=({0, 1}, {2, 3}), n=4),
+        ],
+        ids=["path", "tree", "assignment", "explicit"],
+    )
+    def test_overflowing_sum_is_inf(self, system):
+        # finite, valid weights; every blocker element has two or more
+        # elements, so every sum exceeds the largest float and rounds to inf
+        weights = np.full(system.ground.n, 1.5e308)
+        with np.errstate(over="ignore"):  # the assignment's column sums
+            value, witness = min_weight_blocker(system, weights)
+        assert value == math.inf
+        assert all(witness.elements & m for m in brute_members(system))
+
     @pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
     def test_matches_enumerated_blocker(self, kind):
         rng = np.random.default_rng(hash(kind) % 2**32)
