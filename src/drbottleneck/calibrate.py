@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from .bottleneck import bottleneck_value
 from .decide import robust_decision, saa_decision, tv_robust_decision, variance_robust_decision
@@ -65,7 +64,13 @@ def asymptotic_ci(values, level: float = 0.95) -> CiReport:
         raise DomainError("confidence interval values must be finite")
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
-    z = 1.96 if level == 0.95 else float(norm.ppf(0.5 * (1.0 + level)))
+    if level == 0.95:
+        z = 1.96
+    else:
+        # scipy.stats is imported here, not at load: it is slow to import
+        from scipy.stats import norm
+
+        z = float(norm.ppf(0.5 * (1.0 + level)))
     mean = float(math.fsum(arr) / arr.size)
     half = z * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
     return CiReport(point=mean, half_width=half, level=level, method="asymptotic")

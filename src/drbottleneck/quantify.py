@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog, minimize as scipy_minimize
 
 from .bottleneck import bottleneck_value, topk_blocker_enumerate, topk_sum_value
 from .errors import (
@@ -43,6 +42,22 @@ from .systems import (
 
 LEVEL_SEARCH_MAX_ITER = 200
 MULTIPLIER_SEARCH_MAX_EVALS = 200
+
+# SciPy's solvers, bound by _load_scipy_optimize on first use: importing
+# scipy.optimize costs more than the rest of the package, and only a ground
+# order outside {1, 2} and the top-k family level call into it
+brentq = linprog = scipy_minimize = None
+
+
+def _load_scipy_optimize() -> None:
+    """Bind ``brentq``, ``linprog`` and ``scipy_minimize`` on the first call.
+
+    Callers call these module globals rather than importing locally, so a
+    stand-in set on this module (a timing wrapper, say) is the one they use.
+    """
+    global brentq, linprog, scipy_minimize
+    if brentq is None:
+        from scipy.optimize import brentq, linprog, minimize as scipy_minimize
 
 
 @dataclass(frozen=True)
@@ -242,6 +257,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
                 if spent(hi_end) < 0.0:
                     t = float(hi_end)
                 else:
+                    _load_scipy_optimize()
                     t = float(
                         brentq(spent, top, hi_end, xtol=1e-15, rtol=8.9e-16)
                     )
@@ -683,6 +699,7 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
     base = [math.fsum(c[j] for j in s) for s in subsets]
     if radius == 0.0:
         return min(base)
+    _load_scipy_optimize()
     pos = {j: i for i, j in enumerate(union)}
     dim = len(union)
 

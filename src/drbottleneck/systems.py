@@ -488,7 +488,8 @@ def _scored_submatrix(grid: np.ndarray, rows: tuple[int, ...], b: int):
     """The exact score of one row subset: its ``b`` cheapest columns by numpy
     column sums (ties to the lower column) and their cells' ``fsum``."""
     m = grid.shape[1]
-    col_sums = grid[list(rows), :].sum(axis=0)
+    with np.errstate(over="ignore"):
+        col_sums = grid[list(rows), :].sum(axis=0)
     cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
     value = _weight_sum(grid[i, j] for i in rows for j in sorted(cols))
     return value, rows, cols

@@ -141,20 +141,25 @@ def perturbation_topk_oracle(members, costs, radius, r, k, rng, polish_starts=6)
 
     Coarse nonnegative perturbation grid (compositions of the budget) plus
     random directions, then derivative-free polishing of the best starts
-    under the norm constraint.
+    under the norm constraint.  Every member needs at least ``k`` elements.
     """
 
     c = np.asarray(costs, dtype=float)
     n = len(c)
     member_lists = [sorted(m) for m in members]
+    if min(map(len, member_lists)) < k:
+        raise ValueError("every member needs at least k elements")
+    # one row of element ids per member, padded with id n, whose cost is
+    # -inf: sorted, the pads come first and leave every top k alone
+    width = max(map(len, member_lists))
+    index = np.array([m + [n] * (width - len(m)) for m in member_lists])
+    vec = np.full(n + 1, -math.inf)
 
     def objective(delta) -> float:
-        vec = c + delta
-        best = math.inf
-        for m in member_lists:
-            vals = np.sort(vec[m])[::-1]
-            best = min(best, float(vals[:k].sum()))
-        return best
+        vec[:n] = c + delta
+        # each row's top k, largest first: summed in the order of a sum over
+        # one member's costs sorted in descending order
+        return float(np.sort(vec[index], axis=1)[:, : -k - 1 : -1].sum(axis=1).min())
 
     if radius == 0.0:
         return objective(np.zeros(n))
