@@ -65,7 +65,6 @@ from .quantify import (
     RobustQuote,
     ScenarioRobustness,
     TopkQuote,
-    TotalVariationBall,
     WassersteinBall,
     calibrate_radius,
     calibrate_radius_topk,

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
+from .decide import _minimize, _TopK
 from .errors import DomainError, EnumerationLimitError
-from .search import enumerate_members, minimize_members
+from .search import enumerate_members
 from .systems import (
     BottleneckResult,
     Clutter,
     CombinatorialSystem,
+    antichain_reduce,
     min_member_size,
     min_weight_blocker,
     minimal_transversals,
@@ -71,23 +74,16 @@ def dual_bottleneck_value(system: CombinatorialSystem, costs) -> float:
     return float(levels[lo])
 
 
-def _topk_sum(values: np.ndarray, k: int) -> float:
-    take = min(k, len(values))
-    if take == 0:
-        return 0.0
-    return float(np.sort(values)[-take:].sum())
-
-
 def topk_sum_value(
     system: CombinatorialSystem, costs, k: int, force: bool = False
 ) -> tuple[float, frozenset[int]]:
     """Least sum of the k largest costs over feasible subsets.
 
-    Solved by best-first branch and bound.  The bound of a partial set is
-    its top-k sum, plus the least cost for each of the elements it lacks to
-    reach k when that cost is negative; it never decreases when the set
-    grows, so it is admissible.  Every feasible subset must have at least k
-    elements.
+    A one-scenario top-k decision: best-first branch and bound on the
+    top-k fold of :mod:`decide`, whose bound of a partial set is its top-k
+    sum plus the least cost, where negative, once for each element it lacks
+    to reach k.  Sums are exact (``math.fsum``).  Every feasible subset must
+    have at least k elements.
     """
 
     c = system.validated_costs(costs)
@@ -97,14 +93,8 @@ def topk_sum_value(
         raise DomainError(
             f"k={k} exceeds the smallest feasible subset ({min_member_size(system)})"
         )
-
-    floor = min(0.0, float(c.min()))
-
-    def bound(elements: frozenset[int]) -> float:
-        short = k - min(k, len(elements))
-        return _topk_sum(c[sorted(elements)], k) + short * floor
-
-    return minimize_members(system, bound, force=force)
+    value, chosen, _ = _minimize(system, _TopK(c[None, :], k), itemgetter(0), force)
+    return value, chosen
 
 
 def topk_blocker_enumerate(clutter: Clutter, k: int) -> list[frozenset[frozenset[int]]]:
@@ -151,8 +141,6 @@ def dual_topk_sum_value(system: CombinatorialSystem, costs, k: int) -> float:
     Tiny-scale dual certificate for :func:`topk_sum_value`, via explicit
     enumeration of both the feasible family and its top-k blocker.
     """
-
-    from .systems import antichain_reduce
 
     c = system.validated_costs(costs)
     clutter = antichain_reduce(enumerate_members(system))

@@ -10,9 +10,19 @@ from typing import Callable
 import numpy as np
 
 from .bottleneck import bottleneck_value
-from .decide import robust_decision, saa_decision, tv_robust_decision, variance_robust_decision
+from .decide import (
+    _Maxima,
+    _mean,
+    _population_variance,
+    calibrate_radius_decision,
+    calibrate_radius_topk_decision,
+    robust_decision,
+    saa_decision,
+    tv_robust_decision,
+    variance_robust_decision,
+)
 from .errors import DomainError
-from .quantify import calibrate_radius, robust_scenario_value
+from .quantify import WassersteinBall, calibrate_radius, calibrate_radius_topk, quantify_robust
 from .scenarios import ScenarioSet
 from .systems import CombinatorialSystem
 
@@ -96,9 +106,6 @@ def theoretical_ci(
     (0 gives the per-solution variant); the top-k kinds additionally take
     ``k`` and, for quantification, the blocker-family ``union_size``.
     """
-
-    from .decide import calibrate_radius_decision, calibrate_radius_topk_decision
-    from .quantify import calibrate_radius_topk
 
     if kind == "quantify":
         if blocker_size is None:
@@ -231,17 +238,13 @@ def cross_validate(
     for rep, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         order = rng.permutation(total)
-        train = ScenarioSet(scenarios.costs[order[:train_size]], source="train")
-        test = scenarios.costs[order[train_size:]]
+        train = ScenarioSet(scenarios.costs[order[:train_size]])
+        test = _Maxima(scenarios.costs[order[train_size:]])
         for col, theta in enumerate(radii):
-            report = solver(system, train, theta)
-            cols = sorted(report.chosen)
-            values = test[:, cols].max(axis=1)
-            mean = float(math.fsum(values) / len(values))
+            values = test.score(solver(system, train, theta).chosen)
+            mean = _mean(values)
             means[rep, col] = mean
-            variances[rep, col] = float(
-                math.fsum((v - mean) ** 2 for v in values) / len(values)
-            )
+            variances[rep, col] = _population_variance(values, mean)
 
     def column_ci(matrix, col) -> CiReport:
         column = matrix[:, col]
@@ -332,11 +335,8 @@ def coverage_experiment(
         rng = np.random.default_rng(streams[trial + 1])
         draws = ScenarioSet(sampler(rng, sample_count))
         if kind == "quantify":
-            levels = [
-                robust_scenario_value(system, draws.costs[k], theta, ground_order).level
-                for k in range(sample_count)
-            ]
-            value = math.fsum(levels) / sample_count
+            ball = WassersteinBall(theta, ground_order=ground_order)
+            value = quantify_robust(system, draws, ball).value
         else:
             value = saa_decision(system, draws).objective + theta
         if value >= truth:

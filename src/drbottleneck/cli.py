@@ -256,7 +256,7 @@ def _shift_point(args, system, scenarios, base, theta):
 
 def _gamma_quantify_point(args, system, scenarios, prepared, theta):
     quote = quantify_topk(system, scenarios, theta, args.gamma, args.r,
-                          exact=True, force=args.force_enumeration)
+                          force=args.force_enumeration)
     value = quote.exact if quote.exact is not None else quote.upper
     record = {"theta": theta, "value": value, "saa": quote.saa, "lower": quote.lower,
               "upper": quote.upper, "exact_available": quote.exact is not None,

@@ -85,7 +85,7 @@ def generate_multihop(params: MultihopParams) -> tuple[PathSystem, ScenarioSet, 
     capacities = shannon_capacity(
         power, distance, fading, bandwidth=params.bandwidth, noise=params.noise
     )
-    scenarios = ScenarioSet(capacities, source="multihop-shannon")
+    scenarios = ScenarioSet(capacities)
     metadata = {
         "generator": "multihop-shannon",
         "rng": RNG_NAME,
@@ -153,7 +153,7 @@ def generate_matching_gaussian(
             "rejection sampling failed to produce nonnegative draws; "
             "check the mean/scale configuration"
         )
-    scenarios = ScenarioSet(draws, source="matching-truncated-gaussian")
+    scenarios = ScenarioSet(draws)
     metadata = {
         "generator": "matching-truncated-gaussian",
         "rng": RNG_NAME,

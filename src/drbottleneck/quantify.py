@@ -35,7 +35,6 @@ from .systems import (
     BlockerElement,
     CombinatorialSystem,
     antichain_reduce,
-    ground_size,
     max_blocker_size,
     min_weight_blocker,
 )
@@ -80,20 +79,6 @@ class WassersteinBall:
             raise DomainError("transport order must be at least 1")
         if not self.ground_order >= 1:
             raise DomainError("ground norm order must be at least 1")
-
-
-@dataclass(frozen=True)
-class TotalVariationBall:
-    """Total-variation ambiguity ball; radius lies in [0, 2]."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.radius <= 2.0:
-            raise DomainError("total-variation radius must lie in [0, 2]")
-
-
-AmbiguityConfig = WassersteinBall | TotalVariationBall
 
 
 @dataclass(frozen=True)
@@ -411,18 +396,15 @@ def worst_case_distribution(quote: RobustQuote, scenarios: ScenarioSet) -> np.nd
 
     Each scenario's raised elements are moved to the scenario level; all
     other costs keep their empirical values.  Only quotes computed in the
-    cost sense are supported.
+    cost sense are supported.  Returns a writable copy of the quote's
+    ``worst_case_support``.
     """
 
     if quote.sense != "cost":
         raise DomainError("worst-case support is defined for the cost sense")
     if len(quote.per_scenario) != scenarios.count:
         raise DomainError("quote and scenario set disagree on the sample count")
-    support = np.array(scenarios.costs, dtype=float)
-    for k, rec in enumerate(quote.per_scenario):
-        if rec.raised:
-            support[k, sorted(rec.raised)] = rec.level
-    return support
+    return np.array(quote.worst_case_support)
 
 
 def scenario_bottlenecks(
@@ -477,14 +459,13 @@ def calibrate_radius(
     blocker_size: int,
     ground_order: float = 1.0,
     transport_order: float = math.inf,
-    include_structure: bool = True,
 ) -> RadiusSpec:
     """Radius guaranteeing two-sided coverage of the true expected value.
 
     theta = sigma * sqrt(-3 log eps) / sqrt(N) times the structural constant
     (largest blocker size to the power 1/r); finite transport orders add a
-    q^(-1/q) factor.  ``include_structure=False`` drops the structural
-    constant, which yields the per-solution confidence half-width.
+    q^(-1/q) factor.  ``blocker_size=1`` makes the structural constant 1,
+    which yields the per-solution confidence half-width.
     """
 
     if sample_count < 1:
@@ -493,7 +474,7 @@ def calibrate_radius(
         raise DomainError("sigma must be positive")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    structure = blocker_size ** (1.0 / ground_order) if include_structure else 1.0
+    structure = blocker_size ** (1.0 / ground_order)
     qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
     theta = sigma * math.sqrt(-3.0 * math.log(epsilon)) * qfac * structure / math.sqrt(sample_count)
     return RadiusSpec(
@@ -678,7 +659,6 @@ class TopkQuote:
     exact: float | None
     downgraded: bool
     union_size: int
-    union_exact: bool
 
 
 def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
@@ -776,14 +756,13 @@ def quantify_topk(
     radius: float,
     k: int,
     ground_order: float = 1.0,
-    exact: bool = True,
     force: bool = False,
 ) -> TopkQuote:
     """Robust expected top-k-sum value: bracket always, exact where tiny.
 
     The bracket is [saa + k * radius / U^(1/r), saa + k^((r-1)/r) * radius]
     with U the largest union of a top-k blocker family (ground size when the
-    family cannot be enumerated).  Exact mode evaluates, per scenario, the
+    family cannot be enumerated).  The exact value is, per scenario, the
     best family level over the enumerated top-k blocker; when enumeration is
     refused the quote is downgraded to the bracket.
     """
@@ -794,7 +773,6 @@ def quantify_topk(
     r = float(ground_order)
     if not r >= 1:
         raise DomainError("ground norm order must be at least 1")
-    n = ground_size(system)
 
     saa = (
         math.fsum(
@@ -804,23 +782,16 @@ def quantify_topk(
         / scenarios.count
     )
 
-    families = None
-    union_size, union_exact = n, False
-    if exact or n <= 8:
-        try:
-            clutter = antichain_reduce(enumerate_members(system, force=force))
-            families = topk_blocker_enumerate(clutter, k)
-            union_size = max(len(frozenset().union(*fam)) for fam in families)
-            union_exact = True
-        except EnumerationLimitError:
-            families = None
-
-    lower = saa + k * radius / union_size ** (1.0 / r)
-    upper = saa + k ** ((r - 1.0) / r) * radius
+    try:
+        clutter = antichain_reduce(enumerate_members(system, force=force))
+        families = topk_blocker_enumerate(clutter, k)
+    except EnumerationLimitError:
+        families = None
 
     exact_value = None
-    downgraded = exact and families is None
-    if exact and families is not None:
+    union_size = system.ground.n
+    if families is not None:
+        union_size = max(len(frozenset().union(*fam)) for fam in families)
         totals = []
         for i in range(scenarios.count):
             c = scenarios.costs[i]
@@ -828,14 +799,15 @@ def quantify_topk(
                 max(_family_level(c, fam, radius, r) for fam in families)
             )
         exact_value = math.fsum(totals) / scenarios.count
+    lower = saa + k * radius / union_size ** (1.0 / r)
+    upper = saa + k ** ((r - 1.0) / r) * radius
     return TopkQuote(
         saa=saa,
         lower=lower,
         upper=upper,
         exact=exact_value,
-        downgraded=downgraded,
+        downgraded=families is None,
         union_size=union_size,
-        union_exact=union_exact,
     )
 
 

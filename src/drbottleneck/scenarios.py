@@ -9,13 +9,12 @@ save followed by load is the identity.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ScenarioParseError
-from .systems import CombinatorialSystem, ground_size
+from .systems import CombinatorialSystem
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class ScenarioSet:
     """N empirical cost vectors of common length n."""
 
     costs: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         arr = np.array(self.costs, dtype=float)
@@ -42,12 +40,9 @@ class ScenarioSet:
     def width(self) -> int:
         return self.costs.shape[1]
 
-    def scenario(self, k: int) -> np.ndarray:
-        return self.costs[k]
-
 
 def require_matching_width(scenarios: ScenarioSet, system: CombinatorialSystem) -> None:
-    n = ground_size(system)
+    n = system.ground.n
     if scenarios.width != n:
         offending = min(scenarios.width, n)
         raise DomainError(
@@ -83,18 +78,9 @@ def _parse_header(row: list[str]) -> int:
     return len(row)
 
 
-def load_scenarios(path_or_text, source: str = "") -> ScenarioSet:
-    """Read a scenario CSV from a path, file object, or literal text."""
-    if hasattr(path_or_text, "read"):
-        fh = path_or_text
-        close = False
-    elif isinstance(path_or_text, str) and "\n" in path_or_text:
-        fh = io.StringIO(path_or_text)
-        close = False
-    else:
-        fh = open(path_or_text, "r", newline="", encoding="utf-8")
-        close = True
-    try:
+def load_scenarios(path) -> ScenarioSet:
+    """Read a scenario CSV file."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -120,7 +106,4 @@ def load_scenarios(path_or_text, source: str = "") -> ScenarioSet:
             rows.append(values)
         if not rows:
             raise ScenarioParseError("no scenario rows found", row=1)
-        return ScenarioSet(np.array(rows, dtype=float), source=source or "csv")
-    finally:
-        if close:
-            fh.close()
+        return ScenarioSet(np.array(rows, dtype=float))

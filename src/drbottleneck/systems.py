@@ -735,10 +735,6 @@ class BottleneckResult:
     dual_witness: BlockerElement
 
 
-def ground_size(system: CombinatorialSystem) -> int:
-    return system.ground.n
-
-
 def antichain_reduce(family) -> Clutter:
     """Drop every subset that strictly contains another member.
 

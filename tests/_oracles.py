@@ -6,8 +6,9 @@ be checked against code that shares none of the library's algorithmic
 machinery.  The frozen references at the end are the exception: verbatim
 copies of library routes that fast paths replaced (on the library's max-flow
 and breadth-first search, the assignment blocker's loop over row subsets, and
-the decision models' from-scratch subset scores on the library's search), so
-the fast paths can be compared bit for bit.
+the decision models' from-scratch subset scores and the top-k sum's
+set-function bound on the library's search), so the fast paths can be
+compared bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from drbottleneck import (
     AssignmentSystem,
     BlockerElement,
     BottleneckResult,
+    DomainError,
     ExplicitSystem,
     PathSystem,
     TreeSystem,
     iter_members,
+    min_member_size,
     minimize_members,
 )
 from drbottleneck._graphs import MaxFlow, bfs_path_edges
@@ -473,3 +476,32 @@ def reference_tv_objective(values, d: float) -> float:
         shortfall = math.fsum(v - beta for v in values if v > beta) / n
         best = min(best, (1.0 - d / 2.0) * beta + shortfall + d * worst / 2.0)
     return best
+
+
+# the top-k sum search before it ran on the decision models' top-k fold: a
+# set-function bound whose block sum is rounded before the floor is added
+
+
+def _reference_topk_sum(values: np.ndarray, k: int) -> float:
+    take = min(k, len(values))
+    if take == 0:
+        return 0.0
+    return float(np.sort(values)[-take:].sum())
+
+
+def reference_topk_sum_value(system, costs, k: int, force: bool = False):
+    c = system.validated_costs(costs)
+    if k < 1:
+        raise DomainError("k must be a positive integer")
+    if k > min_member_size(system):
+        raise DomainError(
+            f"k={k} exceeds the smallest feasible subset ({min_member_size(system)})"
+        )
+
+    floor = min(0.0, float(c.min()))
+
+    def bound(elements: frozenset[int]) -> float:
+        short = k - min(k, len(elements))
+        return _reference_topk_sum(c[sorted(elements)], k) + short * floor
+
+    return minimize_members(system, bound, force=force)

@@ -180,6 +180,30 @@ class TestTopkSum:
             shifted, _ = topk_sum_value(system, c + 0.25, 2)
             assert shifted == pytest.approx(base + 2 * 0.25, abs=1e-12)
 
+    def test_k3_sum_is_exact(self):
+        """Three costs whose left-to-right sum rounds twice: the primal, the
+        dual and the fsum brute force agree exactly."""
+        member = ExplicitSystem(members=(frozenset({0, 1, 2}),))
+        costs = [0.1, 0.2, 0.3]
+        assert topk_sum_value(member, costs, 3) == (0.6, frozenset({0, 1, 2}))
+        assert brute_topk(member.members, costs, 3) == 0.6
+        assert dual_topk_sum_value(member, costs, 3) == 0.6
+
+        from drbottleneck import min_member_size
+
+        rng = np.random.default_rng(59)
+        checked = 0
+        while checked < 40:
+            system = random_system(rng)
+            # the dual's top-3 blocker enumeration blows up past six elements
+            if system.ground.n > 6 or min_member_size(system) < 3:
+                continue
+            costs = rng.uniform(-1.0, 1.0, size=system.ground.n) * 10.0 ** rng.integers(0, 4)
+            primal, _ = topk_sum_value(system, costs, 3)
+            assert primal == brute_topk(brute_members(system), costs, 3), costs
+            assert primal == dual_topk_sum_value(system, costs, 3), costs
+            checked += 1
+
 
 class TestTopkBlocker:
     def test_two_matchings_single_family(self):

@@ -10,6 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import (
     reference_assignment_blocker,
     reference_band,
@@ -20,6 +21,7 @@ from _oracles import (
     reference_path_bottleneck,
     reference_prefix_level,
     reference_score,
+    reference_topk_sum_value,
     reference_tv_objective,
 )
 from conftest import random_path_system, random_system
@@ -28,6 +30,7 @@ from drbottleneck import (
     PathSystem,
     ScenarioSet,
     bottleneck_value,
+    decide,
     indifference_set,
     min_member_size,
     min_weight_blocker,
@@ -35,6 +38,7 @@ from drbottleneck import (
     saa_decision,
     systems,
     topk_decision,
+    topk_sum_value,
     topk_variance_robust_decision,
     tv_robust_decision,
     variance_robust_decision,
@@ -258,6 +262,50 @@ def test_decisions_match_reference(kind):
                 assert topk_variance_robust_decision(system, scenarios, radius, k, order) == (
                     expected
                 )
+
+
+def _topk_costs(rng, n):
+    """Seeded cost vectors: floats, mixed signs, ties on multiples of 0.1,
+    and magnitudes from 1e-8 to 1e8 of either sign."""
+    yield rng.uniform(0.0, 10.0, size=n)
+    yield rng.uniform(-10.0, 10.0, size=n)
+    yield rng.integers(-2, 5, size=n) / 10.0
+    yield rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+
+
+def _count_bounds(monkeypatch, module) -> list[int]:
+    """A one-cell counter of the bound evaluations of every
+    ``minimize_members`` call made through ``module``, wrapped as layer
+    tracing wraps it."""
+    count = [0]
+    search = module.minimize_members
+
+    def minimize(system, bound_fn, *args, **kwargs):
+        def counted(acc):
+            count[0] += 1
+            return bound_fn(acc)
+
+        return search(system, counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "minimize_members", minimize)
+    return count
+
+
+@pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
+def test_topk_sum_value_matches_reference(kind, monkeypatch):
+    """At k <= 2 the top-k fold rounds each sum once, as the set-function
+    bound did, so value, member and search work are unchanged."""
+    fast = _count_bounds(monkeypatch, decide)
+    slow = _count_bounds(monkeypatch, _oracles)
+    rng = np.random.default_rng(["path", "tree", "assignment", "explicit"].index(kind) + 70)
+    for _ in range(25):
+        system = random_system(rng, kind)
+        for costs in _topk_costs(rng, system.ground.n):
+            for k in range(1, min(2, min_member_size(system)) + 1):
+                fast[0] = slow[0] = 0
+                expected = reference_topk_sum_value(system, costs, k)
+                assert topk_sum_value(system, costs, k) == expected, (costs, k)
+                assert fast[0] == slow[0] > 0
 
 
 def test_tv_objective_matches_reference():

@@ -452,10 +452,6 @@ class TestFiniteOrderRadiusFactor:
         q2 = calibrate_radius(100, 1.0, 0.05, 4, 1.0, transport_order=2.0).theta
         assert q2 == pytest.approx(base * 2.0 ** -0.5, rel=1e-12)
 
-    def test_structure_free_variant(self):
-        lean = calibrate_radius(100, 1.0, 0.05, 4, 1.0, include_structure=False).theta
-        assert lean == pytest.approx(calibrate_radius(100, 1.0, 0.05, 1, 1.0).theta)
-
 
 class TestFiniteOrderBrackets:
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
