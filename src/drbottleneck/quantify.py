@@ -42,21 +42,21 @@ from .systems import (
 LEVEL_SEARCH_MAX_ITER = 200
 MULTIPLIER_SEARCH_MAX_EVALS = 200
 
-# SciPy's solvers, bound by _load_scipy_optimize on first use: importing
+# SciPy's root finder, bound by _load_scipy_optimize on first use: importing
 # scipy.optimize costs more than the rest of the package, and only a ground
-# order outside {1, 2} and the top-k family level call into it
-brentq = linprog = scipy_minimize = None
+# order outside {1, 2} calls into it
+brentq = None
 
 
 def _load_scipy_optimize() -> None:
-    """Bind ``brentq``, ``linprog`` and ``scipy_minimize`` on the first call.
+    """Bind ``brentq`` on the first call.
 
-    Callers call these module globals rather than importing locally, so a
+    Callers call this module global rather than importing locally, so a
     stand-in set on this module (a timing wrapper, say) is the one they use.
     """
-    global brentq, linprog, scipy_minimize
+    global brentq
     if brentq is None:
-        from scipy.optimize import brentq, linprog, minimize as scipy_minimize
+        from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -666,10 +666,15 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
 
     ``family`` is a set of element subsets; the lift beta >= 0 lives on the
     family union with r-norm at most the radius.  Families of singletons
-    reduce to the closed-form element level; otherwise the epigraph program
-    (maximize z subject to each subset sum reaching z and the budget) is
-    solved exactly as a linear program for r = 1 and by constrained smooth
-    optimization for r > 1.
+    reduce to the closed-form element level.  Otherwise the program
+
+        maximize min over s of (b_s + a_s . beta)   (b_s the subset's cost sum)
+
+    is solved exactly: for r = 1 by a dense simplex, whose optimal basis
+    certifies the value; for r > 1 through its conic dual, the minimum over
+    the simplex of lambda . b + radius * ||A^T lambda||_{r*}, whose value
+    certifies the level within ``_family.FAMILY_LEVEL_GAP``.  The returned
+    level is attained by an explicit feasible lift.
     """
 
     subsets = [sorted(s) for s in family]
@@ -679,75 +684,36 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
     base = [math.fsum(c[j] for j in s) for s in subsets]
     if radius == 0.0:
         return min(base)
-    _load_scipy_optimize()
     pos = {j: i for i, j in enumerate(union)}
-    dim = len(union)
+    rows = [[pos[j] for j in s] for s in subsets]
+    A = np.zeros((len(rows), len(union)))
+    for i, row in enumerate(rows):
+        A[i, row] = 1.0
+
+    def level(beta: np.ndarray) -> float:
+        # the least subset sum under an explicit lift, scaled into the ball
+        beta = np.clip(beta, 0.0, None)
+        if r == 1.0:
+            norm = math.fsum(beta.tolist())
+        elif math.isinf(r):
+            norm = float(beta.max())
+        else:
+            norm = float(np.sum(beta**r)) ** (1.0 / r)
+        if norm > radius:
+            beta = beta * (radius / norm)
+        lift = beta.tolist()
+        return min(math.fsum([b, *(lift[j] for j in row)]) for row, b in zip(rows, base))
+
+    if math.isinf(r):
+        # every subset gains most when each element is lifted by the radius
+        return level(np.full(len(union), radius))
+    # loaded on the first family level: compiling the solvers at package
+    # import would raise the peak memory of every run that never needs them
+    from ._family import dual_level, simplex_lift
 
     if r == 1.0:
-        # variables: beta over the union, then z; maximize z
-        cost = np.zeros(dim + 1)
-        cost[-1] = -1.0
-        rows = []
-        rhs = []
-        for s, b in zip(subsets, base):
-            row = np.zeros(dim + 1)
-            for j in s:
-                row[pos[j]] = -1.0
-            row[-1] = 1.0
-            rows.append(row)
-            rhs.append(b)
-        budget_row = np.zeros(dim + 1)
-        budget_row[:dim] = 1.0
-        rows.append(budget_row)
-        rhs.append(radius)
-        bounds = [(0.0, radius)] * dim + [(None, None)]
-        res = linprog(
-            cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
-        )
-        if not res.success:
-            raise ConvergenceError(f"family level LP failed: {res.message}")
-        return float(-res.fun)
-
-    def neg_z(x):
-        return -x[-1]
-
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": (lambda x, s=s, b=b: math.fsum(x[pos[j]] for j in s) + b - x[-1]),
-        }
-        for s, b in zip(subsets, base)
-    ]
-    constraints.append(
-        {"type": "ineq", "fun": lambda x: radius**r - float(np.sum(x[:dim] ** r))}
-    )
-    bounds = [(0.0, radius)] * dim + [(None, None)]
-    best = None
-    uniform = radius * dim ** (-1.0 / r)
-    for frac in (0.5, 0.05, 0.95):
-        x0 = np.full(dim + 1, uniform * frac)
-        x0[-1] = min(base)
-        res = scipy_minimize(
-            neg_z,
-            x0,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": 500, "ftol": 1e-12},
-        )
-        if res.success:
-            beta = np.clip(res.x[:dim], 0.0, None)
-            norm = float(np.sum(beta**r)) ** (1.0 / r)
-            if norm > radius:
-                beta *= radius / norm
-            achieved = min(
-                math.fsum(beta[pos[j]] for j in s) + b for s, b in zip(subsets, base)
-            )
-            if best is None or achieved > best:
-                best = achieved
-    if best is None:
-        raise ConvergenceError("family level optimization failed from all starts")
-    return best
+        return level(simplex_lift(A, np.array(base) - min(base), radius))
+    return dual_level(A, np.array(base), radius, r, level)
 
 
 def quantify_topk(

@@ -47,6 +47,9 @@ from .errors import (
 
 #: Largest ground set for which explicit blocker enumeration is attempted.
 BLOCKER_ENUMERATION_LIMIT = 20
+#: Largest candidate family one step of ``minimal_transversals`` may build;
+#: each step's dominance filter is quadratic in it.
+TRANSVERSAL_MAX_CANDIDATES = 8000
 #: Largest assignment side solved by submatrix enumeration.
 ASSIGNMENT_BLOCKER_LIMIT = 10
 
@@ -763,13 +766,21 @@ def minimal_transversals(members: list[frozenset]) -> list[frozenset]:
 
     Processes members one at a time, keeping the minimal transversals of the
     prefix; each new member either is already hit or spawns one extension per
-    element, after which dominated sets are dropped.
+    element, after which dominated sets are dropped.  Raises
+    ``EnumerationLimitError`` when a step would build more than
+    ``TRANSVERSAL_MAX_CANDIDATES`` candidate sets.
     """
 
     trans: list[frozenset] = [frozenset()]
     for member in members:
         kept = [y for y in trans if y & member]
-        grown = [y | {e} for y in trans if not (y & member) for e in member]
+        missed = [y for y in trans if not (y & member)]
+        if len(kept) + len(missed) * len(member) > TRANSVERSAL_MAX_CANDIDATES:
+            raise EnumerationLimitError(
+                f"minimal transversal enumeration exceeds {TRANSVERSAL_MAX_CANDIDATES} "
+                "candidate sets in one step"
+            )
+        grown = [y | {e} for y in missed for e in member]
         trans = _minimize_family(kept + grown)
     return trans
 

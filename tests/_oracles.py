@@ -6,9 +6,10 @@ be checked against code that shares none of the library's algorithmic
 machinery.  The frozen references at the end are the exception: verbatim
 copies of library routes that fast paths replaced (on the library's max-flow
 and breadth-first search, the assignment blocker's loop over row subsets, and
-the decision models' from-scratch subset scores and the top-k sum's
-set-function bound on the library's search), so the fast paths can be
-compared bit for bit.
+the decision models' from-scratch subset scores, the top-k sum's
+set-function bound on the library's search, and the top-k family level's
+HiGHS and SLSQP solves), so the fast paths can be compared bit for bit, or,
+for the family level, within the old solvers' tolerances.
 """
 
 from __future__ import annotations
@@ -19,16 +20,18 @@ from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import brentq, differential_evolution, minimize as scipy_minimize
+from scipy.optimize import brentq, differential_evolution, linprog, minimize as scipy_minimize
 
 from drbottleneck import (
     AssignmentSystem,
     BlockerElement,
     BottleneckResult,
+    ConvergenceError,
     DomainError,
     ExplicitSystem,
     PathSystem,
     TreeSystem,
+    element_level,
     iter_members,
     min_member_size,
     minimize_members,
@@ -98,6 +101,81 @@ def brute_topk(members, costs, k: int) -> float:
         vals = sorted((costs[j] for j in m), reverse=True)
         best = min(best, math.fsum(vals[:k]))
     return best
+
+
+def brute_family_level(c, family, radius: float, r: float) -> float:
+    """The top-k family level, max over lifts beta >= 0 with ||beta||_r <=
+    radius of min over subsets s of (b_s + sum of beta over s), by
+    enumeration; r in {1, 2}.
+
+    r = 1: every vertex of the feasible set in (beta, z).  Raising any lift
+    raises some subset, so the budget is tight at an optimum, and a vertex
+    fixes a support J of beta and |J| subsets whose sums equal z.
+    r = 2: every support T of the dual multipliers with independent rows.
+    The point of its affine hull where the active sums agree solves a
+    quadratic in their common value z; beta is radius * A^T lam normalized.
+    Returns the best level over the feasible candidates, each summed with
+    ``math.fsum``.
+    """
+    subsets = [sorted(s) for s in family]
+    union = sorted(set().union(*subsets))
+    base = [math.fsum(float(c[j]) for j in s) for s in subsets]
+    if radius == 0.0:
+        return min(base)
+    m, n = len(subsets), len(union)
+    A = np.array([[1.0 if j in s else 0.0 for j in union] for s in subsets])
+    b = np.array(base)
+    lifts = []
+    if r == 1.0:
+        for size in range(1, n + 1):
+            for J in combinations(range(n), size):
+                for T in combinations(range(m), size):
+                    K = np.zeros((size + 1, size + 1))
+                    K[:size, :size] = A[np.ix_(T, J)]
+                    K[:size, size] = -1.0
+                    K[size, :size] = 1.0
+                    if abs(np.linalg.det(K)) < 0.5:  # an integer matrix
+                        continue
+                    sol = np.linalg.solve(K, np.append(-b[list(T)], radius))
+                    if sol[:size].min() < -1e-9 * radius:
+                        continue
+                    beta = np.zeros(n)
+                    beta[list(J)] = np.clip(sol[:size], 0.0, None)
+                    lifts.append(beta)
+    elif r == 2.0:
+        for size in range(1, min(m, n) + 1):
+            for T in combinations(range(m), size):
+                rows = A[list(T)]
+                if np.linalg.matrix_rank(rows) < size:
+                    continue
+                shifted = b[list(T)] - b[list(T)].min()
+                inv = np.linalg.inv(rows @ rows.T)
+                ones = np.ones(size)
+                qa, qh, qc = ones @ inv @ ones, ones @ inv @ shifted, shifted @ inv @ shifted
+                disc = qh * qh - qa * (qc - radius**2)
+                if disc < 0.0:
+                    continue
+                lam = inv @ ((qh + math.sqrt(disc)) / qa * ones - shifted)
+                if not lam.sum() > 0.0:
+                    continue
+                lam /= lam.sum()
+                if lam.min() < -1e-9:
+                    continue
+                v = np.clip(lam, 0.0, None) @ rows
+                lifts.append(radius * v / np.linalg.norm(v))
+    else:
+        raise ValueError("brute_family_level enumerates r = 1 and r = 2 only")
+
+    def level(beta):
+        norm = math.fsum(beta.tolist()) if r == 1.0 else float(np.linalg.norm(beta))
+        if norm > radius:
+            beta = beta * (radius / norm)
+        return min(
+            math.fsum([bs, *(float(beta[union.index(j)]) for j in s)])
+            for s, bs in zip(subsets, base)
+        )
+
+    return max(level(beta) for beta in lifts)
 
 
 def common_level_robust_oracle(members, costs, radius: float, r: float) -> float:
@@ -505,3 +583,84 @@ def reference_topk_sum_value(system, costs, k: int, force: bool = False):
         return _reference_topk_sum(c[sorted(elements)], k) + short * floor
 
     return minimize_members(system, bound, force=force)
+
+
+# the top-k family level before its numpy solve: HiGHS for r = 1, and for
+# r > 1 the best rescaled SLSQP point from three starts (a lower bound)
+
+
+def reference_family_level(c: np.ndarray, family, radius: float, r: float) -> float:
+    subsets = [sorted(s) for s in family]
+    if all(len(s) == 1 for s in subsets):
+        return element_level(c, {s[0] for s in subsets}, radius, r)
+    union = sorted(set().union(*subsets))
+    base = [math.fsum(c[j] for j in s) for s in subsets]
+    if radius == 0.0:
+        return min(base)
+    pos = {j: i for i, j in enumerate(union)}
+    dim = len(union)
+
+    if r == 1.0:
+        cost = np.zeros(dim + 1)
+        cost[-1] = -1.0
+        rows = []
+        rhs = []
+        for s, b in zip(subsets, base):
+            row = np.zeros(dim + 1)
+            for j in s:
+                row[pos[j]] = -1.0
+            row[-1] = 1.0
+            rows.append(row)
+            rhs.append(b)
+        budget_row = np.zeros(dim + 1)
+        budget_row[:dim] = 1.0
+        rows.append(budget_row)
+        rhs.append(radius)
+        bounds = [(0.0, radius)] * dim + [(None, None)]
+        res = linprog(
+            cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
+        )
+        if not res.success:
+            raise ConvergenceError(f"family level LP failed: {res.message}")
+        return float(-res.fun)
+
+    def neg_z(x):
+        return -x[-1]
+
+    constraints = [
+        {
+            "type": "ineq",
+            "fun": (lambda x, s=s, b=b: math.fsum(x[pos[j]] for j in s) + b - x[-1]),
+        }
+        for s, b in zip(subsets, base)
+    ]
+    constraints.append(
+        {"type": "ineq", "fun": lambda x: radius**r - float(np.sum(x[:dim] ** r))}
+    )
+    bounds = [(0.0, radius)] * dim + [(None, None)]
+    best = None
+    uniform = radius * dim ** (-1.0 / r)
+    for frac in (0.5, 0.05, 0.95):
+        x0 = np.full(dim + 1, uniform * frac)
+        x0[-1] = min(base)
+        res = scipy_minimize(
+            neg_z,
+            x0,
+            method="SLSQP",
+            bounds=bounds,
+            constraints=constraints,
+            options={"maxiter": 500, "ftol": 1e-12},
+        )
+        if res.success:
+            beta = np.clip(res.x[:dim], 0.0, None)
+            norm = float(np.sum(beta**r)) ** (1.0 / r)
+            if norm > radius:
+                beta *= radius / norm
+            achieved = min(
+                math.fsum(beta[pos[j]] for j in s) + b for s, b in zip(subsets, base)
+            )
+            if best is None or achieved > best:
+                best = achieved
+    if best is None:
+        raise ConvergenceError("family level optimization failed from all starts")
+    return best

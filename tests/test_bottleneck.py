@@ -17,11 +17,16 @@ from drbottleneck import (
     AssignmentSystem,
     Clutter,
     DomainError,
+    EnumerationLimitError,
     ExplicitSystem,
+    ScenarioSet,
+    TreeSystem,
+    antichain_reduce,
     bottleneck_value,
     dual_bottleneck_value,
     dual_topk_sum_value,
     enumerate_members,
+    quantify_topk,
     topk_blocker_enumerate,
     topk_sum_value,
 )
@@ -243,3 +248,21 @@ class TestTopkBlocker:
             dual = dual_topk_sum_value(system, costs, k)
             assert primal == pytest.approx(dual, abs=1e-12)
             checked += 1
+
+    def test_transversal_limit_refuses_the_k3_tree(self):
+        """An 8-edge tree with 18 spanning trees passes the ground and k
+        guards, but at k = 3 its top-k blocker enumeration outgrows the
+        candidate limit of ``minimal_transversals`` and is refused at once;
+        k = 2 stays admitted.  ``quantify_topk`` downgrades to the bracket."""
+        system = TreeSystem(
+            nodes=6, edges=((2, 4), (3, 5), (0, 1), (1, 2), (0, 3), (0, 5), (2, 4), (0, 2))
+        )
+        clutter = antichain_reduce(enumerate_members(system))
+        assert len(clutter.subsets) == 18
+        assert len(topk_blocker_enumerate(clutter, 2)) == 2828
+        with pytest.raises(EnumerationLimitError, match="candidate sets"):
+            topk_blocker_enumerate(clutter, 3)
+        scen = ScenarioSet(np.random.default_rng(7).uniform(0.0, 10.0, size=(1, 8)))
+        quote = quantify_topk(system, scen, 0.5, 3, 2.0)
+        assert quote.downgraded and quote.exact is None
+        assert quote.lower <= quote.upper

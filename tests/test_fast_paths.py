@@ -2,18 +2,25 @@
 replace.
 
 Every comparison is ``==``: the fast paths must return the same values,
-members, witnesses, partitions and decision reports bit for bit.
+members, witnesses, partitions and decision reports bit for bit.  The one
+exception is the top-k family level: the route it replaced (HiGHS and SLSQP)
+was itself accurate only to solver tolerances, so the certified numpy solve
+is checked against enumeration within 1e-12 and against that route within
+1e-9.
 """
 
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import _oracles
 from _oracles import (
+    brute_family_level,
     reference_assignment_blocker,
     reference_band,
+    reference_family_level,
     reference_least_variance_in_band,
     reference_min_st_cut_side,
     reference_minimize,
@@ -27,25 +34,30 @@ from _oracles import (
 from conftest import random_path_system, random_system
 from drbottleneck import (
     AssignmentSystem,
+    ConvergenceError,
     PathSystem,
     ScenarioSet,
+    antichain_reduce,
     bottleneck_value,
     decide,
+    enumerate_members,
     indifference_set,
     min_member_size,
     min_weight_blocker,
     robust_decision,
     saa_decision,
     systems,
+    topk_blocker_enumerate,
     topk_decision,
     topk_sum_value,
     topk_variance_robust_decision,
     tv_robust_decision,
     variance_robust_decision,
 )
+from drbottleneck import _family
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.decide import _mean, _radius_shift, _report, _shifted, _tv_objective
-from drbottleneck.quantify import _prefix_level
+from drbottleneck.quantify import _family_level, _prefix_level
 
 ORDERS = (1.0, 2.0, 1.5)
 
@@ -320,3 +332,86 @@ def test_tv_objective_matches_reference():
         ][case % 4].tolist()
         d = [0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 2.0))][case % 5]
         assert _tv_objective(values, d) == reference_tv_objective(values, d), (values, d)
+
+
+def _topk_family_cases(seed, systems=12):
+    """``(costs, family)`` pairs: every top-k blocker family, at k = 2 and 3,
+    of seeded random systems with at most 6 elements, under the costs of
+    ``_topk_costs``."""
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < systems:
+        system = random_system(rng)
+        if system.ground.n > 6:
+            continue
+        done += 1
+        clutter = antichain_reduce(enumerate_members(system))
+        for k in range(2, min(3, min_member_size(system)) + 1):
+            families = topk_blocker_enumerate(clutter, k)
+            for costs in _topk_costs(rng, system.ground.n):
+                for family in families:
+                    yield costs, family
+
+
+FAMILY_RADII = (1e-12, 0.05, 0.7, 6.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_family_level_matches_brute_force(r):
+    """The simplex (r = 1) and the dual active set (r = 2) reach the level
+    that enumeration of every vertex or dual support finds."""
+    checked = 0
+    for costs, family in _topk_family_cases(81, systems=20):
+        for radius in FAMILY_RADII:
+            expected = brute_family_level(costs, family, radius, r)
+            got = _family_level(costs, family, radius, r)
+            assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected)), (
+                costs.tolist(), sorted(map(sorted, family)), radius, got, expected
+            )
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_family_level_matches_reference(r):
+    """Within 1e-9 of the LP/SLSQP route, relative to 1 + |reference| as
+    mixed-sign levels cross zero, wherever that route succeeds.  For r > 1
+    the reference is an attained lower bound, so the certified level is not
+    below it; for r = 1 the reference is HiGHS's objective value, which can
+    exceed the attained optimum by HiGHS's feasibility tolerance (2e-12
+    against an exact 1e-12 at radius 1e-12)."""
+    checked = 0
+    # SLSQP takes 50 to 120 ms a call: every 24th case
+    for costs, family in islice(_topk_family_cases(82, systems=4), 0, None, 24):
+        for radius in FAMILY_RADII:
+            try:
+                expected = reference_family_level(costs, family, radius, r)
+            except ConvergenceError:
+                continue
+            got = _family_level(costs, family, radius, r)
+            context = (costs.tolist(), sorted(map(sorted, family)), radius, got, expected)
+            assert abs(got - expected) <= 1e-9 * (1.0 + abs(expected)), context
+            if r > 1.0:
+                assert got >= expected - 1e-12 * (1.0 + abs(expected)), context
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+def test_exhausted_family_level_raises(monkeypatch, r):
+    # equal sums: the optimal multipliers spread over several subsets
+    costs = np.ones(5)
+    family = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
+    expected = _family_level(costs, family, 0.7, r)
+    for needed in range(_family.FAMILY_LEVEL_MAX_ITER + 1):
+        monkeypatch.setattr(_family, "FAMILY_LEVEL_MAX_ITER", needed)
+        try:
+            got = _family_level(costs, family, 0.7, r)
+        except ConvergenceError:
+            continue
+        break
+    assert got == expected and needed > 1
+    for cap in (needed - 1, 0):
+        monkeypatch.setattr(_family, "FAMILY_LEVEL_MAX_ITER", cap)
+        with pytest.raises(ConvergenceError, match=f"in {cap} "):
+            _family_level(costs, family, 0.7, r)

@@ -3,9 +3,9 @@
 Importing ``scipy.optimize`` and ``scipy.stats`` costs more time and memory
 than the rest of the package, so neither is imported when the package
 loads.  ``asymptotic_ci`` imports ``norm`` for levels other than 0.95, and
-``quantify`` binds ``brentq``, ``linprog`` and ``scipy_minimize`` on first
-use: a ground order outside {1, 2} and the top-k family level.  Each check
-runs in a fresh interpreter, so ``sys.modules`` shows what the run loaded.
+``quantify`` binds ``brentq`` on first use, for a ground order outside
+{1, 2}.  The top-k family level is numpy only.  Each check runs in a fresh
+interpreter, so ``sys.modules`` shows what the run loaded.
 """
 
 import json
@@ -91,9 +91,23 @@ def test_asymptotic_ci_keeps_scipy_quantile():
     assert asymptotic_ci(values).half_width == 1.96 * std / root
 
 
-# one run per solver, brentq (ground order 1.5), SLSQP (top-k, r = 2) and the
-# LP (r = 1), each in a fresh interpreter so its own call site binds the
-# solvers; the pinned values are those of eagerly imported SciPy
+def _pinned_run(case, request, tmp_path):
+    """Run one pinned CLI case in a fresh interpreter; return the heavy SciPy
+    modules it loaded, after checking its pinned fields at rel=1e-12."""
+    label, (fixture, argv, keys, expected) = case
+    out = tmp_path / label
+    run = [*argv, *request.getfixturevalue(fixture), "--out", str(out)]
+    loaded = run_python(cli_code([run]) + REPORT)
+    results = json.loads(Path(str(out) + ".json").read_text())["results"]
+    values = [[rec[key] for key in keys] for rec in results]
+    assert len(values) == len(expected)
+    for got, want in zip(values, expected):
+        assert got == pytest.approx(want, rel=1e-12)
+    return loaded
+
+
+# brentq (ground order 1.5), in a fresh interpreter so its own call site binds
+# it; the pinned values are those of eagerly imported SciPy
 SCIPY_RUNS = {
     "quantify-r1.5": (
         "multihop",
@@ -101,6 +115,17 @@ SCIPY_RUNS = {
         ("value",),
         [[4.232351801184491], [4.092243401018408]],
     ),
+}
+
+
+@pytest.mark.parametrize("label", list(SCIPY_RUNS))
+def test_scipy_models_bind_solvers_on_first_use(label, request, tmp_path):
+    assert "scipy.optimize" in _pinned_run((label, SCIPY_RUNS[label]), request, tmp_path)
+
+
+# the top-k family level at r = 2 (the dual active set) and r = 1 (the
+# simplex); the pinned values are those of SciPy's SLSQP and HiGHS
+NUMPY_RUNS = {
     "gamma-quantify-r2": (
         "matching2",
         ["--model", "gamma-quantify", "--theta", "0.2", "--gamma", "2", "--r", "2"],
@@ -116,14 +141,6 @@ SCIPY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("label", list(SCIPY_RUNS))
-def test_scipy_models_bind_solvers_on_first_use(label, request, tmp_path):
-    fixture, argv, keys, expected = SCIPY_RUNS[label]
-    out = tmp_path / label
-    run = [*argv, *request.getfixturevalue(fixture), "--out", str(out)]
-    assert "scipy.optimize" in run_python(cli_code([run]) + REPORT)
-    results = json.loads(Path(str(out) + ".json").read_text())["results"]
-    values = [[rec[key] for key in keys] for rec in results]
-    assert len(values) == len(expected)
-    for got, want in zip(values, expected):
-        assert got == pytest.approx(want, rel=1e-12)
+@pytest.mark.parametrize("label", list(NUMPY_RUNS))
+def test_topk_family_level_loads_no_scipy(label, request, tmp_path):
+    assert _pinned_run((label, NUMPY_RUNS[label]), request, tmp_path) == []
