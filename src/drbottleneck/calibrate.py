@@ -60,30 +60,17 @@ def estimate_sigma(values) -> float:
     return float(np.std(arr, ddof=1))
 
 
-def asymptotic_ci(values, level: float = 0.95) -> CiReport:
-    """Normal-approximation interval: mean +/- z * s / sqrt(N).
-
-    The 0.95 level uses the conventional multiplier 1.96 exactly; other
-    levels use the normal quantile.
-    """
+def asymptotic_ci(values) -> CiReport:
+    """Normal-approximation 0.95 interval: mean +/- 1.96 * s / sqrt(N)."""
 
     arr = np.asarray(list(values), dtype=float)
     if arr.size < 2:
         raise DomainError("need at least two values for a confidence interval")
     if not np.all(np.isfinite(arr)):
         raise DomainError("confidence interval values must be finite")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
-    if level == 0.95:
-        z = 1.96
-    else:
-        # scipy.stats is imported here, not at load: it is slow to import
-        from scipy.stats import norm
-
-        z = float(norm.ppf(0.5 * (1.0 + level)))
     mean = float(math.fsum(arr) / arr.size)
-    half = z * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
-    return CiReport(point=mean, half_width=half, level=level, method="asymptotic")
+    half = 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+    return CiReport(point=mean, half_width=half, level=0.95, method="asymptotic")
 
 
 def theoretical_ci(

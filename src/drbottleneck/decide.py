@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, check_ground_order
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
 from .systems import AssignmentSystem, CombinatorialSystem, min_member_size
@@ -134,8 +134,7 @@ def _fold(
     maximum, or with ``k`` the sum of the k largest (at k = 1, the maximum)."""
     if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    if not ground_order >= 1:
-        raise DomainError("ground norm order must be at least 1")
+    check_ground_order(ground_order)
     require_matching_width(scenarios, system)
     if k is not None and not 1 <= k <= min_member_size(system):
         raise DomainError("k must lie between 1 and the smallest member size")
@@ -431,7 +430,7 @@ def calibrate_radius_topk_decision(
     ground_order: float = 1.0,
 ) -> float:
     """Top-k decision radius: the plain decision radius times k^(-(r-1)/r)."""
-    r = float(ground_order)
+    r = check_ground_order(ground_order)
     return calibrate_radius_decision(sample_count, sigma, epsilon, ground_n) * k ** (
         -(r - 1.0) / r
     )

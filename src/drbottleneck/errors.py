@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the ground norm order
+check shared by every module that takes one.
 
 Every error carries a short machine-readable ``kind`` tag; the CLI maps these
 tags to exit codes.
 """
+
+import math
 
 
 class SolverError(Exception):
@@ -54,3 +57,14 @@ class ScenarioParseError(SolverError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+def check_ground_order(r) -> float:
+    """``r`` as a float, once it is a supported ground norm order.
+
+    The per-element budget radius^r and the radius rules' 1/r powers need a
+    finite r >= 1; every public ``ground_order`` passes through here.
+    """
+    if not 1 <= r < math.inf:
+        raise DomainError("ground norm order must be finite and at least 1")
+    return float(r)

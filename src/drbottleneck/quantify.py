@@ -10,6 +10,9 @@ such that raising some blocker element's cheap costs up to t fits the budget,
 The level search brackets t between the empirical bottleneck value and that
 value plus theta, and tightens the bracket with exact per-element level
 solves, so the returned level is attained by an explicit blocker element.
+A per-element level is closed-form for r in {1, 2} and otherwise a Newton
+root of the convex prefix budget, taken from the right, whose level meets
+the budget as computed.
 Finite transport orders are handled by a univariate convex dual search; the
 top-k-sum generalization reports certified brackets and, at tiny scale, the
 exact value.
@@ -28,6 +31,7 @@ from .errors import (
     DomainError,
     EnumerationLimitError,
     InvariantViolationError,
+    check_ground_order,
 )
 from .scenarios import ScenarioSet, require_matching_width
 from .search import enumerate_members
@@ -41,22 +45,6 @@ from .systems import (
 
 LEVEL_SEARCH_MAX_ITER = 200
 MULTIPLIER_SEARCH_MAX_EVALS = 200
-
-# SciPy's root finder, bound by _load_scipy_optimize on first use: importing
-# scipy.optimize costs more than the rest of the package, and only a ground
-# order outside {1, 2} calls into it
-brentq = None
-
-
-def _load_scipy_optimize() -> None:
-    """Bind ``brentq`` on the first call.
-
-    Callers call this module global rather than importing locally, so a
-    stand-in set on this module (a timing wrapper, say) is the one they use.
-    """
-    global brentq
-    if brentq is None:
-        from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -77,8 +65,7 @@ class WassersteinBall:
             raise DomainError("radius must be nonnegative")
         if not self.order >= 1:
             raise DomainError("transport order must be at least 1")
-        if not self.ground_order >= 1:
-            raise DomainError("ground norm order must be at least 1")
+        check_ground_order(self.ground_order)
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ def _screened_prefixes(c: np.ndarray, radius: float, budget: float, r: float) ->
         reach = (costs[-1] - first + radius) ** (r - 1.0)
     except OverflowError:
         reach = math.inf
-    # a level error of ulps of the cost magnitude, or of the root tolerance,
+    # a level error of ulps of the cost magnitude, or of the per-prefix root,
     # times the largest slope of g
     slack = budget + r * m * reach * (max(abs(first), abs(costs[-1])) + radius + 1.0)
     kept = []
@@ -202,13 +189,37 @@ def _screened_prefixes(c: np.ndarray, radius: float, budget: float, r: float) ->
     return kept + [m]
 
 
+def _lift_root(head: np.ndarray, radius: float, budget: float, r: float) -> float:
+    """Largest t >= top = head[-1] with sum (t - head)^r at most the budget,
+    for r outside {1, 2} and a budget above the sum at t = top.
+
+    The sum is convex and increasing on [top, inf) and at least radius^r =
+    budget at top + radius, so Newton's method from there falls monotonically
+    onto the root.  The first iterate whose computed sum fits the budget is
+    returned, so the level is attained; where rounding stalls an iterate
+    above the root, it steps down one ulp.
+    """
+    t = float(head[-1]) + radius
+    for _ in range(LEVEL_SEARCH_MAX_ITER):
+        gap = t - head
+        excess = float(np.sum(gap**r)) - budget
+        if excess <= 0.0:
+            return t
+        step = t - excess / (r * float(np.sum(gap ** (r - 1.0))))
+        t = step if step < t else float(np.nextafter(t, -math.inf))
+    raise ConvergenceError(
+        f"prefix level root stayed over its budget after {LEVEL_SEARCH_MAX_ITER} steps"
+    )
+
+
 def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     """Largest t with sum over {j : c_j <= t} of (t - c_j)^r within radius^r.
 
     Exactly one ascending prefix I satisfies c_{|I|} <= t(I) < c_{|I|+1}; the
-    prefix solve is closed-form for r in {1, 2} and a bracketed root
-    otherwise, and runs only on the prefixes a monotone screen keeps.  Falls
-    back to bisection if rounding rejects every prefix.
+    prefix solve is closed-form for r in {1, 2} and otherwise the Newton root
+    of ``_lift_root``, which is attained: its prefix budget, as computed,
+    is within radius^r.  The solve runs only on the prefixes a monotone
+    screen keeps.  Falls back to bisection if rounding rejects every prefix.
     """
 
     c = np.asarray(sorted_costs, dtype=float)
@@ -234,25 +245,14 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
             if at_top == budget:
                 t = float(top)
             else:
-                spent = lambda x: float(np.sum((x - c[:i]) ** r)) - budget
-                hi_end = top + radius
-                if spent(hi_end) < 0.0:
-                    # (top + radius) - top can round below radius; pad the bracket
-                    hi_end = top + radius * (1.0 + 1e-9) + 1e-12 * (1.0 + abs(top))
-                if spent(hi_end) < 0.0:
-                    t = float(hi_end)
-                else:
-                    _load_scipy_optimize()
-                    t = float(
-                        brentq(spent, top, hi_end, xtol=1e-15, rtol=8.9e-16)
-                    )
+                t = _lift_root(c[:i], radius, budget, r)
         if top <= t < nxt:
             candidates.append(t)
     if candidates:
         return max(candidates)
     # rounding rejected all prefixes; bisect the monotone budget function
     lo, hi = float(c[0]), float(c[0]) + radius
-    for _ in range(200):
+    for _ in range(LEVEL_SEARCH_MAX_ITER):
         mid = 0.5 * (lo + hi)
         used = float(np.sum(np.clip(mid - c, 0.0, None) ** r))
         if used <= budget:
@@ -261,12 +261,18 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
             hi = mid
         if hi - lo <= 1e-15 * (1.0 + abs(hi)):
             break
+    else:
+        raise ConvergenceError(
+            f"prefix level bisection left a gap of {hi - lo!r} after "
+            f"{LEVEL_SEARCH_MAX_ITER} steps"
+        )
     return lo
 
 
 def element_level(costs, elements, radius: float, r: float = 1.0) -> float:
     """Robust level of one blocker element: raise its cheap costs to a
     common level within the r-norm budget and report that level."""
+    r = check_ground_order(r)
     c = np.sort(np.asarray(costs, dtype=float)[list(elements)])
     return _prefix_level(c, radius, r)
 
@@ -310,10 +316,8 @@ def robust_scenario_value(
 
     if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    if not ground_order >= 1:
-        raise DomainError("ground norm order must be at least 1")
+    r = check_ground_order(ground_order)
     c = np.asarray(costs, dtype=float)
-    r = ground_order
     base = bottleneck_value(system, c)
     if radius == 0.0:
         raised = frozenset(
@@ -440,10 +444,11 @@ def check_gap_bounds(
     bound keeps the check valid).  Raises on violation.
     """
 
+    r = check_ground_order(ground_order)
     gap = robust_value - empirical_value
     if sense == "capacity":
         gap = empirical_value - robust_value
-    lower = radius / blocker_size ** (1.0 / ground_order)
+    lower = radius / blocker_size ** (1.0 / r)
     report = GapReport(gap=gap, lower_bound=lower, upper_bound=radius)
     if gap < lower - 1e-9 or gap > radius + 1e-9:
         raise InvariantViolationError(
@@ -474,6 +479,7 @@ def calibrate_radius(
         raise DomainError("sigma must be positive")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
+    check_ground_order(ground_order)
     structure = blocker_size ** (1.0 / ground_order)
     qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
     theta = sigma * math.sqrt(-3.0 * math.log(epsilon)) * qfac * structure / math.sqrt(sample_count)
@@ -575,12 +581,11 @@ def quantify_robust_finite_order(
         raise DomainError("radius must be nonnegative")
     if not 1 <= order < math.inf:
         raise DomainError("transport order must be finite and at least 1")
-    if not ground_order >= 1:
-        raise DomainError("ground norm order must be at least 1")
+    r = check_ground_order(ground_order)
     if radius == 0.0:
         return saa_value(system, scenarios), math.inf
 
-    q, r = float(order), float(ground_order)
+    q = float(order)
     evals = 0
 
     def phi(lam: float) -> float:
@@ -695,8 +700,6 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
         beta = np.clip(beta, 0.0, None)
         if r == 1.0:
             norm = math.fsum(beta.tolist())
-        elif math.isinf(r):
-            norm = float(beta.max())
         else:
             norm = float(np.sum(beta**r)) ** (1.0 / r)
         if norm > radius:
@@ -704,9 +707,6 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
         lift = beta.tolist()
         return min(math.fsum([b, *(lift[j] for j in row)]) for row, b in zip(rows, base))
 
-    if math.isinf(r):
-        # every subset gains most when each element is lifted by the radius
-        return level(np.full(len(union), radius))
     # loaded on the first family level: compiling the solvers at package
     # import would raise the peak memory of every run that never needs them
     from ._family import dual_level, simplex_lift
@@ -736,9 +736,7 @@ def quantify_topk(
     require_matching_width(scenarios, system)
     if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    r = float(ground_order)
-    if not r >= 1:
-        raise DomainError("ground norm order must be at least 1")
+    r = check_ground_order(ground_order)
 
     saa = (
         math.fsum(
@@ -791,10 +789,10 @@ def calibrate_radius_topk(
     by k^(-(r-1)/r).
     """
 
+    r = check_ground_order(ground_order)
     base = calibrate_radius(
         sample_count, sigma, epsilon, blocker_size=1, ground_order=1.0
     ).theta
-    r = float(ground_order)
     part_i = base * union_size ** (1.0 / r) / k
     part_ii = base * k ** (-(r - 1.0) / r)
     return part_i, part_ii
@@ -802,5 +800,6 @@ def calibrate_radius_topk(
 
 def structure_constant(system: CombinatorialSystem, ground_order: float = 1.0) -> float:
     """max blocker size to the power 1/r (upper bound where not exact)."""
+    r = check_ground_order(ground_order)
     size, _ = max_blocker_size(system)
-    return size ** (1.0 / float(ground_order))
+    return size ** (1.0 / r)

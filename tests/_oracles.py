@@ -7,9 +7,10 @@ machinery.  The frozen references at the end are the exception: verbatim
 copies of library routes that fast paths replaced (on the library's max-flow
 and breadth-first search, the assignment blocker's loop over row subsets, and
 the decision models' from-scratch subset scores, the top-k sum's
-set-function bound on the library's search, and the top-k family level's
-HiGHS and SLSQP solves), so the fast paths can be compared bit for bit, or,
-for the family level, within the old solvers' tolerances.
+set-function bound on the library's search, the top-k family level's HiGHS
+and SLSQP solves, and the per-prefix level's bracketed ``brentq`` root), so
+the fast paths can be compared bit for bit, or, for the family level and the
+prefix root, within the old solvers' tolerances.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from drbottleneck import (
 )
 from drbottleneck._graphs import MaxFlow, bfs_path_edges
 from drbottleneck.decide import _mean, _population_variance, _report
+from drbottleneck.quantify import _lift_root
 
 
 def brute_members(system) -> list[frozenset]:
@@ -413,8 +415,23 @@ def reference_path_bottleneck(system: PathSystem, costs) -> BottleneckResult:
     return BottleneckResult(value, member, witness)
 
 
+def reference_bracketed_root(head: np.ndarray, radius: float, budget: float, r: float) -> float:
+    """The per-prefix level solve that ``_lift_root`` replaced: SciPy's
+    ``brentq`` on [top, top + radius], the bracket padded where rounding left
+    no sign change."""
+    top = head[-1]
+    spent = lambda x: float(np.sum((x - head) ** r)) - budget
+    hi_end = top + radius
+    if spent(hi_end) < 0.0:
+        hi_end = top + radius * (1.0 + 1e-9) + 1e-12 * (1.0 + abs(top))
+    if spent(hi_end) < 0.0:
+        return float(hi_end)
+    return float(brentq(spent, top, hi_end, xtol=1e-15, rtol=8.9e-16))
+
+
 def reference_prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
-    """The element level solve that evaluates every ascending prefix."""
+    """The element level solve that evaluates every ascending prefix, with
+    the library's per-prefix root."""
 
     c = np.asarray(sorted_costs, dtype=float)
     budget = radius**r
@@ -439,16 +456,7 @@ def reference_prefix_level(sorted_costs: np.ndarray, radius: float, r: float) ->
             if at_top == budget:
                 t = float(top)
             else:
-                spent = lambda x: float(np.sum((x - c[:i]) ** r)) - budget
-                hi_end = top + radius
-                if spent(hi_end) < 0.0:
-                    hi_end = top + radius * (1.0 + 1e-9) + 1e-12 * (1.0 + abs(top))
-                if spent(hi_end) < 0.0:
-                    t = float(hi_end)
-                else:
-                    t = float(
-                        brentq(spent, top, hi_end, xtol=1e-15, rtol=8.9e-16)
-                    )
+                t = _lift_root(c[:i], radius, budget, r)
         if top <= t < nxt:
             candidates.append(t)
     if candidates:

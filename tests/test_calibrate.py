@@ -42,10 +42,6 @@ class TestAsymptoticCi:
         with pytest.raises(DomainError):
             asymptotic_ci([1.0])
 
-    def test_other_levels_use_normal_quantile(self):
-        wide = asymptotic_ci([0.0, 2.0], level=0.99)
-        assert wide.half_width > asymptotic_ci([0.0, 2.0]).half_width
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(DomainError):

@@ -2,11 +2,12 @@
 replace.
 
 Every comparison is ``==``: the fast paths must return the same values,
-members, witnesses, partitions and decision reports bit for bit.  The one
-exception is the top-k family level: the route it replaced (HiGHS and SLSQP)
-was itself accurate only to solver tolerances, so the certified numpy solve
-is checked against enumeration within 1e-12 and against that route within
-1e-9.
+members, witnesses, partitions and decision reports bit for bit.  The two
+exceptions are routes that replaced solvers accurate only to their
+tolerances.  The certified numpy top-k family level is checked against
+enumeration within 1e-12 and against HiGHS and SLSQP within 1e-9; the
+Newton prefix root is checked against ``brentq`` within 1e-13 and, unlike
+``brentq``, must meet its budget.
 """
 
 from functools import partial
@@ -20,6 +21,7 @@ from _oracles import (
     brute_family_level,
     reference_assignment_blocker,
     reference_band,
+    reference_bracketed_root,
     reference_family_level,
     reference_least_variance_in_band,
     reference_min_st_cut_side,
@@ -54,10 +56,10 @@ from drbottleneck import (
     tv_robust_decision,
     variance_robust_decision,
 )
-from drbottleneck import _family
+from drbottleneck import _family, quantify
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.decide import _mean, _radius_shift, _report, _shifted, _tv_objective
-from drbottleneck.quantify import _family_level, _prefix_level
+from drbottleneck.quantify import _family_level, _lift_root, _prefix_level
 
 ORDERS = (1.0, 2.0, 1.5)
 
@@ -98,6 +100,65 @@ def test_prefix_level_radius_on_cost_scale():
         radius = float(rng.choice([np.spacing(abs(c[0])), (c[-1] - c[0]) * rng.uniform()]))
         for r in ORDERS:
             assert _prefix_level(c, radius, r) == reference_prefix_level(c, radius, r)
+
+
+def _root_cases(seed, per_order=1000):
+    """Sorted costs at magnitudes 1e-6 to 1e6, in both senses, with radii from
+    (1 + 1e-14) to (1 + 1e3) times the r-norm of the lift to the top cost."""
+    rng = np.random.default_rng(seed)
+    for r in (1.1, 1.5, 2.5, 3.0, 6.0):
+        for _ in range(per_order):
+            c = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 12))) * 10.0 ** rng.uniform(-6, 6)
+            c = np.sort(-c if rng.uniform() < 0.5 else c)
+            lift = float(np.sum((c[-1] - c) ** r)) ** (1.0 / r)
+            yield c, lift * (1.0 + 10.0 ** rng.uniform(-14, 3)), r
+
+
+def test_prefix_root_is_attained_and_near_brentq():
+    checked = 0
+    for c, radius, r in _root_cases(47):
+        budget = radius**r
+        if not float(np.sum((c[-1] - c) ** r)) < budget:
+            continue  # the radius rounded onto the lift's norm
+        t = _prefix_level(c, radius, r)
+        assert float(np.sum((t - c) ** r)) <= budget, (c.tolist(), radius, r)
+        # with negated costs t can lie near 0, far below the cost magnitude,
+        # which then bounds the rounding of either root
+        scale = 1.0 + max(abs(t), abs(c[0]))
+        assert abs(t - reference_bracketed_root(c, radius, budget, r)) <= 1e-13 * scale
+        checked += 1
+    assert checked > 4500
+
+
+def test_exhausted_prefix_root_raises(monkeypatch):
+    # far right of the root: Newton's linear phase takes several steps
+    c, radius, r = np.array([0.0, 1.0, 3.0]), 50.0, 6.0
+    expected = _lift_root(c, radius, radius**r, r)
+    for needed in range(1, quantify.LEVEL_SEARCH_MAX_ITER + 1):
+        monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", needed)
+        try:
+            got = _lift_root(c, radius, radius**r, r)
+        except ConvergenceError:
+            continue
+        break
+    assert got == expected and needed > 1
+    monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", needed - 1)
+    with pytest.raises(ConvergenceError, match=f"after {needed - 1} steps"):
+        _lift_root(c, radius, radius**r, r)
+
+
+@pytest.mark.parametrize("r", ORDERS + (3.0,))
+def test_prefix_level_fallback_is_bounded(monkeypatch, r):
+    cases = [(c, radius) for radius in (0.05, 0.7, 6.0) for c in _element_costs(7)]
+    screened = [_prefix_level(c, radius, r) for c, radius in cases]
+    monkeypatch.setattr(quantify, "_screened_prefixes", lambda *args: [])
+    for (c, radius), want in zip(cases, screened):
+        t = _prefix_level(c, radius, r)
+        assert float(np.sum(np.clip(t - c, 0.0, None) ** r)) <= radius**r
+        assert abs(t - want) <= 1e-12 * (1.0 + abs(t)), (c.tolist(), radius)
+    monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="after 1 steps"):
+        _prefix_level(np.array([1.0, 2.0, 4.0]), 0.7, r)
 
 
 def _path_systems(seed, count):

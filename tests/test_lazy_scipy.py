@@ -1,11 +1,10 @@
-"""SciPy is loaded only by the routines that need it.
+"""The package runs on numpy alone: no model loads any SciPy module.
 
 Importing ``scipy.optimize`` and ``scipy.stats`` costs more time and memory
-than the rest of the package, so neither is imported when the package
-loads.  ``asymptotic_ci`` imports ``norm`` for levels other than 0.95, and
-``quantify`` binds ``brentq`` on first use, for a ground order outside
-{1, 2}.  The top-k family level is numpy only.  Each check runs in a fresh
-interpreter, so ``sys.modules`` shows what the run loaded.
+than the rest of the package.  The per-prefix level at a ground order
+outside {1, 2} is a Newton root and the top-k family level a numpy solve,
+so neither needs SciPy; only the tests' oracles import it.  Each check runs
+in a fresh interpreter, so ``sys.modules`` shows what the run loaded.
 """
 
 import json
@@ -22,10 +21,9 @@ from drbottleneck.calibrate import asymptotic_ci
 from drbottleneck.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.optimize", "scipy.stats")
 REPORT = (
     "import json, sys\n"
-    f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
 )
 
 
@@ -73,26 +71,27 @@ def test_package_import_loads_no_scipy_solvers():
     assert run_python("import drbottleneck, drbottleneck.cli\n" + REPORT) == []
 
 
-def test_common_models_load_no_scipy_solvers(multihop, tmp_path):
+def test_common_models_load_no_scipy_solvers(multihop, matching2, tmp_path):
     grid = ["--theta-grid", "0,0.05,0.1", "--sense", "capacity"]
     runs = [
         ["--model", "quantify", *multihop, *grid, "--r", "1", "--out", str(tmp_path / "q")],
+        ["--model", "quantify", *multihop, *grid, "--r", "2", "--out", str(tmp_path / "q2")],
+        ["--model", "quantify", *matching2, "--theta", "0.1", "--q", "2",
+         "--out", str(tmp_path / "f")],
         ["--model", "calibrate", *multihop, *grid, "--r", "2", "--out", str(tmp_path / "c")],
         ["--model", "decide", *multihop, "--theta", "0.5", "--out", str(tmp_path / "d")],
     ]
     assert run_python(cli_code(runs) + REPORT) == []
 
 
-def test_asymptotic_ci_keeps_scipy_quantile():
+def test_asymptotic_ci_half_width_is_1_96_standard_errors():
     values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
     std, root = float(np.std(values, ddof=1)), math.sqrt(len(values))
-    # SciPy's 0.95 quantile; statistics.NormalDist gives 1.6448536269514715
-    assert asymptotic_ci(values, level=0.9).half_width == 1.6448536269514722 * std / root
     assert asymptotic_ci(values).half_width == 1.96 * std / root
 
 
 def _pinned_run(case, request, tmp_path):
-    """Run one pinned CLI case in a fresh interpreter; return the heavy SciPy
+    """Run one pinned CLI case in a fresh interpreter; return the SciPy
     modules it loaded, after checking its pinned fields at rel=1e-12."""
     label, (fixture, argv, keys, expected) = case
     out = tmp_path / label
@@ -106,9 +105,9 @@ def _pinned_run(case, request, tmp_path):
     return loaded
 
 
-# brentq (ground order 1.5), in a fresh interpreter so its own call site binds
-# it; the pinned values are those of eagerly imported SciPy
-SCIPY_RUNS = {
+# the Newton prefix root (ground order 1.5); the pinned values are those of
+# SciPy's brentq
+ROOT_RUNS = {
     "quantify-r1.5": (
         "multihop",
         ["--model", "quantify", "--theta-grid", "0.05,0.2", "--sense", "capacity", "--r", "1.5"],
@@ -118,9 +117,9 @@ SCIPY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("label", list(SCIPY_RUNS))
-def test_scipy_models_bind_solvers_on_first_use(label, request, tmp_path):
-    assert "scipy.optimize" in _pinned_run((label, SCIPY_RUNS[label]), request, tmp_path)
+@pytest.mark.parametrize("label", list(ROOT_RUNS))
+def test_newton_root_loads_no_scipy(label, request, tmp_path):
+    assert _pinned_run((label, ROOT_RUNS[label]), request, tmp_path) == []
 
 
 # the top-k family level at r = 2 (the dual active set) and r = 1 (the

@@ -1,5 +1,6 @@
 """Robust quantification: scenario levels, worst cases, brackets, radii."""
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from drbottleneck import (
     WassersteinBall,
     calibrate_radius,
     calibrate_radius_topk,
+    calibrate_radius_topk_decision,
     check_gap_bounds,
     element_level,
     l1_robust_level,
@@ -31,9 +33,15 @@ from drbottleneck import (
     quantify_topk,
     robust_scenario_value,
     saa_value,
+    save_scenarios,
+    structure_constant,
+    system_to_json,
+    topk_decision,
+    topk_variance_robust_decision,
     worst_case_distribution,
 )
 from drbottleneck import quantify
+from drbottleneck.cli import main
 from drbottleneck.errors import InvariantViolationError
 
 
@@ -593,3 +601,48 @@ def test_other_quantify_entry_points_reject_nan(triangle, call):
     scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
     with pytest.raises(DomainError):
         call(triangle, scen)
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system, scen: WassersteinBall(0.5, ground_order=INF),
+        lambda system, scen: robust_scenario_value(system, scen.costs[0], 0.5, INF),
+        lambda system, scen: element_level([1.0, 2.0, 3.0], {0, 1, 2}, 0.5, INF),
+        lambda system, scen: quantify_robust_finite_order(system, scen, 0.5, 2.0, INF),
+        lambda system, scen: quantify_topk(system, scen, 0.5, 1, INF),
+        lambda system, scen: calibrate_radius(10, 1.0, 0.1, 3, INF),
+        lambda system, scen: calibrate_radius_topk(10, 1.0, 0.1, 2, INF, 3),
+        lambda system, scen: check_gap_bounds(3.5, 3.0, 0.5, INF, 2),
+        lambda system, scen: structure_constant(system, INF),
+        lambda system, scen: topk_decision(system, scen, 0.5, 1, INF),
+        lambda system, scen: topk_variance_robust_decision(system, scen, 0.5, 1, INF),
+        lambda system, scen: calibrate_radius_topk_decision(10, 1.0, 0.1, 3, 2, INF),
+    ],
+    ids=[
+        "ball", "scenario-value", "element-level", "finite-order", "topk",
+        "calibrate-radius", "calibrate-radius-topk", "gap-bounds", "structure-constant",
+        "topk-decision", "topk-variance-decision", "calibrate-radius-topk-decision",
+    ],
+)
+def test_infinite_ground_order_refused(triangle, call):
+    # at r = inf the budget radius^r and the 1/r powers of the radius rules
+    # stop meaning the sup norm: levels came out below their own brackets
+    scen = ScenarioSet(np.array([[3.0, 5.0, 7.0], [2.0, 4.0, 1.0]]))
+    with pytest.raises(DomainError, match="ground norm order must be finite"):
+        call(triangle, scen)
+
+
+@pytest.mark.parametrize("model", ["quantify", "gamma-quantify"])
+def test_cli_refuses_infinite_ground_order(triangle, tmp_path, capsys, model):
+    instance, scenarios = tmp_path / "tri.instance.json", tmp_path / "tri.scenarios.csv"
+    instance.write_text(json.dumps(system_to_json(triangle)))
+    save_scenarios(scenarios, ScenarioSet(np.array([[3.0, 5.0, 7.0], [2.0, 4.0, 1.0]])))
+    assert main([
+        "--model", model, "--instance", str(instance), "--scenarios", str(scenarios),
+        "--theta", "0.5", "--gamma", "1", "--r", "inf", "--out", str(tmp_path / "o"),
+    ]) == 1
+    assert "kind=domain: ground norm order must be finite" in capsys.readouterr().err
