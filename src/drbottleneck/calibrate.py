@@ -143,6 +143,8 @@ def smallest_radius_in_band(
         raise DomainError("radius grid and value curve must align and be nonempty")
     if endpoint not in ("upper", "lower"):
         raise DomainError("endpoint must be 'upper' or 'lower'")
+    if orientation not in ("capacity", "cost"):
+        raise DomainError("orientation must be 'capacity' or 'cost'")
     threshold = band.upper if endpoint == "upper" else band.lower
     for theta, v in zip(radii, values):
         if orientation == "capacity" and v < threshold:

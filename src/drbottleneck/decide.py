@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, check_ground_order
+from .errors import DomainError, InvariantViolationError, check_element_ids, check_ground_order
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
 from .systems import AssignmentSystem, CombinatorialSystem, min_member_size
@@ -60,9 +60,7 @@ class IndifferenceSet:
 
     def contains(self, elements) -> bool:
         """Membership test: mean per-scenario maximum within the threshold."""
-        elements = frozenset(elements)
-        if not elements or min(elements) < 0 or max(elements) >= self.scenarios.width:
-            raise DomainError("elements must be a nonempty set of ground element ids")
+        elements = frozenset(check_element_ids(elements, self.scenarios.width))
         values = _Maxima(self.scenarios.costs).score(elements)
         return _mean(values) <= self.threshold
 
@@ -259,9 +257,7 @@ def decision_worst_case_distribution(
 
     if not radius >= 0:
         raise DomainError("radius must be nonnegative")
-    cols = sorted(chosen)
-    if not cols:
-        raise DomainError("chosen subset must be nonempty")
+    cols = check_element_ids(chosen, scenarios.width)
     support = np.array(scenarios.costs, dtype=float)
     for k in range(scenarios.count):
         row = support[k]
@@ -431,6 +427,8 @@ def calibrate_radius_topk_decision(
 ) -> float:
     """Top-k decision radius: the plain decision radius times k^(-(r-1)/r)."""
     r = check_ground_order(ground_order)
+    if not k >= 1:
+        raise DomainError("k must be a positive integer")
     return calibrate_radius_decision(sample_count, sigma, epsilon, ground_n) * k ** (
         -(r - 1.0) / r
     )
@@ -438,10 +436,11 @@ def calibrate_radius_topk_decision(
 
 def matching_permutation(system: AssignmentSystem, chosen: frozenset[int]) -> list[int]:
     """Column assigned to each row, for matchings of an assignment system."""
+    ids = check_element_ids(chosen, system.m * system.m)
     perm = [-1] * system.m
-    for element in chosen:
+    for element in ids:
         i, j = system.cell_position(element)
         perm[i] = j
-    if any(j < 0 for j in perm):
+    if len(ids) != system.m or sorted(perm) != list(range(system.m)):
         raise DomainError("chosen subset is not a perfect matching")
     return perm

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the ground norm order
-check shared by every module that takes one.
+"""Exception types shared across the toolkit, and the ground norm order and
+element id checks shared by every module that takes one.
 
 Every error carries a short machine-readable ``kind`` tag; the CLI maps these
 tags to exit codes.
@@ -68,3 +68,12 @@ def check_ground_order(r) -> float:
     if not 1 <= r < math.inf:
         raise DomainError("ground norm order must be finite and at least 1")
     return float(r)
+
+
+def check_element_ids(elements, n: int) -> list[int]:
+    """``elements`` as a sorted list, once it is a nonempty set of ids of the
+    ground set 0..n-1."""
+    ids = sorted(elements)
+    if not ids or ids[0] < 0 or ids[-1] >= n:
+        raise DomainError(f"elements must be a nonempty set of ground element ids 0..{n - 1}")
+    return ids

@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     EnumerationLimitError,
     InvariantViolationError,
+    check_element_ids,
     check_ground_order,
 )
 from .scenarios import ScenarioSet, require_matching_width
@@ -49,22 +50,19 @@ MULTIPLIER_SEARCH_MAX_EVALS = 200
 
 @dataclass(frozen=True)
 class WassersteinBall:
-    """Transport-distance ambiguity ball.
+    """Order-infinity (essential-sup) transport ambiguity ball.
 
-    ``order`` is the transport order q (math.inf for the essential-sup
-    distance), ``ground_order`` the r of the ground r-norm, ``radius`` the
-    ball radius theta.
+    ``ground_order`` is the r of the ground r-norm, ``radius`` the ball
+    radius theta.  Finite transport orders are handled by
+    ``quantify_robust_finite_order``.
     """
 
     radius: float
-    order: float = math.inf
     ground_order: float = 1.0
 
     def __post_init__(self):
         if not self.radius >= 0:
             raise DomainError("radius must be nonnegative")
-        if not self.order >= 1:
-            raise DomainError("transport order must be at least 1")
         check_ground_order(self.ground_order)
 
 
@@ -98,7 +96,7 @@ class RobustQuote:
             "sense": self.sense,
             "config": {
                 "radius": self.config.radius,
-                "order": "inf" if math.isinf(self.config.order) else self.config.order,
+                "order": "inf",
                 "ground_order": self.config.ground_order,
             },
             "per_scenario": [
@@ -273,7 +271,8 @@ def element_level(costs, elements, radius: float, r: float = 1.0) -> float:
     """Robust level of one blocker element: raise its cheap costs to a
     common level within the r-norm budget and report that level."""
     r = check_ground_order(r)
-    c = np.sort(np.asarray(costs, dtype=float)[list(elements)])
+    costs = np.asarray(costs, dtype=float)
+    c = np.sort(costs[check_element_ids(elements, len(costs))])
     return _prefix_level(c, radius, r)
 
 
@@ -375,10 +374,6 @@ def quantify_robust(
     """
 
     require_matching_width(scenarios, system)
-    if not math.isinf(config.order):
-        raise DomainError(
-            "finite transport orders are handled by quantify_robust_finite_order"
-        )
     per: list[ScenarioRobustness] = []
     support = np.array(scenarios.costs, dtype=float)
     for k in range(scenarios.count):
@@ -445,9 +440,13 @@ def check_gap_bounds(
     """
 
     r = check_ground_order(ground_order)
+    if not blocker_size >= 1:
+        raise DomainError("blocker size must be at least 1")
     gap = robust_value - empirical_value
     if sense == "capacity":
         gap = empirical_value - robust_value
+    elif sense != "cost":
+        raise DomainError("sense must be 'cost' or 'capacity'")
     lower = radius / blocker_size ** (1.0 / r)
     report = GapReport(gap=gap, lower_bound=lower, upper_bound=radius)
     if gap < lower - 1e-9 or gap > radius + 1e-9:
@@ -479,6 +478,8 @@ def calibrate_radius(
         raise DomainError("sigma must be positive")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
+    if not blocker_size >= 1:
+        raise DomainError("blocker size must be at least 1")
     check_ground_order(ground_order)
     structure = blocker_size ** (1.0 / ground_order)
     qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
@@ -790,6 +791,10 @@ def calibrate_radius_topk(
     """
 
     r = check_ground_order(ground_order)
+    if not k >= 1:
+        raise DomainError("k must be a positive integer")
+    if not union_size >= 1:
+        raise DomainError("union size must be at least 1")
     base = calibrate_radius(
         sample_count, sigma, epsilon, blocker_size=1, ground_order=1.0
     ).theta

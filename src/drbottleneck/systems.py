@@ -74,21 +74,13 @@ def _weight_sum(weights) -> float:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """The indexed element universe 0..n-1, with optional display labels."""
+    """The indexed element universe 0..n-1."""
 
     n: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInstanceError("ground set must contain at least one element")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise InvalidInstanceError("label count must equal the ground size")
-
-    def label(self, j: int) -> str:
-        if self.labels is not None:
-            return self.labels[j]
-        return str(j)
 
 
 class CombinatorialSystem:

@@ -1,27 +1,28 @@
 """Independent brute-force oracles used only by the test suite.
 
 The brute-force oracles are implemented from first principles (itertools,
-networkx, bitmask scans, direct perturbation search) so library results can
-be checked against code that shares none of the library's algorithmic
-machinery.  The frozen references at the end are the exception: verbatim
-copies of library routes that fast paths replaced (on the library's max-flow
-and breadth-first search, the assignment blocker's loop over row subsets, and
-the decision models' from-scratch subset scores, the top-k sum's
-set-function bound on the library's search, the top-k family level's HiGHS
-and SLSQP solves, and the per-prefix level's bracketed ``brentq`` root), so
-the fast paths can be compared bit for bit, or, for the family level and the
-prefix root, within the old solvers' tolerances.
+networkx, bitmask scans, vertex enumeration, bisection and grid searches over
+structured perturbations) so library results can be checked against code
+that shares none of the library's algorithmic machinery.  The frozen
+references at the end are the exception: verbatim copies of library routes
+that fast paths replaced (on the library's max-flow and breadth-first
+search, the assignment blocker's loop over row subsets, and the decision
+models' from-scratch subset scores, the top-k sum's set-function bound on
+the library's search, the top-k family level's HiGHS and SLSQP solves, and
+the per-prefix level's bracketed ``brentq`` root), so the fast paths can be
+compared bit for bit, or, for the family level and the prefix root, within
+the old solvers' tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import brentq, differential_evolution, linprog, minimize as scipy_minimize
+from scipy.optimize import brentq, linprog, minimize as scipy_minimize
 
 from drbottleneck import (
     AssignmentSystem,
@@ -219,86 +220,31 @@ def common_level_robust_oracle(members, costs, radius: float, r: float) -> float
     return best
 
 
-def perturbation_topk_oracle(members, costs, radius, r, k, rng, polish_starts=6):
-    """Lower-bound search for the worst-case top-k-sum over the ball.
+def exact_topk_oracle(members, costs, radius, r, k, cap=10**6) -> float:
+    """Worst-case top-k sum over the lifts beta >= 0 with ||beta||_r <=
+    radius, exactly; r in {1, 2}.
 
-    Coarse nonnegative perturbation grid (compositions of the budget) plus
-    random directions, then derivative-free polishing of the best starts
-    under the norm constraint.  Every member needs at least ``k`` elements.
+    min over members S of max over k-subsets T of S is the max over
+    selections sigma (one k-subset of each member) of min over S of the sum
+    over sigma(S).  Swapping the max over lifts with the max over selections
+    makes the worst case the max over selections of the family level of
+    {sigma(S)}.  A family that contains another has a level no higher, so
+    only the inclusion-minimal families go to ``brute_family_level``.
+    Raises ``ValueError`` when a member has fewer than ``k`` elements or
+    there are more than ``cap`` selections.
     """
-
-    c = np.asarray(costs, dtype=float)
-    n = len(c)
-    member_lists = [sorted(m) for m in members]
-    if min(map(len, member_lists)) < k:
+    choices = [list(combinations(sorted(m), k)) for m in members]
+    if not all(choices):
         raise ValueError("every member needs at least k elements")
-    # one row of element ids per member, padded with id n, whose cost is
-    # -inf: sorted, the pads come first and leave every top k alone
-    width = max(map(len, member_lists))
-    index = np.array([m + [n] * (width - len(m)) for m in member_lists])
-    vec = np.full(n + 1, -math.inf)
-
-    def objective(delta) -> float:
-        vec[:n] = c + delta
-        # each row's top k, largest first: summed in the order of a sum over
-        # one member's costs sorted in descending order
-        return float(np.sort(vec[index], axis=1)[:, : -k - 1 : -1].sum(axis=1).min())
-
-    if radius == 0.0:
-        return objective(np.zeros(n))
-
-    candidates = [np.zeros(n)]
-    steps = 8
-    for combo in combinations(range(n + steps - 1), n - 1):
-        counts = []
-        prev = -1
-        for cut in combo:
-            counts.append(cut - prev - 1)
-            prev = cut
-        counts.append(n + steps - 1 - prev - 1)
-        point = np.array(counts, dtype=float) / steps
-        norm = float(np.sum(point**r)) ** (1.0 / r)
-        if norm > 0:
-            for frac in (0.5, 1.0):
-                candidates.append(point * (frac * radius / norm))
-    for _ in range(200):
-        direction = rng.dirichlet(np.ones(n))
-        norm = float(np.sum(direction**r)) ** (1.0 / r)
-        candidates.append(direction * (radius / norm) * rng.uniform(0.2, 1.0))
-
-    scored = sorted(candidates, key=objective, reverse=True)
-    best = objective(scored[0])
-
-    def clipped_objective(x):
-        delta = np.clip(x, 0.0, None)
-        norm = float(np.sum(delta**r)) ** (1.0 / r)
-        if norm > radius and norm > 0:
-            delta = delta * (radius / norm)
-        return objective(delta)
-
-    constraints = [
-        {"type": "ineq", "fun": lambda x: radius**r - float(np.sum(np.clip(x, 0, None) ** r))},
-    ]
-    for start in scored[:polish_starts]:
-        res = scipy_minimize(
-            lambda x: -objective(np.clip(x, 0.0, None)),
-            start,
-            method="COBYLA",
-            constraints=constraints,
-            options={"maxiter": 2000, "rhobeg": radius / 4.0, "tol": 1e-10},
-        )
-        best = max(best, clipped_objective(res.x))
-    # global pass: the max-min landscape has local optima the polish can miss
-    evo = differential_evolution(
-        lambda x: -clipped_objective(x),
-        [(0.0, radius)] * n,
-        seed=12345,
-        maxiter=300,
-        tol=1e-12,
-        polish=False,
-    )
-    best = max(best, clipped_objective(evo.x))
-    return best
+    count = math.prod(map(len, choices))
+    if count > cap:
+        raise ValueError(f"{count} selections exceed the cap of {cap}")
+    families = {frozenset(pick) for pick in product(*choices)}
+    minimal = []
+    for family in sorted(families, key=len):
+        if not any(kept <= family for kept in minimal):
+            minimal.append(family)
+    return max(brute_family_level(costs, family, radius, r) for family in minimal)
 
 
 def two_point_mixture_oracle(members, costs, radius, order, ground_order):

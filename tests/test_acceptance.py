@@ -11,7 +11,7 @@ from _oracles import (
     brute_members,
     brute_minimal_hitting_sets,
     common_level_robust_oracle,
-    perturbation_topk_oracle,
+    exact_topk_oracle,
     two_point_mixture_oracle,
 )
 from conftest import (
@@ -392,16 +392,14 @@ def test_criterion_09_topk_brackets_and_oracle():
             continue
         if not (quote.lower - 1e-9 <= quote.exact <= quote.upper + 1e-9):
             bracket_breaks += 1
-        oracle = perturbation_topk_oracle(
-            brute_members(system), scen.costs[0], theta, r, k, rng
-        )
-        worst_oracle = max(worst_oracle, abs(quote.exact - oracle))
+        oracle = exact_topk_oracle(brute_members(system), scen.costs[0], theta, r, k)
+        worst_oracle = max(worst_oracle, abs(quote.exact - oracle) / (1.0 + abs(oracle)))
         done += 1
     report(
         9,
-        bracket_breaks == 0 and worst_oracle <= 1e-3,
-        f"50 instances: {bracket_breaks} bracket violations, grid-oracle gap "
-        f"{worst_oracle:.2e} (<=1e-3)",
+        bracket_breaks == 0 and worst_oracle <= 1e-12,
+        f"50 instances: {bracket_breaks} bracket violations, exact-oracle gap "
+        f"{worst_oracle:.2e} (<=1e-12 relative to 1 + |oracle|)",
     )
 
 

@@ -354,8 +354,10 @@ class TestMatchingPermutation:
 
     def test_rejects_non_matching(self):
         system = AssignmentSystem(m=2)
-        with pytest.raises(DomainError):
-            matching_permutation(system, frozenset({0, 1}))
+        # a row left free, a column used twice, a row used twice
+        for chosen in ({0, 1}, {0, 2}, {0, 1, 3}):
+            with pytest.raises(DomainError, match="not a perfect matching"):
+                matching_permutation(system, frozenset(chosen))
 
 
 class TestAllSolversAgainstEnumeration:

@@ -9,12 +9,15 @@ import pytest
 from _oracles import (
     brute_members,
     brute_minimal_hitting_sets,
+    brute_topk,
     common_level_robust_oracle,
-    perturbation_topk_oracle,
+    exact_topk_oracle,
     two_point_mixture_oracle,
 )
 from conftest import random_system
 from drbottleneck import (
+    AssignmentSystem,
+    CiReport,
     ConvergenceError,
     DomainError,
     ExplicitSystem,
@@ -25,8 +28,11 @@ from drbottleneck import (
     calibrate_radius_topk,
     calibrate_radius_topk_decision,
     check_gap_bounds,
+    decision_worst_case_distribution,
     element_level,
     l1_robust_level,
+    matching_permutation,
+    min_member_size,
     min_weight_blocker,
     quantify_robust,
     quantify_robust_finite_order,
@@ -34,6 +40,7 @@ from drbottleneck import (
     robust_scenario_value,
     saa_value,
     save_scenarios,
+    smallest_radius_in_band,
     structure_constant,
     system_to_json,
     topk_decision,
@@ -430,11 +437,47 @@ class TestTopkQuantify:
             quote = quantify_topk(system, scen, theta, 2, r)
             assert quote.exact is not None
             assert quote.lower - 1e-9 <= quote.exact <= quote.upper + 1e-9
-            oracle = perturbation_topk_oracle(
-                brute_members(system), scen.costs[0], theta, r, 2, rng
-            )
-            assert quote.exact == pytest.approx(oracle, abs=1e-3)
+            oracle = exact_topk_oracle(brute_members(system), scen.costs[0], theta, r, 2)
+            assert abs(quote.exact - oracle) <= 1e-12 * (1.0 + abs(oracle))
             done += 1
+
+
+class TestExactTopkOracle:
+    def _instances(self, seed, count, k=None):
+        """``(system, members, costs, k, r)`` on up to 6 elements and at most
+        10^5 selections."""
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            system = random_system(rng)
+            n = system.ground.n
+            costs = rng.uniform(0, 10, size=n)
+            size = k or int(rng.integers(1, 3))
+            r = float(rng.choice([1.0, 2.0]))
+            if n > 6 or min_member_size(system) < size:
+                continue
+            members = brute_members(system)
+            if math.prod(math.comb(len(m), size) for m in members) <= 10**5:
+                out.append((system, members, costs, size, r))
+        return out
+
+    def test_zero_radius_is_brute_topk(self):
+        for _, members, costs, k, r in self._instances(610, 20):
+            assert exact_topk_oracle(members, costs, 0.0, r, k) == brute_topk(members, costs, k)
+
+    def test_k_one_matches_plain_quantification(self):
+        for system, members, costs, _, r in self._instances(611, 20, k=1):
+            oracle = exact_topk_oracle(members, costs, 0.7, r, 1)
+            plain = quantify_robust(
+                system, ScenarioSet(costs[None, :]), WassersteinBall(0.7, ground_order=r)
+            ).value
+            assert abs(oracle - plain) <= 1e-12 * (1.0 + abs(plain))
+
+    def test_selection_cap_raises(self):
+        # C(10, 5)^3 = 16,003,008 selections
+        members = [frozenset(range(i, i + 10)) for i in range(3)]
+        with pytest.raises(ValueError, match="exceed the cap"):
+            exact_topk_oracle(members, np.ones(12), 0.5, 1.0, 5)
 
 
 class TestQuoteSerialization:
@@ -561,8 +604,8 @@ NAN = float("nan")
 
 @pytest.mark.parametrize(
     "fields",
-    [{"radius": NAN}, {"radius": 0.1, "order": NAN}, {"radius": 0.1, "ground_order": NAN}],
-    ids=["radius", "order", "ground-order"],
+    [{"radius": NAN}, {"radius": 0.1, "ground_order": NAN}],
+    ids=["radius", "ground-order"],
 )
 def test_wasserstein_ball_rejects_nan(fields):
     with pytest.raises(DomainError):
@@ -646,3 +689,51 @@ def test_cli_refuses_infinite_ground_order(triangle, tmp_path, capsys, model):
         "--theta", "0.5", "--gamma", "1", "--r", "inf", "--out", str(tmp_path / "o"),
     ]) == 1
     assert "kind=domain: ground norm order must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda scen: element_level([1.0, 2.0, 3.0], [-1], 0.5),
+        lambda scen: element_level([1.0, 2.0, 3.0], [], 0.5),
+        lambda scen: element_level([1.0, 2.0, 3.0], [5], 0.5),
+        lambda scen: matching_permutation(AssignmentSystem(m=2), frozenset({0, -1})),
+        lambda scen: matching_permutation(AssignmentSystem(m=2), frozenset({0, 4})),
+        lambda scen: decision_worst_case_distribution(frozenset({-1}), scen, 0.5),
+        lambda scen: decision_worst_case_distribution(frozenset({0, 3}), scen, 0.5),
+    ],
+    ids=[
+        "element-level-negative", "element-level-empty", "element-level-past",
+        "matching-negative", "matching-past", "worst-case-negative", "worst-case-past",
+    ],
+)
+def test_element_ids_outside_ground_set_refused(call):
+    # a negative id used to index from the end and return another element's answer
+    scen = ScenarioSet(np.array([[3.0, 5.0, 7.0], [2.0, 4.0, 1.0]]))
+    with pytest.raises(DomainError, match="ground element ids"):
+        call(scen)
+
+
+BAND = CiReport(point=5.0, half_width=0.5, level=0.95, method="x")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: smallest_radius_in_band([0.0, 0.1], [5.0, 4.0], BAND, orientation="Capacity"),
+         "orientation"),
+        (lambda: check_gap_bounds(3.5, 3.0, 0.5, 1.0, 2, sense="capcity"), "sense"),
+        (lambda: check_gap_bounds(3.5, 3.0, 0.5, 1.0, 0), "blocker size"),
+        (lambda: calibrate_radius(10, 1.0, 0.1, 0), "blocker size"),
+        (lambda: calibrate_radius_topk(10, 1.0, 0.1, 0), "k must"),
+        (lambda: calibrate_radius_topk(10, 1.0, 0.1, 2, 1.0, 0), "union size"),
+        (lambda: calibrate_radius_topk_decision(10, 1.0, 0.1, 3, 0), "k must"),
+    ],
+    ids=[
+        "band-orientation", "gap-sense", "gap-blocker-size", "radius-blocker-size",
+        "radius-topk-k", "radius-topk-union-size", "radius-topk-decision-k",
+    ],
+)
+def test_unknown_strings_and_zero_counts_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

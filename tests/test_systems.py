@@ -37,7 +37,6 @@ class TestConstruction:
     def test_ground_set_validation(self):
         with pytest.raises(InvalidInstanceError):
             GroundSet(0)
-        assert GroundSet(3, labels=("a", "b", "c")).label(1) == "b"
 
     def test_path_needs_route(self):
         with pytest.raises(InvalidInstanceError):
