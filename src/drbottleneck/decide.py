@@ -428,7 +428,7 @@ def calibrate_radius_topk_decision(
     """Top-k decision radius: the plain decision radius times k^(-(r-1)/r)."""
     r = check_ground_order(ground_order)
     if not k >= 1:
-        raise DomainError("k must be a positive integer")
+        raise DomainError("k must be at least 1")
     return calibrate_radius_decision(sample_count, sigma, epsilon, ground_n) * k ** (
         -(r - 1.0) / r
     )

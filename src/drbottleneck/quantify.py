@@ -792,7 +792,7 @@ def calibrate_radius_topk(
 
     r = check_ground_order(ground_order)
     if not k >= 1:
-        raise DomainError("k must be a positive integer")
+        raise DomainError("k must be at least 1")
     if not union_size >= 1:
         raise DomainError("union size must be at least 1")
     base = calibrate_radius(

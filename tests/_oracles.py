@@ -220,7 +220,7 @@ def common_level_robust_oracle(members, costs, radius: float, r: float) -> float
     return best
 
 
-def exact_topk_oracle(members, costs, radius, r, k, cap=10**6) -> float:
+def exact_topk_oracle(members, costs, radius, r, k) -> float:
     """Worst-case top-k sum over the lifts beta >= 0 with ||beta||_r <=
     radius, exactly; r in {1, 2}.
 
@@ -231,14 +231,14 @@ def exact_topk_oracle(members, costs, radius, r, k, cap=10**6) -> float:
     {sigma(S)}.  A family that contains another has a level no higher, so
     only the inclusion-minimal families go to ``brute_family_level``.
     Raises ``ValueError`` when a member has fewer than ``k`` elements or
-    there are more than ``cap`` selections.
+    there are more than 10**6 selections.
     """
     choices = [list(combinations(sorted(m), k)) for m in members]
     if not all(choices):
         raise ValueError("every member needs at least k elements")
     count = math.prod(map(len, choices))
-    if count > cap:
-        raise ValueError(f"{count} selections exceed the cap of {cap}")
+    if count > 10**6:
+        raise ValueError(f"{count} selections exceed the cap of 10**6")
     families = {frozenset(pick) for pick in product(*choices)}
     minimal = []
     for family in sorted(families, key=len):
