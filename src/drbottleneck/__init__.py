@@ -21,21 +21,23 @@ from .calibrate import (
     CoverageReport,
     CrossValReport,
     asymptotic_ci,
+    calibrate_radius,
+    calibrate_radius_decision,
+    calibrate_radius_topk,
+    calibrate_radius_topk_decision,
     coverage_experiment,
     cross_validate,
     estimate_sigma,
+    normal_approx_radius,
     smallest_radius_in_band,
     theoretical_ci,
 )
 from .decide import (
     DecisionReport,
     IndifferenceSet,
-    calibrate_radius_decision,
-    calibrate_radius_topk_decision,
     decision_worst_case_distribution,
     indifference_set,
     matching_permutation,
-    normal_approx_radius,
     robust_decision,
     saa_decision,
     topk_decision,
@@ -61,13 +63,10 @@ from .generate import (
 )
 from .quantify import (
     GapReport,
-    RadiusSpec,
     RobustQuote,
     ScenarioRobustness,
     TopkQuote,
     WassersteinBall,
-    calibrate_radius,
-    calibrate_radius_topk,
     check_gap_bounds,
     element_level,
     l1_robust_level,

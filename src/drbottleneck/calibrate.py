@@ -1,5 +1,5 @@
-"""Statistical calibration: confidence intervals, radius selection,
-cross-validation, and Monte Carlo coverage experiments."""
+"""Statistical calibration: confidence intervals, the radius rules,
+radius selection, cross-validation, and Monte Carlo coverage experiments."""
 
 from __future__ import annotations
 
@@ -14,15 +14,13 @@ from .decide import (
     _Maxima,
     _mean,
     _population_variance,
-    calibrate_radius_decision,
-    calibrate_radius_topk_decision,
     robust_decision,
     saa_decision,
     tv_robust_decision,
     variance_robust_decision,
 )
-from .errors import DomainError
-from .quantify import WassersteinBall, calibrate_radius, calibrate_radius_topk, quantify_robust
+from .errors import DomainError, check_ground_order
+from .quantify import WassersteinBall, quantify_robust
 from .scenarios import ScenarioSet
 from .systems import CombinatorialSystem
 
@@ -73,53 +71,119 @@ def asymptotic_ci(values) -> CiReport:
     return CiReport(point=mean, half_width=half, level=0.95, method="asymptotic")
 
 
-def theoretical_ci(
-    point: float,
+def theoretical_ci(point: float, theta: float, epsilon: float) -> CiReport:
+    """Interval point +/- theta at level 1 - 2 epsilon, for theta from a radius
+    rule whose coverage guarantee fails with probability epsilon each side."""
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError("epsilon must lie in (0, 1)")
+    return CiReport(point=point, half_width=theta, level=1.0 - 2.0 * epsilon, method="theoretical")
+
+
+def _check_rule_inputs(sample_count: int, sigma: float, epsilon: float) -> None:
+    if sample_count < 1:
+        raise DomainError("sample count must be at least 1")
+    if not sigma > 0:
+        raise DomainError("sigma must be positive")
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError("epsilon must lie in (0, 1)")
+
+
+def calibrate_radius(
     sample_count: int,
     sigma: float,
     epsilon: float,
-    kind: str = "quantify",
-    *,
-    blocker_size: int | None = None,
+    blocker_size: int,
     ground_order: float = 1.0,
-    ground_n: int | None = None,
-    k: int | None = None,
-    union_size: int | None = None,
-) -> CiReport:
-    """Interval point +/- theta with theta from the matching coverage rule.
+    transport_order: float = math.inf,
+) -> float:
+    """Radius guaranteeing two-sided coverage of the true expected value.
 
-    ``kind`` selects the rule: "quantify" needs ``blocker_size`` (largest
-    blocker element) and ``ground_order``; "decision" needs ``ground_n``
-    (0 gives the per-solution variant); the top-k kinds additionally take
-    ``k`` and, for quantification, the blocker-family ``union_size``.
+    theta = sigma * sqrt(-3 log eps) / sqrt(N) times the structural constant
+    (largest blocker size to the power 1/r); finite transport orders add a
+    q^(-1/q) factor.  ``blocker_size=1`` makes the structural constant 1,
+    which yields the per-solution confidence half-width.
     """
 
-    if kind == "quantify":
-        if blocker_size is None:
-            raise DomainError("kind='quantify' needs blocker_size")
-        theta = calibrate_radius(
-            sample_count, sigma, epsilon, blocker_size, ground_order
-        ).theta
-    elif kind == "decision":
-        if ground_n is None:
-            raise DomainError("kind='decision' needs ground_n")
-        theta = calibrate_radius_decision(sample_count, sigma, epsilon, ground_n)
-    elif kind == "topk-quantify":
-        if k is None or union_size is None:
-            raise DomainError("kind='topk-quantify' needs k and union_size")
-        theta, _ = calibrate_radius_topk(
-            sample_count, sigma, epsilon, k, ground_order, union_size
-        )
-    elif kind == "topk-decision":
-        if k is None or ground_n is None:
-            raise DomainError("kind='topk-decision' needs k and ground_n")
-        theta = calibrate_radius_topk_decision(
-            sample_count, sigma, epsilon, ground_n, k, ground_order
-        )
-    else:
-        raise DomainError(f"unknown theoretical interval kind {kind!r}")
-    level = 1.0 - 2.0 * epsilon
-    return CiReport(point=point, half_width=theta, level=level, method=f"theoretical-{kind}")
+    _check_rule_inputs(sample_count, sigma, epsilon)
+    if not blocker_size >= 1:
+        raise DomainError("blocker size must be at least 1")
+    check_ground_order(ground_order)
+    structure = blocker_size ** (1.0 / ground_order)
+    qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
+    return sigma * math.sqrt(-3.0 * math.log(epsilon)) * qfac * structure / math.sqrt(sample_count)
+
+
+def calibrate_radius_topk(
+    sample_count: int,
+    sigma: float,
+    epsilon: float,
+    k: int,
+    ground_order: float = 1.0,
+    union_size: int = 1,
+) -> tuple[float, float]:
+    """Radii for the top-k coverage guarantees (lower-side, upper-side).
+
+    The lower-side rule scales by union_size^(1/r) / k, the upper-side rule
+    by k^(-(r-1)/r).
+    """
+
+    r = check_ground_order(ground_order)
+    if not k >= 1:
+        raise DomainError("k must be at least 1")
+    if not union_size >= 1:
+        raise DomainError("union size must be at least 1")
+    base = calibrate_radius(sample_count, sigma, epsilon, blocker_size=1, ground_order=1.0)
+    part_i = base * union_size ** (1.0 / r) / k
+    part_ii = base * k ** (-(r - 1.0) / r)
+    return part_i, part_ii
+
+
+def calibrate_radius_decision(
+    sample_count: int, sigma: float, epsilon: float, ground_n: int
+) -> float:
+    """Decision-side radius: sigma * sqrt(-3 log eps + 3 n log 2) / sqrt(N).
+
+    ``ground_n = 0`` drops the union-bound term, leaving the per-solution
+    confidence half-width sigma * sqrt(-3 log eps) / sqrt(N).
+    """
+
+    _check_rule_inputs(sample_count, sigma, epsilon)
+    if ground_n < 0:
+        raise DomainError("ground size must be nonnegative")
+    return sigma * math.sqrt(
+        -3.0 * math.log(epsilon) + 3.0 * ground_n * math.log(2.0)
+    ) / math.sqrt(sample_count)
+
+
+def calibrate_radius_topk_decision(
+    sample_count: int,
+    sigma: float,
+    epsilon: float,
+    ground_n: int,
+    k: int,
+    ground_order: float = 1.0,
+) -> float:
+    """Top-k decision radius: the plain decision radius times k^(-(r-1)/r)."""
+    r = check_ground_order(ground_order)
+    if not k >= 1:
+        raise DomainError("k must be at least 1")
+    return calibrate_radius_decision(sample_count, sigma, epsilon, ground_n) * k ** (
+        -(r - 1.0) / r
+    )
+
+
+def normal_approx_radius(per_scenario_values, z: float = 1.645) -> float:
+    """Rule-of-thumb indifference radius: z * sqrt(variance / N).
+
+    Approximates the one-sided confidence half-width of the empirical mean
+    objective (population-variance convention).
+    """
+
+    values = list(per_scenario_values)
+    if not values:
+        raise DomainError("need at least one value for an indifference radius")
+    mean = _mean(values)
+    return z * math.sqrt(_population_variance(values, mean) / len(values))
 
 
 def smallest_radius_in_band(

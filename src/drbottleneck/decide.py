@@ -17,7 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, check_element_ids, check_ground_order
+from .errors import (
+    DomainError, InvariantViolationError, check_element_ids, check_ground_order, check_radius
+)
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
 from .systems import AssignmentSystem, CombinatorialSystem, min_member_size
@@ -130,8 +132,7 @@ def _fold(
 ) -> _Maxima:
     """The checks every decision model shares, then its per-scenario fold: the
     maximum, or with ``k`` the sum of the k largest (at k = 1, the maximum)."""
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     check_ground_order(ground_order)
     require_matching_width(scenarios, system)
     if k is not None and not 1 <= k <= min_member_size(system):
@@ -209,8 +210,7 @@ def _report(chosen, objective, values, model) -> DecisionReport:
 
 def _shifted(base: DecisionReport, radius: float) -> DecisionReport:
     """The sample-average optimum ``base`` as the robust decision at ``radius``."""
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     return replace(base, objective=base.objective + radius, model="wasserstein-robust")
 
 
@@ -255,8 +255,7 @@ def decision_worst_case_distribution(
     then its empirical mean plus the radius, exactly.
     """
 
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     cols = check_element_ids(chosen, scenarios.width)
     support = np.array(scenarios.costs, dtype=float)
     for k in range(scenarios.count):
@@ -264,40 +263,6 @@ def decision_worst_case_distribution(
         peak = max(cols, key=lambda j: (row[j], -j))
         row[peak] += radius
     return support
-
-
-def calibrate_radius_decision(
-    sample_count: int, sigma: float, epsilon: float, ground_n: int
-) -> float:
-    """Decision-side radius: sigma * sqrt(-3 log eps + 3 n log 2) / sqrt(N).
-
-    ``ground_n = 0`` drops the union-bound term, leaving the per-solution
-    confidence half-width sigma * sqrt(-3 log eps) / sqrt(N).
-    """
-
-    if sample_count < 1:
-        raise DomainError("sample count must be at least 1")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if ground_n < 0:
-        raise DomainError("ground size must be nonnegative")
-    return sigma * math.sqrt(
-        -3.0 * math.log(epsilon) + 3.0 * ground_n * math.log(2.0)
-    ) / math.sqrt(sample_count)
-
-
-def normal_approx_radius(per_scenario_values, z: float = 1.645) -> float:
-    """Rule-of-thumb indifference radius: z * sqrt(variance / N).
-
-    Approximates the one-sided confidence half-width of the empirical mean
-    objective (population-variance convention).
-    """
-
-    values = list(per_scenario_values)
-    mean = _mean(values)
-    return z * math.sqrt(_population_variance(values, mean) / len(values))
 
 
 def indifference_set(
@@ -314,8 +279,7 @@ def indifference_set(
     tested against the threshold.
     """
 
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     base = saa_decision(system, scenarios, force=force)
     threshold = base.objective + radius
     members = None
@@ -415,23 +379,6 @@ def topk_variance_robust_decision(
     fold = _fold(system, scenarios, radius, k, ground_order)
     shift = _radius_shift(radius, k, ground_order)
     return _least_variance_in_band(system, fold, shift, force, "topk-variance-robust")
-
-
-def calibrate_radius_topk_decision(
-    sample_count: int,
-    sigma: float,
-    epsilon: float,
-    ground_n: int,
-    k: int,
-    ground_order: float = 1.0,
-) -> float:
-    """Top-k decision radius: the plain decision radius times k^(-(r-1)/r)."""
-    r = check_ground_order(ground_order)
-    if not k >= 1:
-        raise DomainError("k must be at least 1")
-    return calibrate_radius_decision(sample_count, sigma, epsilon, ground_n) * k ** (
-        -(r - 1.0) / r
-    )
 
 
 def matching_permutation(system: AssignmentSystem, chosen: frozenset[int]) -> list[int]:

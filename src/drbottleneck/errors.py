@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the ground norm order and
-element id checks shared by every module that takes one.
+"""Exception types shared across the toolkit, and the radius, ground norm
+order and element id checks shared by every module that takes one.
 
 Every error carries a short machine-readable ``kind`` tag; the CLI maps these
 tags to exit codes.
@@ -57,6 +57,12 @@ class ScenarioParseError(SolverError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+def check_radius(radius) -> None:
+    """Refuse a negative or NaN ball radius; every public radius passes here."""
+    if not radius >= 0:
+        raise DomainError("radius must be nonnegative")
 
 
 def check_ground_order(r) -> float:

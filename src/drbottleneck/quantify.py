@@ -33,6 +33,7 @@ from .errors import (
     InvariantViolationError,
     check_element_ids,
     check_ground_order,
+    check_radius,
 )
 from .scenarios import ScenarioSet, require_matching_width
 from .search import enumerate_members
@@ -61,8 +62,7 @@ class WassersteinBall:
     ground_order: float = 1.0
 
     def __post_init__(self):
-        if not self.radius >= 0:
-            raise DomainError("radius must be nonnegative")
+        check_radius(self.radius)
         check_ground_order(self.ground_order)
 
 
@@ -108,18 +108,6 @@ class RobustQuote:
                 for rec in self.per_scenario
             ],
         }
-
-
-@dataclass(frozen=True)
-class RadiusSpec:
-    """A calibrated ball radius with the quantities it was derived from."""
-
-    sample_count: int
-    sigma: float
-    epsilon: float
-    structure_constant: float
-    ground_order: float
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -217,7 +205,9 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     prefix solve is closed-form for r in {1, 2} and otherwise the Newton root
     of ``_lift_root``, which is attained: its prefix budget, as computed,
     is within radius^r.  The solve runs only on the prefixes a monotone
-    screen keeps.  Falls back to bisection if rounding rejects every prefix.
+    screen keeps.  Where rounding puts several prefixes in range, the least
+    level is kept, since a larger one can overshoot the budget.  Falls back
+    to bisection if rounding rejects every prefix.
     """
 
     c = np.asarray(sorted_costs, dtype=float)
@@ -247,7 +237,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
         if top <= t < nxt:
             candidates.append(t)
     if candidates:
-        return max(candidates)
+        return min(candidates)
     # rounding rejected all prefixes; bisect the monotone budget function
     lo, hi = float(c[0]), float(c[0]) + radius
     for _ in range(LEVEL_SEARCH_MAX_ITER):
@@ -270,6 +260,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
 def element_level(costs, elements, radius: float, r: float = 1.0) -> float:
     """Robust level of one blocker element: raise its cheap costs to a
     common level within the r-norm budget and report that level."""
+    check_radius(radius)
     r = check_ground_order(r)
     costs = np.asarray(costs, dtype=float)
     c = np.sort(costs[check_element_ids(elements, len(costs))])
@@ -290,8 +281,7 @@ def l1_robust_level(sorted_costs, radius: float) -> float:
         raise DomainError("expected a nonempty cost vector")
     if np.any(np.diff(c) < 0):
         raise DomainError("costs must be sorted ascending")
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     return _prefix_level(c, radius, 1.0)
 
 
@@ -313,8 +303,7 @@ def robust_scenario_value(
     attained level.
     """
 
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     r = check_ground_order(ground_order)
     c = np.asarray(costs, dtype=float)
     base = bottleneck_value(system, c)
@@ -439,6 +428,7 @@ def check_gap_bounds(
     bound keeps the check valid).  Raises on violation.
     """
 
+    check_radius(radius)
     r = check_ground_order(ground_order)
     if not blocker_size >= 1:
         raise DomainError("blocker size must be at least 1")
@@ -454,44 +444,6 @@ def check_gap_bounds(
             f"robust-empirical gap {gap} escapes [{lower}, {radius}]"
         )
     return report
-
-
-def calibrate_radius(
-    sample_count: int,
-    sigma: float,
-    epsilon: float,
-    blocker_size: int,
-    ground_order: float = 1.0,
-    transport_order: float = math.inf,
-) -> RadiusSpec:
-    """Radius guaranteeing two-sided coverage of the true expected value.
-
-    theta = sigma * sqrt(-3 log eps) / sqrt(N) times the structural constant
-    (largest blocker size to the power 1/r); finite transport orders add a
-    q^(-1/q) factor.  ``blocker_size=1`` makes the structural constant 1,
-    which yields the per-solution confidence half-width.
-    """
-
-    if sample_count < 1:
-        raise DomainError("sample count must be at least 1")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if not blocker_size >= 1:
-        raise DomainError("blocker size must be at least 1")
-    check_ground_order(ground_order)
-    structure = blocker_size ** (1.0 / ground_order)
-    qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
-    theta = sigma * math.sqrt(-3.0 * math.log(epsilon)) * qfac * structure / math.sqrt(sample_count)
-    return RadiusSpec(
-        sample_count=sample_count,
-        sigma=sigma,
-        epsilon=epsilon,
-        structure_constant=structure,
-        ground_order=ground_order,
-        theta=theta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +530,7 @@ def quantify_robust_finite_order(
     """
 
     require_matching_width(scenarios, system)
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     if not 1 <= order < math.inf:
         raise DomainError("transport order must be finite and at least 1")
     r = check_ground_order(ground_order)
@@ -735,8 +686,7 @@ def quantify_topk(
     """
 
     require_matching_width(scenarios, system)
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    check_radius(radius)
     r = check_ground_order(ground_order)
 
     saa = (
@@ -774,33 +724,6 @@ def quantify_topk(
         downgraded=families is None,
         union_size=union_size,
     )
-
-
-def calibrate_radius_topk(
-    sample_count: int,
-    sigma: float,
-    epsilon: float,
-    k: int,
-    ground_order: float = 1.0,
-    union_size: int = 1,
-) -> tuple[float, float]:
-    """Radii for the top-k coverage guarantees (lower-side, upper-side).
-
-    The lower-side rule scales by union_size^(1/r) / k, the upper-side rule
-    by k^(-(r-1)/r).
-    """
-
-    r = check_ground_order(ground_order)
-    if not k >= 1:
-        raise DomainError("k must be at least 1")
-    if not union_size >= 1:
-        raise DomainError("union size must be at least 1")
-    base = calibrate_radius(
-        sample_count, sigma, epsilon, blocker_size=1, ground_order=1.0
-    ).theta
-    part_i = base * union_size ** (1.0 / r) / k
-    part_ii = base * k ** (-(r - 1.0) / r)
-    return part_i, part_ii
 
 
 def structure_constant(system: CombinatorialSystem, ground_order: float = 1.0) -> float:

@@ -406,7 +406,7 @@ def reference_prefix_level(sorted_costs: np.ndarray, radius: float, r: float) ->
         if top <= t < nxt:
             candidates.append(t)
     if candidates:
-        return max(candidates)
+        return min(candidates)
     lo, hi = float(c[0]), float(c[0]) + radius
     for _ in range(200):
         mid = 0.5 * (lo + hi)

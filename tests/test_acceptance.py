@@ -404,16 +404,16 @@ def test_criterion_09_topk_brackets_and_oracle():
 
 
 def test_criterion_10_radius_formulas():
-    quant = calibrate_radius(100, 1.0, 0.05, 4, 1.0).theta
+    quant = calibrate_radius(100, 1.0, 0.05, 4, 1.0)
     decis = calibrate_radius_decision(100, 1.0, 0.05, 10)
     ok = abs(quant - 1.19915) <= 1e-4 and abs(decis - 0.54572) <= 1e-4
     mono_n = all(
-        calibrate_radius(n, 1.0, 0.05, 4).theta
-        > calibrate_radius(4 * n, 1.0, 0.05, 4).theta
+        calibrate_radius(n, 1.0, 0.05, 4)
+        > calibrate_radius(4 * n, 1.0, 0.05, 4)
         for n in (25, 100, 400)
     )
     mono_eps = all(
-        calibrate_radius(100, 1.0, e1, 4).theta > calibrate_radius(100, 1.0, e2, 4).theta
+        calibrate_radius(100, 1.0, e1, 4) > calibrate_radius(100, 1.0, e2, 4)
         for e1, e2 in ((0.01, 0.05), (0.05, 0.2))
     )
     mono_d = calibrate_radius_decision(100, 1.0, 0.01, 10) > calibrate_radius_decision(
@@ -436,7 +436,7 @@ def test_criterion_11_coverage():
         return rng.normal(mu, 1.0, size=(count, 3))
 
     # blocker elements of the triangle have size two
-    rule = lambda sigma, n: calibrate_radius(n, sigma, 0.1, 2, 1.0).theta
+    rule = lambda sigma, n: calibrate_radius(n, sigma, 0.1, 2, 1.0)
     rep = coverage_experiment(
         triangle,
         sampler,

@@ -12,6 +12,8 @@ from drbottleneck import (
     PathSystem,
     ScenarioSet,
     asymptotic_ci,
+    calibrate_radius,
+    calibrate_radius_decision,
     coverage_experiment,
     cross_validate,
     estimate_sigma,
@@ -67,25 +69,25 @@ class TestEstimateSigma:
 
 class TestTheoreticalCi:
     def test_quantify_kind(self):
-        report = theoretical_ci(
-            5.0, 100, 1.0, 0.025, "quantify", blocker_size=4, ground_order=1.0
-        )
+        report = theoretical_ci(5.0, calibrate_radius(100, 1.0, 0.025, 4, 1.0), 0.025)
         expected = math.sqrt(3.0 * math.log(40.0)) * 4 / 10
         assert report.half_width == pytest.approx(expected, rel=1e-12)
         assert report.half_width == pytest.approx(1.33066, abs=1e-4)
+        assert report.level == 0.95
 
     def test_smaller_epsilon_widens(self):
-        tight = theoretical_ci(5.0, 100, 1.0, 0.05, "quantify", blocker_size=4)
-        wide = theoretical_ci(5.0, 100, 1.0, 0.025, "quantify", blocker_size=4)
+        tight = theoretical_ci(5.0, calibrate_radius(100, 1.0, 0.05, 4), 0.05)
+        wide = theoretical_ci(5.0, calibrate_radius(100, 1.0, 0.025, 4), 0.025)
         assert wide.half_width > tight.half_width
 
     def test_decision_kind_per_solution_variant(self):
-        report = theoretical_ci(5.0, 100, 1.0, 0.05, "decision", ground_n=0)
+        report = theoretical_ci(5.0, calibrate_radius_decision(100, 1.0, 0.05, 0), 0.05)
         assert report.half_width == pytest.approx(math.sqrt(-3 * math.log(0.05)) / 10)
 
-    def test_missing_structure_args(self):
+    @pytest.mark.parametrize("theta, epsilon", [(0.1, 0.0), (0.1, math.nan), (math.nan, 0.05)])
+    def test_bad_epsilon_or_radius_refused(self, theta, epsilon):
         with pytest.raises(DomainError):
-            theoretical_ci(5.0, 100, 1.0, 0.05, "quantify")
+            theoretical_ci(5.0, theta, epsilon)
 
 
 class TestSmallestRadiusInBand:

@@ -450,10 +450,11 @@ NAN = float("nan")
         lambda system, scen: indifference_set(system, scen, NAN),
         lambda system, scen: decision_worst_case_distribution(frozenset({0}), scen, NAN),
         lambda system, scen: calibrate_radius_decision(10, NAN, 0.05, 3),
+        lambda system, scen: normal_approx_radius([]),
     ],
     ids=["robust-radius", "variance-radius", "topk-radius", "topk-ground-order",
          "topk-variance-ground-order", "indifference-radius", "worst-case-radius",
-         "calibrate-sigma"],
+         "calibrate-sigma", "normal-approx-empty"],
 )
 def test_decision_entry_points_reject_nan(triangle, call):
     scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))

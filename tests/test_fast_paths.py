@@ -10,8 +10,9 @@ Newton prefix root is checked against ``brentq`` within 1e-13 and, unlike
 ``brentq``, must meet its budget.
 """
 
+from collections import Counter
 from functools import partial
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_prefix_level_radius_on_cost_scale():
         radius = float(rng.choice([np.spacing(abs(c[0])), (c[-1] - c[0]) * rng.uniform()]))
         for r in ORDERS:
             assert _prefix_level(c, radius, r) == reference_prefix_level(c, radius, r)
+
+
+def test_prefix_level_attained_on_ulp_spaced_costs():
+    # at radius 0 rounding can put several prefixes of ulp-spaced costs in
+    # range; every level but the least one overshoots the zero budget
+    rng = np.random.default_rng(61)
+    for m in (2, 3, 5, 8, 19, 40):
+        for x in [1.2345, *rng.uniform(1.0, 2.0, size=20)]:
+            c = x + np.arange(m) * np.spacing(x)
+            for r in ORDERS + (3.0,):
+                t = _prefix_level(c, 0.0, r)
+                assert float(np.sum(np.clip(t - c, 0.0, None) ** r)) <= 0.0, (c.tolist(), r)
+                assert t == c[0]
 
 
 def _root_cases(seed, per_order=1000):
@@ -476,3 +490,60 @@ def test_exhausted_family_level_raises(monkeypatch, r):
         monkeypatch.setattr(_family, "FAMILY_LEVEL_MAX_ITER", cap)
         with pytest.raises(ConvergenceError, match=f"in {cap} "):
             _family_level(costs, family, 0.7, r)
+
+
+def _pair_families(seed, count):
+    """Seeded families of 3 to 7 two-element subsets of 5 elements, with
+    integer costs and radii large enough for dual steps to reach the edge of
+    the simplex."""
+    rng = np.random.default_rng(seed)
+    pairs = [frozenset(p) for p in combinations(range(5), 2)]
+    for _ in range(count):
+        picks = rng.choice(len(pairs), size=int(rng.integers(3, 8)), replace=False)
+        costs = rng.integers(0, 4, size=5).astype(float)
+        yield costs, [pairs[i] for i in picks], float(rng.choice([3.0, 6.0]))
+
+
+def test_family_level_blocked_and_dependent_steps(monkeypatch):
+    """A dual step cut where a multiplier reaches zero, and an entering
+    member whose row depends on the active rows, still land on the level:
+    at r = 2 against enumeration, at r = 1.5 within the reference floor of
+    ``test_family_level_matches_reference``.  No r = 2 input tried reaches
+    the dependent-row branch."""
+    counts = Counter()
+    blocking, advance, independent = _family._blocking, _family._advance, _family._independent
+
+    def counted_blocking(lam, d):
+        t, zeroed = blocking(lam, d)
+        counts["blocked"] += zeroed is not None
+        return t, zeroed
+
+    def counted_advance(lam, active, d, t, zeroed=None):
+        counts["zeroed"] += zeroed is not None
+        return advance(lam, active, d, t, zeroed)
+
+    def counted_independent(A, lam, active, grad):
+        kept = independent(A, lam, active, grad)
+        counts["dropped"] += len(kept[1]) < len(active)
+        return kept
+
+    monkeypatch.setattr(_family, "_blocking", counted_blocking)
+    monkeypatch.setattr(_family, "_advance", counted_advance)
+    monkeypatch.setattr(_family, "_independent", counted_independent)
+
+    for costs, family, radius in _pair_families(83, 200):
+        expected = brute_family_level(costs, family, radius, 2.0)
+        got = _family_level(costs, family, radius, 2.0)
+        assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected)), (
+            costs.tolist(), sorted(map(sorted, family)), radius, got, expected
+        )
+    assert counts["blocked"] and counts["zeroed"] and not counts["dropped"]
+
+    costs, family = np.array([0.0, 0.0, 0.0, 3.0]), [{0, 2}, {2}, {1}, {0, 1, 3}, {0, 2, 3}, {0}]
+    for radius in (1.0, 3.0):
+        dropped = counts["dropped"]
+        got = _family_level(costs, family, radius, 1.5)
+        assert counts["dropped"] > dropped
+        expected = reference_family_level(costs, family, radius, 1.5)
+        assert abs(got - expected) <= 1e-9 * (1.0 + abs(expected)), (radius, got, expected)
+        assert got >= expected - 1e-12 * (1.0 + abs(expected)), (radius, got, expected)

@@ -30,6 +30,7 @@ from drbottleneck import (
     check_gap_bounds,
     decision_worst_case_distribution,
     element_level,
+    indifference_set,
     l1_robust_level,
     matching_permutation,
     min_member_size,
@@ -37,7 +38,9 @@ from drbottleneck import (
     quantify_robust,
     quantify_robust_finite_order,
     quantify_topk,
+    robust_decision,
     robust_scenario_value,
+    saa_decision,
     saa_value,
     save_scenarios,
     smallest_radius_in_band,
@@ -49,6 +52,7 @@ from drbottleneck import (
 )
 from drbottleneck import quantify
 from drbottleneck.cli import main
+from drbottleneck.decide import _shifted
 from drbottleneck.errors import InvariantViolationError
 
 
@@ -297,18 +301,18 @@ class TestGapBounds:
 
 class TestRadiusRules:
     def test_frozen_values(self):
-        assert calibrate_radius(100, 1.0, 0.05, 4, 1.0).theta == pytest.approx(
+        assert calibrate_radius(100, 1.0, 0.05, 4, 1.0) == pytest.approx(
             1.19915, abs=1e-4
         )
 
     def test_epsilon_one_limit(self):
-        assert calibrate_radius(100, 1.0, 1.0 - 1e-12, 4, 1.0).theta == pytest.approx(
+        assert calibrate_radius(100, 1.0, 1.0 - 1e-12, 4, 1.0) == pytest.approx(
             0.0, abs=1e-5
         )
 
     def test_quadruple_samples_halves_radius(self):
-        a = calibrate_radius(100, 1.0, 0.05, 4, 1.0).theta
-        b = calibrate_radius(400, 1.0, 0.05, 4, 1.0).theta
+        a = calibrate_radius(100, 1.0, 0.05, 4, 1.0)
+        b = calibrate_radius(400, 1.0, 0.05, 4, 1.0)
         assert b == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_domain_checks(self):
@@ -321,9 +325,9 @@ class TestRadiusRules:
         part_i, part_ii = calibrate_radius_topk(100, 1.0, 0.05, 2, 1.0, union_size=4)
         assert part_i == pytest.approx(0.59957, abs=1e-4)
         # ground order 1 makes the upper-side rule k-free
-        assert part_ii == pytest.approx(calibrate_radius(100, 1.0, 0.05, 1).theta, rel=1e-12)
+        assert part_ii == pytest.approx(calibrate_radius(100, 1.0, 0.05, 1), rel=1e-12)
         one_i, _ = calibrate_radius_topk(100, 1.0, 0.05, 1, 1.0, union_size=4)
-        assert one_i == calibrate_radius(100, 1.0, 0.05, 4, 1.0).theta
+        assert one_i == calibrate_radius(100, 1.0, 0.05, 4, 1.0)
 
 
 class TestFiniteOrder:
@@ -499,8 +503,8 @@ class TestQuoteSerialization:
 
 class TestFiniteOrderRadiusFactor:
     def test_q_factor(self):
-        base = calibrate_radius(100, 1.0, 0.05, 4, 1.0).theta
-        q2 = calibrate_radius(100, 1.0, 0.05, 4, 1.0, transport_order=2.0).theta
+        base = calibrate_radius(100, 1.0, 0.05, 4, 1.0)
+        q2 = calibrate_radius(100, 1.0, 0.05, 4, 1.0, transport_order=2.0)
         assert q2 == pytest.approx(base * 2.0 ** -0.5, rel=1e-12)
 
 
@@ -637,12 +641,40 @@ def test_finite_order_rejects_nan(triangle, radius, order, r, message):
         lambda system, scen: quantify_topk(system, scen, 0.1, 1, NAN),
         lambda system, scen: l1_robust_level([1.0, 2.0], NAN),
         lambda system, scen: calibrate_radius(10, NAN, 0.05, 3),
+        lambda system, scen: element_level([1.0, 2.0], [0, 1], NAN),
+        lambda system, scen: check_gap_bounds(3.5, 3.0, NAN, 1.0, 2),
     ],
-    ids=["topk-radius", "topk-ground-order", "l1-radius", "calibrate-sigma"],
+    ids=["topk-radius", "topk-ground-order", "l1-radius", "calibrate-sigma",
+         "element-level-radius", "gap-bounds-radius"],
 )
 def test_other_quantify_entry_points_reject_nan(triangle, call):
     scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
     with pytest.raises(DomainError):
+        call(triangle, scen)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system, scen: WassersteinBall(-0.5),
+        lambda system, scen: element_level([1.0, 2.0], [0, 1], -0.5),
+        lambda system, scen: l1_robust_level([1.0, 2.0], -0.5),
+        lambda system, scen: robust_scenario_value(system, scen.costs[0], -0.5),
+        lambda system, scen: quantify_robust_finite_order(system, scen, -0.5, 2.0),
+        lambda system, scen: quantify_topk(system, scen, -0.5, 1),
+        lambda system, scen: check_gap_bounds(3.5, 3.0, -1.0, 1.0, 2),
+        lambda system, scen: robust_decision(system, scen, -0.5),
+        lambda system, scen: _shifted(saa_decision(system, scen), -0.5),
+        lambda system, scen: decision_worst_case_distribution(frozenset({0}), scen, -0.5),
+        lambda system, scen: indifference_set(system, scen, -0.5),
+    ],
+    ids=["ball", "element-level", "l1-level", "scenario-value", "finite-order", "topk",
+         "gap-bounds", "decision-fold", "decision-shift", "worst-case", "indifference"],
+)
+def test_negative_radius_refused(triangle, call):
+    # element_level used to answer 1.0, and check_gap_bounds to blame an invariant
+    scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
+    with pytest.raises(DomainError, match="radius must be nonnegative"):
         call(triangle, scen)
 
 

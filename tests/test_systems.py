@@ -255,8 +255,8 @@ class TestMaxBlockerSize:
 class TestInstanceJson:
     def test_round_trip(self):
         rng = np.random.default_rng(29)
-        for _ in range(10):
-            system = random_system(rng)
+        for kind in ("path", "tree", "assignment", "explicit"):
+            system = random_system(rng, kind)
             again = system_from_json(json.dumps(system_to_json(system)))
             assert again == system
 
