@@ -60,9 +60,9 @@ class ScenarioParseError(SolverError):
 
 
 def check_radius(radius) -> None:
-    """Refuse a negative or NaN ball radius; every public radius passes here."""
-    if not radius >= 0:
-        raise DomainError("radius must be nonnegative")
+    """Refuse a negative, infinite or NaN radius; every public radius passes here."""
+    if not 0 <= radius < math.inf:
+        raise DomainError("radius must be finite and nonnegative")
 
 
 def check_ground_order(r) -> float:

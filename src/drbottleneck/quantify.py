@@ -7,9 +7,10 @@ such that raising some blocker element's cheap costs up to t fits the budget,
 
     minimum over blocker elements y of  sum_{j in y} (t - c_j)_+^r  <=  theta^r.
 
-The level search brackets t between the empirical bottleneck value and that
-value plus theta, and tightens the bracket with exact per-element level
-solves, so the returned level is attained by an explicit blocker element.
+The level search starts at the exact level of the empirical dual witness and
+asks the minimum-weight blocker oracle for the cheapest lift to the current
+level, moving to that element's exact level while it is higher; it stops on
+a certificate, with the level attained by an explicit blocker element.
 A per-element level is closed-form for r in {1, 2} and otherwise a Newton
 root of the convex prefix budget, taken from the right, whose level meets
 the budget as computed.
@@ -183,16 +184,18 @@ def _lift_root(head: np.ndarray, radius: float, budget: float, r: float) -> floa
     budget at top + radius, so Newton's method from there falls monotonically
     onto the root.  The first iterate whose computed sum fits the budget is
     returned, so the level is attained; where rounding stalls an iterate
-    above the root, it steps down one ulp.
+    above the root, it steps down one ulp, and where a step rounds below
+    top, the iterate stops at top, whose sum fits the budget.
     """
-    t = float(head[-1]) + radius
+    top = float(head[-1])
+    t = top + radius
     for _ in range(LEVEL_SEARCH_MAX_ITER):
         gap = t - head
         excess = float(np.sum(gap**r)) - budget
         if excess <= 0.0:
             return t
         step = t - excess / (r * float(np.sum(gap ** (r - 1.0))))
-        t = step if step < t else float(np.nextafter(t, -math.inf))
+        t = max(step, top) if step < t else float(np.nextafter(t, -math.inf))
     raise ConvergenceError(
         f"prefix level root stayed over its budget after {LEVEL_SEARCH_MAX_ITER} steps"
     )
@@ -296,11 +299,12 @@ def robust_scenario_value(
 ) -> ScenarioRobustness:
     """Single-scenario worst-case bottleneck level under an r-norm budget.
 
-    Bisects the level t over [Z, Z + radius] (Z the empirical bottleneck
-    value), querying the minimum-weight blocker oracle at each probe; every
-    probed blocker element also contributes its exact closed-form level, so
-    the search converges in a handful of oracle calls and returns an
-    attained level.
+    From the exact level of the empirical dual witness, each step asks the
+    minimum-weight blocker oracle for the cheapest lift to the level and
+    moves to that element's exact level while it is higher.  The stop is a
+    certificate: a lift cheaper than radius^r reaches strictly higher, and
+    one costing at least radius^r leaves every blocker element at or below
+    the level, which is attained by the returned witness.
     """
 
     check_radius(radius)
@@ -313,29 +317,20 @@ def robust_scenario_value(
         )
         return ScenarioRobustness(base.value, base.dual_witness, raised)
 
-    budget = radius**r
-    tol = 1e-13 * (1.0 + float(np.max(np.abs(c))) + radius)
-    best_level = element_level(c, base.dual_witness.elements, radius, r)
-    best_witness = base.dual_witness
-    hi = base.value + radius
-    for _ in range(LEVEL_SEARCH_MAX_ITER):
-        if hi - best_level <= tol:
+    witness = base.dual_witness
+    level = element_level(c, witness.elements, radius, r)
+    calls = 0
+    while level < base.value + radius:
+        if calls == LEVEL_SEARCH_MAX_ITER:
+            raise ConvergenceError(f"level search still rising after {calls} blocker calls")
+        calls += 1
+        _, lift = _raise_cost(system, c, level, r)
+        cand = element_level(c, lift.elements, radius, r)
+        if not cand > level:
             break
-        mid = 0.5 * (best_level + hi)
-        used, witness = _raise_cost(system, c, mid, r)
-        cand = element_level(c, witness.elements, radius, r)
-        if cand > best_level:
-            best_level, best_witness = cand, witness
-        if used > budget:
-            hi = mid
-    else:
-        if hi - best_level > tol:
-            raise ConvergenceError(
-                f"level search left a gap of {hi - best_level!r} above the tolerance "
-                f"{tol!r} after {LEVEL_SEARCH_MAX_ITER} blocker calls"
-            )
-    raised = frozenset(j for j in best_witness.elements if c[j] <= best_level)
-    return ScenarioRobustness(best_level, best_witness, raised)
+        level, witness = cand, lift
+    raised = frozenset(j for j in witness.elements if c[j] <= level)
+    return ScenarioRobustness(level, witness, raised)
 
 
 def _oriented(costs: np.ndarray, sense: str) -> np.ndarray:

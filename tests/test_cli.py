@@ -363,8 +363,9 @@ class TestOptionChecks:
             ["--model", "decide", "--theta", "nan"],
             ["--model", "robust-decide", "--theta-grid", "0,nan"],
             ["--model", "tv-decide", "--d", "nan"],
+            ["--model", "decide", "--theta", "inf"],
         ],
-        ids=["q", "r", "theta", "theta-grid", "d"],
+        ids=["q", "r", "theta", "theta-grid", "d", "theta-inf"],
     )
     def test_nan_rejected(self, generated, tmp_path, capsys, argv):
         code = run_cli(

@@ -161,6 +161,26 @@ def test_exhausted_prefix_root_raises(monkeypatch):
         _lift_root(c, radius, radius**r, r)
 
 
+def test_prefix_root_stops_at_its_floor():
+    # the radius is the r-norm of the lift to a cost, so the level lies on
+    # that cost; a Newton step that rounds below the top cost used to give a
+    # NaN sum at r = 1.5 and walk down one ulp a step until the cap
+    c, radius = np.array([-6.56714609008604, 1.8709850221042945]), 8.438131112190334
+    assert _lift_root(c, radius, radius**1.5, 1.5) == c[-1]
+    level = _prefix_level(c, radius, 1.5)
+    assert level == c[0] + radius
+    system = PathSystem(nodes=2, edges=((0, 1), (0, 1)), s=0, t=1)
+    assert quantify.robust_scenario_value(system, c, radius, 1.5).level == level
+    rng = np.random.default_rng(83)
+    for _ in range(1000):
+        c = np.sort(rng.uniform(-10.0, 10.0, size=int(rng.integers(2, 6))))
+        i = int(rng.integers(1, len(c)))
+        for r in (1.5, 2.5, 3.0):
+            radius = float(np.sum((c[i] - c[:i]) ** r) ** (1.0 / r))
+            t = _prefix_level(c, radius, r)
+            assert float(np.sum(np.clip(t - c, 0.0, None) ** r)) <= radius**r, (c.tolist(), r)
+
+
 @pytest.mark.parametrize("r", ORDERS + (3.0,))
 def test_prefix_level_fallback_is_bounded(monkeypatch, r):
     cases = [(c, radius) for radius in (0.05, 0.7, 6.0) for c in _element_costs(7)]

@@ -21,6 +21,7 @@ from drbottleneck import (
     ConvergenceError,
     DomainError,
     ExplicitSystem,
+    MultihopParams,
     PathSystem,
     ScenarioSet,
     WassersteinBall,
@@ -30,6 +31,7 @@ from drbottleneck import (
     check_gap_bounds,
     decision_worst_case_distribution,
     element_level,
+    generate_multihop,
     indifference_set,
     l1_robust_level,
     matching_permutation,
@@ -116,9 +118,10 @@ class TestRobustScenarioValue:
             system = random_system(rng)
             costs = rng.uniform(0, 10, size=system.ground.n)
             radius = float(rng.choice([0.0, 0.1, 1.0]))
-            fast = robust_scenario_value(system, costs, radius, r).level
-            slow = closed_form_max_over_blocker(system, costs, radius, r)
-            assert fast == pytest.approx(slow, abs=1e-9)
+            tied = rng.integers(-3, 4, size=system.ground.n) / 2.0
+            for c in (costs, tied):
+                fast = robust_scenario_value(system, c, radius, r).level
+                assert fast == closed_form_max_over_blocker(system, c, radius, r)
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_matches_perturbation_oracle(self, r):
@@ -135,10 +138,11 @@ class TestRobustScenarioValue:
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_exhausted_level_search_raises(self, monkeypatch, r):
-        # two disjoint unit-cost paths: every cut raises two edges, so the
-        # level stays below Z + radius and the search bisects about 40 times
-        system = PathSystem(nodes=4, edges=((0, 1), (1, 3), (0, 2), (2, 3)), s=0, t=3)
-        costs = [1.0, 3.0, 2.0, 3.0]
+        # the empirical dual witness cuts all three edges, the dead end
+        # included, so the first lift moves to the cut {1, 2} and the second
+        # call certifies that no cut gets higher
+        system = PathSystem(nodes=3, edges=((0, 1), (0, 2), (0, 2)), s=0, t=2)
+        costs = [1.0, 1.0, 1.0]
         calls = []
         raise_cost = quantify._raise_cost
         monkeypatch.setattr(
@@ -153,6 +157,22 @@ class TestRobustScenarioValue:
             monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", cap)
             with pytest.raises(ConvergenceError, match=f"after {cap} blocker calls"):
                 robust_scenario_value(system, costs, 1.0, r)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_multihop_level_search_stops_within_three_calls(self, monkeypatch, r):
+        # a bisection of [Z, Z + radius] needs up to 36 blocker calls here
+        params = MultihopParams(nodes=20, sample_count=10, seed=7)
+        system, scenarios, _ = generate_multihop(params)
+        calls = []
+        raise_cost = quantify._raise_cost
+        monkeypatch.setattr(
+            quantify, "_raise_cost", lambda *args: calls.append(1) or raise_cost(*args)
+        )
+        for radius in np.linspace(0.0, 0.2, 11):
+            for costs in scenarios.costs:
+                calls.clear()
+                robust_scenario_value(system, -costs, float(radius), r)
+                assert len(calls) <= 3, (float(radius), r)
 
     def test_budget_monotone_in_level(self):
         rng = np.random.default_rng(77)
@@ -653,29 +673,41 @@ def test_other_quantify_entry_points_reject_nan(triangle, call):
         call(triangle, scen)
 
 
+RADIUS_ENTRY_POINTS = {
+    "ball": lambda system, scen, radius: WassersteinBall(radius),
+    "element-level": lambda system, scen, radius: element_level([1.0, 2.0], [0, 1], radius),
+    "l1-level": lambda system, scen, radius: l1_robust_level([1.0, 2.0], radius),
+    "scenario-value": lambda system, scen, radius: robust_scenario_value(
+        system, scen.costs[0], radius
+    ),
+    "finite-order": lambda system, scen, radius: quantify_robust_finite_order(
+        system, scen, radius, 2.0
+    ),
+    "topk": lambda system, scen, radius: quantify_topk(system, scen, radius, 1),
+    "gap-bounds": lambda system, scen, radius: check_gap_bounds(3.5, 3.0, radius, 1.0, 2),
+    "decision-fold": lambda system, scen, radius: robust_decision(system, scen, radius),
+    "decision-shift": lambda system, scen, radius: _shifted(saa_decision(system, scen), radius),
+    "worst-case": lambda system, scen, radius: decision_worst_case_distribution(
+        frozenset({0}), scen, radius
+    ),
+    "indifference": lambda system, scen, radius: indifference_set(system, scen, radius),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, radius",
     [
-        lambda system, scen: WassersteinBall(-0.5),
-        lambda system, scen: element_level([1.0, 2.0], [0, 1], -0.5),
-        lambda system, scen: l1_robust_level([1.0, 2.0], -0.5),
-        lambda system, scen: robust_scenario_value(system, scen.costs[0], -0.5),
-        lambda system, scen: quantify_robust_finite_order(system, scen, -0.5, 2.0),
-        lambda system, scen: quantify_topk(system, scen, -0.5, 1),
-        lambda system, scen: check_gap_bounds(3.5, 3.0, -1.0, 1.0, 2),
-        lambda system, scen: robust_decision(system, scen, -0.5),
-        lambda system, scen: _shifted(saa_decision(system, scen), -0.5),
-        lambda system, scen: decision_worst_case_distribution(frozenset({0}), scen, -0.5),
-        lambda system, scen: indifference_set(system, scen, -0.5),
+        pytest.param(call, radius, id=name + suffix)
+        for name, call in RADIUS_ENTRY_POINTS.items()
+        for radius, suffix in ((-0.5, ""), (math.inf, "-inf"))
     ],
-    ids=["ball", "element-level", "l1-level", "scenario-value", "finite-order", "topk",
-         "gap-bounds", "decision-fold", "decision-shift", "worst-case", "indifference"],
 )
-def test_negative_radius_refused(triangle, call):
-    # element_level used to answer 1.0, and check_gap_bounds to blame an invariant
+def test_negative_radius_refused(triangle, call, radius):
+    # element_level used to answer 1.0 at -0.5, and check_gap_bounds to blame
+    # an invariant; an infinite radius gave a NaN gap or an infinite value
     scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
-    with pytest.raises(DomainError, match="radius must be nonnegative"):
-        call(triangle, scen)
+    with pytest.raises(DomainError, match="radius must be finite and nonnegative"):
+        call(triangle, scen, radius)
 
 
 INF = math.inf
