@@ -14,7 +14,10 @@ a certificate, with the level attained by an explicit blocker element.
 A per-element level is closed-form for r in {1, 2} and otherwise a Newton
 root of the convex prefix budget, taken from the right, whose level meets
 the budget as computed.
-Finite transport orders are handled by a univariate convex dual search; the
+Finite transport orders minimize a univariate convex dual whose inner sups
+come from each scenario's lift envelope, built once by Eisner-Severance
+discovery (exact at r = 1); the multiplier is bisected to adjacent floats and
+the value is certified by an explicit feasible distribution.  The
 top-k-sum generalization reports certified brackets and, at tiny scale, the
 exact value.
 """
@@ -47,7 +50,6 @@ from .systems import (
 )
 
 LEVEL_SEARCH_MAX_ITER = 200
-MULTIPLIER_SEARCH_MAX_EVALS = 200
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     is within radius^r.  The solve runs only on the prefixes a monotone
     screen keeps.  Where rounding puts several prefixes in range, the least
     level is kept, since a larger one can overshoot the budget.  Falls back
-    to bisection if rounding rejects every prefix.
+    to ``_bisected_level`` if rounding rejects every prefix.
     """
 
     c = np.asarray(sorted_costs, dtype=float)
@@ -241,23 +243,27 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
             candidates.append(t)
     if candidates:
         return min(candidates)
-    # rounding rejected all prefixes; bisect the monotone budget function
-    lo, hi = float(c[0]), float(c[0]) + radius
+    return _bisected_level(c, radius, budget, r)
+
+
+def _bisected_level(c: np.ndarray, radius: float, budget: float, r: float) -> float:
+    """``_prefix_level`` where rounding rejects every prefix: bisect the
+    budget, monotone as computed, until the level fits and the next float up
+    does not.  Lifting c_0 alone by twice the radius overspends."""
+    lo, hi = float(c[0]), float(c[0]) + 2.0 * radius
     for _ in range(LEVEL_SEARCH_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
         used = float(np.sum(np.clip(mid - c, 0.0, None) ** r))
         if used <= budget:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * (1.0 + abs(hi)):
-            break
-    else:
-        raise ConvergenceError(
-            f"prefix level bisection left a gap of {hi - lo!r} after "
-            f"{LEVEL_SEARCH_MAX_ITER} steps"
-        )
-    return lo
+    raise ConvergenceError(
+        f"prefix level bisection left a gap of {hi - lo!r} after "
+        f"{LEVEL_SEARCH_MAX_ITER} steps"
+    )
 
 
 def element_level(costs, elements, radius: float, r: float = 1.0) -> float:
@@ -445,69 +451,6 @@ def check_gap_bounds(
 # finite transport order
 
 
-def _power(base: float, exponent: float) -> float:
-    if base <= 0.0:
-        return 0.0
-    return math.exp(exponent * math.log(base))
-
-
-def _max_on_segment(fn, a: float, b: float, samples: int = 9, iters: int = 48):
-    if b <= a:
-        return fn(a)
-    xs = np.linspace(a, b, samples)
-    vals = [fn(x) for x in xs]
-    best = int(np.argmax(vals))
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, samples - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = fn(x1)
-    return max(max(vals), f1, f2)
-
-
-def _scenario_dual_sup(system, c: np.ndarray, lam: float, q: float, r: float) -> float:
-    """sup over t of t - lam * g(t)^(q/r), g the cheapest lift budget."""
-    if lam <= 0.0:
-        return math.inf
-    base = bottleneck_value(system, c).value
-    cmax = float(np.max(c))
-
-    def h(t: float) -> float:
-        used, _ = _raise_cost(system, c, t, r)
-        return t - lam * _power(used, q / r)
-
-    if q > 1.0:
-        slack = (lam * q) ** (-1.0 / (q - 1.0))
-    else:
-        slack = 1.0 + float(np.max(c) - np.min(c))
-    hi = cmax + slack
-    for _ in range(8):
-        breaks = sorted({base, hi} | {float(x) for x in np.unique(c) if base < x < hi})
-        best = -math.inf
-        for a, b in zip(breaks, breaks[1:]):
-            best = max(best, _max_on_segment(h, a, b))
-        best = max(best, h(base))
-        if q > 1.0 or h(hi) < best - 1e-12 * (1.0 + abs(best)):
-            return best
-        # order 1 with a too-small multiplier: objective may be unbounded
-        probe = hi + slack
-        if h(probe) <= best + 1e-12 * (1.0 + abs(best)):
-            return best
-        hi = probe
-        slack *= 2.0
-    return math.inf
-
-
 def quantify_robust_finite_order(
     system: CombinatorialSystem,
     scenarios: ScenarioSet,
@@ -519,9 +462,15 @@ def quantify_robust_finite_order(
 
     Minimizes the convex dual function
     phi(lam) = lam * theta^q + mean_k sup_t [t - lam * g_k(t)^(q/r)]
-    over lam >= 0 by bracket expansion plus golden-section; the inner sup is
-    evaluated on the distinct-cost breakpoint grid with golden refinement.
-    Returns (value, minimizing multiplier).  Intended for desk-scale systems.
+    over lam >= 0.  Each scenario's lift model is built once (exactly at
+    r = 1, by Eisner-Severance discovery of the concave piecewise-linear
+    g_k); lam is bisected on the sign of the subgradient
+    theta^q - mean_k g_k(t_k)^(q/r) until its bracket is two adjacent floats.
+    The answer is certified: the returned upper bound phi(lam) is within
+    1e-12 relative of the expected bottleneck of an explicit feasible
+    distribution mixed from the maximizers at the bracket's ends;
+    otherwise ``ConvergenceError`` is raised.  At r != 1 the models are
+    refined until the bracket closes.  Returns (value, multiplier).
     """
 
     require_matching_width(scenarios, system)
@@ -531,70 +480,19 @@ def quantify_robust_finite_order(
     r = check_ground_order(ground_order)
     if radius == 0.0:
         return saa_value(system, scenarios), math.inf
+    # loaded on first use, like the family level's solvers: compiling it at
+    # package import would raise the peak memory of every other run
+    from ._finite import finite_order_bracket
 
-    q = float(order)
-    evals = 0
+    bracket = finite_order_bracket(system, scenarios, radius, float(order), r)
+    return bracket.upper, bracket.multiplier
 
-    def phi(lam: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > MULTIPLIER_SEARCH_MAX_EVALS + 400:
-            raise ConvergenceError("multiplier search exceeded its evaluation budget")
-        if lam < 0.0:
-            return math.inf
-        total = math.fsum(
-            _scenario_dual_sup(system, scenarios.costs[k], lam, q, r)
-            for k in range(scenarios.count)
-        )
-        if math.isinf(total):
-            return math.inf
-        return lam * radius**q + total / scenarios.count
 
-    # bracket a finite minimum around lam = 1
-    lam_mid, f_mid = 1.0, phi(1.0)
-    lam_hi, f_hi = 2.0, phi(2.0)
-    steps = 0
-    while f_hi < f_mid:
-        lam_mid, f_mid = lam_hi, f_hi
-        lam_hi *= 2.0
-        f_hi = phi(lam_hi)
-        steps += 1
-        if steps > MULTIPLIER_SEARCH_MAX_EVALS:
-            raise ConvergenceError("multiplier search failed to bracket a minimum")
-    lam_lo, f_lo = lam_mid / 2.0, phi(lam_mid / 2.0)
-    steps = 0
-    while f_lo < f_mid and lam_lo > 1e-300:
-        lam_mid, f_mid = lam_lo, f_lo
-        lam_lo /= 2.0
-        f_lo = phi(lam_lo)
-        steps += 1
-        if steps > MULTIPLIER_SEARCH_MAX_EVALS:
-            raise ConvergenceError("multiplier search failed to bracket a minimum")
+def _scenario_dual_sup(system, c: np.ndarray, lam: float, q: float, r: float) -> float:
+    """sup over t of t - lam * g(t)^(q/r), g the cheapest lift budget."""
+    from ._finite import scenario_dual_sup
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = lam_lo, lam_hi
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = phi(x1), phi(x2)
-    best_lam, best_val = (x1, f1) if f1 <= f2 else (x2, f2)
-    if f_mid < best_val:
-        best_lam, best_val = lam_mid, f_mid
-    for _ in range(120):
-        if hi - lo <= 1e-10 * (1.0 + hi):
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = phi(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = phi(x2)
-        if f1 < best_val:
-            best_lam, best_val = x1, f1
-        if f2 < best_val:
-            best_lam, best_val = x2, f2
-    return best_val, best_lam
+    return scenario_dual_sup(system, c, lam, q, r)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ that fast paths replaced (on the library's max-flow and breadth-first
 search, the assignment blocker's loop over row subsets, and the decision
 models' from-scratch subset scores, the top-k sum's set-function bound on
 the library's search, the top-k family level's HiGHS and SLSQP solves, and
-the per-prefix level's bracketed ``brentq`` root), so the fast paths can be
-compared bit for bit, or, for the family level and the prefix root, within
-the old solvers' tolerances.
+the per-prefix level's bracketed ``brentq`` root, and the finite-order
+dual's nested golden sections), so the fast paths can be compared bit for
+bit, or, for the family level, the prefix root and the finite-order value,
+within the old solvers' tolerances.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from drbottleneck import (
     ExplicitSystem,
     PathSystem,
     TreeSystem,
+    bottleneck_value,
     element_level,
     iter_members,
     min_member_size,
+    min_weight_blocker,
     minimize_members,
 )
 from drbottleneck._graphs import MaxFlow, bfs_path_edges
@@ -618,3 +621,132 @@ def reference_family_level(c: np.ndarray, family, radius: float, r: float) -> fl
     if best is None:
         raise ConvergenceError("family level optimization failed from all starts")
     return best
+
+
+def _reference_power(base: float, exponent: float) -> float:
+    if base <= 0.0:
+        return 0.0
+    return math.exp(exponent * math.log(base))
+
+
+def _reference_max_on_segment(fn, a: float, b: float, samples: int = 9, iters: int = 48):
+    if b <= a:
+        return fn(a)
+    xs = np.linspace(a, b, samples)
+    vals = [fn(x) for x in xs]
+    best = int(np.argmax(vals))
+    lo = xs[max(best - 1, 0)]
+    hi = xs[min(best + 1, samples - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = fn(x1)
+    return max(max(vals), f1, f2)
+
+
+def _reference_dual_sup(system, c: np.ndarray, lam: float, q: float, r: float) -> float:
+    if lam <= 0.0:
+        return math.inf
+    base = bottleneck_value(system, c).value
+    cmax = float(np.max(c))
+
+    def h(t: float) -> float:
+        used, _ = min_weight_blocker(system, np.clip(t - c, 0.0, None) ** r)
+        return t - lam * _reference_power(used, q / r)
+
+    if q > 1.0:
+        slack = (lam * q) ** (-1.0 / (q - 1.0))
+    else:
+        slack = 1.0 + float(np.max(c) - np.min(c))
+    hi = cmax + slack
+    for _ in range(8):
+        breaks = sorted({base, hi} | {float(x) for x in np.unique(c) if base < x < hi})
+        best = -math.inf
+        for a, b in zip(breaks, breaks[1:]):
+            best = max(best, _reference_max_on_segment(h, a, b))
+        best = max(best, h(base))
+        if q > 1.0 or h(hi) < best - 1e-12 * (1.0 + abs(best)):
+            return best
+        probe = hi + slack
+        if h(probe) <= best + 1e-12 * (1.0 + abs(best)):
+            return best
+        hi = probe
+        slack *= 2.0
+    return math.inf
+
+
+def reference_finite_order(system, scenarios, radius: float, order: float, ground_order: float = 1.0):
+    """The finite-order dual before the exact lift envelope: golden sections
+    over the multiplier and, between distinct costs, over the level, with a
+    blocker call for every level tried.  Returns (value, multiplier)."""
+    q, r = float(order), float(ground_order)
+    evals = 0
+
+    def phi(lam: float) -> float:
+        nonlocal evals
+        evals += 1
+        if evals > 600:
+            raise ConvergenceError("multiplier search exceeded its evaluation budget")
+        if lam < 0.0:
+            return math.inf
+        total = math.fsum(
+            _reference_dual_sup(system, scenarios.costs[k], lam, q, r)
+            for k in range(scenarios.count)
+        )
+        if math.isinf(total):
+            return math.inf
+        return lam * radius**q + total / scenarios.count
+
+    lam_mid, f_mid = 1.0, phi(1.0)
+    lam_hi, f_hi = 2.0, phi(2.0)
+    steps = 0
+    while f_hi < f_mid:
+        lam_mid, f_mid = lam_hi, f_hi
+        lam_hi *= 2.0
+        f_hi = phi(lam_hi)
+        steps += 1
+        if steps > 200:
+            raise ConvergenceError("multiplier search failed to bracket a minimum")
+    lam_lo, f_lo = lam_mid / 2.0, phi(lam_mid / 2.0)
+    steps = 0
+    while f_lo < f_mid and lam_lo > 1e-300:
+        lam_mid, f_mid = lam_lo, f_lo
+        lam_lo /= 2.0
+        f_lo = phi(lam_lo)
+        steps += 1
+        if steps > 200:
+            raise ConvergenceError("multiplier search failed to bracket a minimum")
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = lam_lo, lam_hi
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = phi(x1), phi(x2)
+    best_lam, best_val = (x1, f1) if f1 <= f2 else (x2, f2)
+    if f_mid < best_val:
+        best_lam, best_val = lam_mid, f_mid
+    for _ in range(120):
+        if hi - lo <= 1e-10 * (1.0 + hi):
+            break
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = phi(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = phi(x2)
+        if f1 < best_val:
+            best_lam, best_val = x1, f1
+        if f2 < best_val:
+            best_lam, best_val = x2, f2
+    return best_val, best_lam

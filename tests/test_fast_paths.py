@@ -7,9 +7,12 @@ exceptions are routes that replaced solvers accurate only to their
 tolerances.  The certified numpy top-k family level is checked against
 enumeration within 1e-12 and against HiGHS and SLSQP within 1e-9; the
 Newton prefix root is checked against ``brentq`` within 1e-13 and, unlike
-``brentq``, must meet its budget.
+``brentq``, must meet its budget.  The finite-order value is checked
+against the nested golden sections it replaced within 1e-9, and its
+certificate against brute force.
 """
 
+import math
 from collections import Counter
 from functools import partial
 from itertools import combinations, islice
@@ -19,11 +22,14 @@ import pytest
 
 import _oracles
 from _oracles import (
+    brute_bottleneck,
     brute_family_level,
+    brute_members,
     reference_assignment_blocker,
     reference_band,
     reference_bracketed_root,
     reference_family_level,
+    reference_finite_order,
     reference_least_variance_in_band,
     reference_min_st_cut_side,
     reference_minimize,
@@ -34,7 +40,7 @@ from _oracles import (
     reference_topk_sum_value,
     reference_tv_objective,
 )
-from conftest import random_path_system, random_system
+from conftest import random_assignment_system, random_path_system, random_system
 from drbottleneck import (
     AssignmentSystem,
     ConvergenceError,
@@ -47,6 +53,7 @@ from drbottleneck import (
     indifference_set,
     min_member_size,
     min_weight_blocker,
+    quantify_robust_finite_order,
     robust_decision,
     saa_decision,
     systems,
@@ -57,7 +64,7 @@ from drbottleneck import (
     tv_robust_decision,
     variance_robust_decision,
 )
-from drbottleneck import _family, quantify
+from drbottleneck import _family, _finite, quantify
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.decide import _mean, _radius_shift, _report, _shifted, _tv_objective
 from drbottleneck.quantify import _family_level, _lift_root, _prefix_level
@@ -193,6 +200,35 @@ def test_prefix_level_fallback_is_bounded(monkeypatch, r):
     monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="after 1 steps"):
         _prefix_level(np.array([1.0, 2.0, 4.0]), 0.7, r)
+
+
+def test_bisected_level_is_attained(monkeypatch):
+    # level-on-cost inputs: the radius is the r-norm of the lift to a cost,
+    # where rounding can put every prefix's closed form out of its range
+    reached = []
+    bisected = quantify._bisected_level
+    monkeypatch.setattr(
+        quantify, "_bisected_level", lambda *args: reached.append(1) or bisected(*args)
+    )
+    rng = np.random.default_rng(190)
+    for _ in range(6000):
+        scale = 10.0 ** rng.uniform(-6.0, 6.0) * rng.choice([-1.0, 1.0])
+        c = np.sort(scale * rng.uniform(0.0, 1.0, size=int(rng.integers(2, 6))))
+        i = int(rng.integers(1, len(c)))
+        r = float(rng.choice([1.0, 2.0]))
+        radius = float(np.sum((c[i] - c[:i]) ** r) ** (1.0 / r))
+        before = len(reached)
+        t = _prefix_level(c, radius, r)
+        if len(reached) == before:
+            continue
+
+        def fits(x):
+            return float(np.sum(np.clip(x - c, 0.0, None) ** r)) <= radius**r
+
+        assert fits(t), (c.tolist(), r)
+        assert not any(fits(x) for x in c if x > t), (c.tolist(), r)
+        assert not fits(np.nextafter(t, np.inf)), (c.tolist(), r)
+    assert len(reached) >= 300
 
 
 def _path_systems(seed, count):
@@ -567,3 +603,57 @@ def test_family_level_blocked_and_dependent_steps(monkeypatch):
         expected = reference_family_level(costs, family, radius, 1.5)
         assert abs(got - expected) <= 1e-9 * (1.0 + abs(expected)), (radius, got, expected)
         assert got >= expected - 1e-12 * (1.0 + abs(expected)), (radius, got, expected)
+
+
+def _finite_order_cases(seed, orders=(2.0, 3.0), most_scenarios=1, count=60):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = ("path", "tree", "assignment", "explicit")[i % 4]
+        if kind == "assignment":
+            system = random_assignment_system(rng, max_side=3)
+        else:
+            system = random_system(rng, kind)
+        rows = int(rng.integers(1, most_scenarios + 1))
+        scen = ScenarioSet(rng.uniform(0.0, 10.0, size=(rows, system.ground.n)))
+        yield system, scen, float(rng.uniform(0.1, 1.5)), orders[i // 4 % len(orders)]
+
+
+def test_finite_order_matches_reference():
+    # the old route's golden sections cost about 13,000 blocker calls a
+    # scenario, so these instances keep one scenario each
+    for system, scen, theta, q in _finite_order_cases(1509):
+        value, _ = quantify_robust_finite_order(system, scen, theta, q)
+        want, _ = reference_finite_order(system, scen, theta, q)
+        assert abs(value - want) <= 1e-9 * (1.0 + abs(want)), (system, scen.costs.tolist())
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_finite_order_support_attains_the_lower_bound(r):
+    bridge = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+    six = ScenarioSet(np.random.default_rng(11).uniform(0.0, 10.0, (6, 5)))
+    # the reference instances, then up to 3 scenarios and q = 1 as well
+    cases = [
+        *_finite_order_cases(1509),
+        *_finite_order_cases(1510, (1.0, 2.0, 3.0), 3),
+        (bridge, six, 1.0, 2.0),
+    ]
+    for system, scen, theta, q in cases:
+        bracket = _finite.finite_order_bracket(system, scen, theta, q, r)
+        assert bracket.upper - bracket.lower <= 1e-12 * (1.0 + abs(bracket.upper))
+        # rebuild the distribution and price it without the library
+        members = brute_members(system)
+        mass = np.zeros(scen.count)
+        spent, value = [], []
+        for k, weight, level, raised in bracket.support:
+            c = scen.costs[k]
+            point = c.copy()
+            point[sorted(raised)] = np.maximum(c[sorted(raised)], level)
+            moved = float(np.sum(np.abs(point - c) ** r)) ** (1.0 / r)
+            assert weight >= 0.0
+            mass[k] += weight
+            spent.append(weight * moved**q)
+            value.append(weight * brute_bottleneck(members, point))
+        assert np.all(np.abs(mass - 1.0) <= 1e-15)
+        assert math.fsum(spent) / scen.count <= theta**q
+        expected = math.fsum(value) / scen.count
+        assert abs(expected - bracket.lower) <= 1e-12 * (1.0 + abs(bracket.lower))

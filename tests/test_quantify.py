@@ -52,7 +52,7 @@ from drbottleneck import (
     topk_variance_robust_decision,
     worst_case_distribution,
 )
-from drbottleneck import quantify
+from drbottleneck import _finite, quantify
 from drbottleneck.cli import main
 from drbottleneck.decide import _shifted
 from drbottleneck.errors import InvariantViolationError
@@ -391,6 +391,35 @@ class TestFiniteOrder:
                 for k in range(2)
             ) / 2
             assert vinf <= bound + 1e-9
+
+    def test_unbounded_exactly_below_the_tail_limit(self, triangle):
+        # both blocker elements, {0, 2} and {1, 2}, have two elements, so at
+        # q = 1 the sup is +inf exactly below lam = 1/2
+        from drbottleneck.quantify import _scenario_dual_sup
+
+        costs = np.array([3.0, 5.0, 7.0])
+        limit = _scenario_dual_sup(triangle, costs, math.nextafter(0.5, 0.0), 1.0, 1.0)
+        assert limit == math.inf
+        for lam in (0.5, 0.75, 2.0):
+            assert math.isfinite(_scenario_dual_sup(triangle, costs, lam, 1.0, 1.0))
+
+    def test_exhausted_multiplier_search_raises(self, triangle, monkeypatch):
+        monkeypatch.setattr(_finite, "MULTIPLIER_SEARCH_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="after 1 steps"):
+            quantify_robust_finite_order(triangle, ScenarioSet([[3.0, 5.0, 7.0]]), 0.25, 2.0)
+
+    def test_bridge_envelope_blocker_calls(self, monkeypatch):
+        # the first scenario of the benchmark's finite-order run
+        system = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+        costs = np.random.default_rng(11).uniform(0, 10, (6, 5))[:1]
+        calls = []
+        blocker = _finite.min_weight_blocker
+        monkeypatch.setattr(
+            _finite, "min_weight_blocker", lambda *args: calls.append(1) or blocker(*args)
+        )
+        _, lam = quantify_robust_finite_order(system, ScenarioSet(costs), 1.0, 2.0)
+        assert len(calls) <= 20
+        assert abs(lam - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_triangle_against_mixture_oracle(self, triangle, q):
