@@ -261,32 +261,6 @@ class _LiftModel:
         self._collect()
         return changed
 
-    def certified_sup(self, lam: float) -> float:
-        if self.unbounded(lam):
-            return math.inf
-        for _ in range(MULTIPLIER_SEARCH_MAX_ITER):
-            upper, lower = self.upper(lam), self.best(lam).value
-            slack = FINITE_ORDER_GAP * (1.0 + abs(upper))
-            if upper - lower <= slack or not self.refine(lam, lower + 0.5 * slack):
-                break
-        if not upper - lower <= slack:
-            raise ConvergenceError(
-                f"scenario dual sup bracket [{lower!r}, {upper!r}] did not close"
-            )
-        return upper
-
-
-def scenario_dual_sup(system, c: np.ndarray, lam: float, q: float, r: float) -> float:
-    """sup over t of t - lam * g(t)^(q/r), g the cheapest lift budget.
-
-    +inf for lam <= 0 and, at q = 1, exactly when lam * |B*|^(1/r) < 1 for a
-    least blocker element B*.  Exact at r = 1; at r != 1 the returned upper
-    bound is within ``FINITE_ORDER_GAP`` relative of an attained lift.
-    """
-    if lam <= 0.0:
-        return math.inf
-    return _LiftModel(system, np.asarray(c, dtype=float), q, r).certified_sup(lam)
-
 
 def _multiplier_bracket(models, room: float):
     """Adjacent floats lo < hi where the dual's subgradient

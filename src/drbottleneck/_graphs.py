@@ -1,8 +1,10 @@
 """Internal graph primitives.
 
-Max-flow / min s-t cut, global minimum cut by repeated maximum-adjacency
-contraction, augmenting-path bipartite matching, and a small disjoint-set
-forest.  All routines are deterministic: ties are broken by smallest id.
+The source side of a minimum s-t cut (one function: Dinic's max-flow,
+whose last level search is the side), global minimum cut by repeated
+maximum-adjacency contraction, augmenting-path bipartite matching,
+breadth-first s-t paths, and a small disjoint-set forest.  All routines are
+deterministic: ties are broken by smallest id.
 """
 
 from __future__ import annotations
@@ -43,120 +45,74 @@ class DisjointSets:
         return other
 
 
-class MaxFlow:
-    """Dinic-style blocking-flow max-flow with real capacities.
+def min_st_cut_side(n: int, edges, weights, s: int, t: int) -> set[int]:
+    """Source side of a minimum s-t cut for nonnegative real edge weights.
 
-    Undirected edges are added as a mutually-reverse arc pair, each carrying
-    the full capacity.  The phase count is bounded by the node count, so
-    termination does not depend on capacities being integral; a relative
-    residual tolerance decides which arcs are usable.
+    Dinic's max-flow with real capacities.  ``edges`` is a sequence of
+    (u, v) pairs; parallel edges are fine.  Each edge heavier than the
+    residual tolerance, 1e-12 of the largest weight (or of 1), becomes a
+    mutually-reverse arc pair, each arc carrying the full weight; a lighter
+    edge can carry no flow and no residual search crosses it, so leaving it
+    out changes neither the flow nor the source side.  The phase count is
+    bounded by the node count, so termination does not depend on integral
+    weights.  Each phase's level search runs over the whole residual graph;
+    the first one that misses t has reached exactly the source side, which
+    is returned.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_undirected(self, u: int, v: int, cap: float) -> int:
-        """Add an undirected edge; returns the index of its forward arc."""
-        i = len(self.to)
-        self.adj[u].append(i)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(i + 1)
-        self.to.append(u)
-        self.cap.append(cap)
-        return i
-
-    def _levels(self, s: int, t: int, eps: float) -> list[int] | None:
-        level = [-1] * self.n
+    weights = list(map(float, weights))
+    eps = 1e-12 * max(weights + [1.0])
+    to: list[int] = []
+    cap: list[float] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), w in zip(edges, weights):
+        if w > eps:
+            adj[u].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += (v, u)
+            cap += (w, w)
+    while True:
+        level = [-1] * n
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for i in self.adj[u]:
-                v = self.to[i]
-                if level[v] < 0 and self.cap[i] > eps:
+            for i in adj[u]:
+                v = to[i]
+                if level[v] < 0 and cap[i] > eps:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def max_flow(self, s: int, t: int, eps: float) -> float:
-        total = 0.0
+        if level[t] < 0:
+            return {v for v in range(n) if level[v] >= 0}
+        # blocking flow: a depth-first walk over the level graph with an
+        # explicit stack of arcs.  It follows each node's arc pointer,
+        # advances the pointer past an arc only when the walk retreats over
+        # it, and pushes each path's least capacity; the phase ends when the
+        # walk retreats out of s.
+        it = [0] * n
         while True:
-            level = self._levels(s, t, eps)
-            if level is None:
-                return total
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, eps, level, it)
-                if pushed <= 0.0:
-                    break
-                total += pushed
-
-    def _augment(self, s: int, t: int, eps: float, level: list[int], it: list[int]) -> float:
-        """Push flow along one level-graph path from ``s`` to ``t``.
-
-        A depth-first walk with an explicit stack of arcs: it follows each
-        node's arc pointer, advances the pointer past an arc only when the
-        walk retreats over it, and pushes the path's least capacity.  Returns
-        0.0 when ``t`` is cut off.
-        """
-        adj, to, cap = self.adj, self.to, self.cap
-        path: list[int] = []
-        u = s
-        while u != t:
-            while it[u] < len(adj[u]):
-                i = adj[u][it[u]]
-                v = to[i]
-                if cap[i] > eps and level[v] == level[u] + 1:
-                    path.append(i)
-                    u = v
-                    break
-                it[u] += 1
-            else:
-                # dead end: retreat over the arc that led here
-                if not path:
-                    return 0.0
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-        pushed = min((cap[i] for i in path), default=float("inf"))
-        for i in path:
-            cap[i] -= pushed
-            cap[i ^ 1] += pushed
-        return pushed
-
-    def source_side(self, s: int, eps: float) -> set[int]:
-        """Nodes reachable from ``s`` in the residual graph."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for i in self.adj[u]:
-                v = self.to[i]
-                if v not in seen and self.cap[i] > eps:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
-def min_st_cut_side(n: int, edges, weights, s: int, t: int) -> set[int]:
-    """Source side of a minimum s-t cut for nonnegative real edge weights.
-
-    ``edges`` is a sequence of (u, v) pairs; parallel edges are fine.  An
-    edge of weight at most the residual tolerance gets no arc pair: no flow
-    can cross it and the residual walk never uses it, so leaving it out
-    changes neither the flow nor the source side.
-    """
-    weights = list(map(float, weights))
-    eps = 1e-12 * max(weights + [1.0])
-    flow = MaxFlow(n)
-    for (u, v), w in zip(edges, weights):
-        if w > eps:
-            flow.add_undirected(u, v, w)
-    flow.max_flow(s, t, eps)
-    return flow.source_side(s, eps)
+            path: list[int] = []
+            u = s
+            while u != t:
+                while it[u] < len(adj[u]):
+                    i = adj[u][it[u]]
+                    v = to[i]
+                    if cap[i] > eps and level[v] == level[u] + 1:
+                        path.append(i)
+                        u = v
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    # dead end: retreat over the arc that led here
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+            if u != t:
+                break
+            pushed = min(cap[i] for i in path)
+            for i in path:
+                cap[i] -= pushed
+                cap[i ^ 1] += pushed
 
 
 def global_min_cut_side(n: int, edges, weights) -> set[int]:

@@ -310,19 +310,15 @@ def robust_scenario_value(
     moves to that element's exact level while it is higher.  The stop is a
     certificate: a lift cheaper than radius^r reaches strictly higher, and
     one costing at least radius^r leaves every blocker element at or below
-    the level, which is attained by the returned witness.
+    the level, which is attained by the returned witness.  At radius 0 the
+    witness's level is its least cost, the bottleneck value, and no step
+    is taken.
     """
 
     check_radius(radius)
     r = check_ground_order(ground_order)
     c = np.asarray(costs, dtype=float)
     base = bottleneck_value(system, c)
-    if radius == 0.0:
-        raised = frozenset(
-            j for j in base.dual_witness.elements if c[j] <= base.value
-        )
-        return ScenarioRobustness(base.value, base.dual_witness, raised)
-
     witness = base.dual_witness
     level = element_level(c, witness.elements, radius, r)
     calls = 0
@@ -486,13 +482,6 @@ def quantify_robust_finite_order(
 
     bracket = finite_order_bracket(system, scenarios, radius, float(order), r)
     return bracket.upper, bracket.multiplier
-
-
-def _scenario_dual_sup(system, c: np.ndarray, lam: float, q: float, r: float) -> float:
-    """sup over t of t - lam * g(t)^(q/r), g the cheapest lift budget."""
-    from ._finite import scenario_dual_sup
-
-    return scenario_dual_sup(system, c, lam, q, r)
 
 
 # ---------------------------------------------------------------------------

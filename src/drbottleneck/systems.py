@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -266,19 +265,8 @@ class PathSystem(_GraphSystem):
         if self.s == self.t:
             raise InvalidInstanceError("s and t must differ")
         self._check_edges()
-        if not self._reaches_t():
+        if bfs_path_edges(self.nodes, self.incidence, self.s, self.t) is None:
             raise InvalidInstanceError("no s-t path exists")
-
-    def _reaches_t(self) -> bool:
-        seen = {self.s}
-        queue = deque([self.s])
-        while queue:
-            u = queue.popleft()
-            for _, v in self.incidence[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return self.t in seen
 
     def threshold_witness(self, costs, t):
         # BFS paths visit edges in id order

@@ -5,19 +5,22 @@ networkx, bitmask scans, vertex enumeration, bisection and grid searches over
 structured perturbations) so library results can be checked against code
 that shares none of the library's algorithmic machinery.  The frozen
 references at the end are the exception: verbatim copies of library routes
-that fast paths replaced (on the library's max-flow and breadth-first
-search, the assignment blocker's loop over row subsets, and the decision
-models' from-scratch subset scores, the top-k sum's set-function bound on
-the library's search, the top-k family level's HiGHS and SLSQP solves, and
-the per-prefix level's bracketed ``brentq`` root, and the finite-order
-dual's nested golden sections), so the fast paths can be compared bit for
-bit, or, for the family level, the prefix root and the finite-order value,
-within the old solvers' tolerances.
+that fast paths replaced, so the fast paths can be compared bit for bit, or,
+for the family level, the prefix root and the finite-order value, within the
+old solvers' tolerances.  They are the max-flow class that the library's
+one-function minimum cut replaced (a frozen copy, with its own arc pair for
+every edge and a second residual search for the source side) and a path
+witness on the library's breadth-first search, the assignment blocker's loop
+over row subsets, the decision models' from-scratch subset scores, the
+top-k sum's set-function bound on the library's search, the top-k family
+level's HiGHS and SLSQP solves, the per-prefix level's bracketed ``brentq``
+root, and the finite-order dual's nested golden sections.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import partial
 from itertools import combinations, permutations, product
 
@@ -41,7 +44,7 @@ from drbottleneck import (
     min_weight_blocker,
     minimize_members,
 )
-from drbottleneck._graphs import MaxFlow, bfs_path_edges
+from drbottleneck._graphs import bfs_path_edges
 from drbottleneck.decide import _mean, _population_variance, _report
 from drbottleneck.quantify import _lift_root
 
@@ -99,6 +102,28 @@ def brute_bottleneck(members, costs) -> float:
 
 def brute_dual_bottleneck(hitting_sets, costs) -> float:
     return max(min(costs[j] for j in h) for h in hitting_sets)
+
+
+def brute_minimal_cut_side(n: int, edges, weights, s: int, t: int) -> set[int]:
+    """The least source side of a minimum s-t cut, by scanning every side.
+
+    For at most 8 nodes and small integer weights, so every cut sum is
+    exact.  Minimum cuts are closed under intersection, so the intersection
+    of every minimum-weight side is itself one: the side that the residual
+    search of any maximum flow reaches.
+    """
+    assert n <= 8 and all(int(w) == w >= 0 for w in weights)
+    best, least = math.inf, set(range(n))
+    for mask in range(1 << n):
+        if not mask >> s & 1 or mask >> t & 1:
+            continue
+        side = {v for v in range(n) if mask >> v & 1}
+        weight = sum(w for (u, v), w in zip(edges, weights) if (u in side) != (v in side))
+        if weight < best:
+            best, least = weight, side
+        elif weight == best:
+            least &= side
+    return least
 
 
 def brute_topk(members, costs, k: int) -> float:
@@ -311,6 +336,104 @@ def two_point_mixture_oracle(members, costs, radius, order, ground_order):
 # ---------------------------------------------------------------------------
 # frozen references: the oracles before their fast paths, kept verbatim
 # so the fast paths can be compared with them bit for bit
+
+
+class MaxFlow:
+    """Dinic-style blocking-flow max-flow with real capacities.
+
+    Undirected edges are added as a mutually-reverse arc pair, each carrying
+    the full capacity.  The phase count is bounded by the node count, so
+    termination does not depend on capacities being integral; a relative
+    residual tolerance decides which arcs are usable.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.to: list[int] = []
+        self.cap: list[float] = []
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+
+    def add_undirected(self, u: int, v: int, cap: float) -> int:
+        """Add an undirected edge; returns the index of its forward arc."""
+        i = len(self.to)
+        self.adj[u].append(i)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(i + 1)
+        self.to.append(u)
+        self.cap.append(cap)
+        return i
+
+    def _levels(self, s: int, t: int, eps: float) -> list[int] | None:
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for i in self.adj[u]:
+                v = self.to[i]
+                if level[v] < 0 and self.cap[i] > eps:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def max_flow(self, s: int, t: int, eps: float) -> float:
+        total = 0.0
+        while True:
+            level = self._levels(s, t, eps)
+            if level is None:
+                return total
+            it = [0] * self.n
+            while True:
+                pushed = self._augment(s, t, eps, level, it)
+                if pushed <= 0.0:
+                    break
+                total += pushed
+
+    def _augment(self, s: int, t: int, eps: float, level: list[int], it: list[int]) -> float:
+        """Push flow along one level-graph path from ``s`` to ``t``.
+
+        A depth-first walk with an explicit stack of arcs: it follows each
+        node's arc pointer, advances the pointer past an arc only when the
+        walk retreats over it, and pushes the path's least capacity.  Returns
+        0.0 when ``t`` is cut off.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(adj[u]):
+                i = adj[u][it[u]]
+                v = to[i]
+                if cap[i] > eps and level[v] == level[u] + 1:
+                    path.append(i)
+                    u = v
+                    break
+                it[u] += 1
+            else:
+                # dead end: retreat over the arc that led here
+                if not path:
+                    return 0.0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min((cap[i] for i in path), default=float("inf"))
+        for i in path:
+            cap[i] -= pushed
+            cap[i ^ 1] += pushed
+        return pushed
+
+    def source_side(self, s: int, eps: float) -> set[int]:
+        """Nodes reachable from ``s`` in the residual graph."""
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for i in self.adj[u]:
+                v = self.to[i]
+                if v not in seen and self.cap[i] > eps:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
 
 
 def reference_min_st_cut_side(n: int, edges, weights, s: int, t: int) -> set[int]:

@@ -50,8 +50,7 @@ from drbottleneck import (
     variance_robust_decision,
     worst_case_distribution,
 )
-from drbottleneck import ExplicitSystem, enumerate_members
-from drbottleneck.quantify import _scenario_dual_sup
+from drbottleneck import ExplicitSystem, _finite, enumerate_members
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -469,7 +468,7 @@ def test_criterion_12_finite_transport_order():
     costs = np.array([3.0, 5.0, 7.0])
     lams = np.linspace(0.3, 4.0, 13)
     phis = [
-        lam * 0.4**2 + _scenario_dual_sup(triangle, costs, lam, 2.0, 1.0)
+        lam * 0.4**2 + _finite._LiftModel(triangle, costs, 2.0, 1.0).upper(lam)
         for lam in lams
     ]
     min_second_diff = float(np.diff(phis, 2).min())

@@ -25,6 +25,7 @@ from _oracles import (
     brute_bottleneck,
     brute_family_level,
     brute_members,
+    brute_minimal_cut_side,
     reference_assignment_blocker,
     reference_band,
     reference_bracketed_root,
@@ -278,6 +279,21 @@ def test_path_blocker_matches_reference():
             assert min_st_cut_side(n, edges, as_list, s, t) == reference_min_st_cut_side(
                 n, edges, as_list, s, t
             )
+
+
+def test_cut_side_is_the_least_minimum_cut():
+    # seeded multigraphs with integer weights 0-3, so every cut sum is exact:
+    # the returned side is the intersection of all minimum-weight sides
+    rng = np.random.default_rng(23)
+    for _ in range(1500):
+        n = int(rng.integers(2, 9))
+        s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+        edges = []
+        for _ in range(int(rng.integers(0, 3 * n))):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            edges.append((u, v))
+        w = rng.integers(0, 4, size=len(edges)).tolist()
+        assert min_st_cut_side(n, edges, w, s, t) == brute_minimal_cut_side(n, edges, w, s, t)
 
 
 def _assignment_weights(rng, m):

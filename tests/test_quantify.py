@@ -368,11 +368,10 @@ class TestFiniteOrder:
     def test_dual_function_convex(self, triangle):
         scen = ScenarioSet([[3.0, 5.0, 7.0]])
         q, r, theta = 2.0, 1.0, 0.4
-        from drbottleneck.quantify import _scenario_dual_sup
 
         lams = np.linspace(0.3, 4.0, 13)
         phis = [
-            lam * theta**q + _scenario_dual_sup(triangle, scen.costs[0], lam, q, r)
+            lam * theta**q + _finite._LiftModel(triangle, scen.costs[0], q, r).upper(lam)
             for lam in lams
         ]
         second = np.diff(phis, 2)
@@ -382,12 +381,11 @@ class TestFiniteOrder:
         # weak duality: any multiplier upper-bounds the essential-sup value
         scen = ScenarioSet([[3.0, 5.0, 7.0], [1.0, 6.0, 6.5]])
         theta = 0.5
-        from drbottleneck.quantify import _scenario_dual_sup
 
         vinf = quantify_robust(triangle, scen, WassersteinBall(theta)).value
         for lam in (0.8, 1.5, 4.0):
             bound = lam * theta + math.fsum(
-                _scenario_dual_sup(triangle, scen.costs[k], lam, 1.0, 1.0)
+                _finite._LiftModel(triangle, scen.costs[k], 1.0, 1.0).upper(lam)
                 for k in range(2)
             ) / 2
             assert vinf <= bound + 1e-9
@@ -395,13 +393,11 @@ class TestFiniteOrder:
     def test_unbounded_exactly_below_the_tail_limit(self, triangle):
         # both blocker elements, {0, 2} and {1, 2}, have two elements, so at
         # q = 1 the sup is +inf exactly below lam = 1/2
-        from drbottleneck.quantify import _scenario_dual_sup
-
         costs = np.array([3.0, 5.0, 7.0])
-        limit = _scenario_dual_sup(triangle, costs, math.nextafter(0.5, 0.0), 1.0, 1.0)
+        limit = _finite._LiftModel(triangle, costs, 1.0, 1.0).upper(math.nextafter(0.5, 0.0))
         assert limit == math.inf
         for lam in (0.5, 0.75, 2.0):
-            assert math.isfinite(_scenario_dual_sup(triangle, costs, lam, 1.0, 1.0))
+            assert math.isfinite(_finite._LiftModel(triangle, costs, 1.0, 1.0).upper(lam))
 
     def test_exhausted_multiplier_search_raises(self, triangle, monkeypatch):
         monkeypatch.setattr(_finite, "MULTIPLIER_SEARCH_MAX_ITER", 1)
