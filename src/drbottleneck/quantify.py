@@ -310,15 +310,19 @@ def robust_scenario_value(
     moves to that element's exact level while it is higher.  The stop is a
     certificate: a lift cheaper than radius^r reaches strictly higher, and
     one costing at least radius^r leaves every blocker element at or below
-    the level, which is attained by the returned witness.  At radius 0 the
-    witness's level is its least cost, the bottleneck value, and no step
-    is taken.
+    the level, which is attained by the returned witness.
     """
 
     check_radius(radius)
     r = check_ground_order(ground_order)
     c = np.asarray(costs, dtype=float)
     base = bottleneck_value(system, c)
+    if radius == 0.0:
+        raised = frozenset(
+            j for j in base.dual_witness.elements if c[j] <= base.value
+        )
+        return ScenarioRobustness(base.value, base.dual_witness, raised)
+
     witness = base.dual_witness
     level = element_level(c, witness.elements, radius, r)
     calls = 0

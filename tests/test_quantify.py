@@ -216,6 +216,15 @@ class TestQuantifyRobust:
             quote = quantify_robust(system, scen, WassersteinBall(0.0))
             assert quote.value == saa_value(system, scen)
 
+    def test_zero_radius_equals_saa_on_inexact_ties(self):
+        # 0.1 + 0.1 + 0.1 rounds above 0.3, so a level averaged over the
+        # three tied edges at s would sit one ulp above the bottleneck value
+        k4 = PathSystem(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 0, 3)
+        scen = ScenarioSet(np.full((1, 6), 0.1))
+        quote = quantify_robust(k4, scen, WassersteinBall(0.0))
+        assert quote.value == saa_value(k4, scen) == 0.1
+        assert np.array_equal(worst_case_distribution(quote, scen), scen.costs)
+
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(103)
         for _ in range(10):
@@ -376,6 +385,12 @@ class TestFiniteOrder:
         ]
         second = np.diff(phis, 2)
         assert np.all(second >= -1e-6)
+        # at r = 1 the envelope is the sup: an attained lift reaches it
+        model = _finite._LiftModel(triangle, scen.costs[0], q, r)
+        for lam in lams:
+            upper = model.upper(lam)
+            gap = _finite.FINITE_ORDER_GAP * (1.0 + abs(upper))
+            assert upper - model.best(lam).value <= gap
 
     def test_dominates_infinite_order(self, triangle):
         # weak duality: any multiplier upper-bounds the essential-sup value
