@@ -62,13 +62,16 @@ from .generate import (
     shannon_capacity,
 )
 from .quantify import (
+    EmpiricalRecord,
     GapReport,
     RobustQuote,
     ScenarioRobustness,
     TopkQuote,
+    TopkRecord,
     WassersteinBall,
     check_gap_bounds,
     element_level,
+    empirical_record,
     l1_robust_level,
     quantify_robust,
     quantify_robust_finite_order,
@@ -76,6 +79,7 @@ from .quantify import (
     robust_scenario_value,
     saa_value,
     structure_constant,
+    topk_record,
     worst_case_distribution,
 )
 from .scenarios import ScenarioSet, load_scenarios, require_matching_width, save_scenarios

@@ -50,11 +50,10 @@ from .generate import (
 )
 from .quantify import (
     WassersteinBall,
-    quantify_robust,
+    empirical_record,
     quantify_robust_finite_order,
     quantify_topk,
-    saa_value,
-    scenario_bottlenecks,
+    topk_record,
 )
 from .scenarios import load_scenarios, require_matching_width, save_scenarios
 from .search import enumerate_members
@@ -175,7 +174,10 @@ def _load_pair(args):
 class _GridModel:
     """A model run once per radius of a grid over one instance/scenario pair.
 
-    ``prepare(args, system, scenarios)`` computes what every radius shares.
+    ``prepare(args, system, scenarios)`` computes what every radius shares,
+    such as the quantify, calibrate and evaluate models' empirical record of
+    per-scenario bottlenecks and gamma-quantify's top-k record; it runs
+    before the first radius, so no row's ``time_sec`` includes it.
     ``point(args, system, scenarios, prepared, theta)`` is the timed work for
     one radius; it returns the value, the CSV values of ``columns`` and the
     JSON record.  ``summary(args, prepared, grid, records)`` gives the JSON
@@ -210,20 +212,23 @@ class _GridModel:
         _write_json(args.out + ".json", {"model": args.model, **summary})
 
 
-def _robust_value(args, system, scenarios, theta) -> float:
-    ball = WassersteinBall(radius=theta, ground_order=args.r)
-    return quantify_robust(system, scenarios, ball, sense=args.sense).value
+def _robust_value(args, record, theta) -> float:
+    return record.quote(WassersteinBall(radius=theta, ground_order=args.r)).value
 
 
-def _quantify_saa(args, system, scenarios) -> float:
+def _empirical_record(args, system, scenarios):
+    return empirical_record(system, scenarios, sense=args.sense)
+
+
+def _quantify_record(args, system, scenarios):
     if not math.isinf(args.q) and args.sense != "cost":
         raise DomainError("finite transport orders support the cost sense only")
-    return saa_value(system, scenarios, sense=args.sense)
+    return _empirical_record(args, system, scenarios)
 
 
-def _quantify_point(args, system, scenarios, saa, theta):
+def _quantify_point(args, system, scenarios, record, theta):
     if math.isinf(args.q):
-        value = _robust_value(args, system, scenarios, theta)
+        value = _robust_value(args, record, theta)
         return value, (), {"theta": theta, "value": value}
     value, lam = quantify_robust_finite_order(system, scenarios, theta, args.q, args.r)
     multiplier = lam if math.isfinite(lam) else "inf"
@@ -254,9 +259,8 @@ def _shift_point(args, system, scenarios, base, theta):
     return _decision_record(system, report, fields)
 
 
-def _gamma_quantify_point(args, system, scenarios, prepared, theta):
-    quote = quantify_topk(system, scenarios, theta, args.gamma, args.r,
-                          force=args.force_enumeration)
+def _gamma_quantify_point(args, system, scenarios, topk, theta):
+    quote = quantify_topk(topk, theta, args.r)
     value = quote.exact if quote.exact is not None else quote.upper
     record = {"theta": theta, "value": value, "saa": quote.saa, "lower": quote.lower,
               "upper": quote.upper, "exact_available": quote.exact is not None,
@@ -264,12 +268,19 @@ def _gamma_quantify_point(args, system, scenarios, prepared, theta):
     return value, (quote.saa, quote.lower, quote.upper), record
 
 
-def _calibrate_point(args, system, scenarios, band, theta):
-    value = _robust_value(args, system, scenarios, theta)
+def _calibrate_prepare(args, system, scenarios):
+    record = _empirical_record(args, system, scenarios)
+    return record, asymptotic_ci(record.values)
+
+
+def _calibrate_point(args, system, scenarios, prepared, theta):
+    record, band = prepared
+    value = _robust_value(args, record, theta)
     return value, (band.lower, band.upper), {"theta": theta, "value": value}
 
 
-def _calibrate_summary(args, band, grid, records):
+def _calibrate_summary(args, prepared, grid, records):
+    _, band = prepared
     endpoint = "lower" if args.sense == "capacity" else "upper"
     values = [record["value"] for record in records]
     return {
@@ -281,10 +292,10 @@ def _calibrate_summary(args, band, grid, records):
     }
 
 
-def _evaluate_point(args, system, scenarios, prepared, theta):
-    per_scenario = scenario_bottlenecks(system, scenarios, args.sense)
+def _evaluate_point(args, system, scenarios, record, theta):
+    per_scenario = list(record.values)
     band = asymptotic_ci(per_scenario) if len(per_scenario) > 1 else None
-    value = math.fsum(per_scenario) / len(per_scenario)
+    value = record.saa
     ci = (band.lower, band.upper) if band else (value, value)
     return value, ci, {"mean_value": value, "per_scenario": per_scenario}
 
@@ -374,12 +385,12 @@ def _oracle(args):
 MODELS = {
     "quantify": _GridModel(
         _quantify_point,
-        prepare=_quantify_saa,
-        summary=lambda args, saa, grid, records: {
+        prepare=_quantify_record,
+        summary=lambda args, record, grid, records: {
             "sense": args.sense,
             "transport_order": "inf" if math.isinf(args.q) else args.q,
             "ground_order": args.r,
-            "saa": saa,
+            "saa": record.saa,
             "results": records,
         },
     ),
@@ -407,6 +418,9 @@ MODELS = {
     ),
     "gamma-quantify": _GridModel(
         _gamma_quantify_point,
+        prepare=lambda args, system, scenarios: topk_record(
+            system, scenarios, args.gamma, force=args.force_enumeration
+        ),
         columns=("saa", "lower", "upper"),
         summary=lambda args, _, grid, records: {
             "k": args.gamma, "ground_order": args.r, "results": records
@@ -424,9 +438,7 @@ MODELS = {
     ),
     "calibrate": _GridModel(
         _calibrate_point,
-        prepare=lambda args, system, scenarios: asymptotic_ci(
-            scenario_bottlenecks(system, scenarios, args.sense)
-        ),
+        prepare=_calibrate_prepare,
         columns=("ci_lower", "ci_upper"),
         summary=_calibrate_summary,
         inf_only=True,
@@ -434,6 +446,7 @@ MODELS = {
     "simulate": _simulate,
     "evaluate": _GridModel(
         _evaluate_point,
+        prepare=_empirical_record,
         grid=lambda args: [0.0],
         columns=("ci_lower", "ci_upper"),
         summary=lambda args, _, grid, records: {"sense": args.sense, **records[0]},

@@ -7,10 +7,14 @@ such that raising some blocker element's cheap costs up to t fits the budget,
 
     minimum over blocker elements y of  sum_{j in y} (t - c_j)_+^r  <=  theta^r.
 
-The level search starts at the exact level of the empirical dual witness and
-asks the minimum-weight blocker oracle for the cheapest lift to the current
-level, moving to that element's exact level while it is higher; it stops on
-a certificate, with the level attained by an explicit blocker element.
+Each scenario's empirical bottleneck value and dual witness do not depend on
+the radius, so ``empirical_record`` computes them once (one
+``bottleneck_value`` call per scenario) and every radius of a grid is quoted
+from that record; ``quantify_robust`` is the one-radius case.  The level
+search starts at the exact level of the empirical dual witness and asks the
+minimum-weight blocker oracle for the cheapest lift to the current level,
+moving to that element's exact level while it is higher; it stops on a
+certificate, with the level attained by an explicit blocker element.
 A per-element level is closed-form for r in {1, 2} and otherwise a Newton
 root of the convex prefix budget, taken from the right, whose level meets
 the budget as computed.
@@ -19,7 +23,8 @@ come from each scenario's lift envelope, built once by Eisner-Severance
 discovery (exact at r = 1); the multiplier is bisected to adjacent floats and
 the value is certified by an explicit feasible distribution.  The
 top-k-sum generalization reports certified brackets and, at tiny scale, the
-exact value.
+exact value; its SAA and its enumerated blocker families are likewise
+computed once, by ``topk_record``, and ``quantify_topk`` prices one radius.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .scenarios import ScenarioSet, require_matching_width
 from .search import enumerate_members
 from .systems import (
     BlockerElement,
+    BottleneckResult,
     CombinatorialSystem,
     antichain_reduce,
     max_blocker_size,
@@ -301,32 +307,39 @@ def _raise_cost(system, c: np.ndarray, t: float, r: float):
 
 
 def robust_scenario_value(
-    system: CombinatorialSystem, costs, radius: float, ground_order: float = 1.0
+    system: CombinatorialSystem,
+    costs,
+    empirical: BottleneckResult,
+    radius: float,
+    ground_order: float = 1.0,
 ) -> ScenarioRobustness:
     """Single-scenario worst-case bottleneck level under an r-norm budget.
 
-    From the exact level of the empirical dual witness, each step asks the
-    minimum-weight blocker oracle for the cheapest lift to the level and
-    moves to that element's exact level while it is higher.  The stop is a
-    certificate: a lift cheaper than radius^r reaches strictly higher, and
-    one costing at least radius^r leaves every blocker element at or below
-    the level, which is attained by the returned witness.
+    ``empirical`` is ``bottleneck_value(system, costs)``, which no radius
+    changes, so a sweep over radii computes it once per scenario; a result
+    whose dual witness's least cost is not its value is refused.  From the
+    exact level of its dual witness, each step asks the minimum-weight
+    blocker oracle for the cheapest lift to the level and moves to that
+    element's exact level while it is higher.  The stop is a certificate: a
+    lift cheaper than radius^r reaches strictly higher, and one costing at
+    least radius^r leaves every blocker element at or below the level, which
+    is attained by the returned witness.  At radius 0 the level is the
+    empirical value itself.
     """
 
     check_radius(radius)
     r = check_ground_order(ground_order)
-    c = np.asarray(costs, dtype=float)
-    base = bottleneck_value(system, c)
+    c = system.validated_costs(costs)
+    witness = empirical.dual_witness
+    if float(np.min(c[sorted(witness.elements)])) != empirical.value:
+        raise DomainError("the empirical bottleneck result is not that of these costs")
     if radius == 0.0:
-        raised = frozenset(
-            j for j in base.dual_witness.elements if c[j] <= base.value
-        )
-        return ScenarioRobustness(base.value, base.dual_witness, raised)
+        raised = frozenset(j for j in witness.elements if c[j] <= empirical.value)
+        return ScenarioRobustness(empirical.value, witness, raised)
 
-    witness = base.dual_witness
     level = element_level(c, witness.elements, radius, r)
     calls = 0
-    while level < base.value + radius:
+    while level < empirical.value + radius:
         if calls == LEVEL_SEARCH_MAX_ITER:
             raise ConvergenceError(f"level search still rising after {calls} blocker calls")
         calls += 1
@@ -339,12 +352,79 @@ def robust_scenario_value(
     return ScenarioRobustness(level, witness, raised)
 
 
-def _oriented(costs: np.ndarray, sense: str) -> np.ndarray:
+def _oriented(x, sense: str):
+    """Costs or values as the cost-sense solvers see them; an involution."""
     if sense == "cost":
-        return costs
+        return x
     if sense == "capacity":
-        return -costs
+        return -x
     raise DomainError("sense must be 'cost' or 'capacity'")
+
+
+@dataclass(frozen=True)
+class EmpiricalRecord:
+    """Each scenario's empirical bottleneck, which no radius changes.
+
+    ``results[k]`` is ``bottleneck_value`` of scenario k's costs as the
+    solvers see them (negated in the capacity sense), with the dual witness
+    every level search starts from; ``values[k]`` is its value in the
+    caller's sense and ``saa`` their mean, summed exactly.  Made once by
+    ``empirical_record``; ``quote`` prices one radius from it, so a radius
+    grid computes each bottleneck once.
+    """
+
+    system: CombinatorialSystem
+    scenarios: ScenarioSet
+    sense: str
+    results: tuple[BottleneckResult, ...]
+    values: tuple[float, ...]
+    saa: float
+
+    def quote(self, config: WassersteinBall) -> RobustQuote:
+        """Worst-case expected bottleneck value over the order-infinity ball.
+
+        Each scenario's level is raised or, in the capacity sense, lowered
+        from its empirical result; contributions are accumulated with exact
+        summation, making the value independent of scenario order bit for
+        bit.
+        """
+        costs = self.scenarios.costs
+        per: list[ScenarioRobustness] = []
+        support = np.array(costs, dtype=float)
+        for k, empirical in enumerate(self.results):
+            rec = robust_scenario_value(
+                self.system,
+                _oriented(costs[k], self.sense),
+                empirical,
+                config.radius,
+                config.ground_order,
+            )
+            level = _oriented(rec.level, self.sense)
+            per.append(ScenarioRobustness(level, rec.witness, rec.raised))
+            if rec.raised:
+                support[k, sorted(rec.raised)] = level
+        value = math.fsum(rec.level for rec in per) / self.scenarios.count
+        support.setflags(write=False)
+        return RobustQuote(value, tuple(per), support, config, self.sense)
+
+
+def empirical_record(
+    system: CombinatorialSystem, scenarios: ScenarioSet, sense: str = "cost"
+) -> EmpiricalRecord:
+    """One ``bottleneck_value`` call per scenario, kept for every radius.
+
+    ``sense='cost'`` takes the adversary to raise costs of a min-max
+    problem; ``sense='capacity'`` quantifies a max-min (widest-path style)
+    objective, realized by negating costs and swapping the primal and dual
+    roles, so the adversary lowers capacities.
+    """
+    require_matching_width(scenarios, system)
+    results = tuple(
+        bottleneck_value(system, _oriented(row, sense)) for row in scenarios.costs
+    )
+    values = tuple(_oriented(res.value, sense) for res in results)
+    saa = math.fsum(values) / scenarios.count
+    return EmpiricalRecord(system, scenarios, sense, results, values, saa)
 
 
 def quantify_robust(
@@ -355,29 +435,11 @@ def quantify_robust(
 ) -> RobustQuote:
     """Worst-case expected bottleneck value over the order-infinity ball.
 
-    ``sense='cost'`` takes the adversary to raise costs of a min-max
-    problem; ``sense='capacity'`` quantifies a max-min (widest-path style)
-    objective, realized by negating costs and swapping the primal and dual
-    roles, so the adversary lowers capacities.  Scenario contributions are
-    accumulated with exact summation, making the value independent of
-    scenario order bit for bit.
+    The one-radius case of a grid: ``empirical_record(system, scenarios,
+    sense).quote(config)``.  A sweep over radii should build the record once
+    and quote each radius from it.
     """
-
-    require_matching_width(scenarios, system)
-    per: list[ScenarioRobustness] = []
-    support = np.array(scenarios.costs, dtype=float)
-    for k in range(scenarios.count):
-        oriented = _oriented(scenarios.costs[k], sense)
-        rec = robust_scenario_value(
-            system, oriented, config.radius, config.ground_order
-        )
-        level = rec.level if sense == "cost" else -rec.level
-        per.append(ScenarioRobustness(level, rec.witness, rec.raised))
-        if rec.raised:
-            support[k, sorted(rec.raised)] = level
-    value = math.fsum(rec.level for rec in per) / scenarios.count
-    support.setflags(write=False)
-    return RobustQuote(value, tuple(per), support, config, sense)
+    return empirical_record(system, scenarios, sense).quote(config)
 
 
 def worst_case_distribution(quote: RobustQuote, scenarios: ScenarioSet) -> np.ndarray:
@@ -396,23 +458,12 @@ def worst_case_distribution(quote: RobustQuote, scenarios: ScenarioSet) -> np.nd
     return np.array(quote.worst_case_support)
 
 
-def scenario_bottlenecks(
-    system: CombinatorialSystem, scenarios: ScenarioSet, sense: str = "cost"
-) -> list[float]:
-    """Empirical bottleneck value of each scenario, in the given sense."""
-    values = []
-    for k in range(scenarios.count):
-        z = bottleneck_value(system, _oriented(scenarios.costs[k], sense)).value
-        values.append(z if sense == "cost" else -z)
-    return values
-
-
 def saa_value(
     system: CombinatorialSystem, scenarios: ScenarioSet, sense: str = "cost"
 ) -> float:
-    """Empirical (sample-average) expected bottleneck value."""
-    require_matching_width(scenarios, system)
-    return math.fsum(scenario_bottlenecks(system, scenarios, sense)) / scenarios.count
+    """Empirical (sample-average) expected bottleneck value: the ``saa`` of
+    ``empirical_record(system, scenarios, sense)``."""
+    return empirical_record(system, scenarios, sense).saa
 
 
 def check_gap_bounds(
@@ -554,27 +605,30 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
     return dual_level(A, np.array(base), radius, r, level)
 
 
-def quantify_topk(
-    system: CombinatorialSystem,
-    scenarios: ScenarioSet,
-    radius: float,
-    k: int,
-    ground_order: float = 1.0,
-    force: bool = False,
-) -> TopkQuote:
-    """Robust expected top-k-sum value: bracket always, exact where tiny.
+@dataclass(frozen=True)
+class TopkRecord:
+    """The part of a top-k quote that no radius or ground order changes.
 
-    The bracket is [saa + k * radius / U^(1/r), saa + k^((r-1)/r) * radius]
-    with U the largest union of a top-k blocker family (ground size when the
-    family cannot be enumerated).  The exact value is, per scenario, the
-    best family level over the enumerated top-k blocker; when enumeration is
-    refused the quote is downgraded to the bracket.
+    ``saa`` is the mean over scenarios of the least top-k sum (one branch
+    and bound each); ``families`` are the top-k blocker families of the
+    system's members, or None where enumeration is refused; ``union_size``
+    is the largest family union, or the ground size where refused.  Made
+    once by ``topk_record``; ``quantify_topk`` prices one radius from it.
     """
 
-    require_matching_width(scenarios, system)
-    check_radius(radius)
-    r = check_ground_order(ground_order)
+    system: CombinatorialSystem
+    scenarios: ScenarioSet
+    k: int
+    saa: float
+    families: list | None
+    union_size: int
 
+
+def topk_record(
+    system: CombinatorialSystem, scenarios: ScenarioSet, k: int, force: bool = False
+) -> TopkRecord:
+    """The SAA top-k sum and the enumerated top-k blocker families."""
+    require_matching_width(scenarios, system)
     saa = (
         math.fsum(
             topk_sum_value(system, scenarios.costs[i], k, force=force)[0]
@@ -582,25 +636,38 @@ def quantify_topk(
         )
         / scenarios.count
     )
-
     try:
         clutter = antichain_reduce(enumerate_members(system, force=force))
         families = topk_blocker_enumerate(clutter, k)
     except EnumerationLimitError:
         families = None
-
-    exact_value = None
     union_size = system.ground.n
     if families is not None:
         union_size = max(len(frozenset().union(*fam)) for fam in families)
+    return TopkRecord(system, scenarios, k, saa, families, union_size)
+
+
+def quantify_topk(record: TopkRecord, radius: float, ground_order: float = 1.0) -> TopkQuote:
+    """Robust expected top-k-sum value: bracket always, exact where tiny.
+
+    The bracket is [saa + k * radius / U^(1/r), saa + k^((r-1)/r) * radius]
+    with U the record's ``union_size``.  The exact value is, per scenario,
+    the best family level over the enumerated top-k blocker; where the
+    record holds no families the quote is downgraded to the bracket.
+    """
+
+    check_radius(radius)
+    r = check_ground_order(ground_order)
+    saa, k, families = record.saa, record.k, record.families
+    exact_value = None
+    if families is not None:
         totals = []
-        for i in range(scenarios.count):
-            c = scenarios.costs[i]
+        for c in record.scenarios.costs:
             totals.append(
                 max(_family_level(c, fam, radius, r) for fam in families)
             )
-        exact_value = math.fsum(totals) / scenarios.count
-    lower = saa + k * radius / union_size ** (1.0 / r)
+        exact_value = math.fsum(totals) / record.scenarios.count
+    lower = saa + k * radius / record.union_size ** (1.0 / r)
     upper = saa + k ** ((r - 1.0) / r) * radius
     return TopkQuote(
         saa=saa,
@@ -608,7 +675,7 @@ def quantify_topk(
         upper=upper,
         exact=exact_value,
         downgraded=families is None,
-        union_size=union_size,
+        union_size=record.union_size,
     )
 
 

@@ -44,6 +44,7 @@ from drbottleneck import (
     saa_decision,
     saa_value,
     topk_decision,
+    topk_record,
     topk_sum_value,
     topk_variance_robust_decision,
     tv_robust_decision,
@@ -124,7 +125,9 @@ def test_criterion_02_robust_value_oracles(robust_suite):
             for theta in (0.0, 0.1, 1.0):
                 from drbottleneck import robust_scenario_value
 
-                level = robust_scenario_value(system, costs, theta, r).level
+                level = robust_scenario_value(
+                    system, costs, bottleneck_value(system, costs), theta, r
+                ).level
                 closed = max(element_level(costs, h, theta, r) for h in hitting)
                 worst_closed = max(worst_closed, abs(level - closed))
                 if theta > 0.0:
@@ -345,7 +348,7 @@ def test_criterion_08_topk_one_reductions():
 
         if topk_sum_value(system, costs, 1)[0] != bottleneck_value(system, costs).value:
             failures.append("sum")
-        quote = quantify_topk(system, scen, theta, 1, 1.0)
+        quote = quantify_topk(topk_record(system, scen, 1), theta, 1.0)
         plain = quantify_robust(system, scen, WassersteinBall(theta)).value
         if quote.exact is None or abs(quote.exact - plain) > 0.0:
             failures.append("quantify")
@@ -386,7 +389,7 @@ def test_criterion_09_topk_brackets_and_oracle():
         scen = ScenarioSet(rng.uniform(0, 10, size=(1, n)))
         theta = float(rng.uniform(0.1, 1.0))
         r = float(rng.choice([1.0, 2.0]))
-        quote = quantify_topk(system, scen, theta, k, r)
+        quote = quantify_topk(topk_record(system, scen, k), theta, r)
         if quote.exact is None:
             continue
         if not (quote.lower - 1e-9 <= quote.exact <= quote.upper + 1e-9):

@@ -28,6 +28,7 @@ from drbottleneck import (
     enumerate_members,
     quantify_topk,
     topk_blocker_enumerate,
+    topk_record,
     topk_sum_value,
 )
 
@@ -263,6 +264,6 @@ class TestTopkBlocker:
         with pytest.raises(EnumerationLimitError, match="candidate sets"):
             topk_blocker_enumerate(clutter, 3)
         scen = ScenarioSet(np.random.default_rng(7).uniform(0.0, 10.0, size=(1, 8)))
-        quote = quantify_topk(system, scen, 0.5, 3, 2.0)
+        quote = quantify_topk(topk_record(system, scen, 3), 0.5, 2.0)
         assert quote.downgraded and quote.exact is None
         assert quote.lower <= quote.upper

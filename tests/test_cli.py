@@ -2,10 +2,14 @@
 
 import csv
 import json
+import sys
 
+import numpy as np
 import pytest
 
+from drbottleneck import PathSystem, ScenarioSet, bottleneck, save_scenarios, system_to_json
 from drbottleneck.cli import main
+from drbottleneck.scenarios import load_scenarios
 
 
 def run_cli(*argv):
@@ -403,3 +407,101 @@ class TestOptionChecks:
         assert code == 1
         assert "kind=domain" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.fixture
+def bridge(tmp_path):
+    """A 4-node bridge with s and t not adjacent, so top-2 sums are defined and
+    its top-k blocker families can be enumerated."""
+    system = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+    base = str(tmp_path / "bridge")
+    with open(base + ".instance.json", "w", encoding="utf-8") as fh:
+        json.dump(system_to_json(system), fh)
+    costs = np.random.default_rng(11).uniform(0.0, 10.0, size=(5, system.ground.n))
+    save_scenarios(base + ".scenarios.csv", ScenarioSet(costs))
+    return {"instance": base + ".instance.json", "scenarios": base + ".scenarios.csv"}
+
+
+GRID = ("0", "0.25", "1", "2.5")
+GRID_MODELS = {
+    "quantify-cost-r1": ["--model", "quantify", "--sense", "cost", "--r", "1"],
+    "quantify-capacity-r1": ["--model", "quantify", "--sense", "capacity", "--r", "1"],
+    "quantify-cost-r2": ["--model", "quantify", "--sense", "cost", "--r", "2"],
+    "quantify-capacity-r2": ["--model", "quantify", "--sense", "capacity", "--r", "2"],
+    "calibrate": ["--model", "calibrate", "--sense", "capacity", "--r", "2"],
+    "gamma-quantify": ["--model", "gamma-quantify", "--gamma", "2", "--r", "1"],
+}
+
+
+class TestGridSharesTheEmpiricalWork:
+    """A grid run computes what no radius changes once, and still answers
+    every radius exactly as a run of that radius alone does."""
+
+    @pytest.mark.parametrize("fixture", ["bridge", "matching"])
+    @pytest.mark.parametrize("argv", GRID_MODELS.values(), ids=GRID_MODELS.keys())
+    def test_grid_equals_single_radii(self, argv, fixture, request, tmp_path):
+        pair = request.getfixturevalue(fixture)
+        common = [*argv, "--instance", pair["instance"], "--scenarios", pair["scenarios"]]
+
+        def run(tag, *radius):
+            out = str(tmp_path / tag)
+            assert run_cli(*common, *radius, "--out", out) == 0
+            summary = json.load(open(out + ".json"))
+            rows = [row[:2] + row[3:] for row in read_csv(out + ".csv")[1:]]
+            shared = {key: summary[key] for key in ("saa", "saa_ci") if key in summary}
+            return summary["results"], rows, shared
+
+        records, rows, shared = run("grid", "--theta-grid", ",".join(GRID))
+        for i, theta in enumerate(GRID):
+            # JSON floats are written by repr, so equal text is equal bits
+            assert json.dumps(run(f"single{i}", "--theta", theta), sort_keys=True) == (
+                json.dumps(([records[i]], [rows[i]], shared), sort_keys=True)
+            )
+
+    @staticmethod
+    def _count_calls(monkeypatch, original) -> list:
+        """Wrap ``original`` at every ``drbottleneck`` import site; return the
+        list that grows by one per call."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "drbottleneck" or name.startswith("drbottleneck."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("fixture", ["generated", "matching"])
+    @pytest.mark.parametrize("sense", ["cost", "capacity"])
+    @pytest.mark.parametrize("model", ["quantify", "calibrate"])
+    def test_one_bottleneck_per_scenario(self, model, sense, fixture, request, tmp_path,
+                                         monkeypatch):
+        pair = request.getfixturevalue(fixture)
+        count = load_scenarios(pair["scenarios"]).count
+        calls = self._count_calls(monkeypatch, bottleneck.bottleneck_value)
+        for grid in ("0.5", "0,0.3", "0,0.05,0.1,0.2,0.4,0.8"):
+            calls.clear()
+            assert run_cli(
+                "--model", model, "--instance", pair["instance"],
+                "--scenarios", pair["scenarios"], "--theta-grid", grid,
+                "--sense", sense, "--out", str(tmp_path / "w"),
+            ) == 0
+            assert len(calls) == count, grid
+
+    def test_one_topk_enumeration_per_run(self, bridge, tmp_path, monkeypatch):
+        count = load_scenarios(bridge["scenarios"]).count
+        sums = self._count_calls(monkeypatch, bottleneck.topk_sum_value)
+        families = self._count_calls(monkeypatch, bottleneck.topk_blocker_enumerate)
+        for grid in ("0.5", "0,0.5,1,2"):
+            sums.clear()
+            families.clear()
+            assert run_cli(
+                "--model", "gamma-quantify", "--instance", bridge["instance"],
+                "--scenarios", bridge["scenarios"], "--theta-grid", grid,
+                "--gamma", "2", "--out", str(tmp_path / "g"),
+            ) == 0
+            assert (len(sums), len(families)) == (count, 1), grid

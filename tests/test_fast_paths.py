@@ -178,7 +178,9 @@ def test_prefix_root_stops_at_its_floor():
     level = _prefix_level(c, radius, 1.5)
     assert level == c[0] + radius
     system = PathSystem(nodes=2, edges=((0, 1), (0, 1)), s=0, t=1)
-    assert quantify.robust_scenario_value(system, c, radius, 1.5).level == level
+    assert quantify.robust_scenario_value(
+        system, c, bottleneck_value(system, c), radius, 1.5
+    ).level == level
     rng = np.random.default_rng(83)
     for _ in range(1000):
         c = np.sort(rng.uniform(-10.0, 10.0, size=int(rng.integers(2, 6))))

@@ -25,6 +25,7 @@ from drbottleneck import (
     PathSystem,
     ScenarioSet,
     WassersteinBall,
+    bottleneck_value,
     calibrate_radius,
     calibrate_radius_topk,
     calibrate_radius_topk_decision,
@@ -49,6 +50,7 @@ from drbottleneck import (
     structure_constant,
     system_to_json,
     topk_decision,
+    topk_record,
     topk_variance_robust_decision,
     worst_case_distribution,
 )
@@ -94,22 +96,37 @@ class TestElementLevel:
 
 class TestRobustScenarioValue:
     def test_triangle_l1(self, triangle):
-        rec = robust_scenario_value(triangle, [3.0, 5.0, 7.0], 1.0, 1.0)
+        rec = robust_scenario_value(
+            triangle, [3.0, 5.0, 7.0], bottleneck_value(triangle, [3.0, 5.0, 7.0]), 1.0, 1.0
+        )
         assert rec.level == 6.0
         assert rec.witness.elements == frozenset({1, 2})
         assert rec.raised == frozenset({1})
 
     def test_triangle_l2(self, triangle):
-        rec = robust_scenario_value(triangle, [3.0, 5.0, 7.0], 1.0, 2.0)
+        rec = robust_scenario_value(
+            triangle, [3.0, 5.0, 7.0], bottleneck_value(triangle, [3.0, 5.0, 7.0]), 1.0, 2.0
+        )
         assert rec.level == pytest.approx(6.0, abs=1e-12)
 
     def test_zero_radius(self, triangle):
-        rec = robust_scenario_value(triangle, [3.0, 5.0, 7.0], 0.0, 1.0)
+        rec = robust_scenario_value(
+            triangle, [3.0, 5.0, 7.0], bottleneck_value(triangle, [3.0, 5.0, 7.0]), 0.0, 1.0
+        )
         assert rec.level == 5.0
+
+    def test_refuses_the_result_of_other_costs(self, triangle):
+        costs = np.array([3.0, 5.0, 7.0])
+        others = (bottleneck_value(triangle, [3.0, 6.0, 7.0]), bottleneck_value(triangle, -costs))
+        for other in others:
+            with pytest.raises(DomainError, match="empirical bottleneck"):
+                robust_scenario_value(triangle, costs, other, 1.0)
 
     def test_negative_radius_rejected(self, triangle):
         with pytest.raises(DomainError):
-            robust_scenario_value(triangle, [3.0, 5.0, 7.0], -0.5, 1.0)
+            robust_scenario_value(
+                triangle, [3.0, 5.0, 7.0], bottleneck_value(triangle, [3.0, 5.0, 7.0]), -0.5, 1.0
+            )
 
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
     def test_matches_closed_form_route(self, r):
@@ -120,7 +137,9 @@ class TestRobustScenarioValue:
             radius = float(rng.choice([0.0, 0.1, 1.0]))
             tied = rng.integers(-3, 4, size=system.ground.n) / 2.0
             for c in (costs, tied):
-                fast = robust_scenario_value(system, c, radius, r).level
+                fast = robust_scenario_value(
+                    system, c, bottleneck_value(system, c), radius, r
+                ).level
                 assert fast == closed_form_max_over_blocker(system, c, radius, r)
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -132,7 +151,9 @@ class TestRobustScenarioValue:
                 continue
             costs = rng.uniform(0, 10, size=system.ground.n)
             radius = float(rng.choice([0.1, 1.0]))
-            fast = robust_scenario_value(system, costs, radius, r).level
+            fast = robust_scenario_value(
+                system, costs, bottleneck_value(system, costs), radius, r
+            ).level
             grid = common_level_robust_oracle(brute_members(system), costs, radius, r)
             assert fast == pytest.approx(grid, abs=1e-4)
 
@@ -148,15 +169,17 @@ class TestRobustScenarioValue:
         monkeypatch.setattr(
             quantify, "_raise_cost", lambda *args: calls.append(1) or raise_cost(*args)
         )
-        expected = robust_scenario_value(system, costs, 1.0, r)
+        expected = robust_scenario_value(system, costs, bottleneck_value(system, costs), 1.0, r)
         needed = len(calls)
         assert needed > 1
         monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", needed)
-        assert robust_scenario_value(system, costs, 1.0, r) == expected
+        assert robust_scenario_value(
+            system, costs, bottleneck_value(system, costs), 1.0, r
+        ) == expected
         for cap in (needed - 1, 1):
             monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", cap)
             with pytest.raises(ConvergenceError, match=f"after {cap} blocker calls"):
-                robust_scenario_value(system, costs, 1.0, r)
+                robust_scenario_value(system, costs, bottleneck_value(system, costs), 1.0, r)
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_multihop_level_search_stops_within_three_calls(self, monkeypatch, r):
@@ -171,7 +194,9 @@ class TestRobustScenarioValue:
         for radius in np.linspace(0.0, 0.2, 11):
             for costs in scenarios.costs:
                 calls.clear()
-                robust_scenario_value(system, -costs, float(radius), r)
+                robust_scenario_value(
+                    system, -costs, bottleneck_value(system, -costs), float(radius), r
+                )
                 assert len(calls) <= 3, (float(radius), r)
 
     def test_budget_monotone_in_level(self):
@@ -451,7 +476,7 @@ class TestTopkQuantify:
 
         system = AssignmentSystem(m=2)
         scen = ScenarioSet([[1.0, 2.0, 3.0, 4.0]])
-        quote = quantify_topk(system, scen, 1.0, 2, 1.0)
+        quote = quantify_topk(topk_record(system, scen, 2), 1.0, 1.0)
         assert quote.saa == 5.0
         assert quote.lower == pytest.approx(5.5)
         assert quote.upper == pytest.approx(6.0)
@@ -467,7 +492,7 @@ class TestTopkQuantify:
             if min_member_size(system) < 2 or system.ground.n > 8:
                 continue
             scen = ScenarioSet(rng.uniform(0, 10, size=(2, system.ground.n)))
-            quote = quantify_topk(system, scen, 0.0, 2, 1.0)
+            quote = quantify_topk(topk_record(system, scen, 2), 0.0, 1.0)
             assert quote.lower == quote.saa == quote.upper
             assert quote.exact == pytest.approx(quote.saa, abs=1e-9)
 
@@ -480,7 +505,7 @@ class TestTopkQuantify:
                 continue
             scen = ScenarioSet(rng.uniform(0, 10, size=(rng.integers(1, 4), system.ground.n)))
             theta = float(rng.choice([0.0, 0.4, 1.0]))
-            quote = quantify_topk(system, scen, theta, 1, 1.0)
+            quote = quantify_topk(topk_record(system, scen, 1), theta, 1.0)
             plain = quantify_robust(system, scen, WassersteinBall(theta)).value
             assert quote.exact == pytest.approx(plain, abs=1e-12)
             done += 1
@@ -498,7 +523,7 @@ class TestTopkQuantify:
                 continue
             scen = ScenarioSet(rng.uniform(0, 10, size=(1, n)))
             theta = float(rng.uniform(0.2, 1.0))
-            quote = quantify_topk(system, scen, theta, 2, r)
+            quote = quantify_topk(topk_record(system, scen, 2), theta, r)
             assert quote.exact is not None
             assert quote.lower - 1e-9 <= quote.exact <= quote.upper + 1e-9
             oracle = exact_topk_oracle(brute_members(system), scen.costs[0], theta, r, 2)
@@ -655,7 +680,9 @@ class TestConcurrentUse:
         costs = rng.uniform(0, 10, size=(16, system.ground.n))
 
         def solve(row):
-            return robust_scenario_value(system, row, 0.5, 2.0).level
+            return robust_scenario_value(
+                system, row, bottleneck_value(system, row), 0.5, 2.0
+            ).level
 
         serial = [solve(row) for row in costs]
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -679,7 +706,9 @@ def test_wasserstein_ball_rejects_nan(fields):
 @pytest.mark.parametrize("radius, r", [(NAN, 1.0), (0.1, NAN)], ids=["radius", "ground-order"])
 def test_robust_scenario_value_rejects_nan(triangle, radius, r):
     with pytest.raises(DomainError, match="radius|ground norm"):
-        robust_scenario_value(triangle, [1.0, 2.0, 3.0], radius, r)
+        robust_scenario_value(
+            triangle, [1.0, 2.0, 3.0], bottleneck_value(triangle, [1.0, 2.0, 3.0]), radius, r
+        )
 
 
 @pytest.mark.parametrize(
@@ -697,8 +726,8 @@ def test_finite_order_rejects_nan(triangle, radius, order, r, message):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda system, scen: quantify_topk(system, scen, NAN, 1),
-        lambda system, scen: quantify_topk(system, scen, 0.1, 1, NAN),
+        lambda system, scen: quantify_topk(topk_record(system, scen, 1), NAN),
+        lambda system, scen: quantify_topk(topk_record(system, scen, 1), 0.1, NAN),
         lambda system, scen: l1_robust_level([1.0, 2.0], NAN),
         lambda system, scen: calibrate_radius(10, NAN, 0.05, 3),
         lambda system, scen: element_level([1.0, 2.0], [0, 1], NAN),
@@ -718,12 +747,12 @@ RADIUS_ENTRY_POINTS = {
     "element-level": lambda system, scen, radius: element_level([1.0, 2.0], [0, 1], radius),
     "l1-level": lambda system, scen, radius: l1_robust_level([1.0, 2.0], radius),
     "scenario-value": lambda system, scen, radius: robust_scenario_value(
-        system, scen.costs[0], radius
+        system, scen.costs[0], bottleneck_value(system, scen.costs[0]), radius
     ),
     "finite-order": lambda system, scen, radius: quantify_robust_finite_order(
         system, scen, radius, 2.0
     ),
-    "topk": lambda system, scen, radius: quantify_topk(system, scen, radius, 1),
+    "topk": lambda system, scen, radius: quantify_topk(topk_record(system, scen, 1), radius),
     "gap-bounds": lambda system, scen, radius: check_gap_bounds(3.5, 3.0, radius, 1.0, 2),
     "decision-fold": lambda system, scen, radius: robust_decision(system, scen, radius),
     "decision-shift": lambda system, scen, radius: _shifted(saa_decision(system, scen), radius),
@@ -757,10 +786,12 @@ INF = math.inf
     "call",
     [
         lambda system, scen: WassersteinBall(0.5, ground_order=INF),
-        lambda system, scen: robust_scenario_value(system, scen.costs[0], 0.5, INF),
+        lambda system, scen: robust_scenario_value(
+            system, scen.costs[0], bottleneck_value(system, scen.costs[0]), 0.5, INF
+        ),
         lambda system, scen: element_level([1.0, 2.0, 3.0], {0, 1, 2}, 0.5, INF),
         lambda system, scen: quantify_robust_finite_order(system, scen, 0.5, 2.0, INF),
-        lambda system, scen: quantify_topk(system, scen, 0.5, 1, INF),
+        lambda system, scen: quantify_topk(topk_record(system, scen, 1), 0.5, INF),
         lambda system, scen: calibrate_radius(10, 1.0, 0.1, 3, INF),
         lambda system, scen: calibrate_radius_topk(10, 1.0, 0.1, 2, INF, 3),
         lambda system, scen: check_gap_bounds(3.5, 3.0, 0.5, INF, 2),
