@@ -33,10 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import bottleneck_value
 from .errors import ConvergenceError
-from .scenarios import ScenarioSet
-from .systems import CombinatorialSystem, _weight_sum, min_weight_blocker
+from .systems import BottleneckResult, CombinatorialSystem, _weight_sum, min_weight_blocker
 
 # steps of the multiplier bisection, and refinement rounds at r != 1, before
 # ConvergenceError; the certified relative width of the bracket
@@ -94,7 +92,8 @@ def _lift_spend(c: np.ndarray, elements, level: float, q: float, r: float) -> fl
 class _LiftModel:
     """One scenario's share of the dual, sup_t [t - lam * g(t)^(q/r)].
 
-    The intervals run from the bottleneck value z through every distinct
+    ``base`` is ``bottleneck_value(system, c)``, the scenario's empirical
+    point.  The intervals run from its value z through every distinct
     cost above it; at r = 1 the last one is [max c, inf) and the model is
     exact, while at r != 1 the tail past the last interval is bounded and
     ``refine`` halves intervals or extends them outward.  Oracle answers are
@@ -102,10 +101,12 @@ class _LiftModel:
     call.
     """
 
-    def __init__(self, system: CombinatorialSystem, c: np.ndarray, q: float, r: float):
+    def __init__(
+        self, system: CombinatorialSystem, c: np.ndarray, base: BottleneckResult,
+        q: float, r: float,
+    ):
         self.system, self.c, self.q, self.r = system, c, q, r
         self._asked: dict[bytes, frozenset[int]] = {}
-        base = bottleneck_value(system, c)
         self.floor = _Pick(base.value, base.value, 0.0, base.dual_witness.elements)
         # the dual witness has no element below z, so it is the cheapest lift to z
         self._asked[(np.clip(base.value - c, 0.0, None) ** r).tobytes()] = self.floor.elements
@@ -370,13 +371,14 @@ class FiniteOrderBracket:
     support: tuple
 
 
-def finite_order_bracket(
-    system: CombinatorialSystem, scenarios: ScenarioSet, radius: float, q: float, r: float
-) -> FiniteOrderBracket:
-    """The certified bracket of ``quantify_robust_finite_order``."""
+def finite_order_bracket(record, radius: float, q: float, r: float) -> FiniteOrderBracket:
+    """The certified bracket of ``quantify_robust_finite_order``: one lift
+    model per scenario of the cost-sense ``EmpiricalRecord``, each starting
+    from that scenario's empirical result.  The models are refined in place,
+    so they are built afresh for every radius."""
     models = [
-        _LiftModel(system, np.asarray(scenarios.costs[k], dtype=float), q, r)
-        for k in range(scenarios.count)
+        _LiftModel(record.system, np.asarray(costs, dtype=float), base, q, r)
+        for costs, base in zip(record.scenarios.costs, record.results)
     ]
     budget = radius**q
     for _ in range(MULTIPLIER_SEARCH_MAX_ITER):

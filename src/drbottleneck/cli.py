@@ -220,17 +220,11 @@ def _empirical_record(args, system, scenarios):
     return empirical_record(system, scenarios, sense=args.sense)
 
 
-def _quantify_record(args, system, scenarios):
-    if not math.isinf(args.q) and args.sense != "cost":
-        raise DomainError("finite transport orders support the cost sense only")
-    return _empirical_record(args, system, scenarios)
-
-
 def _quantify_point(args, system, scenarios, record, theta):
     if math.isinf(args.q):
         value = _robust_value(args, record, theta)
         return value, (), {"theta": theta, "value": value}
-    value, lam = quantify_robust_finite_order(system, scenarios, theta, args.q, args.r)
+    value, lam = quantify_robust_finite_order(record, theta, args.q, args.r)
     multiplier = lam if math.isfinite(lam) else "inf"
     return value, (), {"theta": theta, "value": value, "multiplier": multiplier}
 
@@ -385,7 +379,7 @@ def _oracle(args):
 MODELS = {
     "quantify": _GridModel(
         _quantify_point,
-        prepare=_quantify_record,
+        prepare=_empirical_record,
         summary=lambda args, record, grid, records: {
             "sense": args.sense,
             "transport_order": "inf" if math.isinf(args.q) else args.q,

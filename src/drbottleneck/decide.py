@@ -319,9 +319,12 @@ def tv_robust_decision(
 
     For a fixed subset with per-scenario values v^k the inner worst case is
     min over beta of (1 - d/2) beta + mean((v - beta)_+) + (d/2) max v; the
-    objective is piecewise linear in beta with breakpoints at the v^k, so
-    scanning the breakpoints is exact.  At d = 0 this is the sample mean, at
-    d = 2 the worst scenario.
+    objective is convex and piecewise linear in beta with breakpoints at the
+    v^k, so its minimum lies at a breakpoint.  Every breakpoint is screened
+    in floating point from one sorted pass, and those whose screen lies
+    within a proven rounding bound of the least are scored exactly, so the
+    value is that of scoring every breakpoint exactly.  At d = 0 this is the
+    sample mean, at d = 2 the worst scenario.
     """
 
     if not 0.0 <= tv_radius <= 2.0:
@@ -331,14 +334,50 @@ def tv_robust_decision(
     return _report(chosen, value, values, "total-variation")
 
 
+# The total-variation objective f(beta) = ((1 - d/2) beta + s(beta)/n) + d max/2,
+# with s(beta) the sum of (v - beta)_+, is scored exactly by fsum-ing s at each
+# breakpoint.  A float screen scores every breakpoint u_j of the ascending
+# values u at once, s_j = S_j - (n - j) u_j with suffix sums S_j, and only the
+# breakpoints it keeps are scored exactly.  The padding, with M = max |u| and
+# unit roundoff w = 2**-53, to first order in w: the outer terms (1 - d/2) u_j
+# and d max/2 are the same floats on both sides.  The screen's suffix sum errs
+# by at most (n - 1) w nM (a sequential sum), the product (n - j) u_j by w nM
+# and their difference, at most 2nM, by 2w nM; so s_j / n errs by (n + 2) wM,
+# plus 2wM for the division.  The exact side's s_j / n errs by 2wM from the
+# differences v - beta (each at most 2M), 2wM from the fsum and 2wM from the
+# division.  Each side's two outer additions, of sums at most 3M and 4M, err
+# by 7wM.  Only the divisions can lose accuracy to underflow, 2**-1075 on each
+# side.  So a screened value and its exact value differ by at most
+# B = (n + 24) wM + 2**-1074, and the exact argmin's screen lies within 2B of
+# the least screen.  The padding is (n + 32) 2**-49 M + 2**-1070, eight times
+# 2B and more, which also covers the rounding of the padding and of the
+# comparison.  Every quantity on either side is at most 2nM in magnitude, so a
+# finite padding (its first product is (4n + 128) M) rules out overflow on
+# both sides, and screened values are then finite; an infinite padding keeps
+# every breakpoint.
+def _tv_breakpoints(u: np.ndarray, d: float) -> np.ndarray:
+    """Indices into the ascending values ``u`` of the breakpoints whose
+    screened objective lies within the proven padding of the least; the
+    exact minimizer is among them.  Tied breakpoints score the same exactly."""
+    n = len(u)
+    top = float(max(-u[0], u[-1]))
+    pad = (4.0 * n + 128.0) * top * 2.0**-51 + 2.0**-1070
+    if not math.isfinite(pad):
+        return np.arange(n)
+    shortfall = np.cumsum(u[::-1])[::-1] - np.arange(n, 0, -1) * u
+    screened = (1.0 - d / 2.0) * u + shortfall / n + d * u[-1] / 2.0
+    return np.flatnonzero(screened <= screened.min() + pad)
+
+
 def _tv_objective(values, d: float) -> float:
-    # every breakpoint at once; each shortfall is the fsum of its row of
-    # (v - beta)_+, whose zeros leave the sum unchanged
-    v = np.array(values)
-    betas = np.unique(v)
-    excess = np.maximum(v - betas[:, None], 0.0).tolist()
-    shortfall = np.array([math.fsum(row) for row in excess]) / len(values)
-    return float(((1.0 - d / 2.0) * betas + shortfall + d * v.max() / 2.0).min())
+    # each kept breakpoint's shortfall is the fsum of (v - beta)_+ over the
+    # values above it; the zeros of its ties leave the sum unchanged
+    u = np.sort(values)
+    n, lean, worst = len(u), 1.0 - d / 2.0, d * u[-1] / 2.0
+    return float(min(
+        lean * u[j] + math.fsum((u[j:] - u[j]).tolist()) / n + worst
+        for j in _tv_breakpoints(u, d).tolist()
+    ))
 
 
 def topk_decision(

@@ -19,12 +19,13 @@ A per-element level is closed-form for r in {1, 2} and otherwise a Newton
 root of the convex prefix budget, taken from the right, whose level meets
 the budget as computed.
 Finite transport orders minimize a univariate convex dual whose inner sups
-come from each scenario's lift envelope, built once by Eisner-Severance
-discovery (exact at r = 1); the multiplier is bisected to adjacent floats and
-the value is certified by an explicit feasible distribution.  The
-top-k-sum generalization reports certified brackets and, at tiny scale, the
-exact value; its SAA and its enumerated blocker families are likewise
-computed once, by ``topk_record``, and ``quantify_topk`` prices one radius.
+come from each scenario's lift envelope, built once per radius from the same
+record by Eisner-Severance discovery (exact at r = 1); the multiplier is
+bisected to adjacent floats and the value is certified by an explicit
+feasible distribution.  The top-k-sum generalization reports certified
+brackets and, at tiny scale, the exact value; its SAA and its enumerated
+blocker families are likewise computed once, by ``topk_record``, and
+``quantify_topk`` prices one radius.
 """
 
 from __future__ import annotations
@@ -503,15 +504,16 @@ def check_gap_bounds(
 
 
 def quantify_robust_finite_order(
-    system: CombinatorialSystem,
-    scenarios: ScenarioSet,
+    record: EmpiricalRecord,
     radius: float,
     order: float,
     ground_order: float = 1.0,
 ) -> tuple[float, float]:
     """Worst-case expected bottleneck value under a finite transport order.
 
-    Minimizes the convex dual function
+    ``record`` is the cost-sense ``empirical_record(system, scenarios)``; each
+    scenario's lift model starts from its empirical result, so a radius grid
+    computes each bottleneck once.  Minimizes the convex dual function
     phi(lam) = lam * theta^q + mean_k sup_t [t - lam * g_k(t)^(q/r)]
     over lam >= 0.  Each scenario's lift model is built once (exactly at
     r = 1, by Eisner-Severance discovery of the concave piecewise-linear
@@ -521,21 +523,23 @@ def quantify_robust_finite_order(
     1e-12 relative of the expected bottleneck of an explicit feasible
     distribution mixed from the maximizers at the bracket's ends;
     otherwise ``ConvergenceError`` is raised.  At r != 1 the models are
-    refined until the bracket closes.  Returns (value, multiplier).
+    refined until the bracket closes.  At radius 0 the value is the record's
+    SAA.  Returns (value, multiplier).
     """
 
-    require_matching_width(scenarios, system)
+    if record.sense != "cost":
+        raise DomainError("finite transport orders support the cost sense only")
     check_radius(radius)
     if not 1 <= order < math.inf:
         raise DomainError("transport order must be finite and at least 1")
     r = check_ground_order(ground_order)
     if radius == 0.0:
-        return saa_value(system, scenarios), math.inf
+        return record.saa, math.inf
     # loaded on first use, like the family level's solvers: compiling it at
     # package import would raise the peak memory of every other run
     from ._finite import finite_order_bracket
 
-    bracket = finite_order_bracket(system, scenarios, radius, float(order), r)
+    bracket = finite_order_bracket(record, radius, float(order), r)
     return bracket.upper, bracket.multiplier
 
 

@@ -35,6 +35,7 @@ from drbottleneck import (
     decision_worst_case_distribution,
     dual_bottleneck_value,
     element_level,
+    empirical_record,
     generate_multihop,
     min_member_size,
     quantify_robust,
@@ -464,20 +465,21 @@ def test_criterion_12_finite_transport_order():
     scen1 = ScenarioSet([[5.0]])
     worst_analytic = 0.0
     for q in (1.0, 2.0):
-        value, _ = quantify_robust_finite_order(single, scen1, 0.3, q)
+        value, _ = quantify_robust_finite_order(empirical_record(single, scen1), 0.3, q)
         worst_analytic = max(worst_analytic, abs(value - 5.3))
 
     triangle = PathSystem(nodes=3, edges=((0, 1), (1, 2), (0, 2)), s=0, t=2)
     costs = np.array([3.0, 5.0, 7.0])
     lams = np.linspace(0.3, 4.0, 13)
+    base = bottleneck_value(triangle, costs)
     phis = [
-        lam * 0.4**2 + _finite._LiftModel(triangle, costs, 2.0, 1.0).upper(lam)
+        lam * 0.4**2 + _finite._LiftModel(triangle, costs, base, 2.0, 1.0).upper(lam)
         for lam in lams
     ]
     min_second_diff = float(np.diff(phis, 2).min())
 
     value2, _ = quantify_robust_finite_order(
-        triangle, ScenarioSet([costs]), 0.25, 2.0, 1.0
+        empirical_record(triangle, ScenarioSet([costs])), 0.25, 2.0, 1.0
     )
     oracle = two_point_mixture_oracle(brute_members(triangle), costs, 0.25, 2.0, 1.0)
     grid_gap = abs(value2 - oracle)

@@ -408,6 +408,16 @@ class TestOptionChecks:
         assert "kind=domain" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_capacity_sense_rejected_at_finite_q(self, generated, tmp_path, capsys):
+        code = run_cli(
+            "--model", "quantify", "--instance", generated["instance"],
+            "--scenarios", generated["scenarios"], "--theta", "0.1", "--q", "2",
+            "--sense", "capacity", "--out", str(tmp_path / "c"),
+        )
+        assert code == 1
+        assert "cost sense only" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
 
 @pytest.fixture
 def bridge(tmp_path):
@@ -491,6 +501,25 @@ class TestGridSharesTheEmpiricalWork:
                 "--sense", sense, "--out", str(tmp_path / "w"),
             ) == 0
             assert len(calls) == count, grid
+
+    def test_finite_order_quotes_from_the_record(self, bridge, tmp_path, monkeypatch):
+        # one bottleneck per scenario for the whole grid, not one more per
+        # scenario per radius; the values and multipliers are those the
+        # per-radius route gave, bit for bit
+        calls = self._count_calls(monkeypatch, bottleneck.bottleneck_value)
+        out = str(tmp_path / "f")
+        assert run_cli(
+            "--model", "quantify", "--q", "2", "--theta-grid", "0.5,1,2",
+            "--instance", bridge["instance"], "--scenarios", bridge["scenarios"], "--out", out,
+        ) == 0
+        assert len(calls) == load_scenarios(bridge["scenarios"]).count == 5
+        summary = json.load(open(out + ".json"))
+        assert summary["saa"] == 4.286164716916611
+        assert [(r["theta"], r["value"], r["multiplier"]) for r in summary["results"]] == [
+            (0.5, 4.786164716916611, 1.0),
+            (1.0, 5.286164716916611, 0.5),
+            (2.0, 6.210202997544329, 0.2007755363836642),
+        ]
 
     def test_one_topk_enumeration_per_run(self, bridge, tmp_path, monkeypatch):
         count = load_scenarios(bridge["scenarios"]).count

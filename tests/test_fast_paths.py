@@ -50,6 +50,7 @@ from drbottleneck import (
     antichain_reduce,
     bottleneck_value,
     decide,
+    empirical_record,
     enumerate_members,
     indifference_set,
     min_member_size,
@@ -67,7 +68,9 @@ from drbottleneck import (
 )
 from drbottleneck import _family, _finite, quantify
 from drbottleneck._graphs import min_st_cut_side
-from drbottleneck.decide import _mean, _radius_shift, _report, _shifted, _tv_objective
+from drbottleneck.decide import (
+    _mean, _radius_shift, _report, _shifted, _tv_breakpoints, _tv_objective
+)
 from drbottleneck.quantify import _family_level, _lift_root, _prefix_level
 
 ORDERS = (1.0, 2.0, 1.5)
@@ -481,6 +484,36 @@ def test_tv_objective_matches_reference():
         ][case % 4].tolist()
         d = [0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 2.0))][case % 5]
         assert _tv_objective(values, d) == reference_tv_objective(values, d), (values, d)
+    # the screen's edges: long vectors, magnitudes whose suffix sums
+    # overflow, single and all-equal values, subnormals, and radii at which
+    # the objective is flat between breakpoints
+    for case in range(2000):
+        n = int(rng.integers(1, 201))
+        sign = float(rng.choice([-1.0, 1.0]))
+        kind = case % 6
+        values = [
+            rng.normal(size=n) * 1e300,  # near +-1e300
+            sign * (1e307 + rng.integers(-3, 4, size=n) * 1e300),  # overflowing sums
+            np.full(1, rng.normal() * 10.0),  # a single value
+            np.full(n, rng.normal() * 10.0),  # all equal
+            rng.integers(-5, 6, size=n) * 5e-324,  # subnormal ties
+            rng.normal(size=n) * 1e-310,  # subnormal and tiny normal
+        ][kind]
+        d = [0.0, 2.0, 2.0 * int(rng.integers(0, len(values) + 1)) / len(values)][case % 3]
+        if kind == 1:
+            u = np.sort(values)
+            assert len(_tv_breakpoints(u, d)) == len(u), "every breakpoint is kept"
+        values = values.tolist()
+        assert _tv_objective(values, d) == reference_tv_objective(values, d), (values, d)
+
+
+def test_tv_screen_keeps_few_breakpoints():
+    # vectors shaped like the 9x9 matching's per-scenario maxima: the
+    # screen leaves at most two breakpoints to score exactly
+    rng = np.random.default_rng(62)
+    for _ in range(1000):
+        values = rng.normal(rng.uniform(30.0, 32.0), rng.uniform(2.0, 4.0), size=50)
+        assert len(_tv_breakpoints(np.sort(values), 0.5)) <= 2, values.tolist()
 
 
 def _topk_family_cases(seed, systems=12):
@@ -640,7 +673,7 @@ def test_finite_order_matches_reference():
     # the old route's golden sections cost about 13,000 blocker calls a
     # scenario, so these instances keep one scenario each
     for system, scen, theta, q in _finite_order_cases(1509):
-        value, _ = quantify_robust_finite_order(system, scen, theta, q)
+        value, _ = quantify_robust_finite_order(empirical_record(system, scen), theta, q)
         want, _ = reference_finite_order(system, scen, theta, q)
         assert abs(value - want) <= 1e-9 * (1.0 + abs(want)), (system, scen.costs.tolist())
 
@@ -656,7 +689,7 @@ def test_finite_order_support_attains_the_lower_bound(r):
         (bridge, six, 1.0, 2.0),
     ]
     for system, scen, theta, q in cases:
-        bracket = _finite.finite_order_bracket(system, scen, theta, q, r)
+        bracket = _finite.finite_order_bracket(empirical_record(system, scen), theta, q, r)
         assert bracket.upper - bracket.lower <= 1e-12 * (1.0 + abs(bracket.upper))
         # rebuild the distribution and price it without the library
         members = brute_members(system)

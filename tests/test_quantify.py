@@ -32,6 +32,7 @@ from drbottleneck import (
     check_gap_bounds,
     decision_worst_case_distribution,
     element_level,
+    empirical_record,
     generate_multihop,
     indifference_set,
     l1_robust_level,
@@ -389,29 +390,30 @@ class TestFiniteOrder:
         system = ExplicitSystem(members=(frozenset({0}),))
         scen = ScenarioSet([[5.0]])
         for q in (1.0, 2.0):
-            value, lam = quantify_robust_finite_order(system, scen, 0.3, q)
+            value, lam = quantify_robust_finite_order(empirical_record(system, scen), 0.3, q)
             assert value == pytest.approx(5.3, abs=1e-9)
             assert lam >= 0.99
 
     def test_zero_radius(self, triangle):
         scen = ScenarioSet([[3.0, 5.0, 7.0], [2.0, 2.0, 9.0]])
-        value, lam = quantify_robust_finite_order(triangle, scen, 0.0, 2.0)
+        value, lam = quantify_robust_finite_order(empirical_record(triangle, scen), 0.0, 2.0)
         assert value == saa_value(triangle, scen)
         assert math.isinf(lam)
 
     def test_dual_function_convex(self, triangle):
         scen = ScenarioSet([[3.0, 5.0, 7.0]])
         q, r, theta = 2.0, 1.0, 0.4
+        base = bottleneck_value(triangle, scen.costs[0])
 
         lams = np.linspace(0.3, 4.0, 13)
         phis = [
-            lam * theta**q + _finite._LiftModel(triangle, scen.costs[0], q, r).upper(lam)
+            lam * theta**q + _finite._LiftModel(triangle, scen.costs[0], base, q, r).upper(lam)
             for lam in lams
         ]
         second = np.diff(phis, 2)
         assert np.all(second >= -1e-6)
         # at r = 1 the envelope is the sup: an attained lift reaches it
-        model = _finite._LiftModel(triangle, scen.costs[0], q, r)
+        model = _finite._LiftModel(triangle, scen.costs[0], base, q, r)
         for lam in lams:
             upper = model.upper(lam)
             gap = _finite.FINITE_ORDER_GAP * (1.0 + abs(upper))
@@ -425,7 +427,9 @@ class TestFiniteOrder:
         vinf = quantify_robust(triangle, scen, WassersteinBall(theta)).value
         for lam in (0.8, 1.5, 4.0):
             bound = lam * theta + math.fsum(
-                _finite._LiftModel(triangle, scen.costs[k], 1.0, 1.0).upper(lam)
+                _finite._LiftModel(
+                    triangle, scen.costs[k], bottleneck_value(triangle, scen.costs[k]), 1.0, 1.0
+                ).upper(lam)
                 for k in range(2)
             ) / 2
             assert vinf <= bound + 1e-9
@@ -434,15 +438,18 @@ class TestFiniteOrder:
         # both blocker elements, {0, 2} and {1, 2}, have two elements, so at
         # q = 1 the sup is +inf exactly below lam = 1/2
         costs = np.array([3.0, 5.0, 7.0])
-        limit = _finite._LiftModel(triangle, costs, 1.0, 1.0).upper(math.nextafter(0.5, 0.0))
+        base = bottleneck_value(triangle, costs)
+        limit = _finite._LiftModel(triangle, costs, base, 1.0, 1.0).upper(math.nextafter(0.5, 0.0))
         assert limit == math.inf
         for lam in (0.5, 0.75, 2.0):
-            assert math.isfinite(_finite._LiftModel(triangle, costs, 1.0, 1.0).upper(lam))
+            assert math.isfinite(_finite._LiftModel(triangle, costs, base, 1.0, 1.0).upper(lam))
 
     def test_exhausted_multiplier_search_raises(self, triangle, monkeypatch):
         monkeypatch.setattr(_finite, "MULTIPLIER_SEARCH_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="after 1 steps"):
-            quantify_robust_finite_order(triangle, ScenarioSet([[3.0, 5.0, 7.0]]), 0.25, 2.0)
+            quantify_robust_finite_order(
+                empirical_record(triangle, ScenarioSet([[3.0, 5.0, 7.0]])), 0.25, 2.0
+            )
 
     def test_bridge_envelope_blocker_calls(self, monkeypatch):
         # the first scenario of the benchmark's finite-order run
@@ -453,7 +460,9 @@ class TestFiniteOrder:
         monkeypatch.setattr(
             _finite, "min_weight_blocker", lambda *args: calls.append(1) or blocker(*args)
         )
-        _, lam = quantify_robust_finite_order(system, ScenarioSet(costs), 1.0, 2.0)
+        _, lam = quantify_robust_finite_order(
+            empirical_record(system, ScenarioSet(costs)), 1.0, 2.0
+        )
         assert len(calls) <= 20
         assert abs(lam - 0.5) <= 1e-12
 
@@ -462,7 +471,7 @@ class TestFiniteOrder:
         costs = np.array([3.0, 5.0, 7.0])
         theta = 0.25
         value, _ = quantify_robust_finite_order(
-            triangle, ScenarioSet([costs]), theta, q, 1.0
+            empirical_record(triangle, ScenarioSet([costs])), theta, q, 1.0
         )
         oracle = two_point_mixture_oracle(
             brute_members(triangle), costs, theta, q, 1.0
@@ -605,7 +614,7 @@ class TestFiniteOrderBrackets:
             scen = ScenarioSet(rng.uniform(0, 10, size=(int(rng.integers(1, 3)), system.ground.n)))
             theta = float(rng.uniform(0.1, 0.8))
             r = float(rng.choice([1.0, 2.0]))
-            value, _ = quantify_robust_finite_order(system, scen, theta, q, r)
+            value, _ = quantify_robust_finite_order(empirical_record(system, scen), theta, q, r)
             saa = saa_value(system, scen)
             from _oracles import brute_members, brute_minimal_hitting_sets
 
@@ -720,7 +729,7 @@ def test_robust_scenario_value_rejects_nan(triangle, radius, r):
 def test_finite_order_rejects_nan(triangle, radius, order, r, message):
     scen = ScenarioSet(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]))
     with pytest.raises(DomainError, match=message):
-        quantify_robust_finite_order(triangle, scen, radius, order, r)
+        quantify_robust_finite_order(empirical_record(triangle, scen), radius, order, r)
 
 
 @pytest.mark.parametrize(
@@ -750,7 +759,7 @@ RADIUS_ENTRY_POINTS = {
         system, scen.costs[0], bottleneck_value(system, scen.costs[0]), radius
     ),
     "finite-order": lambda system, scen, radius: quantify_robust_finite_order(
-        system, scen, radius, 2.0
+        empirical_record(system, scen), radius, 2.0
     ),
     "topk": lambda system, scen, radius: quantify_topk(topk_record(system, scen, 1), radius),
     "gap-bounds": lambda system, scen, radius: check_gap_bounds(3.5, 3.0, radius, 1.0, 2),
@@ -790,7 +799,9 @@ INF = math.inf
             system, scen.costs[0], bottleneck_value(system, scen.costs[0]), 0.5, INF
         ),
         lambda system, scen: element_level([1.0, 2.0, 3.0], {0, 1, 2}, 0.5, INF),
-        lambda system, scen: quantify_robust_finite_order(system, scen, 0.5, 2.0, INF),
+        lambda system, scen: quantify_robust_finite_order(
+            empirical_record(system, scen), 0.5, 2.0, INF
+        ),
         lambda system, scen: quantify_topk(topk_record(system, scen, 1), 0.5, INF),
         lambda system, scen: calibrate_radius(10, 1.0, 0.1, 3, INF),
         lambda system, scen: calibrate_radius_topk(10, 1.0, 0.1, 2, INF, 3),
