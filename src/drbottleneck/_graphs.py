@@ -159,41 +159,45 @@ def global_min_cut_side(n: int, edges, weights) -> set[int]:
     return best_side
 
 
-def max_bipartite_matching(m: int, allowed: list[list[int]]) -> list[int]:
+def max_bipartite_matching(
+    m: int, allowed: list[list[int]], row_of_col: list[int] | None = None,
+    rows: list[int] | None = None,
+) -> list[int]:
     """Augmenting-path maximum matching on an m-by-m bipartite graph.
 
-    ``allowed[i]`` lists the columns row ``i`` may use, in ascending order.
-    Returns ``row_of_col`` with -1 for unmatched columns; rows are processed
-    in ascending order so the result is deterministic.
+    ``allowed[i]`` lists the columns row ``i`` may use, in the order its
+    search tries them (ascending, for the threshold witnesses).  Returns
+    ``row_of_col`` with -1 for unmatched columns; rows are processed in
+    ascending order so the result is deterministic.  Given a matching
+    ``row_of_col``, it is grown in place by one augmenting search from each
+    of ``rows``; when those are its free rows, the result is maximum.
     """
-    row_of_col = [-1] * m
-    for i in range(m):
+    if row_of_col is None:
+        row_of_col = [-1] * m
+    for i in range(m) if rows is None else rows:
         # depth-first search for an augmenting path with an explicit stack:
-        # frames[d] holds a row and the position of the next column it tries,
-        # cols[d] the column it descended through; columns are tried in
-        # ascending order and each is visited once
+        # frames[d] holds a row and an iterator over the columns it has yet
+        # to try, cols[d] the column it descended through; columns are tried
+        # in the listed order and each is visited once
         visited = [False] * m
-        frames, cols = [[i, 0]], []
+        frames, cols = [(i, iter(allowed[i]))], []
         while frames:
-            frame = frames[-1]
-            row, k = frame
-            options = allowed[row]
-            while k < len(options) and visited[options[k]]:
-                k += 1
-            if k == len(options):
+            _, options = frames[-1]
+            for j in options:
+                if not visited[j]:
+                    break
+            else:
                 frames.pop()
                 if cols:
                     cols.pop()
                 continue
-            j = options[k]
-            frame[1] = k + 1
             visited[j] = True
             cols.append(j)
             if row_of_col[j] < 0:
                 for (r, _), c in zip(frames, cols):
                     row_of_col[c] = r
                 break
-            frames.append([row_of_col[j], 0])
+            frames.append((row_of_col[j], iter(allowed[row_of_col[j]])))
     return row_of_col
 
 

@@ -40,7 +40,9 @@ def bottleneck_value(system: CombinatorialSystem, costs) -> BottleneckResult:
     smallest distinct cost passing the test and is always attained.  The
     returned member is the deterministic feasibility witness at the optimum;
     the dual witness is a blocker element whose minimum cost equals the value.
-    Threshold bisection by default; path systems join edges in cost order.
+    One pass per kind: paths and trees join edges in cost order, assignments
+    augment a threshold matching over groups of equal costs, and explicit
+    systems scan their members.
     """
 
     return system.bottleneck(system.validated_costs(costs))

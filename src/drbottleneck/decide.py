@@ -67,12 +67,27 @@ class IndifferenceSet:
         return _mean(values) <= self.threshold
 
 
+# Scores are summed exactly, and an exact sum past the float range raises
+# OverflowError; that is an input out of range, so it surfaces as this.
+_OVERFLOW = "decision objective overflows the float range; scenario costs are too large"
+
+
 def _mean(values) -> float:
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError as exc:
+        raise DomainError(_OVERFLOW) from exc
 
 
 def _population_variance(values, mean: float) -> float:
-    return math.fsum((v - mean) ** 2 for v in values) / len(values)
+    # a difference past the float range is inf, and its square too
+    try:
+        variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError as exc:
+        raise DomainError(_OVERFLOW) from exc
+    if variance == math.inf:
+        raise DomainError(_OVERFLOW)
+    return variance
 
 
 class _Maxima:
@@ -120,7 +135,10 @@ class _TopK(_Maxima):
         short = self.k - acc.shape[1]
         if short:
             acc = np.hstack([acc, np.repeat(self.floor, short, axis=1)])
-        return [math.fsum(row) for row in acc.tolist()]
+        try:
+            return [math.fsum(row) for row in acc.tolist()]
+        except OverflowError as exc:
+            raise DomainError(_OVERFLOW) from exc
 
 
 Aggregate = Callable[[list[float]], float]
@@ -374,10 +392,15 @@ def _tv_objective(values, d: float) -> float:
     # values above it; the zeros of its ties leave the sum unchanged
     u = np.sort(values)
     n, lean, worst = len(u), 1.0 - d / 2.0, d * u[-1] / 2.0
-    return float(min(
-        lean * u[j] + math.fsum((u[j:] - u[j]).tolist()) / n + worst
-        for j in _tv_breakpoints(u, d).tolist()
-    ))
+    if float(u[-1]) - float(u[0]) == math.inf:  # a difference past the float range
+        raise DomainError(_OVERFLOW)
+    try:
+        return float(min(
+            lean * u[j] + math.fsum((u[j:] - u[j]).tolist()) / n + worst
+            for j in _tv_breakpoints(u, d).tolist()
+        ))
+    except OverflowError as exc:
+        raise DomainError(_OVERFLOW) from exc
 
 
 def topk_decision(

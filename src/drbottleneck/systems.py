@@ -37,19 +37,15 @@ from ._graphs import (
     max_bipartite_matching,
     min_st_cut_side,
 )
-from .errors import (
-    DomainError,
-    EnumerationLimitError,
-    InvalidInstanceError,
-    InvariantViolationError,
-)
+from .errors import DomainError, EnumerationLimitError, InvalidInstanceError
 
 #: Largest ground set for which explicit blocker enumeration is attempted.
 BLOCKER_ENUMERATION_LIMIT = 20
 #: Largest candidate family one step of ``minimal_transversals`` may build;
 #: each step's dominance filter is quadratic in it.
 TRANSVERSAL_MAX_CANDIDATES = 8000
-#: Largest assignment side solved by submatrix enumeration.
+#: Largest assignment side solved by submatrix enumeration, and by the walk
+#: over row subsets that finds the bottleneck's witness.
 ASSIGNMENT_BLOCKER_LIMIT = 10
 
 #: Guards for exhaustive member enumeration.
@@ -94,8 +90,9 @@ class CombinatorialSystem:
       of cost <= t, or None; deterministic, on already validated costs;
     * ``min_weight_blocker(weights)``, ``min_member_size()`` and
       ``max_blocker_size()``, behind the module functions of those names;
-    * ``bottleneck(c)`` behind ``bottleneck.bottleneck_value``; the base
-      class bisects with the two oracles above, and a kind may override it;
+    * ``bottleneck(c)`` behind ``bottleneck.bottleneck_value``: one pass on
+      validated costs giving the least max-cost, the threshold witness at it
+      and a blocker element whose least cost is it;
     * ``scale`` with the limits and refusals the guards below apply;
     * one search state space, ``root()`` and ``expand(state)`` over states
       ``(elements, complete, payload)``: the elements forced so far, whether
@@ -127,34 +124,6 @@ class CombinatorialSystem:
                 raise DomainError("weights must be finite")
             raise DomainError("weights must be nonnegative")
         return w
-
-    def bottleneck(self, c: np.ndarray) -> BottleneckResult:
-        """Least max-cost over feasible subsets, on validated costs.
-
-        Bisects the distinct costs with the closed threshold (cost <= t), so
-        the value is attained.  The member is the threshold witness at the
-        value; the dual witness is a blocker element of zero weight when
-        every element cheaper than the value weighs one, so its minimum cost
-        is the value.
-        """
-        levels = np.unique(c)
-        lo, hi = 0, len(levels) - 1
-        if self.threshold_witness(c, levels[hi]) is None:
-            raise DomainError("system is infeasible at the largest cost")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.threshold_witness(c, levels[mid]) is None:
-                lo = mid + 1
-            else:
-                hi = mid
-        value = float(levels[lo])
-        member = self.threshold_witness(c, value)
-        used, witness = min_weight_blocker(self, (c < value).astype(float))
-        if used != 0.0:
-            raise InvariantViolationError(
-                "no blocker element attains the bottleneck level; duality is broken"
-            )
-        return BottleneckResult(value, member, witness)
 
     def check_enum_guard(self, force: bool = False) -> None:
         if not force and self.scale > self.enum_limit:
@@ -283,8 +252,8 @@ class PathSystem(_GraphSystem):
 
     def bottleneck(self, c):
         # Kruskal order: s and t first join at the value.  No flow crosses the
-        # zero-weight cut of the base route, so its source side is s's
-        # component over the strictly cheaper edges.
+        # minimum cut at weight one per strictly cheaper edge, which weighs
+        # zero, so its source side is s's component over those edges.
         cost = c.tolist()
         order = np.argsort(c, kind="stable").tolist()
         joined = DisjointSets(self.nodes)
@@ -372,6 +341,19 @@ class TreeSystem(_GraphSystem):
     def min_weight_blocker(self, weights):
         w = self.validated_weights(weights)
         return self._cut_blocker(global_min_cut_side(self.nodes, self.edges, w), w)
+
+    def bottleneck(self, c):
+        """Kruskal order: the forest first spans at the value.  The strictly
+        cheaper edges do not span, so some cut crosses none of them; with
+        weight one on each, the one minimum cut call weighs zero, and its
+        crossing edges, the witness, all cost the value or more."""
+        joined = DisjointSets(self.nodes)
+        for eid in np.argsort(c, kind="stable").tolist():
+            if joined.union(*self.edges[eid]) and joined.groups == 1:
+                break
+        value = c.tolist()[eid]
+        _, witness = min_weight_blocker(self, (c < value).astype(float))
+        return BottleneckResult(value, self.threshold_witness(c, value), witness)
 
     def min_member_size(self):
         return self.nodes - 1
@@ -478,6 +460,29 @@ def _scored_submatrix(grid: np.ndarray, rows: tuple[int, ...], b: int):
     return value, rows, cols
 
 
+def _shared_rows(masks: list[int]) -> tuple[tuple[int, ...], int]:
+    """The lexicographically first row tuple whose rows share at least
+    ``m + 1 - |rows|`` columns, with the bit mask of those columns; bit j of
+    ``masks[i]`` marks a column row i may share.
+
+    A preorder walk visits row tuples in lexicographic order, at most
+    2**m - 1 of them.  A tuple and its descendants share a subset of its
+    columns and, with every later row added, need 2 + last - |rows| of them
+    at the least, so a tuple sharing fewer is not visited.
+    """
+    m = len(masks)
+    stack = [((), (1 << m) - 1)]
+    while stack:
+        rows, shared = stack.pop()
+        if rows and shared.bit_count() >= m + 1 - len(rows):
+            return rows, shared
+        size = len(rows) + 1
+        for i in range(m - 1, rows[-1] if rows else -1, -1):
+            common = shared & masks[i]
+            if common.bit_count() >= 2 + i - size:
+                stack.append((rows + (i,), common))
+
+
 @dataclass(frozen=True)
 class AssignmentSystem(CombinatorialSystem):
     """Feasible subsets are the perfect matchings of an m-by-m assignment.
@@ -517,19 +522,23 @@ class AssignmentSystem(CombinatorialSystem):
     def threshold_witness(self, costs, t):
         # matchings augment rows in order
         m = self.m
-        allowed = [[j for j in range(m) if costs[self.cell(i, j)] <= t] for i in range(m)]
+        grid = costs.reshape(m, m).tolist()
+        allowed = [[j for j, x in enumerate(row) if x <= t] for row in grid]
         row_of_col = max_bipartite_matching(m, allowed)
         if any(r < 0 for r in row_of_col):
             return None
         return frozenset(self.cell(r, j) for j, r in enumerate(row_of_col))
 
-    def min_weight_blocker(self, weights):
-        w = self.validated_weights(weights)
-        m = self.m
-        if m > ASSIGNMENT_BLOCKER_LIMIT:
+    def _check_blocker_limit(self) -> None:
+        if self.m > ASSIGNMENT_BLOCKER_LIMIT:
             raise EnumerationLimitError(
                 f"assignment blocker enumeration limited to m <= {ASSIGNMENT_BLOCKER_LIMIT}"
             )
+
+    def min_weight_blocker(self, weights):
+        w = self.validated_weights(weights)
+        m = self.m
+        self._check_blocker_limit()
         grid = w.reshape(m, m)
         subsets, mask, last = _row_subsets(m)
         with np.errstate(over="ignore"):
@@ -555,6 +564,47 @@ class AssignmentSystem(CombinatorialSystem):
         return value, BlockerElement(
             elements, kind="submatrix", rows=frozenset(rows), cols=frozenset(cols)
         )
+
+    def bottleneck(self, c):
+        """Threshold bottleneck matching, with no blocker call.
+
+        Every row and every column needs a cell, so no perfect matching fits
+        below the larger of the greatest row minimum and the greatest column
+        minimum: match over the cells up to it, then add the costlier cells
+        one group of equal costs at a time.  A row no augmenting path reaches
+        stays so until cells are added, so after each group only the free
+        rows augment; the value is the group that completes the matching.
+        """
+        self._check_blocker_limit()
+        m = self.m
+        grid = c.reshape(m, m).tolist()
+        value = max(max(map(min, grid)), max(map(min, zip(*grid))))
+        allowed = [[j for j, x in enumerate(row) if x <= value] for row in grid]
+        row_of_col = max_bipartite_matching(m, allowed)
+        free = sorted(set(range(m)).difference(row_of_col))
+        if free:
+            rest = sorted((x, e) for e, x in enumerate(c.tolist()) if x > value)
+            k = 0
+            while free:
+                value = rest[k][0]
+                while k < len(rest) and rest[k][0] == value:
+                    i, j = divmod(rest[k][1], m)
+                    allowed[i].append(j)
+                    k += 1
+                max_bipartite_matching(m, allowed, row_of_col, free)
+                free = sorted(set(free).difference(row_of_col))
+        # Koenig: the cells below the value admit no perfect matching, so some
+        # rows share m + 1 - |rows| columns of cells at or above it; the
+        # witness is the first such rows and the first such columns, the
+        # zero-weight submatrix the blocker's tie-breaks pick
+        masks = (c.reshape(m, m) >= value) @ (1 << np.arange(m))
+        rows, shared = _shared_rows(masks.tolist())
+        cols = [j for j in range(m) if shared >> j & 1][: m + 1 - len(rows)]
+        witness = BlockerElement(
+            frozenset(self.cell(i, j) for i in rows for j in cols),
+            kind="submatrix", rows=frozenset(rows), cols=frozenset(cols),
+        )
+        return BottleneckResult(value, self.threshold_witness(c, value), witness)
 
     def min_member_size(self):
         return self.m
@@ -638,6 +688,19 @@ class ExplicitSystem(CombinatorialSystem):
                 best_key = key
                 best_el = el
         return best_key[0], best_el
+
+    def bottleneck(self, c):
+        """The least member maximum, from one scan.  The witness is the
+        enumerated blocker element of least sorted elements whose costs all
+        reach the value: the one of weight zero that the blocker oracle
+        picks at weight one per cheaper element."""
+        cost = c.tolist()
+        value = min(max(cost[j] for j in member) for member in self.members)
+        witness = min(
+            (el for el in self.blocker if all(cost[j] >= value for j in el.elements)),
+            key=lambda el: sorted(el.elements),
+        )
+        return BottleneckResult(value, self.threshold_witness(cost, value), witness)
 
     def min_member_size(self):
         return min(len(m) for m in self.members)

@@ -10,7 +10,8 @@ for the family level, the prefix root and the finite-order value, within the
 old solvers' tolerances.  They are the max-flow class that the library's
 one-function minimum cut replaced (a frozen copy, with its own arc pair for
 every edge and a second residual search for the source side) and a path
-witness on the library's breadth-first search, the assignment blocker's loop
+witness on the library's breadth-first search, the threshold bisection
+that the other kinds' bottlenecks replaced, the assignment blocker's loop
 over row subsets, the decision models' from-scratch subset scores, the
 top-k sum's set-function bound on the library's search, the top-k family
 level's HiGHS and SLSQP solves, the per-prefix level's bracketed ``brentq``
@@ -484,6 +485,31 @@ def reference_path_bottleneck(system: PathSystem, costs) -> BottleneckResult:
     used, witness = reference_path_blocker(system, (c < value).astype(float))
     if used != 0.0:
         raise AssertionError("no blocker element attains the bottleneck level")
+    return BottleneckResult(value, member, witness)
+
+
+def reference_base_bottleneck(system, costs) -> BottleneckResult:
+    """Threshold bisection plus a zero-weight minimum-weight blocker, the route
+    that ``bottleneck_value`` took for tree, assignment and explicit systems
+    before their one-pass forms."""
+    c = system.validated_costs(costs)
+    levels = np.unique(c)
+    lo, hi = 0, len(levels) - 1
+    if system.threshold_witness(c, levels[hi]) is None:
+        raise DomainError("system is infeasible at the largest cost")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if system.threshold_witness(c, levels[mid]) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    value = float(levels[lo])
+    member = system.threshold_witness(c, value)
+    used, witness = min_weight_blocker(system, (c < value).astype(float))
+    if used != 0.0:
+        raise AssertionError(
+            "no blocker element attains the bottleneck level; duality is broken"
+        )
     return BottleneckResult(value, member, witness)
 
 

@@ -85,6 +85,23 @@ def random_system(rng, kind=None):
     return random_explicit_system(rng)
 
 
+def count_calls(monkeypatch, original) -> list:
+    """Wrap ``original`` at every ``drbottleneck`` import site, as layer
+    tracing does; return the list that grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "drbottleneck" or name.startswith("drbottleneck."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def dyadic_costs(rng, n, lo=0, hi=640) -> np.ndarray:
     """Random costs on the 1/64 lattice; sums of a few stay exact in floats."""
     return rng.integers(lo, hi, size=n).astype(float) / 64.0

@@ -2,12 +2,20 @@
 
 import csv
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from drbottleneck import PathSystem, ScenarioSet, bottleneck, save_scenarios, system_to_json
+from conftest import count_calls
+from drbottleneck import (
+    ExplicitSystem,
+    PathSystem,
+    ScenarioSet,
+    TreeSystem,
+    bottleneck,
+    save_scenarios,
+    system_to_json,
+)
 from drbottleneck.cli import main
 from drbottleneck.scenarios import load_scenarios
 
@@ -180,12 +188,39 @@ class TestCalibrateModel:
         assert "selected_theta" in summary
 
 
+def write_pair(tmp_path, tag, system, costs=None, count=4, seed=0):
+    """Instance and scenario files for ``system``; the scenarios are
+    ``costs``, or ``count`` rows of U(0, 10) costs drawn with ``seed``."""
+    base = str(tmp_path / tag)
+    with open(base + ".instance.json", "w", encoding="utf-8") as fh:
+        json.dump(system_to_json(system), fh)
+    if costs is None:
+        costs = np.random.default_rng(seed).uniform(0.0, 10.0, size=(count, system.ground.n))
+    save_scenarios(base + ".scenarios.csv", ScenarioSet(np.asarray(costs, dtype=float)))
+    return {"instance": base + ".instance.json", "scenarios": base + ".scenarios.csv"}
+
+
+@pytest.fixture
+def tree(tmp_path):
+    """A 5-node graph with two cycles and a parallel edge."""
+    edges = ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (3, 4))
+    return write_pair(tmp_path, "tree", TreeSystem(nodes=5, edges=edges), seed=6)
+
+
+@pytest.fixture
+def explicit(tmp_path):
+    members = ({0, 1}, {1, 2, 3}, {0, 4}, {2, 4, 5}, {3, 5})
+    return write_pair(tmp_path, "explicit", ExplicitSystem(members=members, n=6), seed=8)
+
+
 class TestOracleModel:
-    def test_all_checks_pass(self, generated, tmp_path, capsys):
+    @pytest.mark.parametrize("fixture", ["generated", "matching", "tree", "explicit"])
+    def test_all_checks_pass(self, fixture, request, tmp_path, capsys):
+        pair = request.getfixturevalue(fixture)
         out = tmp_path / "oracle"
         code = run_cli(
-            "--model", "oracle", "--instance", generated["instance"],
-            "--scenarios", generated["scenarios"], "--seed", "3", "--out", str(out),
+            "--model", "oracle", "--instance", pair["instance"],
+            "--scenarios", pair["scenarios"], "--seed", "3", "--out", str(out),
         )
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
@@ -209,6 +244,26 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "kind=domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["decide", "robust-decide", "tv-decide"])
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            # the chosen member's squared deviations overflow
+            [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]],
+            # the exact sum of the member values 1.7e308, 1.7e308, -1 overflows
+            [[1.7e308, 1.7e308], [1.7e308, 1.7e308], [-1.0, -1.0]],
+        ],
+        ids=["variance", "sum"],
+    )
+    def test_overflowing_costs(self, model, costs, tmp_path, capsys):
+        pair = write_pair(tmp_path, "big", ExplicitSystem(members=({0}, {1}), n=2), costs)
+        code = run_cli(
+            "--model", model, "--instance", pair["instance"], "--scenarios",
+            pair["scenarios"], "--theta", "0.5", "--d", "0.5", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert "error kind=domain: decision objective overflows" in capsys.readouterr().err
 
     def test_scale_guard_exit_code(self, tmp_path, capsys):
         gen = tmp_path / "big"
@@ -424,12 +479,7 @@ def bridge(tmp_path):
     """A 4-node bridge with s and t not adjacent, so top-2 sums are defined and
     its top-k blocker families can be enumerated."""
     system = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
-    base = str(tmp_path / "bridge")
-    with open(base + ".instance.json", "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(system), fh)
-    costs = np.random.default_rng(11).uniform(0.0, 10.0, size=(5, system.ground.n))
-    save_scenarios(base + ".scenarios.csv", ScenarioSet(costs))
-    return {"instance": base + ".instance.json", "scenarios": base + ".scenarios.csv"}
+    return write_pair(tmp_path, "bridge", system, count=5, seed=11)
 
 
 GRID = ("0", "0.25", "1", "2.5")
@@ -468,23 +518,6 @@ class TestGridSharesTheEmpiricalWork:
                 json.dumps(([records[i]], [rows[i]], shared), sort_keys=True)
             )
 
-    @staticmethod
-    def _count_calls(monkeypatch, original) -> list:
-        """Wrap ``original`` at every ``drbottleneck`` import site; return the
-        list that grows by one per call."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "drbottleneck" or name.startswith("drbottleneck."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
-        return calls
-
     @pytest.mark.parametrize("fixture", ["generated", "matching"])
     @pytest.mark.parametrize("sense", ["cost", "capacity"])
     @pytest.mark.parametrize("model", ["quantify", "calibrate"])
@@ -492,7 +525,7 @@ class TestGridSharesTheEmpiricalWork:
                                          monkeypatch):
         pair = request.getfixturevalue(fixture)
         count = load_scenarios(pair["scenarios"]).count
-        calls = self._count_calls(monkeypatch, bottleneck.bottleneck_value)
+        calls = count_calls(monkeypatch, bottleneck.bottleneck_value)
         for grid in ("0.5", "0,0.3", "0,0.05,0.1,0.2,0.4,0.8"):
             calls.clear()
             assert run_cli(
@@ -506,7 +539,7 @@ class TestGridSharesTheEmpiricalWork:
         # one bottleneck per scenario for the whole grid, not one more per
         # scenario per radius; the values and multipliers are those the
         # per-radius route gave, bit for bit
-        calls = self._count_calls(monkeypatch, bottleneck.bottleneck_value)
+        calls = count_calls(monkeypatch, bottleneck.bottleneck_value)
         out = str(tmp_path / "f")
         assert run_cli(
             "--model", "quantify", "--q", "2", "--theta-grid", "0.5,1,2",
@@ -523,8 +556,8 @@ class TestGridSharesTheEmpiricalWork:
 
     def test_one_topk_enumeration_per_run(self, bridge, tmp_path, monkeypatch):
         count = load_scenarios(bridge["scenarios"]).count
-        sums = self._count_calls(monkeypatch, bottleneck.topk_sum_value)
-        families = self._count_calls(monkeypatch, bottleneck.topk_blocker_enumerate)
+        sums = count_calls(monkeypatch, bottleneck.topk_sum_value)
+        families = count_calls(monkeypatch, bottleneck.topk_blocker_enumerate)
         for grid in ("0.5", "0,0.5,1,2"):
             sums.clear()
             families.clear()

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_assignment_system, random_system
 from drbottleneck import (
     AssignmentSystem,
+    decide,
     DomainError,
     ExplicitSystem,
     ScenarioSet,
@@ -273,6 +274,56 @@ class TestTotalVariation:
             grid = [0.0, 0.5, 1.0, 1.5, 2.0]
             values = [tv_robust_decision(system, scen, d).objective for d in grid]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestOverflow:
+    """An exact score past the float range is a domain error, not a bare
+    ``OverflowError``."""
+
+    PAIR = ExplicitSystem(members=(frozenset({0}), frozenset({1})), n=2)
+    # member {0} scores 1e308, -1e308, 1e308: its squared deviations overflow
+    SPREAD = ScenarioSet([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]])
+    # member {0} scores 1.7e308, 1.7e308, -1: their exact sum overflows
+    LARGE = ScenarioSet([[1.7e308, 1.7e308], [1.7e308, 1.7e308], [-1.0, -1.0]])
+
+    @pytest.mark.parametrize("scen", [SPREAD, LARGE], ids=["spread", "large"])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            saa_decision,
+            lambda system, scen: variance_robust_decision(system, scen, 0.5),
+            lambda system, scen: tv_robust_decision(system, scen, 0.5),
+            lambda system, scen: topk_variance_robust_decision(system, scen, 0.5, 1),
+        ],
+        ids=["saa", "variance", "tv", "topk-variance"],
+    )
+    def test_decision_models(self, solve, scen):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            solve(self.PAIR, scen)
+
+    def test_scores(self):
+        with pytest.raises(DomainError):
+            decide._tv_objective([1.7e308, 1.7e308, -1.0], 0.5)
+        with pytest.raises(DomainError):  # a difference is past the range
+            decide._tv_objective([1e308, -1e308, 1e308], 0.5)
+        with pytest.raises(DomainError):
+            decide._mean([1.7e308, 1.7e308, -1.0])
+        with pytest.raises(DomainError):  # a deviation squares past the range
+            decide._population_variance([1e308, -1e308, 1e308], 1e308 / 3)
+        with pytest.raises(DomainError):  # a deviation is itself past the range
+            decide._population_variance([1.7e308, -1.7e308, -1.7e308], -1.7e308 / 3)
+        single = ExplicitSystem(members=(frozenset({0, 1}),), n=2)
+        with pytest.raises(DomainError):  # a top-2 sum
+            topk_decision(single, ScenarioSet([[1.7e308, 1.7e308]]), 0.0, 2)
+
+    def test_scores_near_the_range_edge(self):
+        # every exact sum the search and the report take fits the range
+        scen = ScenarioSet([[4e307, 1e153], [-4e307, 2e153], [4e307, -3e153]])
+        report = tv_robust_decision(self.PAIR, scen, 0.5)
+        assert report.chosen == frozenset({1})
+        values = (1e153, 2e153, -3e153)
+        assert report.mean == math.fsum(values) / 3
+        assert report.variance == math.fsum((v - report.mean) ** 2 for v in values) / 3 < math.inf
 
 
 class TestTopkDecision:

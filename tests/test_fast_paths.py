@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from functools import partial
 from itertools import combinations, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from _oracles import (
     brute_minimal_cut_side,
     reference_assignment_blocker,
     reference_band,
+    reference_base_bottleneck,
     reference_bracketed_root,
     reference_family_level,
     reference_finite_order,
@@ -41,23 +43,35 @@ from _oracles import (
     reference_topk_sum_value,
     reference_tv_objective,
 )
-from conftest import random_assignment_system, random_path_system, random_system
+from conftest import (
+    count_calls,
+    random_assignment_system,
+    random_explicit_system,
+    random_path_system,
+    random_system,
+    random_tree_system,
+)
 from drbottleneck import (
     AssignmentSystem,
     ConvergenceError,
+    EnumerationLimitError,
+    ExplicitSystem,
     PathSystem,
     ScenarioSet,
+    TreeSystem,
     antichain_reduce,
     bottleneck_value,
     decide,
     empirical_record,
     enumerate_members,
     indifference_set,
+    load_scenarios,
     min_member_size,
     min_weight_blocker,
     quantify_robust_finite_order,
     robust_decision,
     saa_decision,
+    system_from_json,
     systems,
     topk_blocker_enumerate,
     topk_decision,
@@ -258,6 +272,75 @@ def test_path_bottleneck_matches_reference():
     for rng, system in _path_systems(7, 60):
         for c in _cost_vectors(rng, system.ground.n):
             _same_result(bottleneck_value(system, c), reference_path_bottleneck(system, c))
+
+
+def _bottleneck_costs(rng, n):
+    """``_cost_vectors``, then Gaussian costs and costs on five integer levels."""
+    yield from _cost_vectors(rng, n)
+    yield rng.normal(size=n)
+    yield rng.integers(0, 5, size=n).astype(float)
+
+
+def _bundled_matching():
+    data = Path(__file__).parent.parent / "data"
+    system = system_from_json((data / "monthly_matching_9x9.instance.json").read_text())
+    return system, load_scenarios(data / "monthly_matching_9x9.csv")
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_assignment_bottleneck_matches_reference(m):
+    system = AssignmentSystem(m=m)
+    rng = np.random.default_rng(300 + m)
+    for _ in range(60):
+        for c in _bottleneck_costs(rng, m * m):
+            _same_result(bottleneck_value(system, c), reference_base_bottleneck(system, c))
+
+
+def test_bundled_matching_bottleneck_matches_reference():
+    system, scenarios = _bundled_matching()
+    for row in scenarios.costs:
+        for c in (row, -row):  # the cost and the capacity sense
+            _same_result(bottleneck_value(system, c), reference_base_bottleneck(system, c))
+
+
+def test_tree_and_explicit_bottleneck_match_reference():
+    rng = np.random.default_rng(17)
+    kinds = [random_tree_system(rng, max_nodes=7, max_extra=6) for _ in range(60)]
+    kinds += [random_explicit_system(rng) for _ in range(60)]
+    # parallel edges only; a single member; nested and disjoint members
+    kinds.append(TreeSystem(nodes=2, edges=((0, 1), (1, 0), (0, 1))))
+    kinds.append(ExplicitSystem(members=(frozenset({0, 2}),), n=3))
+    kinds.append(ExplicitSystem(members=({0}, {0, 1}, {2, 3}, {1, 2, 3}), n=4))
+    for system in kinds:
+        for c in _bottleneck_costs(rng, system.ground.n):
+            _same_result(bottleneck_value(system, c), reference_base_bottleneck(system, c))
+
+
+def test_bottleneck_blocker_calls(monkeypatch):
+    # no blocker call for assignments and explicit systems, and the one
+    # zero-weight global minimum cut for trees
+    calls = count_calls(monkeypatch, systems.min_weight_blocker)
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        for system, per_call in (
+            (AssignmentSystem(m=int(rng.integers(1, 11))), 0),
+            (random_explicit_system(rng), 0),
+            (random_tree_system(rng, max_nodes=7, max_extra=6), 1),
+        ):
+            for c in _bottleneck_costs(rng, system.ground.n):
+                calls.clear()
+                bottleneck_value(system, c)
+                assert len(calls) == per_call, system
+    system, scenarios = _bundled_matching()
+    calls.clear()
+    for sense in ("cost", "capacity"):
+        empirical_record(system, scenarios, sense)
+    assert calls == []
+
+
+def test_assignment_bottleneck_keeps_the_blocker_limit():
+    with pytest.raises(EnumerationLimitError, match="limited to m <= 10"):
+        bottleneck_value(AssignmentSystem(m=11), np.arange(121.0))
 
 
 def _weight_vectors(rng, m):
