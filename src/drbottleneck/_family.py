@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, exact_sum
 
 # simplex pivots or dual steps before ConvergenceError, the certified
 # relative gap of the dual, and the simplex's pivot tolerance
@@ -104,7 +104,7 @@ def dual_level(A: np.ndarray, b: np.ndarray, radius: float, r: float, level) -> 
         norm = _pnorm(v, p)
         w = (v / norm) ** (p - 1.0)
         grad = b + radius * (A @ w)
-        upper = math.fsum((lam * b[active]).tolist()) + radius * norm
+        upper = exact_sum((lam * b[active]).tolist()) + radius * norm
         lower = level(radius * w)
         scale = 1.0 + abs(upper)
         if upper - lower <= FAMILY_LEVEL_GAP * scale:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .systems import BottleneckResult, CombinatorialSystem, _weight_sum, min_weight_blocker
+from .errors import ConvergenceError, exact_sum, saturating_sum
+from .systems import BottleneckResult, CombinatorialSystem, min_weight_blocker
 
 # steps of the multiplier bisection, and refinement rounds at r != 1, before
 # ConvergenceError; the certified relative width of the bracket
@@ -139,7 +139,7 @@ class _LiftModel:
 
         def line(elements):
             idx = sorted(elements)
-            return math.fsum(w1[idx].tolist()), math.fsum(off[idx].tolist())
+            return exact_sum(w1[idx].tolist()), exact_sum(off[idx].tolist())
 
         def ask(t):
             return self._ask(gap**r if t == a else np.maximum(w1 * t - off, 0.0))
@@ -278,7 +278,7 @@ def _multiplier_bracket(models, room: float):
             )
         steps += 1
         picks = [m.best(lam) for m in models]
-        return picks, _weight_sum(p.spend for p in picks) > room
+        return picks, saturating_sum(p.spend for p in picks) > room
 
     # double or halve from 1 until the sign flips, then bisect
     lam = 1.0
@@ -351,7 +351,7 @@ def _mixture(models, lo_picks, hi_picks, budget: float, lam: float):
                 support[k] = [(1.0 - share, cur), (share, pick)]
                 room = 0.0
     points = [(k, w, p.level, p.elements) for k, pts in enumerate(support) for w, p in pts]
-    value = math.fsum(w * level for _, w, level, _ in points) / len(models)
+    value = exact_sum(w * level for _, w, level, _ in points) / len(models)
     return value, tuple(points)
 
 
@@ -383,7 +383,7 @@ def finite_order_bracket(record, radius: float, q: float, r: float) -> FiniteOrd
     budget = radius**q
     for _ in range(MULTIPLIER_SEARCH_MAX_ITER):
         lo, hi, lo_picks, hi_picks = _multiplier_bracket(models, len(models) * budget)
-        upper = hi * budget + math.fsum(m.upper(hi) for m in models) / len(models)
+        upper = hi * budget + exact_sum(m.upper(hi) for m in models) / len(models)
         lower, support = _mixture(models, lo_picks, hi_picks, budget, hi)
         slack = FINITE_ORDER_GAP * (1.0 + abs(upper))
         if upper - lower <= slack:

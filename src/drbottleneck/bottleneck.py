@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .decide import _minimize, _TopK
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError, EnumerationLimitError, exact_sum
 from .search import enumerate_members
 from .systems import (
     BottleneckResult,
@@ -149,6 +149,6 @@ def dual_topk_sum_value(system: CombinatorialSystem, costs, k: int) -> float:
     families = topk_blocker_enumerate(clutter, k)
     best = -math.inf
     for fam in families:
-        worst = min(math.fsum(c[j] for j in sorted(s)) for s in fam)
+        worst = min(exact_sum(c[j] for j in sorted(s)) for s in fam)
         best = max(best, worst)
     return best

@@ -12,14 +12,15 @@ import numpy as np
 from .bottleneck import bottleneck_value
 from .decide import (
     _Maxima,
-    _mean,
-    _population_variance,
     robust_decision,
     saa_decision,
     tv_robust_decision,
     variance_robust_decision,
 )
-from .errors import DomainError, check_ground_order
+from .errors import (
+    ROBUST_VALUE, DomainError, check_ground_order, exact_mean, exact_sum, exact_variance,
+    overflow_error,
+)
 from .quantify import WassersteinBall, quantify_robust
 from .scenarios import ScenarioSet
 from .systems import CombinatorialSystem
@@ -66,8 +67,11 @@ def asymptotic_ci(values) -> CiReport:
         raise DomainError("need at least two values for a confidence interval")
     if not np.all(np.isfinite(arr)):
         raise DomainError("confidence interval values must be finite")
-    mean = float(math.fsum(arr) / arr.size)
-    half = 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+    mean = float(exact_sum(arr) / arr.size)
+    with np.errstate(over="ignore"):
+        half = 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+    if half == math.inf:  # the spread leaves the float range
+        raise overflow_error(ROBUST_VALUE)
     return CiReport(point=mean, half_width=half, level=0.95, method="asymptotic")
 
 
@@ -182,8 +186,8 @@ def normal_approx_radius(per_scenario_values, z: float = 1.645) -> float:
     values = list(per_scenario_values)
     if not values:
         raise DomainError("need at least one value for an indifference radius")
-    mean = _mean(values)
-    return z * math.sqrt(_population_variance(values, mean) / len(values))
+    mean = exact_mean(values)
+    return z * math.sqrt(exact_variance(values, mean) / len(values))
 
 
 def smallest_radius_in_band(
@@ -295,9 +299,9 @@ def cross_validate(
         test = _Maxima(scenarios.costs[order[train_size:]])
         for col, theta in enumerate(radii):
             values = test.score(solver(system, train, theta).chosen)
-            mean = _mean(values)
+            mean = exact_mean(values)
             means[rep, col] = mean
-            variances[rep, col] = _population_variance(values, mean)
+            variances[rep, col] = exact_variance(values, mean)
 
     def column_ci(matrix, col) -> CiReport:
         column = matrix[:, col]

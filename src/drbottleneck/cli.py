@@ -41,6 +41,7 @@ from .errors import (
     InvalidInstanceError,
     InvariantViolationError,
     ScenarioParseError,
+    saturating_sum,
 )
 from .generate import (
     MultihopParams,
@@ -355,7 +356,7 @@ def _oracle(args):
         checks += 1
         weights = rng.uniform(0.0, 1.0, size=n)
         fast, _ = min_weight_blocker(system, weights)
-        brute = min(math.fsum(weights[j] for j in sorted(b.elements)) for b in blocker)
+        brute = min(saturating_sum(weights[j] for j in sorted(b.elements)) for b in blocker)
         if abs(fast - brute) > 1e-9:
             raise InvariantViolationError(
                 f"min-weight blocker mismatch: {fast} vs {brute}"

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DomainError, InvariantViolationError, check_element_ids, check_ground_order, check_radius
+    DECISION_OBJECTIVE, DomainError, InvariantViolationError, check_element_ids,
+    check_ground_order, check_radius, exact_mean, exact_sum, exact_variance, overflow_error,
 )
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
@@ -64,30 +65,7 @@ class IndifferenceSet:
         """Membership test: mean per-scenario maximum within the threshold."""
         elements = frozenset(check_element_ids(elements, self.scenarios.width))
         values = _Maxima(self.scenarios.costs).score(elements)
-        return _mean(values) <= self.threshold
-
-
-# Scores are summed exactly, and an exact sum past the float range raises
-# OverflowError; that is an input out of range, so it surfaces as this.
-_OVERFLOW = "decision objective overflows the float range; scenario costs are too large"
-
-
-def _mean(values) -> float:
-    try:
-        return math.fsum(values) / len(values)
-    except OverflowError as exc:
-        raise DomainError(_OVERFLOW) from exc
-
-
-def _population_variance(values, mean: float) -> float:
-    # a difference past the float range is inf, and its square too
-    try:
-        variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
-    except OverflowError as exc:
-        raise DomainError(_OVERFLOW) from exc
-    if variance == math.inf:
-        raise DomainError(_OVERFLOW)
-    return variance
+        return exact_mean(values) <= self.threshold
 
 
 class _Maxima:
@@ -135,10 +113,7 @@ class _TopK(_Maxima):
         short = self.k - acc.shape[1]
         if short:
             acc = np.hstack([acc, np.repeat(self.floor, short, axis=1)])
-        try:
-            return [math.fsum(row) for row in acc.tolist()]
-        except OverflowError as exc:
-            raise DomainError(_OVERFLOW) from exc
+        return [exact_sum(row, DECISION_OBJECTIVE) for row in acc.tolist()]
 
 
 Aggregate = Callable[[list[float]], float]
@@ -188,11 +163,11 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
 
     def prune(acc) -> bool:
-        return acc is not None and _mean(fold.values(acc)) > limit
+        return acc is not None and exact_mean(fold.values(acc)) > limit
 
     for member in iter_members(system, prune, extend=fold.extend):
         values = fold.score(member)
-        mean = _mean(values)
+        mean = exact_mean(values)
         if mean <= threshold:
             yield member, values, mean
 
@@ -202,9 +177,9 @@ def _least_variance_in_band(
 ) -> DecisionReport:
     """The least population variance among subsets whose mean score is within
     ``shift`` of the sample-average optimum, ties lexicographic."""
-    saa_value, _, _ = _minimize(system, fold, _mean, force)
+    saa_value, _, _ = _minimize(system, fold, exact_mean, force)
     band = _band(system, fold, saa_value + shift)
-    keyed = ((_population_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
+    keyed = ((exact_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
     best = min(keyed, default=None)
     if best is None:
         raise InvariantViolationError(
@@ -215,13 +190,13 @@ def _least_variance_in_band(
 
 
 def _report(chosen, objective, values, model) -> DecisionReport:
-    mean = _mean(values)
+    mean = exact_mean(values)
     return DecisionReport(
         chosen=chosen,
         objective=objective,
         per_scenario=tuple(values),
         mean=mean,
-        variance=_population_variance(values, mean),
+        variance=exact_variance(values, mean),
         model=model,
     )
 
@@ -242,7 +217,7 @@ def saa_decision(
     smallest element set.
     """
 
-    value, chosen, values = _minimize(system, _fold(system, scenarios), _mean, force)
+    value, chosen, values = _minimize(system, _fold(system, scenarios), exact_mean, force)
     return _report(chosen, value, values, "saa")
 
 
@@ -258,9 +233,8 @@ def robust_decision(
     radius and every ground norm; the objective shifts by exactly the radius.
     """
 
-    fold = _fold(system, scenarios, radius)
-    value, chosen, values = _minimize(system, fold, _mean, force)
-    return _shifted(_report(chosen, value, values, "saa"), radius)
+    check_radius(radius)
+    return _shifted(saa_decision(system, scenarios, force), radius)
 
 
 def decision_worst_case_distribution(
@@ -393,14 +367,11 @@ def _tv_objective(values, d: float) -> float:
     u = np.sort(values)
     n, lean, worst = len(u), 1.0 - d / 2.0, d * u[-1] / 2.0
     if float(u[-1]) - float(u[0]) == math.inf:  # a difference past the float range
-        raise DomainError(_OVERFLOW)
-    try:
-        return float(min(
-            lean * u[j] + math.fsum((u[j:] - u[j]).tolist()) / n + worst
-            for j in _tv_breakpoints(u, d).tolist()
-        ))
-    except OverflowError as exc:
-        raise DomainError(_OVERFLOW) from exc
+        raise overflow_error(DECISION_OBJECTIVE)
+    return float(min(
+        lean * u[j] + exact_sum((u[j:] - u[j]).tolist(), DECISION_OBJECTIVE) / n + worst
+        for j in _tv_breakpoints(u, d).tolist()
+    ))
 
 
 def topk_decision(
@@ -420,7 +391,7 @@ def topk_decision(
     """
 
     fold = _fold(system, scenarios, radius, k, ground_order)
-    value, chosen, values = _minimize(system, fold, _mean, force)
+    value, chosen, values = _minimize(system, fold, exact_mean, force)
     return _report(chosen, value + _radius_shift(radius, k, ground_order), values, "topk-robust")
 
 

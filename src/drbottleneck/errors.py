@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the radius, ground norm
-order and element id checks shared by every module that takes one.
+"""Exception types shared across the toolkit, the radius, ground norm order
+and element id checks shared by every module that takes one, and the exact
+sums every reported average is taken with.
 
 Every error carries a short machine-readable ``kind`` tag; the CLI maps these
 tags to exit codes.
@@ -83,3 +84,47 @@ def check_element_ids(elements, n: int) -> list[int]:
     if not ids or ids[0] < 0 or ids[-1] >= n:
         raise DomainError(f"elements must be a nonempty set of ground element ids 0..{n - 1}")
     return ids
+
+
+# Every average the package reports is an exact sum over a count.  An exact
+# sum past the float range is an input out of range, so it is refused, naming
+# one of two subjects; only the blocker weights saturate instead.
+DECISION_OBJECTIVE, ROBUST_VALUE = "decision objective", "robust value"
+
+
+def overflow_error(subject: str) -> DomainError:
+    return DomainError(f"{subject} overflows the float range; scenario costs are too large")
+
+
+def exact_sum(values, subject: str = ROBUST_VALUE) -> float:
+    """``math.fsum`` of ``values``, refused past the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise overflow_error(subject) from exc
+
+
+def exact_mean(values, subject: str = DECISION_OBJECTIVE) -> float:
+    """``exact_sum`` over the length; the decision searches call it once a state."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError as exc:
+        raise overflow_error(subject) from exc
+
+
+def exact_variance(values, mean: float, subject: str = DECISION_OBJECTIVE) -> float:
+    """Population variance (divisor N) about ``mean``, summed exactly; a
+    difference past the float range is inf, as is its square, and is refused."""
+    variance = exact_sum(((v - mean) ** 2 for v in values), subject) / len(values)
+    if variance == math.inf:
+        raise overflow_error(subject)
+    return variance
+
+
+def saturating_sum(weights) -> float:
+    """``math.fsum`` of nonnegative weights, or ``math.inf`` where it overflows:
+    the blocker oracles and the finite-order spend test only compare sums."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf

@@ -44,6 +44,7 @@ from .errors import (
     check_element_ids,
     check_ground_order,
     check_radius,
+    exact_sum,
 )
 from .scenarios import ScenarioSet, require_matching_width
 from .search import enumerate_members
@@ -404,7 +405,7 @@ class EmpiricalRecord:
             per.append(ScenarioRobustness(level, rec.witness, rec.raised))
             if rec.raised:
                 support[k, sorted(rec.raised)] = level
-        value = math.fsum(rec.level for rec in per) / self.scenarios.count
+        value = exact_sum(rec.level for rec in per) / self.scenarios.count
         support.setflags(write=False)
         return RobustQuote(value, tuple(per), support, config, self.sense)
 
@@ -424,7 +425,7 @@ def empirical_record(
         bottleneck_value(system, _oriented(row, sense)) for row in scenarios.costs
     )
     values = tuple(_oriented(res.value, sense) for res in results)
-    saa = math.fsum(values) / scenarios.count
+    saa = exact_sum(values) / scenarios.count
     return EmpiricalRecord(system, scenarios, sense, results, values, saa)
 
 
@@ -485,11 +486,7 @@ def check_gap_bounds(
     r = check_ground_order(ground_order)
     if not blocker_size >= 1:
         raise DomainError("blocker size must be at least 1")
-    gap = robust_value - empirical_value
-    if sense == "capacity":
-        gap = empirical_value - robust_value
-    elif sense != "cost":
-        raise DomainError("sense must be 'cost' or 'capacity'")
+    gap = _oriented(robust_value - empirical_value, sense)
     lower = radius / blocker_size ** (1.0 / r)
     report = GapReport(gap=gap, lower_bound=lower, upper_bound=radius)
     if gap < lower - 1e-9 or gap > radius + 1e-9:
@@ -579,7 +576,7 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
     if all(len(s) == 1 for s in subsets):
         return element_level(c, {s[0] for s in subsets}, radius, r)
     union = sorted(set().union(*subsets))
-    base = [math.fsum(c[j] for j in s) for s in subsets]
+    base = [exact_sum(c[j] for j in s) for s in subsets]
     if radius == 0.0:
         return min(base)
     pos = {j: i for i, j in enumerate(union)}
@@ -592,13 +589,13 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
         # the least subset sum under an explicit lift, scaled into the ball
         beta = np.clip(beta, 0.0, None)
         if r == 1.0:
-            norm = math.fsum(beta.tolist())
+            norm = exact_sum(beta.tolist())
         else:
             norm = float(np.sum(beta**r)) ** (1.0 / r)
         if norm > radius:
             beta = beta * (radius / norm)
         lift = beta.tolist()
-        return min(math.fsum([b, *(lift[j] for j in row)]) for row, b in zip(rows, base))
+        return min(exact_sum([b, *(lift[j] for j in row)]) for row, b in zip(rows, base))
 
     # loaded on the first family level: compiling the solvers at package
     # import would raise the peak memory of every run that never needs them
@@ -633,13 +630,8 @@ def topk_record(
 ) -> TopkRecord:
     """The SAA top-k sum and the enumerated top-k blocker families."""
     require_matching_width(scenarios, system)
-    saa = (
-        math.fsum(
-            topk_sum_value(system, scenarios.costs[i], k, force=force)[0]
-            for i in range(scenarios.count)
-        )
-        / scenarios.count
-    )
+    sums = [topk_sum_value(system, costs, k, force=force)[0] for costs in scenarios.costs]
+    saa = exact_sum(sums) / scenarios.count
     try:
         clutter = antichain_reduce(enumerate_members(system, force=force))
         families = topk_blocker_enumerate(clutter, k)
@@ -665,12 +657,11 @@ def quantify_topk(record: TopkRecord, radius: float, ground_order: float = 1.0) 
     saa, k, families = record.saa, record.k, record.families
     exact_value = None
     if families is not None:
-        totals = []
-        for c in record.scenarios.costs:
-            totals.append(
-                max(_family_level(c, fam, radius, r) for fam in families)
-            )
-        exact_value = math.fsum(totals) / record.scenarios.count
+        totals = [
+            max(_family_level(c, fam, radius, r) for fam in families)
+            for c in record.scenarios.costs
+        ]
+        exact_value = exact_sum(totals) / record.scenarios.count
     lower = saa + k * radius / record.union_size ** (1.0 / r)
     upper = saa + k ** ((r - 1.0) / r) * radius
     return TopkQuote(

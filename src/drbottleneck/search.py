@@ -27,10 +27,6 @@ def _union(acc: frozenset[int] | None, added: frozenset[int]) -> frozenset[int]:
     return added if acc is None else acc | added
 
 
-def check_search_guard(system: CombinatorialSystem, force: bool = False) -> None:
-    system.check_search_guard(force)
-
-
 def iter_members(
     system: CombinatorialSystem,
     prune: Callable[[Any], bool] | None = None,
@@ -88,7 +84,7 @@ def minimize_members(
     The heap holds no accumulator; a popped state rebuilds its own.
     """
 
-    check_search_guard(system, force)
+    system.check_search_guard(force)
     root = system.root()
     counter = 0
     heap = [(bound_fn(extend(None, root[0])), counter, root)]

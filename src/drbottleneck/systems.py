@@ -37,7 +37,7 @@ from ._graphs import (
     max_bipartite_matching,
     min_st_cut_side,
 )
-from .errors import DomainError, EnumerationLimitError, InvalidInstanceError
+from .errors import DomainError, EnumerationLimitError, InvalidInstanceError, saturating_sum
 
 #: Largest ground set for which explicit blocker enumeration is attempted.
 BLOCKER_ENUMERATION_LIMIT = 20
@@ -56,15 +56,6 @@ ENUM_MAX_EXPLICIT_MEMBERS = 512
 #: Guards for bound-pruned search (branch and bound still visits the tree).
 SEARCH_MAX_GRAPH_NODES = 14
 SEARCH_MAX_ASSIGNMENT_SIDE = 9
-
-
-def _weight_sum(weights) -> float:
-    """``math.fsum`` of nonnegative weights, or ``math.inf``, their IEEE-rounded
-    sum, where the exact sum overflows (``fsum`` raises there instead)."""
-    try:
-        return math.fsum(weights)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -191,7 +182,7 @@ class _GraphSystem(CombinatorialSystem):
 
     def _cut_blocker(self, side, w) -> tuple[float, BlockerElement]:
         crossing = self._crossing(side)
-        value = _weight_sum(w[j] for j in crossing)
+        value = saturating_sum(w[j] for j in crossing)
         return value, BlockerElement(
             frozenset(crossing), kind="cut", partition=frozenset(side)
         )
@@ -456,7 +447,7 @@ def _scored_submatrix(grid: np.ndarray, rows: tuple[int, ...], b: int):
     with np.errstate(over="ignore"):
         col_sums = grid[list(rows), :].sum(axis=0)
     cols = tuple(sorted(range(m), key=lambda j: (col_sums[j], j))[:b])
-    value = _weight_sum(grid[i, j] for i in rows for j in sorted(cols))
+    value = saturating_sum(grid[i, j] for i in rows for j in sorted(cols))
     return value, rows, cols
 
 
@@ -682,7 +673,7 @@ class ExplicitSystem(CombinatorialSystem):
         best_key = None
         best_el = None
         for el in self.blocker:
-            value = _weight_sum(w[j] for j in sorted(el.elements))
+            value = saturating_sum(w[j] for j in sorted(el.elements))
             key = (value, sorted(el.elements))
             if best_key is None or key < best_key:
                 best_key = key

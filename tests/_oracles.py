@@ -46,7 +46,8 @@ from drbottleneck import (
     minimize_members,
 )
 from drbottleneck._graphs import bfs_path_edges
-from drbottleneck.decide import _mean, _population_variance, _report
+from drbottleneck.decide import _report
+from drbottleneck.errors import exact_mean, exact_variance
 from drbottleneck.quantify import _lift_root
 
 
@@ -635,19 +636,19 @@ def reference_minimize(system, score, aggregate, force=False):
 
 def reference_band(system, score, threshold: float):
     """Members whose mean score is at most ``threshold``: ``(member, values, mean)``."""
-    bound = _reference_objective(score, _mean)
+    bound = _reference_objective(score, exact_mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
     for member in iter_members(system, prune=lambda els: bool(els) and bound(els) > limit):
         values = score(member)
-        mean = _mean(values)
+        mean = exact_mean(values)
         if mean <= threshold:
             yield member, values, mean
 
 
 def reference_least_variance_in_band(system, score, shift: float, model: str):
-    saa_value, _, _ = reference_minimize(system, score, _mean)
+    saa_value, _, _ = reference_minimize(system, score, exact_mean)
     band = reference_band(system, score, saa_value + shift)
-    keyed = ((_population_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
+    keyed = ((exact_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
     variance, _, member, values = min(keyed)
     return _report(member, variance, values, model)
 

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import count_calls
 from drbottleneck import (
+    AssignmentSystem,
     ExplicitSystem,
     PathSystem,
     ScenarioSet,
@@ -264,6 +266,23 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "error kind=domain: decision objective overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["quantify"], ["calibrate"], ["evaluate"], ["gamma-quantify", "--gamma", "1"]],
+        ids=["quantify", "calibrate", "evaluate", "gamma-quantify"],
+    )
+    def test_overflowing_costs_quantified(self, argv, tmp_path, capsys):
+        # the scenario values are -1e308, -1e308, 1e308: their exact sum
+        # overflows on the way
+        costs = [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]
+        pair = write_pair(tmp_path, "big", ExplicitSystem(members=({0}, {1}), n=2), costs)
+        code = run_cli(
+            "--model", *argv, "--instance", pair["instance"], "--scenarios",
+            pair["scenarios"], "--theta", "0.5", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert "error kind=domain: robust value overflows" in capsys.readouterr().err
 
     def test_scale_guard_exit_code(self, tmp_path, capsys):
         gen = tmp_path / "big"
@@ -567,3 +586,76 @@ class TestGridSharesTheEmpiricalWork:
                 "--gamma", "2", "--out", str(tmp_path / "g"),
             ) == 0
             assert (len(sums), len(families)) == (count, 1), grid
+
+
+# every model that reads an instance, as (line id, argv); --d is read by
+# tv-decide alone
+FUZZ_LINES = {
+    "quantify-cost": ["--model", "quantify"],
+    "quantify-capacity": ["--model", "quantify", "--sense", "capacity"],
+    "quantify-theta-1e300": ["--model", "quantify", "--theta", "1e300"],
+    "quantify-q2": ["--model", "quantify", "--q", "2"],
+    "quantify-r2": ["--model", "quantify", "--r", "2"],
+    "calibrate": ["--model", "calibrate"],
+    "evaluate": ["--model", "evaluate"],
+    "gamma-quantify-r1": ["--model", "gamma-quantify", "--gamma", "1"],
+    "gamma-quantify-r2": ["--model", "gamma-quantify", "--gamma", "1", "--r", "2"],
+    "decide": ["--model", "decide"],
+    "robust-decide": ["--model", "robust-decide"],
+    "tv-decide": ["--model", "tv-decide", "--d", "0.5"],
+    "gamma-decide": ["--model", "gamma-decide"],
+    "oracle": ["--model", "oracle"],
+}
+FUZZ_SYSTEMS = {
+    "path": PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3),
+    "tree": TreeSystem(nodes=4, edges=((0, 1), (1, 2), (2, 0), (2, 3))),
+    "assignment": AssignmentSystem(m=2),
+    "explicit": ExplicitSystem(members=({0}, {1}, {0, 1}), n=2),
+}
+
+
+def fuzz_shapes(n, rng):
+    """Scenario costs at and past the edges of the float range."""
+    signs = lambda rows: rng.choice([-1.0, 1.0], size=(rows, n))
+    return {
+        "plus-1e308": np.full((3, n), 1e308),
+        "minus-1e308": np.full((3, n), -1e308),
+        "1.7e308": np.vstack([np.full((2, n), 1.7e308), np.full((1, n), -1.0)]),
+        "mixed-signs": signs(4) * 1e308,
+        "subnormals": signs(3) * rng.integers(1, 5, size=(3, n)) * 5e-324,
+        "zeros": signs(3) * 0.0,
+        "one-scenario": signs(1) * 1e308,
+        "spaced-1e300": np.arange(-2.0, 3.0)[:, None] * 1e300 + rng.uniform(0.0, 1.0, (5, n)),
+    }
+
+
+def all_finite(payload) -> bool:
+    if isinstance(payload, float):
+        return math.isfinite(payload)
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    return not isinstance(payload, list) or all(all_finite(x) for x in payload)
+
+
+class TestNoTraceback:
+    """Every model line on costs at the edges of the float range ends in
+    finite output or a stated refusal, never an escaping exception."""
+
+    @pytest.mark.parametrize("kind", FUZZ_SYSTEMS)
+    def test_extreme_costs(self, kind, tmp_path, capsys):
+        system = FUZZ_SYSTEMS[kind]
+        rng = np.random.default_rng(sorted(FUZZ_SYSTEMS).index(kind))
+        failures = []
+        for shape, costs in fuzz_shapes(system.ground.n, rng).items():
+            pair = write_pair(tmp_path, shape, system, costs)
+            for line, argv in FUZZ_LINES.items():
+                out = str(tmp_path / "out")
+                code = run_cli(*argv, "--instance", pair["instance"],
+                               "--scenarios", pair["scenarios"], "--out", out)
+                err = capsys.readouterr().err.strip().splitlines()
+                if code == 0:
+                    if not all_finite(json.load(open(out + ".json"))):
+                        failures.append((shape, line, "non-finite JSON"))
+                elif not (err and err[-1].startswith("error kind=")):
+                    failures.append((shape, line, code, err[-1:]))
+        assert failures == []

@@ -29,6 +29,7 @@ from drbottleneck import (
     tv_robust_decision,
     variance_robust_decision,
 )
+from drbottleneck.errors import exact_mean, exact_variance
 
 
 def enumerate_matching_reports(system, costs):
@@ -307,11 +308,11 @@ class TestOverflow:
         with pytest.raises(DomainError):  # a difference is past the range
             decide._tv_objective([1e308, -1e308, 1e308], 0.5)
         with pytest.raises(DomainError):
-            decide._mean([1.7e308, 1.7e308, -1.0])
+            exact_mean([1.7e308, 1.7e308, -1.0])
         with pytest.raises(DomainError):  # a deviation squares past the range
-            decide._population_variance([1e308, -1e308, 1e308], 1e308 / 3)
+            exact_variance([1e308, -1e308, 1e308], 1e308 / 3)
         with pytest.raises(DomainError):  # a deviation is itself past the range
-            decide._population_variance([1.7e308, -1.7e308, -1.7e308], -1.7e308 / 3)
+            exact_variance([1.7e308, -1.7e308, -1.7e308], -1.7e308 / 3)
         single = ExplicitSystem(members=(frozenset({0, 1}),), n=2)
         with pytest.raises(DomainError):  # a top-2 sum
             topk_decision(single, ScenarioSet([[1.7e308, 1.7e308]]), 0.0, 2)

@@ -83,8 +83,9 @@ from drbottleneck import (
 from drbottleneck import _family, _finite, quantify
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.decide import (
-    _mean, _radius_shift, _report, _shifted, _tv_breakpoints, _tv_objective
+    _radius_shift, _report, _shifted, _tv_breakpoints, _tv_objective
 )
+from drbottleneck.errors import exact_mean
 from drbottleneck.quantify import _family_level, _lift_root, _prefix_level
 
 ORDERS = (1.0, 2.0, 1.5)
@@ -475,7 +476,7 @@ def test_decisions_match_reference(kind):
             radius = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 3.0)]))
             score = reference_score(scenarios.costs)
 
-            value, chosen, values = reference_minimize(system, score, _mean)
+            value, chosen, values = reference_minimize(system, score, exact_mean)
             saa = _report(chosen, value, values, "saa")
             assert saa_decision(system, scenarios) == saa
             assert robust_decision(system, scenarios, radius) == _shifted(saa, radius)
@@ -500,7 +501,7 @@ def test_decisions_match_reference(kind):
                 order = float(rng.choice([1.0, 2.0]))
                 score = reference_score(scenarios.costs, k)
                 shift = _radius_shift(radius, k, order)
-                value, chosen, values = reference_minimize(system, score, _mean)
+                value, chosen, values = reference_minimize(system, score, exact_mean)
                 expected = _report(chosen, value + shift, values, "topk-robust")
                 assert topk_decision(system, scenarios, radius, k, order) == expected
                 expected = reference_least_variance_in_band(

@@ -662,7 +662,6 @@ class TestStructureConstant:
 
     def test_enumeration_guards(self):
         from drbottleneck import EnumerationLimitError, enumerate_members
-        from drbottleneck.search import check_search_guard
 
         big = ExplicitSystem(
             members=tuple(frozenset({0, i}) for i in range(1, 600)), n=600
@@ -676,8 +675,8 @@ class TestStructureConstant:
             nodes=16, edges=tuple((i, i + 1) for i in range(15)), s=0, t=15
         )
         with pytest.raises(EnumerationLimitError):
-            check_search_guard(chain)
-        check_search_guard(chain, force=True)
+            chain.check_search_guard()
+        chain.check_search_guard(force=True)
 
 
 class TestConcurrentUse:
