@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .decide import _minimize, _TopK
-from .errors import DomainError, EnumerationLimitError, exact_sum
+from .errors import DomainError, EnumerationLimitError, exact_row_sums
 from .search import enumerate_members
 from .systems import (
     BottleneckResult,
@@ -147,8 +147,7 @@ def dual_topk_sum_value(system: CombinatorialSystem, costs, k: int) -> float:
     c = system.validated_costs(costs)
     clutter = antichain_reduce(enumerate_members(system))
     families = topk_blocker_enumerate(clutter, k)
-    best = -math.inf
-    for fam in families:
-        worst = min(exact_sum(c[j] for j in sorted(s)) for s in fam)
-        best = max(best, worst)
-    return best
+    return max(
+        (min(exact_row_sums([c[j] for j in sorted(s)] for s in fam)) for fam in families),
+        default=-math.inf,
+    )

@@ -11,11 +11,7 @@ import numpy as np
 
 from .bottleneck import bottleneck_value
 from .decide import (
-    _Maxima,
-    robust_decision,
-    saa_decision,
-    tv_robust_decision,
-    variance_robust_decision,
+    _Maxima, robust_decision, saa_decision, tv_robust_decision, variance_robust_decision
 )
 from .errors import (
     ROBUST_VALUE, DomainError, check_ground_order, exact_mean, exact_sum, exact_variance,
@@ -68,9 +64,9 @@ def asymptotic_ci(values) -> CiReport:
     if not np.all(np.isfinite(arr)):
         raise DomainError("confidence interval values must be finite")
     mean = float(exact_sum(arr) / arr.size)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         half = 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
-    if half == math.inf:  # the spread leaves the float range
+    if not math.isfinite(half):  # the spread, or numpy's pairwise mean, leaves the range
         raise overflow_error(ROBUST_VALUE)
     return CiReport(point=mean, half_width=half, level=0.95, method="asymptotic")
 

@@ -74,8 +74,7 @@ JSON_SCHEMA_VERSION = 1
 def _parse_order(text: str) -> float:
     if text in ("inf", "infinity", "oo"):
         return math.inf
-    value = float(text)
-    return value
+    return float(text)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -461,12 +460,9 @@ def main(argv=None) -> int:
         kind = getattr(exc, "kind", "io")
         print(f"error kind={kind}: {exc}", file=sys.stderr)
         return 1
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, InvariantViolationError) as exc:
         print(f"error kind={exc.kind}: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolationError as exc:
-        print(f"error kind={exc.kind}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, EnumerationLimitError) else 3
     return 0
 
 

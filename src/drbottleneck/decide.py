@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DECISION_OBJECTIVE, DomainError, InvariantViolationError, check_element_ids,
-    check_ground_order, check_radius, exact_mean, exact_sum, exact_variance, overflow_error,
+    DECISION_OBJECTIVE, DomainError, InvariantViolationError, check_element_ids, check_ground_order,
+    check_radius, exact_mean, exact_row_sums, exact_sum, exact_variance, overflow_error,
 )
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
@@ -113,7 +113,7 @@ class _TopK(_Maxima):
         short = self.k - acc.shape[1]
         if short:
             acc = np.hstack([acc, np.repeat(self.floor, short, axis=1)])
-        return [exact_sum(row, DECISION_OBJECTIVE) for row in acc.tolist()]
+        return exact_row_sums(acc.tolist(), DECISION_OBJECTIVE)
 
 
 Aggregate = Callable[[list[float]], float]

@@ -104,20 +104,28 @@ def exact_sum(values, subject: str = ROBUST_VALUE) -> float:
         raise overflow_error(subject) from exc
 
 
-def exact_mean(values, subject: str = DECISION_OBJECTIVE) -> float:
-    """``exact_sum`` over the length; the decision searches call it once a state."""
+def exact_row_sums(rows, subject: str = ROBUST_VALUE) -> list[float]:
+    """``exact_sum`` of each row under one guard, one call for a whole block."""
     try:
-        return math.fsum(values) / len(values)
+        return [math.fsum(row) for row in rows]
     except OverflowError as exc:
         raise overflow_error(subject) from exc
 
 
-def exact_variance(values, mean: float, subject: str = DECISION_OBJECTIVE) -> float:
+def exact_mean(values) -> float:
+    """``exact_sum`` over the length; the decision searches call it once a state."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError as exc:
+        raise overflow_error(DECISION_OBJECTIVE) from exc
+
+
+def exact_variance(values, mean: float) -> float:
     """Population variance (divisor N) about ``mean``, summed exactly; a
     difference past the float range is inf, as is its square, and is refused."""
-    variance = exact_sum(((v - mean) ** 2 for v in values), subject) / len(values)
+    variance = exact_sum(((v - mean) ** 2 for v in values), DECISION_OBJECTIVE) / len(values)
     if variance == math.inf:
-        raise overflow_error(subject)
+        raise overflow_error(DECISION_OBJECTIVE)
     return variance
 
 

@@ -44,6 +44,7 @@ from .errors import (
     check_element_ids,
     check_ground_order,
     check_radius,
+    exact_row_sums,
     exact_sum,
 )
 from .scenarios import ScenarioSet, require_matching_width
@@ -576,7 +577,7 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
     if all(len(s) == 1 for s in subsets):
         return element_level(c, {s[0] for s in subsets}, radius, r)
     union = sorted(set().union(*subsets))
-    base = [exact_sum(c[j] for j in s) for s in subsets]
+    base = exact_row_sums([c[j] for j in s] for s in subsets)
     if radius == 0.0:
         return min(base)
     pos = {j: i for i, j in enumerate(union)}
@@ -595,7 +596,7 @@ def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
         if norm > radius:
             beta = beta * (radius / norm)
         lift = beta.tolist()
-        return min(exact_sum([b, *(lift[j] for j in row)]) for row, b in zip(rows, base))
+        return min(exact_row_sums([b, *(lift[j] for j in row)] for row, b in zip(rows, base)))
 
     # loaded on the first family level: compiling the solvers at package
     # import would raise the peak memory of every run that never needs them

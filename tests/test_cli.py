@@ -228,6 +228,28 @@ class TestOracleModel:
         assert "all checks passed" in capsys.readouterr().out
 
 
+# Scenario costs on the explicit system {0}, {1} whose reported averages
+# leave the float range
+OVERFLOWING_COSTS = {
+    # the chosen member's squared deviations overflow; the scenario values
+    # -1e308, -1e308, 1e308 overflow their exact sum on the way
+    "variance": [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]],
+    # the exact sum of the member values 1.7e308, 1.7e308, -1 overflows
+    "sum": [[1.7e308, 1.7e308], [1.7e308, 1.7e308], [-1.0, -1.0]],
+    # the exact sum is 1e308, but numpy's eight-way pairwise mean in the
+    # band's spread adds -inf to inf
+    "pairwise": [[v, v] for v in (1e308, -1e308, 1e308, 0.0, -1e308, -1e308, 1e308, 1e308)],
+}
+# (shape, model argv, subject of the refusal); the other models ignore --d
+OVERFLOW_CASES = [
+    *((shape, [model], "decision objective") for shape in ("variance", "sum")
+      for model in ("decide", "robust-decide", "tv-decide")),
+    *(("variance", argv, "robust value") for argv in (
+        ["quantify"], ["calibrate"], ["evaluate"], ["gamma-quantify", "--gamma", "1"])),
+    *(("pairwise", [model], "robust value") for model in ("calibrate", "evaluate")),
+]
+
+
 class TestErrorPaths:
     def test_missing_files(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -247,42 +269,19 @@ class TestErrorPaths:
         assert code == 1
         assert "kind=domain" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("model", ["decide", "robust-decide", "tv-decide"])
     @pytest.mark.parametrize(
-        "costs",
-        [
-            # the chosen member's squared deviations overflow
-            [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]],
-            # the exact sum of the member values 1.7e308, 1.7e308, -1 overflows
-            [[1.7e308, 1.7e308], [1.7e308, 1.7e308], [-1.0, -1.0]],
-        ],
-        ids=["variance", "sum"],
+        "shape, argv, subject", OVERFLOW_CASES,
+        ids=[f"{shape}-{argv[0]}" for shape, argv, _ in OVERFLOW_CASES],
     )
-    def test_overflowing_costs(self, model, costs, tmp_path, capsys):
-        pair = write_pair(tmp_path, "big", ExplicitSystem(members=({0}, {1}), n=2), costs)
+    def test_overflowing_costs(self, shape, argv, subject, tmp_path, capsys):
+        system = ExplicitSystem(members=({0}, {1}), n=2)
+        pair = write_pair(tmp_path, "big", system, OVERFLOWING_COSTS[shape])
         code = run_cli(
-            "--model", model, "--instance", pair["instance"], "--scenarios",
+            "--model", *argv, "--instance", pair["instance"], "--scenarios",
             pair["scenarios"], "--theta", "0.5", "--d", "0.5", "--out", str(tmp_path / "o"),
         )
         assert code == 1
-        assert "error kind=domain: decision objective overflows" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["quantify"], ["calibrate"], ["evaluate"], ["gamma-quantify", "--gamma", "1"]],
-        ids=["quantify", "calibrate", "evaluate", "gamma-quantify"],
-    )
-    def test_overflowing_costs_quantified(self, argv, tmp_path, capsys):
-        # the scenario values are -1e308, -1e308, 1e308: their exact sum
-        # overflows on the way
-        costs = [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]
-        pair = write_pair(tmp_path, "big", ExplicitSystem(members=({0}, {1}), n=2), costs)
-        code = run_cli(
-            "--model", *argv, "--instance", pair["instance"], "--scenarios",
-            pair["scenarios"], "--theta", "0.5", "--out", str(tmp_path / "o"),
-        )
-        assert code == 1
-        assert "error kind=domain: robust value overflows" in capsys.readouterr().err
+        assert f"error kind=domain: {subject} overflows" in capsys.readouterr().err
 
     def test_scale_guard_exit_code(self, tmp_path, capsys):
         gen = tmp_path / "big"
