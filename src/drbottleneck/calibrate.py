@@ -48,11 +48,18 @@ class CiReport:
 
 
 def estimate_sigma(values) -> float:
-    """Sample standard deviation (divisor N - 1) of objective samples."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
+    """Sample standard deviation (divisor N - 1) of objective samples, summed
+    exactly; a spread past the float range is refused."""
+    samples = [float(v) for v in values]
+    if len(samples) < 2:
         raise DomainError("need at least two samples to estimate sigma")
-    return float(np.std(arr, ddof=1))
+    if not all(math.isfinite(v) for v in samples):
+        raise DomainError("sigma samples must be finite")
+    mean = exact_sum(samples) / len(samples)
+    sigma = math.sqrt(exact_sum((v - mean) ** 2 for v in samples) / (len(samples) - 1))
+    if sigma == math.inf:  # a difference past the float range squares to inf
+        raise overflow_error(ROBUST_VALUE)
+    return sigma
 
 
 def asymptotic_ci(values) -> CiReport:
@@ -82,8 +89,8 @@ def theoretical_ci(point: float, theta: float, epsilon: float) -> CiReport:
 def _check_rule_inputs(sample_count: int, sigma: float, epsilon: float) -> None:
     if sample_count < 1:
         raise DomainError("sample count must be at least 1")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise DomainError("sigma must be positive and finite")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
 

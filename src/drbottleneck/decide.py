@@ -71,10 +71,16 @@ class IndifferenceSet:
 class _Maxima:
     """Per-scenario maxima of a subset's costs, folded one element at a time
     into an N-vector, ``None`` for the empty set.  A maximum is exact, so the
-    order the elements arrive in does not change it."""
+    order the elements arrive in does not change it.
+
+    ``screen`` and ``lookahead`` sum such vectors in floating point, each
+    within ``pad`` of the exact sum (see the comment above ``_mean_pad``).
+    """
 
     def __init__(self, costs: np.ndarray):
         self.columns = np.ascontiguousarray(costs.T)  # one row per element
+        self.ones = np.ones(costs.shape[0])
+        self.pad = _mean_pad(costs)
 
     def extend(self, acc, added):
         for j in added:
@@ -86,6 +92,44 @@ class _Maxima:
 
     def score(self, elements) -> list[float]:
         return self.values(self.extend(None, elements))
+
+    def screen(self, acc) -> float:
+        """N times the mean of ``acc``, screened."""
+        return float(acc @ self.ones)
+
+    def lookahead(self, acc, groups) -> float:
+        """The max over ``groups`` of the least screened sum of max(acc, column)
+        over the group's cells; less the pad, it bounds N times the mean of
+        every completion that takes a cell of each group."""
+        cells = self.columns.take(groups, axis=0)
+        np.maximum(cells, acc, out=cells)
+        return float(np.maximum.reduce(np.minimum.reduce(cells @ self.ones, axis=1)))
+
+
+# The float screen of the maximum fold.  With N scenarios, M = max |cost| and
+# unit roundoff w = 2**-53, a dot product with a ones vector adds N terms of
+# magnitude at most M in some order (BLAS may block or pair them); every order
+# errs by at most (N - 1) w NM to first order, the products by one are exact,
+# and additions lose nothing to underflow.  So a screened sum s and the exact
+# sum S of the same maxima differ by at most N^2 wM.  The exact mean is
+# V = fl(fl(S) / N), with |fl(S) - S| <= wNM.  Rounding is monotone, so for a
+# float L, fl(x) <= L whenever x <= L; hence V <= L once fl(S) <= NL, and
+# V > L once fl(S) >= N succ(L), where succ(L) - L <= 2w|L| + 2**-1074.
+# Lookahead: a completion C takes a cell e of each group and its maxima are at
+# least max(acc, column e) in every scenario, so S_C >= S_e; with pad >= N^2 wM
+# the lookahead less the pad is at most S_C, so fl(lookahead - pad) <= fl(S_C)
+# and fl(fl(lookahead - pad) / N) <= V_C.  Band test against T = fl(NL), which
+# errs by wN|L|: fl(x - T) > slack gives x - T > slack, and then fl(S) (or
+# fl(S_C)) >= N succ(L) when slack >= (N^2 + N) wM + 3wN|L| + N 2**-1074;
+# fl(s - T) < -slack gives fl(S) <= NL by the same count.  The pad is
+# (N^2 M + N 2**-1020) 2**-50, four times the first term and sixteen times the
+# last, and the band adds |T| 2**-50 for the |L| term; the margins cover the
+# rounding of the pad, the slack and the comparisons.  A finite pad needs
+# N^2 M finite, so no screened sum (at most NM) overflows; an infinite pad or
+# slack leaves only the exact path.
+def _mean_pad(costs: np.ndarray) -> float:
+    n = costs.shape[0]
+    return (n * n * float(np.abs(costs).max()) + n * 2.0**-1020) * 2.0**-50
 
 
 class _TopK(_Maxima):
@@ -101,6 +145,7 @@ class _TopK(_Maxima):
         super().__init__(costs)
         self.k = k
         self.floor = np.minimum(costs.min(axis=1, keepdims=True), 0.0)
+        self.pad = math.inf  # no screen or lookahead: the exact path only
 
     def extend(self, acc, added):
         if not added:
@@ -138,10 +183,20 @@ def _fold(
 def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, force: bool):
     """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
     to the lexicographically smallest set.  The aggregate is monotone, so its
-    value on a partial set bounds every completion; the empty set scores -inf."""
+    value on a partial set bounds every completion; the empty set scores -inf.
+    The mean's key is the larger of that and the lookahead over the state's
+    completion groups, which never exceeds a completion's mean either, so the
+    champion is the same."""
+    lookahead = aggregate is exact_mean and fold.pad < math.inf
 
-    def bound(acc) -> float:
-        return -math.inf if acc is None else aggregate(fold.values(acc))
+    def bound(acc, state) -> float:
+        if acc is None:
+            return -math.inf
+        value = aggregate(fold.values(acc))
+        groups = system.completion_groups(state) if lookahead else ()
+        if len(groups):
+            value = max(value, (fold.lookahead(acc, groups) - fold.pad) / len(fold.ones))
+        return value
 
     value, chosen = minimize_members(system, bound, force, extend=fold.extend)
     return value, chosen, fold.score(chosen)
@@ -157,13 +212,29 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
 
     Yields ``(member, values, mean)``.  The search prunes on the mean score,
     which is monotone; since monotone bounds can invert by an ulp on partial
-    sets, the prune keeps a tolerance band above the threshold.
+    sets, the prune keeps a tolerance band above the threshold.  It prunes
+    where the screen, or the lookahead over the completion groups, clears the
+    limit by the pad, keeps where the screen lies below it by the pad, and
+    takes the exact mean only in between.
     """
 
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
+    bar = len(fold.ones) * limit
+    slack = fold.pad + abs(bar) * 2.0**-50
 
-    def prune(acc) -> bool:
-        return acc is not None and exact_mean(fold.values(acc)) > limit
+    def prune(acc, state) -> bool:
+        if acc is None:
+            return False
+        if slack < math.inf:
+            screen = fold.screen(acc) - bar
+            if screen > slack:
+                return True
+            groups = system.completion_groups(state)
+            if len(groups) and fold.lookahead(acc, groups) - bar > slack:
+                return True
+            if screen < -slack:
+                return False
+        return exact_mean(fold.values(acc)) > limit
 
     for member in iter_members(system, prune, extend=fold.extend):
         values = fold.score(member)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -227,16 +228,20 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     c = np.asarray(sorted_costs, dtype=float)
     budget = radius**r
     m = len(c)
-    prefix_sum = np.cumsum(c)
+    prefixes = _screened_prefixes(c, radius, budget, r)
+    # np.cumsum's running sums up to the last prefix kept, in Python floats,
+    # which overflow to inf without a warning and fail the range test
+    prefix_sum = list(accumulate(c[: max(prefixes, default=0)].tolist()))
     candidates = []
-    for i in _screened_prefixes(c, radius, budget, r):
+    for i in prefixes:
         top = c[i - 1]
         nxt = c[i] if i < m else math.inf
         if r == 1.0:
             t = (prefix_sum[i - 1] + radius) / i
         elif r == 2.0:
             mean = prefix_sum[i - 1] / i
-            spread = float(np.sum((c[:i] - mean) ** 2))
+            with np.errstate(over="ignore"):  # an infinite spread skips its prefix
+                spread = float(np.sum((c[:i] - mean) ** 2))
             if radius**2 < spread:
                 continue
             t = mean + math.sqrt((radius**2 - spread) / i)
@@ -305,7 +310,8 @@ def l1_robust_level(sorted_costs, radius: float) -> float:
 
 def _raise_cost(system, c: np.ndarray, t: float, r: float):
     """Cheapest r-norm budget that lifts some blocker element to level t."""
-    weights = np.clip(t - c, 0.0, None) ** r
+    with np.errstate(over="ignore"):  # a lift past the float range weighs inf
+        weights = np.clip(t - c, 0.0, None) ** r
     return min_weight_blocker(system, weights)
 
 

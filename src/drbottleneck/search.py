@@ -12,6 +12,11 @@ parent's ``acc`` grown by the elements its child adds, leaving ``acc`` as it
 was (siblings share it), and ``extend(None, elements)`` builds one from
 scratch.  ``acc`` must be a function of the element set alone.  The default
 ``extend`` is set union, so ``acc`` is the element set.
+
+Both callbacks, ``prune(acc, state)`` and ``bound_fn(acc, state)``, receive
+the state with its accumulator, so a callback can look one step ahead:
+``system.completion_groups(state)`` lists groups of elements of which every
+member below the state takes at least one each.
 """
 
 from __future__ import annotations
@@ -29,21 +34,21 @@ def _union(acc: frozenset[int] | None, added: frozenset[int]) -> frozenset[int]:
 
 def iter_members(
     system: CombinatorialSystem,
-    prune: Callable[[Any], bool] | None = None,
+    prune: Callable[[Any, tuple], bool] | None = None,
     *,
     extend: Callable[[Any, frozenset[int]], Any] = _union,
 ) -> Iterator[frozenset[int]]:
     """Yield feasible subsets in canonical order.
 
-    ``prune`` sees the accumulator of each state visited, partial or
-    complete, once, and returns True to cut the subtree; it must never cut a
-    subtree containing a member that the caller still needs.  Each
+    ``prune`` sees the accumulator and the state of each state visited,
+    partial or complete, once, and returns True to cut the subtree; it must
+    never cut a subtree containing a member that the caller still needs.  Each
     depth-first frame keeps its state's accumulator.
     """
 
     def walk(state, acc):
         elements, complete, _ = state
-        if prune is not None and prune(acc):
+        if prune is not None and prune(acc, state):
             return
         if complete:
             yield elements
@@ -65,17 +70,19 @@ def enumerate_members(
 
 def minimize_members(
     system: CombinatorialSystem,
-    bound_fn: Callable[[Any], float],
+    bound_fn: Callable[[Any, tuple], float],
     force: bool = False,
     *,
     extend: Callable[[Any, frozenset[int]], Any] = _union,
 ) -> tuple[float, frozenset[int]]:
     """Exact minimum of ``bound_fn`` over feasible subsets.
 
-    ``bound_fn`` scores the accumulator of the root and of each state pushed,
-    once.  It must be monotone nondecreasing under element insertion, so its
-    value on a partial set is an admissible lower bound and its value on a
-    complete member is the true objective.  One best-first pass finds the
+    ``bound_fn`` scores the accumulator and the state of the root and of
+    each state pushed, once.  Its value on a complete member is the true
+    objective, and its value on a partial state must not exceed that of any
+    complete member below it: an admissible lower bound, such as a score
+    monotone nondecreasing under element insertion, or a one-step lookahead
+    over the state's completion groups.  One best-first pass finds the
     first complete member, then keeps popping states until their bound
     leaves a band of 1e-12 relative width above it, and returns the smallest
     ``(value, sorted elements)`` among the complete members popped: the
@@ -87,7 +94,7 @@ def minimize_members(
     system.check_search_guard(force)
     root = system.root()
     counter = 0
-    heap = [(bound_fn(extend(None, root[0])), counter, root)]
+    heap = [(bound_fn(extend(None, root[0]), root), counter, root)]
     limit = None
     champion: frozenset[int] | None = None
     champion_key: tuple | None = None
@@ -106,7 +113,7 @@ def minimize_members(
         acc = extend(None, elements)
         for child in system.expand(state):
             counter += 1
-            heapq.heappush(heap, (bound_fn(extend(acc, child[0] - elements)), counter, child))
+            heapq.heappush(heap, (bound_fn(extend(acc, child[0] - elements), child), counter, child))
     if champion is None:
         raise InvalidInstanceError("no feasible subset found")
     return champion_key[0], champion

@@ -90,7 +90,11 @@ class CombinatorialSystem:
       they form a feasible subset, and what the kind needs to expand further.
       Elements only grow along a branch, a complete state has no children,
       and children come in canonical order, which fixes the order of every
-      search.
+      search;
+    * optionally ``completion_groups(state)``: an integer array, one row per
+      group, such that every member below ``state`` takes at least one
+      element of each row and no row holds an element the state has; none
+      by default.
     """
 
     search_limit: float = math.inf
@@ -123,6 +127,9 @@ class CombinatorialSystem:
     def check_search_guard(self, force: bool = False) -> None:
         if not force and self.scale > self.search_limit:
             raise EnumerationLimitError(self.search_refusal)
+
+    def completion_groups(self, state):
+        return ()
 
 
 @dataclass(frozen=True)
@@ -620,6 +627,15 @@ class AssignmentSystem(CombinatorialSystem):
         for j in range(self.m):
             if j not in used:
                 yield elements | {self.cell(row, j)}, row + 1 == self.m, (row + 1, used | {j})
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        return np.arange(self.m * self.m).reshape(self.m, self.m)
+
+    def completion_groups(self, state):
+        # each unassigned row's free cells
+        _, _, (row, used) = state
+        return self._cells[row:].take([j for j in range(self.m) if j not in used], axis=1)
 
 
 @dataclass(frozen=True)

@@ -625,7 +625,7 @@ def reference_score(costs: np.ndarray, k: int | None = None):
 
 
 def _reference_objective(score, aggregate):
-    return lambda elements: aggregate(score(elements)) if elements else -math.inf
+    return lambda elements, state=None: aggregate(score(elements)) if elements else -math.inf
 
 
 def reference_minimize(system, score, aggregate, force=False):
@@ -638,7 +638,7 @@ def reference_band(system, score, threshold: float):
     """Members whose mean score is at most ``threshold``: ``(member, values, mean)``."""
     bound = _reference_objective(score, exact_mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
-    for member in iter_members(system, prune=lambda els: bool(els) and bound(els) > limit):
+    for member in iter_members(system, prune=lambda els, state: bool(els) and bound(els) > limit):
         values = score(member)
         mean = exact_mean(values)
         if mean <= threshold:
@@ -685,7 +685,7 @@ def reference_topk_sum_value(system, costs, k: int, force: bool = False):
 
     floor = min(0.0, float(c.min()))
 
-    def bound(elements: frozenset[int]) -> float:
+    def bound(elements: frozenset[int], state) -> float:
         short = k - min(k, len(elements))
         return _reference_topk_sum(c[sorted(elements)], k) + short * floor
 

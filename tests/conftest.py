@@ -105,3 +105,17 @@ def count_calls(monkeypatch, original) -> list:
 def dyadic_costs(rng, n, lo=0, hi=640) -> np.ndarray:
     """Random costs on the 1/64 lattice; sums of a few stay exact in floats."""
     return rng.integers(lo, hi, size=n).astype(float) / 64.0
+
+
+def states_with_members(system) -> list:
+    """Every state of the search space with the members below it, children
+    before their parent, so the root comes last."""
+    found = []
+
+    def walk(state):
+        below = [state[0]] if state[1] else [m for c in system.expand(state) for m in walk(c)]
+        found.append((state, below))
+        return below
+
+    walk(system.root())
+    return found

@@ -66,6 +66,34 @@ class TestEstimateSigma:
         values = rng.normal(0, 1, size=100)
         assert estimate_sigma(4.0 * values) == pytest.approx(4.0 * estimate_sigma(values))
 
+    def test_matches_numpy(self):
+        values = np.random.default_rng(4).normal(5.0, 2.0, size=50)
+        assert estimate_sigma(values) == pytest.approx(float(np.std(values, ddof=1)), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, -1e308, 1e308], [1e308, 1e308, 1e308], [1.7e308, -1.7e308]],
+        ids=["spread", "sum", "difference"],
+    )
+    def test_overflowing_spread_refused(self, values):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            estimate_sigma(values)
+
+    def test_non_finite_samples_refused(self):
+        with pytest.raises(DomainError, match="finite"):
+            estimate_sigma([1.0, math.inf])
+
+    @pytest.mark.parametrize(
+        "rule",
+        [lambda sigma: calibrate_radius(10, sigma, 0.05, 4),
+         lambda sigma: calibrate_radius_decision(10, sigma, 0.05, 4)],
+        ids=["quantify", "decision"],
+    )
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0])
+    def test_rules_refuse_bad_sigma(self, rule, sigma):
+        with pytest.raises(DomainError, match="sigma must be positive and finite"):
+            rule(sigma)
+
 
 class TestTheoreticalCi:
     def test_quantify_kind(self):

@@ -13,6 +13,7 @@ certificate against brute force.
 """
 
 import math
+import warnings
 from collections import Counter
 from functools import partial
 from itertools import combinations, islice
@@ -50,10 +51,12 @@ from conftest import (
     random_path_system,
     random_system,
     random_tree_system,
+    states_with_members,
 )
 from drbottleneck import (
     AssignmentSystem,
     ConvergenceError,
+    DomainError,
     EnumerationLimitError,
     ExplicitSystem,
     PathSystem,
@@ -116,6 +119,19 @@ def test_prefix_level_matches_reference(r, radius):
         assert _prefix_level(c, radius, r) == reference_prefix_level(c, radius, r), (
             c.tolist()
         )
+
+
+@pytest.mark.parametrize(
+    "costs, r, level",
+    [([1e308, 1e308], 1.0, 1e308), ([1e308, 1e308], 2.0, 1e308), ([-1e308, 1e308], 2.0, -1e308)],
+    ids=["sum-r1", "sum-r2", "spread-r2"],
+)
+def test_prefix_level_overflow_is_silent(costs, r, level):
+    # the prefix sums and the r = 2 spread overflow to inf, which the screen,
+    # the range test and the bisection handle; no RuntimeWarning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _prefix_level(np.array(costs), 1.0, r) == level
 
 
 def test_prefix_level_radius_on_cost_scale():
@@ -512,6 +528,136 @@ def test_decisions_match_reference(kind):
                 )
 
 
+def _lookahead_costs(rng, count, n):
+    """Seeded scenario matrices for the maximum fold's screen: integer ties,
+    magnitudes from 1e-6 to 1e6 of either sign, then costs near the float
+    limit, where the pad is infinite (the last two)."""
+    size = (count, n)
+    yield rng.integers(0, 4, size=size).astype(float)
+    yield rng.integers(-3, 4, size=size) * 1e6
+    for scale in (1e-6, 1.0, 1e6):
+        yield rng.uniform(-10.0, 10.0, size=size) * scale
+    yield rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-6.0, 6.0, size=size)
+    # equal rows, so every sum of maxima and every variance fits; then rows
+    # whose spread overflows the variance, which every model refuses
+    row = rng.integers(1, 3, size=n) * (0.85e308 / count)
+    row[0] = 1.7e308 / count
+    yield np.tile(row, (count, 1))
+    yield np.where(np.arange(count) % 2, -1.0, 1.0)[:, None] * rng.uniform(0.5, 1.0, size=size) * 1e308
+
+
+def _outcome(call):
+    """What a decision call returns, or the message it refuses with."""
+    try:
+        return call()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _decision_outcomes(system, scenarios, radius, d):
+    saa = _outcome(lambda: saa_decision(system, scenarios))
+    listed = _outcome(lambda: indifference_set(system, scenarios, radius, materialize=True))
+    return (
+        saa,
+        _outcome(lambda: variance_robust_decision(system, scenarios, radius)),
+        d is not None and _outcome(lambda: tv_robust_decision(system, scenarios, d)),
+        listed if isinstance(listed, str) else (listed.threshold, listed.baseline, listed.members),
+    )
+
+
+def _reference_outcomes(system, scenarios, radius, d):
+    score = reference_score(scenarios.costs)
+
+    def minimized(aggregate, model):
+        value, chosen, values = reference_minimize(system, score, aggregate)
+        return _report(chosen, value, values, model)
+
+    def saa():
+        return minimized(exact_mean, "saa")
+
+    def tv():
+        return minimized(partial(reference_tv_objective, d=d), "total-variation")
+
+    def listed():
+        threshold = saa().objective + radius
+        band = reference_band(system, score, threshold)
+        members = tuple(sorted((m for m, _, _ in band), key=lambda m: tuple(sorted(m))))
+        return threshold, saa(), members
+
+    return (
+        _outcome(saa),
+        _outcome(lambda: reference_least_variance_in_band(system, score, radius, "variance-robust")),
+        d is not None and _outcome(tv),
+        _outcome(listed),
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_lookahead_decisions_match_reference(m):
+    """The maximum fold's screen and one-step lookahead leave every decision,
+    band and overflow refusal bit for bit those of the plain bound.  The
+    total-variation model, which keeps the plain bound, is compared on the
+    finite pads only: near the float limit its reference sums overflow."""
+    rng = np.random.default_rng(90 + m)
+    system = AssignmentSystem(m)
+    for _ in range(2):
+        shapes = list(_lookahead_costs(rng, int(rng.integers(2, 7)), m * m))
+        for index, costs in enumerate(shapes):
+            scenarios = ScenarioSet(costs)
+            near_limit = decide._Maxima(costs).pad == math.inf
+            assert near_limit == (index >= len(shapes) - 2)
+            radius = float(rng.choice([0.0, 0.05, 0.3])) * float(np.abs(costs).max())
+            d = None if near_limit else float(rng.choice([0.5, 2.0]))
+            assert _decision_outcomes(system, scenarios, radius, d) == _reference_outcomes(
+                system, scenarios, radius, d
+            ), (costs, radius, d)
+
+
+def test_maxima_screen_and_lookahead_bounds():
+    """On every state of a 4x4 assignment, the screen lies within the pad of
+    the exact sum of the maxima, and the lookahead less the pad, over N,
+    never exceeds the mean of a member below the state."""
+    rng = np.random.default_rng(97)
+    system = AssignmentSystem(4)
+    states = states_with_members(system)[:-1]  # the root, last, has no accumulator
+    for costs in islice(_lookahead_costs(rng, 7, 16), 6):
+        fold = decide._Maxima(costs)
+        for state, below in states:
+            acc = fold.score(state[0])
+            assert abs(fold.screen(np.array(acc)) - math.fsum(acc)) <= fold.pad
+            groups = system.completion_groups(state)
+            if len(groups):
+                key = (fold.lookahead(np.array(acc), groups) - fold.pad) / len(fold.ones)
+                assert all(key <= exact_mean(fold.score(m)) for m in below)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_lookahead_pad_absorbs_worst_screen_error(monkeypatch, sign):
+    """Screens and lookaheads moved by the error bound the pad covers,
+    N^2 2**-53 max |cost|, either way, leave every decision unchanged.  The
+    costs are integer ties at 1e6 whose optimal means lie near 0, where the
+    search's 1e-12 band is far narrower than that bound."""
+    screen, lookahead = decide._Maxima.screen, decide._Maxima.lookahead
+
+    def moved(fold, value):
+        n = len(fold.ones)
+        return value + sign * n * n * 2.0**-53 * float(np.abs(fold.columns).max())
+
+    monkeypatch.setattr(decide._Maxima, "screen", lambda self, acc: moved(self, screen(self, acc)))
+    monkeypatch.setattr(
+        decide._Maxima, "lookahead", lambda self, acc, g: moved(self, lookahead(self, acc, g))
+    )
+    rng = np.random.default_rng(98)
+    for m in (3, 4):
+        system = AssignmentSystem(m)
+        for _ in range(6):
+            scenarios = ScenarioSet(rng.integers(-3, 4, size=(int(rng.integers(4, 8)), m * m)) * 1e6)
+            radius = float(rng.choice([0.0, 1e6]))
+            assert _decision_outcomes(system, scenarios, radius, None) == _reference_outcomes(
+                system, scenarios, radius, None
+            )
+
+
 def _topk_costs(rng, n):
     """Seeded cost vectors: floats, mixed signs, ties on multiples of 0.1,
     and magnitudes from 1e-8 to 1e8 of either sign."""
@@ -529,9 +675,9 @@ def _count_bounds(monkeypatch, module) -> list[int]:
     search = module.minimize_members
 
     def minimize(system, bound_fn, *args, **kwargs):
-        def counted(acc):
+        def counted(*scored):
             count[0] += 1
-            return bound_fn(acc)
+            return bound_fn(*scored)
 
         return search(system, counted, *args, **kwargs)
 

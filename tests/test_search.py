@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_members, brute_topk
-from conftest import dyadic_costs, random_system
+from conftest import dyadic_costs, random_system, states_with_members
 from drbottleneck import (
     AssignmentSystem,
     ExplicitSystem,
@@ -71,16 +71,38 @@ def test_iter_members_canonical_order(kind):
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_iter_members_pruned_order(kind):
-    members = list(iter_members(SYSTEMS[kind], prune=lambda els: 1 in els))
+    members = list(iter_members(SYSTEMS[kind], prune=lambda els, state: 1 in els))
     assert members == [frozenset(m) for m in PRUNED_ORDER[kind]]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_assignment_completion_groups(m):
+    # one group per unassigned row; every matching below the state takes one
+    # of its cells, and none is a cell the state already has
+    system = AssignmentSystem(m)
+    states = states_with_members(system)
+    assert sum(1 for state, _ in states if state[1]) == math.factorial(m)
+    for state, below in states:
+        groups = system.completion_groups(state)
+        assert len(groups) == m - len(state[0])
+        for group in groups.tolist():
+            assert not set(group) & state[0]
+            assert all(set(group) & member for member in below)
+
+
+@pytest.mark.parametrize("kind", ["path", "tree", "explicit"])
+def test_base_kinds_have_no_completion_groups(kind):
+    system = SYSTEMS[kind]
+    assert all(len(system.completion_groups(state)) == 0
+               for state, _ in states_with_members(system))
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 @pytest.mark.parametrize(
     "bound, value",
     [
-        (lambda els: 1.0, 1.0),
-        (lambda els: 0.0 if els else -math.inf, 0.0),
+        (lambda els, state: 1.0, 1.0),
+        (lambda els, state: 0.0 if els else -math.inf, 0.0),
     ],
     ids=["constant", "empty-unbounded"],
 )
