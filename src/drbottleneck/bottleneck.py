@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
-from .decide import _minimize, _TopK
+from .decide import _means, _minimize, _TopK
 from .errors import DomainError, EnumerationLimitError, exact_row_sums
 from .search import enumerate_members
 from .systems import (
@@ -95,7 +94,7 @@ def topk_sum_value(
         raise DomainError(
             f"k={k} exceeds the smallest feasible subset ({min_member_size(system)})"
         )
-    value, chosen, _ = _minimize(system, _TopK(c[None, :], k), itemgetter(0), force)
+    value, chosen, _ = _minimize(system, _TopK(c[None, :], k), _means, force)
     return value, chosen
 
 

@@ -11,6 +11,7 @@ variants score subsets by the per-scenario sum of their k largest costs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -24,6 +25,8 @@ from .errors import (
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
 from .systems import AssignmentSystem, CombinatorialSystem, min_member_size
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -69,48 +72,72 @@ class IndifferenceSet:
 
 
 class _Maxima:
-    """Per-scenario maxima of a subset's costs, folded one element at a time
-    into an N-vector, ``None`` for the empty set.  A maximum is exact, so the
-    order the elements arrive in does not change it.
+    """Per-scenario maxima of a subset's costs as an N-vector, all -inf for the
+    empty set.  ``extend`` grows a parent's vector into the block of its
+    children's, one row each, by one gather and one maximum; a maximum is
+    exact, so the order the elements arrive in does not change it.
 
-    ``screen`` and ``lookahead`` sum such vectors in floating point, each
+    ``screens`` and ``lookaheads`` sum such vectors in floating point, each
     within ``pad`` of the exact sum (see the comment above ``_mean_pad``).
     """
 
     def __init__(self, costs: np.ndarray):
-        self.columns = np.ascontiguousarray(costs.T)  # one row per element
+        # one contiguous row per element, so a gather copies whole rows, then
+        # a row of -inf: the index that pads the lists of children adding
+        # fewer elements than their siblings
+        self.blank = costs.shape[1]
+        self.columns = np.full((self.blank + 1, costs.shape[0]), -math.inf)
+        self.columns[:-1] = costs.T
         self.ones = np.ones(costs.shape[0])
         self.pad = _mean_pad(costs)
 
-    def extend(self, acc, added):
-        for j in added:
-            acc = self.columns[j] if acc is None else np.maximum(acc, self.columns[j])
-        return acc
+    def _gather(self, added) -> tuple[np.ndarray, int]:
+        """The columns each child adds, padded with the -inf row to the most
+        any child adds, as (children * that width, N), and the width."""
+        width = max(1, max(map(len, added)))
+        index = [e for a in added for e in a]
+        if len(index) < width * len(added):
+            index = [e for a in added for e in (*a, *[self.blank] * (width - len(a)))]
+        return self.columns.take(index, axis=0), width
 
-    def values(self, acc) -> list[float]:
-        return acc.tolist()
+    def extend(self, acc, added):
+        block, width = self._gather(added)
+        if width > 1:
+            block = np.maximum.reduce(block.reshape(len(added), width, -1), axis=1)
+        if acc is not None:
+            np.maximum(block, acc, out=block)
+        return block
+
+    def values(self, block) -> np.ndarray:
+        """Each child's per-scenario values, one row each."""
+        return block
 
     def score(self, elements) -> list[float]:
-        return self.values(self.extend(None, elements))
+        return self.values(self.extend(None, [elements]))[0].tolist()
 
-    def screen(self, acc) -> float:
-        """N times the mean of ``acc``, screened."""
-        return float(acc @ self.ones)
+    def screens(self, block) -> np.ndarray:
+        """N times the mean of each row, screened: one matrix-vector product."""
+        return block @ self.ones
 
-    def lookahead(self, acc, groups) -> float:
-        """The max over ``groups`` of the least screened sum of max(acc, column)
-        over the group's cells; less the pad, it bounds N times the mean of
-        every completion that takes a cell of each group."""
-        cells = self.columns.take(groups, axis=0)
-        np.maximum(cells, acc, out=cells)
-        return float(np.maximum.reduce(np.minimum.reduce(cells @ self.ones, axis=1)))
+    def lookaheads(self, block, groups) -> np.ndarray:
+        """For each child, the max over its groups of the least screened sum of
+        max(acc, column) over the group's cells; less the pad, it bounds N
+        times the mean of every completion that takes a cell of each group.
+        ``groups`` is the (children, groups, cells) block of the children."""
+        # gathered as (cells, groups, children, N), so both reductions run
+        # over leading axes
+        cells = self.columns.take(groups.transpose(2, 1, 0), axis=0)
+        np.maximum(cells, block, out=cells)
+        sums = (cells.reshape(-1, len(self.ones)) @ self.ones).reshape(cells.shape[:3])
+        return np.maximum.reduce(np.minimum.reduce(sums, axis=0), axis=0)
 
 
 # The float screen of the maximum fold.  With N scenarios, M = max |cost| and
 # unit roundoff w = 2**-53, a dot product with a ones vector adds N terms of
-# magnitude at most M in some order (BLAS may block or pair them); every order
-# errs by at most (N - 1) w NM to first order, the products by one are exact,
-# and additions lose nothing to underflow.  So a screened sum s and the exact
+# magnitude at most M in some order (BLAS may block or pair them, and a
+# matrix-vector product may order each row differently); every order errs by
+# at most (N - 1) w NM to first order, the products by one are exact, and
+# additions lose nothing to underflow.  So a screened sum s and the exact
 # sum S of the same maxima differ by at most N^2 wM.  The exact mean is
 # V = fl(fl(S) / N), with |fl(S) - S| <= wNM.  Rounding is monotone, so for a
 # float L, fl(x) <= L whenever x <= L; hence V <= L once fl(S) <= NL, and
@@ -133,35 +160,43 @@ def _mean_pad(costs: np.ndarray) -> float:
 
 
 class _TopK(_Maxima):
-    """Per-scenario sums of a subset's k largest costs, folded into the
-    N-by-min(k, |S|) block of those costs, rows ascending.
+    """Per-scenario sums of a subset's k largest costs, folded into the N-by-k
+    block of those costs, rows ascending; a block of children stacks one such
+    block per child.
 
-    A set of fewer than k elements also counts the scenario's least cost,
-    where it is negative, once for each element it lacks: no superset scores
-    lower, so the value of a partial set is an admissible bound.
+    A set of fewer than k elements fills its block with the scenario's least
+    cost, where it is negative (else 0), once for each element it lacks: no
+    superset scores lower, so the value of a partial set is an admissible
+    bound.  That floor is at most every cost, so a sort keeps it below the
+    costs a set takes, and above the -inf rows that pad a gather.
     """
 
     def __init__(self, costs: np.ndarray, k: int):
         super().__init__(costs)
         self.k = k
-        self.floor = np.minimum(costs.min(axis=1, keepdims=True), 0.0)
+        self.empty = np.repeat(np.minimum(costs.min(axis=1, keepdims=True), 0.0), k, axis=1)
         self.pad = math.inf  # no screen or lookahead: the exact path only
 
     def extend(self, acc, added):
-        if not added:
-            return acc
-        block = self.columns[list(added)].T
-        block = block if acc is None else np.hstack([acc, block])
-        return np.sort(block, axis=1)[:, -self.k:]
+        block, width = self._gather(added)
+        grown = np.empty((len(added), len(self.ones), self.k + width))
+        grown[:, :, :self.k] = self.empty if acc is None else acc
+        grown[:, :, self.k:] = block.reshape(len(added), width, -1).transpose(0, 2, 1)
+        grown.sort(axis=2)
+        return grown[:, :, -self.k:]
 
-    def values(self, acc) -> list[float]:
-        short = self.k - acc.shape[1]
-        if short:
-            acc = np.hstack([acc, np.repeat(self.floor, short, axis=1)])
-        return exact_row_sums(acc.tolist(), DECISION_OBJECTIVE)
+    def values(self, block) -> np.ndarray:
+        sums = exact_row_sums(block.reshape(-1, self.k).tolist(), DECISION_OBJECTIVE)
+        return np.array(sums).reshape(block.shape[:2])
 
 
-Aggregate = Callable[[list[float]], float]
+Aggregate = Callable[[np.ndarray], list[float]]
+
+
+def _means(values: np.ndarray) -> list[float]:
+    """The exact mean of each row of ``values``."""
+    n = values.shape[1]
+    return [total / n for total in exact_row_sums(values.tolist(), DECISION_OBJECTIVE)]
 
 
 def _fold(
@@ -180,6 +215,24 @@ def _fold(
     return _TopK(scenarios.costs, k)
 
 
+def _block_callback(system: CombinatorialSystem, score, lookahead: bool, empty):
+    """The search callback of ``score(block, groups)``, which scores a block of
+    nonempty children with their completion groups, or None without them.
+    The empty set, held only by the root and a tree's first skip branches,
+    gets ``empty`` unscored, and its siblings go without groups."""
+
+    def callback(block, state, children):
+        groups = system.completion_block(state) if lookahead else None
+        # elements only grow along a branch: a nonempty parent's children are nonempty
+        if state is not None and state[0] or all(child[0] for child in children):
+            return score(block, groups)
+        kept = [i for i, child in enumerate(children) if child[0]]
+        values = iter(score(block[kept], None) if kept else ())
+        return [next(values) if child[0] else empty for child in children]
+
+    return callback
+
+
 def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, force: bool):
     """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
     to the lexicographically smallest set.  The aggregate is monotone, so its
@@ -187,18 +240,18 @@ def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, 
     The mean's key is the larger of that and the lookahead over the state's
     completion groups, which never exceeds a completion's mean either, so the
     champion is the same."""
-    lookahead = aggregate is exact_mean and fold.pad < math.inf
+    n = len(fold.ones)
 
-    def bound(acc, state) -> float:
-        if acc is None:
-            return -math.inf
-        value = aggregate(fold.values(acc))
-        groups = system.completion_groups(state) if lookahead else ()
-        if len(groups):
-            value = max(value, (fold.lookahead(acc, groups) - fold.pad) / len(fold.ones))
-        return value
+    def bound(block, groups) -> list[float]:
+        keys = aggregate(fold.values(block))
+        if groups is None:
+            return keys
+        aheads = fold.lookaheads(block, groups).tolist()
+        return [max(key, (ahead - fold.pad) / n) for key, ahead in zip(keys, aheads)]
 
-    value, chosen = minimize_members(system, bound, force, extend=fold.extend)
+    lookahead = aggregate is _means and fold.pad < math.inf
+    callback = _block_callback(system, bound, lookahead, -math.inf)
+    value, chosen = minimize_members(system, callback, force, extend=fold.extend)
     return value, chosen, fold.score(chosen)
 
 
@@ -222,21 +275,23 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
     bar = len(fold.ones) * limit
     slack = fold.pad + abs(bar) * 2.0**-50
 
-    def prune(acc, state) -> bool:
-        if acc is None:
-            return False
-        if slack < math.inf:
-            screen = fold.screen(acc) - bar
-            if screen > slack:
-                return True
-            groups = system.completion_groups(state)
-            if len(groups) and fold.lookahead(acc, groups) - bar > slack:
-                return True
-            if screen < -slack:
-                return False
-        return exact_mean(fold.values(acc)) > limit
+    def prune(block, groups) -> list[bool]:
+        if slack == math.inf:
+            return [mean > limit for mean in _means(fold.values(block))]
+        # Python floats: a difference past the float range is inf, unwarned
+        screens = [screen - bar for screen in fold.screens(block).tolist()]
+        aheads = screens if groups is None else [
+            ahead - bar for ahead in fold.lookaheads(block, groups).tolist()
+        ]
+        cut = [screen > slack or ahead > slack for screen, ahead in zip(screens, aheads)]
+        unsure = [i for i, screen in enumerate(screens) if not cut[i] and screen >= -slack]
+        if unsure:
+            for i, mean in zip(unsure, _means(fold.values(block[unsure]))):
+                cut[i] = mean > limit
+        return cut
 
-    for member in iter_members(system, prune, extend=fold.extend):
+    callback = _block_callback(system, prune, slack < math.inf, False)
+    for member in iter_members(system, callback, extend=fold.extend):
         values = fold.score(member)
         mean = exact_mean(values)
         if mean <= threshold:
@@ -248,7 +303,7 @@ def _least_variance_in_band(
 ) -> DecisionReport:
     """The least population variance among subsets whose mean score is within
     ``shift`` of the sample-average optimum, ties lexicographic."""
-    saa_value, _, _ = _minimize(system, fold, exact_mean, force)
+    saa_value, _, _ = _minimize(system, fold, _means, force)
     band = _band(system, fold, saa_value + shift)
     keyed = ((exact_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
     best = min(keyed, default=None)
@@ -288,7 +343,7 @@ def saa_decision(
     smallest element set.
     """
 
-    value, chosen, values = _minimize(system, _fold(system, scenarios), exact_mean, force)
+    value, chosen, values = _minimize(system, _fold(system, scenarios), _means, force)
     return _report(chosen, value, values, "saa")
 
 
@@ -392,18 +447,18 @@ def tv_robust_decision(
 
     if not 0.0 <= tv_radius <= 2.0:
         raise DomainError("total-variation radius must lie in [0, 2]")
-    aggregate = partial(_tv_objective, d=tv_radius)
+    aggregate = partial(_tv_objectives, d=tv_radius)
     value, chosen, values = _minimize(system, _fold(system, scenarios), aggregate, force)
     return _report(chosen, value, values, "total-variation")
 
 
-# The total-variation objective f(beta) = ((1 - d/2) beta + s(beta)/n) + d max/2,
+# The total-variation objective f(beta) = ((1 - d/2) beta + s(beta)/n) + d/2 max,
 # with s(beta) the sum of (v - beta)_+, is scored exactly by fsum-ing s at each
 # breakpoint.  A float screen scores every breakpoint u_j of the ascending
 # values u at once, s_j = S_j - (n - j) u_j with suffix sums S_j, and only the
 # breakpoints it keeps are scored exactly.  The padding, with M = max |u| and
 # unit roundoff w = 2**-53, to first order in w: the outer terms (1 - d/2) u_j
-# and d max/2 are the same floats on both sides.  The screen's suffix sum errs
+# and d/2 max are the same floats on both sides.  The screen's suffix sum errs
 # by at most (n - 1) w nM (a sequential sum), the product (n - j) u_j by w nM
 # and their difference, at most 2nM, by 2w nM; so s_j / n errs by (n + 2) wM,
 # plus 2wM for the division.  The exact side's s_j / n errs by 2wM from the
@@ -414,35 +469,45 @@ def tv_robust_decision(
 # B = (n + 24) wM + 2**-1074, and the exact argmin's screen lies within 2B of
 # the least screen.  The padding is (n + 32) 2**-49 M + 2**-1070, eight times
 # 2B and more, which also covers the rounding of the padding and of the
-# comparison.  Every quantity on either side is at most 2nM in magnitude, so a
-# finite padding (its first product is (4n + 128) M) rules out overflow on
-# both sides, and screened values are then finite; an infinite padding keeps
-# every breakpoint.
+# comparison.  Every quantity on either side is at most 2nM in magnitude, so
+# no row whose M is at most the largest float over 4n + 128 overflows on
+# either side; every other row is screened as zeros, and so keeps every
+# breakpoint.  The sums and reductions run along rows only, so a row screens
+# the same in any block.
 def _tv_breakpoints(u: np.ndarray, d: float) -> np.ndarray:
-    """Indices into the ascending values ``u`` of the breakpoints whose
-    screened objective lies within the proven padding of the least; the
+    """For each row of ascending values ``u``, a mask of the breakpoints whose
+    screened objective lies within the proven padding of the row's least; the
     exact minimizer is among them.  Tied breakpoints score the same exactly."""
-    n = len(u)
-    top = float(max(-u[0], u[-1]))
-    pad = (4.0 * n + 128.0) * top * 2.0**-51 + 2.0**-1070
-    if not math.isfinite(pad):
-        return np.arange(n)
-    shortfall = np.cumsum(u[::-1])[::-1] - np.arange(n, 0, -1) * u
-    screened = (1.0 - d / 2.0) * u + shortfall / n + d * u[-1] / 2.0
-    return np.flatnonzero(screened <= screened.min() + pad)
+    n = u.shape[1]
+    top = np.maximum(-u[:, :1], u[:, -1:])
+    largest = _FLOAT_MAX / (4.0 * n + 128.0)  # the largest M a row is screened at
+    if np.maximum.reduce(top, axis=None) > largest:
+        u = np.where(top <= largest, u, 0.0)
+    screened = np.cumsum(u[:, ::-1], axis=1)[:, ::-1]
+    screened -= np.arange(n, 0, -1) * u
+    screened /= n
+    screened += (1.0 - d / 2.0) * u
+    screened += d / 2.0 * u[:, -1:]
+    least = np.minimum.reduce(screened, axis=1, keepdims=True)
+    return screened <= least + (top * ((n + 32) * 2.0**-49) + 2.0**-1070)
 
 
-def _tv_objective(values, d: float) -> float:
-    # each kept breakpoint's shortfall is the fsum of (v - beta)_+ over the
-    # values above it; the zeros of its ties leave the sum unchanged
-    u = np.sort(values)
-    n, lean, worst = len(u), 1.0 - d / 2.0, d * u[-1] / 2.0
-    if float(u[-1]) - float(u[0]) == math.inf:  # a difference past the float range
+def _tv_objectives(values: np.ndarray, d: float) -> list[float]:
+    """The total-variation objective of each row of ``values``, from one
+    sorted screen of the block; only the breakpoints each row keeps are summed
+    exactly.  A kept breakpoint's shortfall is the fsum of (v - beta)_+ over
+    the values above it; the zeros of its ties leave the sum unchanged."""
+    u = np.sort(values, axis=1)
+    rows = u.tolist()
+    if any(row[-1] - row[0] == math.inf for row in rows):  # a difference past the float range
         raise overflow_error(DECISION_OBJECTIVE)
-    return float(min(
-        lean * u[j] + exact_sum((u[j:] - u[j]).tolist(), DECISION_OBJECTIVE) / n + worst
-        for j in _tv_breakpoints(u, d).tolist()
-    ))
+    n, lean, half = len(rows[0]), 1.0 - d / 2.0, d / 2.0
+    best = [math.inf] * len(rows)
+    for i, j in zip(*(index.tolist() for index in np.nonzero(_tv_breakpoints(u, d)))):
+        row = rows[i]
+        shortfall = exact_sum([v - row[j] for v in row[j:]], DECISION_OBJECTIVE)
+        best[i] = min(best[i], lean * row[j] + shortfall / n + half * row[-1])
+    return best
 
 
 def topk_decision(
@@ -462,7 +527,7 @@ def topk_decision(
     """
 
     fold = _fold(system, scenarios, radius, k, ground_order)
-    value, chosen, values = _minimize(system, fold, exact_mean, force)
+    value, chosen, values = _minimize(system, fold, _means, force)
     return _report(chosen, value + _radius_shift(radius, k, ground_order), values, "topk-robust")
 
 

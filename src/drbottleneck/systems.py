@@ -94,7 +94,13 @@ class CombinatorialSystem:
     * optionally ``completion_groups(state)``: an integer array, one row per
       group, such that every member below ``state`` takes at least one
       element of each row and no row holds an element the state has; none
-      by default.
+      by default;
+    * with it, ``completion_block(state)``: the groups of all the children
+      of ``state`` (of the root alone, for None) as one integer block shaped
+      (children, groups, cells), whose row ``i`` is ``completion_groups`` of
+      child ``i`` in ``expand`` order, so the decision searches can look one
+      step ahead for a whole block of children with a fixed number of numpy
+      calls; or None, the default, for a block with no lookahead axis.
     """
 
     search_limit: float = math.inf
@@ -130,6 +136,9 @@ class CombinatorialSystem:
 
     def completion_groups(self, state):
         return ()
+
+    def completion_block(self, state):
+        return None
 
 
 @dataclass(frozen=True)
@@ -481,6 +490,14 @@ def _shared_rows(masks: list[int]) -> tuple[tuple[int, ...], int]:
                 stack.append((rows + (i,), common))
 
 
+@lru_cache(maxsize=SEARCH_MAX_ASSIGNMENT_SIDE)
+def _leave_one_out(f: int) -> np.ndarray:
+    """Row i lists 0..f-1 without i, for f >= 2; read-only, as callers share it."""
+    rows = np.array([[j for j in range(f) if j != i] for i in range(f)])
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class AssignmentSystem(CombinatorialSystem):
     """Feasible subsets are the perfect matchings of an m-by-m assignment.
@@ -636,6 +653,19 @@ class AssignmentSystem(CombinatorialSystem):
         # each unassigned row's free cells
         _, _, (row, used) = state
         return self._cells[row:].take([j for j in range(self.m) if j not in used], axis=1)
+
+    def completion_block(self, state):
+        # child i takes the i-th free column of the state's row, so its groups
+        # are the rows below with the other free columns: one gather of the
+        # grid by the leave-one-out columns, shaped (rows, children, cells)
+        if state is None:
+            return self._cells[None]
+        _, _, (row, used) = state
+        if row + 1 >= self.m:  # the children are complete, or there are none
+            return None
+        free = np.array([j for j in range(self.m) if j not in used])
+        columns = free.take(_leave_one_out(len(free)))
+        return self._cells[row + 1:].take(columns, axis=1).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

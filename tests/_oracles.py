@@ -625,12 +625,19 @@ def reference_score(costs: np.ndarray, k: int | None = None):
 
 
 def _reference_objective(score, aggregate):
-    return lambda elements, state=None: aggregate(score(elements)) if elements else -math.inf
+    return lambda elements: aggregate(score(elements)) if elements else -math.inf
+
+
+def each_child(fn):
+    """A search callback that scores a block of children one element set at a
+    time, with ``fn``."""
+    return lambda accs, state, children: [fn(elements) for elements in accs]
 
 
 def reference_minimize(system, score, aggregate, force=False):
     """``(value, chosen, scores)`` of the subset of least aggregate score."""
-    value, chosen = minimize_members(system, _reference_objective(score, aggregate), force)
+    bound = each_child(_reference_objective(score, aggregate))
+    value, chosen = minimize_members(system, bound, force)
     return value, chosen, score(chosen)
 
 
@@ -638,7 +645,8 @@ def reference_band(system, score, threshold: float):
     """Members whose mean score is at most ``threshold``: ``(member, values, mean)``."""
     bound = _reference_objective(score, exact_mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
-    for member in iter_members(system, prune=lambda els, state: bool(els) and bound(els) > limit):
+    prune = each_child(lambda elements: bool(elements) and bound(elements) > limit)
+    for member in iter_members(system, prune):
         values = score(member)
         mean = exact_mean(values)
         if mean <= threshold:
@@ -659,7 +667,7 @@ def reference_tv_objective(values, d: float) -> float:
     best = math.inf
     for beta in sorted(set(values)):
         shortfall = math.fsum(v - beta for v in values if v > beta) / n
-        best = min(best, (1.0 - d / 2.0) * beta + shortfall + d * worst / 2.0)
+        best = min(best, (1.0 - d / 2.0) * beta + shortfall + d / 2.0 * worst)
     return best
 
 
@@ -685,11 +693,11 @@ def reference_topk_sum_value(system, costs, k: int, force: bool = False):
 
     floor = min(0.0, float(c.min()))
 
-    def bound(elements: frozenset[int], state) -> float:
+    def bound(elements: frozenset[int]) -> float:
         short = k - min(k, len(elements))
         return _reference_topk_sum(c[sorted(elements)], k) + short * floor
 
-    return minimize_members(system, bound, force=force)
+    return minimize_members(system, each_child(bound), force=force)
 
 
 # the top-k family level before its numpy solve: HiGHS for r = 1, and for

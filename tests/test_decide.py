@@ -304,9 +304,9 @@ class TestOverflow:
 
     def test_scores(self):
         with pytest.raises(DomainError):
-            decide._tv_objective([1.7e308, 1.7e308, -1.0], 0.5)
+            decide._tv_objectives(np.array([[1.7e308, 1.7e308, -1.0]]), 0.5)
         with pytest.raises(DomainError):  # a difference is past the range
-            decide._tv_objective([1e308, -1e308, 1e308], 0.5)
+            decide._tv_objectives(np.array([[1.0, 2.0, 3.0], [1e308, -1e308, 1e308]]), 0.5)
         with pytest.raises(DomainError):
             exact_mean([1.7e308, 1.7e308, -1.0])
         with pytest.raises(DomainError):  # a deviation squares past the range
@@ -325,6 +325,13 @@ class TestOverflow:
         values = (1e153, 2e153, -3e153)
         assert report.mean == math.fsum(values) / 3
         assert report.variance == math.fsum((v - report.mean) ** 2 for v in values) / 3 < math.inf
+
+    def test_tv_worst_scenario_near_the_range_edge(self):
+        # at d = 2 the objective is d/2 times the largest value, which fits
+        # the range even where d times it does not
+        scen = ScenarioSet([[1.2e308, 1e308]])
+        report = tv_robust_decision(ExplicitSystem(members=({0}, {1}), n=2), scen, 2.0)
+        assert (report.chosen, report.objective) == (frozenset({1}), 1e308)
 
 
 class TestTopkDecision:
@@ -450,12 +457,10 @@ class TestAllSolversAgainstEnumeration:
             assert tuple(sorted(libv.chosen)) == best_var[1]
             assert libv.objective == pytest.approx(best_var[0], abs=1e-12)
 
-            from drbottleneck.decide import _tv_objective
+            from drbottleneck.decide import _tv_objectives
 
-            best_tv = min(
-                (_tv_objective(list(scen.costs[:, m].max(axis=1)), d), tuple(m))
-                for m in members
-            )
+            maxima = np.array([scen.costs[:, m].max(axis=1) for m in members])
+            best_tv = min(zip(_tv_objectives(maxima, d), (tuple(m) for m in members)))
             libt = tv_robust_decision(system, scen, d)
             assert libt.objective == pytest.approx(best_tv[0], abs=1e-12)
             assert tuple(sorted(libt.chosen)) == best_tv[1]

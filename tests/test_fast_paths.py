@@ -86,7 +86,7 @@ from drbottleneck import (
 from drbottleneck import _family, _finite, quantify
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.decide import (
-    _radius_shift, _report, _shifted, _tv_breakpoints, _tv_objective
+    _radius_shift, _report, _shifted, _tv_breakpoints, _tv_objectives
 )
 from drbottleneck.errors import exact_mean
 from drbottleneck.quantify import _family_level, _lift_root, _prefix_level
@@ -613,22 +613,118 @@ def test_lookahead_decisions_match_reference(m):
             ), (costs, radius, d)
 
 
+def _topk_outcomes(system, scenarios, radius, k):
+    return (
+        _outcome(lambda: topk_decision(system, scenarios, radius, k)),
+        _outcome(lambda: topk_variance_robust_decision(system, scenarios, radius, k)),
+    )
+
+
+def _reference_topk_outcomes(system, scenarios, radius, k):
+    score = reference_score(scenarios.costs, k)
+    shift = _radius_shift(radius, k, 1.0)
+
+    def topk():
+        value, chosen, values = reference_minimize(system, score, exact_mean)
+        return _report(chosen, value + shift, values, "topk-robust")
+
+    return (
+        _outcome(topk),
+        _outcome(lambda: reference_least_variance_in_band(
+            system, score, shift, "topk-variance-robust"
+        )),
+    )
+
+
+@pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
+def test_block_decisions_match_reference(kind):
+    """Every kind's blocks against the plain bound, on the scenario shapes of
+    the lookahead test: children that add nothing (a tree's skip branches)
+    or several elements (explicit members), the top-k fold at k = 2, and the
+    refusals near the float limit.  Top-k and the total-variation model are
+    compared on the finite pads only: near the limit their reference sums
+    overflow."""
+    rng = np.random.default_rng(["path", "tree", "assignment", "explicit"].index(kind) + 80)
+    topk_checked = 0
+    for _ in range(4):
+        system = random_system(rng, kind)
+        shapes = list(_lookahead_costs(rng, int(rng.integers(2, 7)), system.ground.n))
+        for index, costs in enumerate(shapes):
+            scenarios = ScenarioSet(costs)
+            near_limit = index >= len(shapes) - 2
+            radius = float(rng.choice([0.0, 0.05, 0.3])) * float(np.abs(costs).max())
+            d = None if near_limit else float(rng.choice([0.5, 2.0]))
+            assert _decision_outcomes(system, scenarios, radius, d) == _reference_outcomes(
+                system, scenarios, radius, d
+            ), (costs, radius, d)
+            if not near_limit and min_member_size(system) >= 2:
+                topk_checked += 1
+                assert _topk_outcomes(system, scenarios, radius, 2) == _reference_topk_outcomes(
+                    system, scenarios, radius, 2
+                ), (costs, radius)
+    assert topk_checked > 0
+
+
+def _expanded_blocks(system, fold):
+    """``(children, block, groups, below)`` for each expanded state of an
+    assignment: its children, their accumulators and completion groups as
+    the searches score them, and the members below each child."""
+    for state, below in states_with_members(system):
+        children = list(system.expand(state))
+        if children:
+            acc = fold.extend(None, [state[0]])[0] if state[0] else None
+            block = fold.extend(acc, [child[0] - state[0] for child in children])
+            yield children, block, system.completion_block(state), [
+                [m for m in below if child[0] <= m] for child in children
+            ]
+
+
 def test_maxima_screen_and_lookahead_bounds():
-    """On every state of a 4x4 assignment, the screen lies within the pad of
-    the exact sum of the maxima, and the lookahead less the pad, over N,
-    never exceeds the mean of a member below the state."""
+    """On every expanded state of a 4x4 assignment, each child's block screen
+    lies within the pad of the exact sum of its maxima, and its block
+    lookahead less the pad, over N, never exceeds the mean of a member below
+    it."""
     rng = np.random.default_rng(97)
     system = AssignmentSystem(4)
-    states = states_with_members(system)[:-1]  # the root, last, has no accumulator
     for costs in islice(_lookahead_costs(rng, 7, 16), 6):
         fold = decide._Maxima(costs)
-        for state, below in states:
-            acc = fold.score(state[0])
-            assert abs(fold.screen(np.array(acc)) - math.fsum(acc)) <= fold.pad
-            groups = system.completion_groups(state)
-            if len(groups):
-                key = (fold.lookahead(np.array(acc), groups) - fold.pad) / len(fold.ones)
-                assert all(key <= exact_mean(fold.score(m)) for m in below)
+        for children, block, groups, below in _expanded_blocks(system, fold):
+            for child, screen in zip(children, fold.screens(block).tolist()):
+                assert abs(screen - math.fsum(fold.score(child[0]))) <= fold.pad
+            if groups is not None:
+                keys = (fold.lookaheads(block, groups) - fold.pad) / len(fold.ones)
+                for key, members in zip(keys.tolist(), below):
+                    assert all(key <= exact_mean(fold.score(m)) for m in members)
+
+
+def test_block_screen_and_lookahead_are_each_childs():
+    """With small-integer costs every sum is exact, so each child's block
+    screen and lookahead must equal the ones computed from that child alone:
+    its maxima, and its own ``completion_groups``.  A block that kept a
+    child's own column among its groups would still be admissible, so no
+    decision catches it; this does."""
+    rng = np.random.default_rng(99)
+    system = AssignmentSystem(4)
+    for _ in range(3):
+        costs = rng.integers(-20, 21, size=(6, 16)).astype(float)
+        fold = decide._Maxima(costs)
+        blocks = 0
+        for children, block, groups, _ in _expanded_blocks(system, fold):
+            for child, screen in zip(children, fold.screens(block).tolist()):
+                assert screen == math.fsum(fold.score(child[0]))
+            if groups is None:
+                assert children[0][1]
+                continue
+            blocks += 1
+            for child, ahead in zip(children, fold.lookaheads(block, groups).tolist()):
+                cells = system.completion_groups(child).tolist()
+                maxima = np.array(fold.score(child[0]))
+                expected = max(
+                    min(math.fsum(np.maximum(maxima, costs[:, e]).tolist()) for e in group)
+                    for group in cells
+                )
+                assert ahead == expected, (sorted(child[0]), cells)
+        assert blocks == 1 + 4 + 12  # the root, then the states at rows 1 and 2
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -637,15 +733,18 @@ def test_lookahead_pad_absorbs_worst_screen_error(monkeypatch, sign):
     N^2 2**-53 max |cost|, either way, leave every decision unchanged.  The
     costs are integer ties at 1e6 whose optimal means lie near 0, where the
     search's 1e-12 band is far narrower than that bound."""
-    screen, lookahead = decide._Maxima.screen, decide._Maxima.lookahead
+    screens, lookaheads = decide._Maxima.screens, decide._Maxima.lookaheads
 
     def moved(fold, value):
         n = len(fold.ones)
-        return value + sign * n * n * 2.0**-53 * float(np.abs(fold.columns).max())
+        return value + sign * n * n * 2.0**-53 * float(np.abs(fold.columns[:-1]).max())
 
-    monkeypatch.setattr(decide._Maxima, "screen", lambda self, acc: moved(self, screen(self, acc)))
     monkeypatch.setattr(
-        decide._Maxima, "lookahead", lambda self, acc, g: moved(self, lookahead(self, acc, g))
+        decide._Maxima, "screens", lambda self, block: moved(self, screens(self, block))
+    )
+    monkeypatch.setattr(
+        decide._Maxima, "lookaheads",
+        lambda self, block, groups: moved(self, lookaheads(self, block, groups)),
     )
     rng = np.random.default_rng(98)
     for m in (3, 4):
@@ -668,16 +767,17 @@ def _topk_costs(rng, n):
 
 
 def _count_bounds(monkeypatch, module) -> list[int]:
-    """A one-cell counter of the bound evaluations of every
-    ``minimize_members`` call made through ``module``, wrapped as layer
-    tracing wraps it."""
+    """A one-cell counter of the states scored by every ``minimize_members``
+    call made through ``module``: one per child of each block its bound
+    callback scores."""
     count = [0]
     search = module.minimize_members
 
     def minimize(system, bound_fn, *args, **kwargs):
-        def counted(*scored):
-            count[0] += 1
-            return bound_fn(*scored)
+        def counted(*block):
+            scores = bound_fn(*block)
+            count[0] += len(scores)
+            return scores
 
         return search(system, counted, *args, **kwargs)
 
@@ -700,6 +800,11 @@ def test_topk_sum_value_matches_reference(kind, monkeypatch):
                 expected = reference_topk_sum_value(system, costs, k)
                 assert topk_sum_value(system, costs, k) == expected, (costs, k)
                 assert fast[0] == slow[0] > 0
+
+
+def _tv_objective(values, d: float) -> float:
+    """The total-variation objective of one vector, scored as a block of one."""
+    return _tv_objectives(np.array([values], dtype=float), d)[0]
 
 
 def test_tv_objective_matches_reference():
@@ -732,7 +837,7 @@ def test_tv_objective_matches_reference():
         d = [0.0, 2.0, 2.0 * int(rng.integers(0, len(values) + 1)) / len(values)][case % 3]
         if kind == 1:
             u = np.sort(values)
-            assert len(_tv_breakpoints(u, d)) == len(u), "every breakpoint is kept"
+            assert _tv_breakpoints(u[None], d).all(), "every breakpoint is kept"
         values = values.tolist()
         assert _tv_objective(values, d) == reference_tv_objective(values, d), (values, d)
 
@@ -743,7 +848,27 @@ def test_tv_screen_keeps_few_breakpoints():
     rng = np.random.default_rng(62)
     for _ in range(1000):
         values = rng.normal(rng.uniform(30.0, 32.0), rng.uniform(2.0, 4.0), size=50)
-        assert len(_tv_breakpoints(np.sort(values), 0.5)) <= 2, values.tolist()
+        assert _tv_breakpoints(np.sort(values)[None], 0.5).sum() <= 2, values.tolist()
+
+
+def test_tv_block_rows_score_alone():
+    """A block scores each row as the reference scores it alone, whatever its
+    neighbours: rows whose padding passes the float range (screened as zeros,
+    every breakpoint kept) mixed with ordinary, tied and subnormal rows."""
+    rng = np.random.default_rng(63)
+    for case in range(300):
+        n = int(rng.integers(1, 40))
+        shapes = [
+            lambda: rng.normal(size=n) * 10.0,
+            lambda: rng.integers(-3, 4, size=n).astype(float),
+            lambda: float(rng.choice([-1.0, 1.0])) * (1e307 + rng.integers(-3, 4, size=n) * 1e300),
+            lambda: rng.normal(size=n) * 1e300,
+            lambda: rng.integers(-5, 6, size=n) * 5e-324,
+        ]
+        block = np.array([shapes[int(rng.integers(0, 5))]() for _ in range(int(rng.integers(1, 7)))])
+        d = [0.0, 0.5, 2.0, float(rng.uniform(0.0, 2.0))][case % 4]
+        expected = [reference_tv_objective(row, d) for row in block.tolist()]
+        assert _tv_objectives(block, d) == expected, (block, d)
 
 
 def _topk_family_cases(seed, systems=12):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_members, brute_topk
+from _oracles import brute_members, brute_topk, each_child
 from conftest import dyadic_costs, random_system, states_with_members
 from drbottleneck import (
     AssignmentSystem,
@@ -71,7 +71,7 @@ def test_iter_members_canonical_order(kind):
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_iter_members_pruned_order(kind):
-    members = list(iter_members(SYSTEMS[kind], prune=lambda els, state: 1 in els))
+    members = list(iter_members(SYSTEMS[kind], prune=each_child(lambda els: 1 in els)))
     assert members == [frozenset(m) for m in PRUNED_ORDER[kind]]
 
 
@@ -90,10 +90,26 @@ def test_assignment_completion_groups(m):
             assert all(set(group) & member for member in below)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_assignment_completion_block(m):
+    # row i of a state's block is the groups of its i-th child, and the
+    # root's block of one holds the root's groups
+    system = AssignmentSystem(m)
+    assert system.completion_block(None).tolist() == [system.completion_groups(system.root()).tolist()]
+    for state, _ in states_with_members(system):
+        children = list(system.expand(state))
+        block = system.completion_block(state)
+        if not children or children[0][1]:
+            assert block is None
+            continue
+        assert block.shape[0] == len(children)
+        assert block.tolist() == [system.completion_groups(child).tolist() for child in children]
+
+
 @pytest.mark.parametrize("kind", ["path", "tree", "explicit"])
 def test_base_kinds_have_no_completion_groups(kind):
     system = SYSTEMS[kind]
-    assert all(len(system.completion_groups(state)) == 0
+    assert all(len(system.completion_groups(state)) == 0 and system.completion_block(state) is None
                for state, _ in states_with_members(system))
 
 
@@ -101,8 +117,8 @@ def test_base_kinds_have_no_completion_groups(kind):
 @pytest.mark.parametrize(
     "bound, value",
     [
-        (lambda els, state: 1.0, 1.0),
-        (lambda els, state: 0.0 if els else -math.inf, 0.0),
+        (each_child(lambda els: 1.0), 1.0),
+        (each_child(lambda els: 0.0 if els else -math.inf), 0.0),
     ],
     ids=["constant", "empty-unbounded"],
 )

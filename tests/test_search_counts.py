@@ -1,10 +1,12 @@
-"""Call counts of the search callbacks: one bound per scored state, one prune
-per visited state.
+"""Scores of the search callbacks: one bound per scored state, one prune per
+visited state.
 
-Layer tracing wraps ``minimize_members``'s ``bound_fn`` and ``iter_members``'s
-``prune`` (argument 1 of each, called with an accumulator and a state) in
-counting closures, and reads its branch and bound counts from them.  These tests wrap them the same way around the
-decision models and pin the counts on one small instance of each kind.
+Both searches call their callback (argument 1 of each) once per block: the
+root alone, then the children of each expanded state, with the block's
+accumulators, the parent state and the children.  These tests wrap the
+callbacks around the decision models, count one score per child in each
+block's result, and pin those counts on one small instance of each kind.
+Layer tracing wraps the same arguments, so its counters count blocks.
 """
 
 import math
@@ -55,18 +57,20 @@ def traced(monkeypatch):
     phase = ["pushed"]
 
     def minimize(system, bound_fn, *args, **kwargs):
-        def recorded(*scored):
-            counts["bounds"].append(bound_fn(*scored))
-            return counts["bounds"][-1]
+        def recorded(*block):
+            scores = bound_fn(*block)
+            counts["bounds"].extend(scores)
+            return scores
 
         phase[0] = "pushed"
         counts["pushed"] += 1
         return minimize_members(system, recorded, *args, **kwargs)
 
     def iterate(system, prune, *args, **kwargs):
-        def counted(*visited):
-            counts["prune"] += 1
-            return prune(*visited)
+        def counted(*block):
+            cuts = prune(*block)
+            counts["prune"] += len(cuts)
+            return cuts
 
         phase[0] = "visited"
         counts["visited"] += 1
