@@ -12,7 +12,6 @@ from .bottleneck import (
     BottleneckResult,
     bottleneck_value,
     dual_bottleneck_value,
-    dual_topk_sum_value,
     topk_blocker_enumerate,
     topk_sum_value,
 )

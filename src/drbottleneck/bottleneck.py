@@ -10,19 +10,16 @@ of its k largest costs.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
 
 from .decide import _means, _minimize, _TopK
-from .errors import DomainError, EnumerationLimitError, exact_row_sums
-from .search import enumerate_members
+from .errors import EnumerationLimitError, check_count
 from .systems import (
     BottleneckResult,
     Clutter,
     CombinatorialSystem,
-    antichain_reduce,
     min_member_size,
     min_weight_blocker,
     minimal_transversals,
@@ -88,12 +85,7 @@ def topk_sum_value(
     """
 
     c = system.validated_costs(costs)
-    if k < 1:
-        raise DomainError("k must be a positive integer")
-    if k > min_member_size(system):
-        raise DomainError(
-            f"k={k} exceeds the smallest feasible subset ({min_member_size(system)})"
-        )
+    k = check_count(k, "k", most=min_member_size(system))
     value, chosen, _ = _minimize(system, _TopK(c[None, :], k), _means, force)
     return value, chosen
 
@@ -106,16 +98,13 @@ def topk_blocker_enumerate(clutter: Clutter, k: int) -> list[frozenset[frozenset
     Exact enumeration, guarded to tiny instances.
     """
 
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    k = check_count(k, "k", most=min(map(len, clutter.subsets)))
     universe = clutter.universe
     if max(universe) + 1 > TOPK_BLOCKER_MAX_GROUND or k > TOPK_BLOCKER_MAX_K:
         raise EnumerationLimitError(
             f"top-k blocker enumeration limited to ground <= {TOPK_BLOCKER_MAX_GROUND} "
             f"and k <= {TOPK_BLOCKER_MAX_K}"
         )
-    if any(len(h) < k for h in clutter.subsets):
-        raise DomainError("every clutter member needs at least k elements")
 
     vertex_of: dict[frozenset[int], int] = {}
     vertices: list[frozenset[int]] = []
@@ -135,18 +124,3 @@ def topk_blocker_enumerate(clutter: Clutter, k: int) -> list[frozenset[frozenset
     out.sort(key=lambda fam: (len(fam), sorted(sorted(s) for s in fam)))
     return out
 
-
-def dual_topk_sum_value(system: CombinatorialSystem, costs, k: int) -> float:
-    """Max over top-k blocker families of the least member-subset cost sum.
-
-    Tiny-scale dual certificate for :func:`topk_sum_value`, via explicit
-    enumeration of both the feasible family and its top-k blocker.
-    """
-
-    c = system.validated_costs(costs)
-    clutter = antichain_reduce(enumerate_members(system))
-    families = topk_blocker_enumerate(clutter, k)
-    return max(
-        (min(exact_row_sums([c[j] for j in sorted(s)] for s in fam)) for fam in families),
-        default=-math.inf,
-    )

@@ -14,8 +14,8 @@ from .decide import (
     _Maxima, robust_decision, saa_decision, tv_robust_decision, variance_robust_decision
 )
 from .errors import (
-    ROBUST_VALUE, DomainError, check_ground_order, exact_mean, exact_sum, exact_variance,
-    overflow_error,
+    ROBUST_VALUE, DomainError, check_count, check_ground_order, exact_mean, exact_sum,
+    exact_variance, overflow_error,
 )
 from .quantify import WassersteinBall, quantify_robust
 from .scenarios import ScenarioSet
@@ -86,13 +86,14 @@ def theoretical_ci(point: float, theta: float, epsilon: float) -> CiReport:
     return CiReport(point=point, half_width=theta, level=1.0 - 2.0 * epsilon, method="theoretical")
 
 
-def _check_rule_inputs(sample_count: int, sigma: float, epsilon: float) -> None:
-    if sample_count < 1:
-        raise DomainError("sample count must be at least 1")
+def _check_rule_inputs(sample_count: int, sigma: float, epsilon: float) -> int:
+    """The sample count, once the inputs every radius rule shares pass."""
+    sample_count = check_count(sample_count, "sample count")
     if not 0 < sigma < math.inf:
         raise DomainError("sigma must be positive and finite")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
+    return sample_count
 
 
 def calibrate_radius(
@@ -111,9 +112,8 @@ def calibrate_radius(
     which yields the per-solution confidence half-width.
     """
 
-    _check_rule_inputs(sample_count, sigma, epsilon)
-    if not blocker_size >= 1:
-        raise DomainError("blocker size must be at least 1")
+    sample_count = _check_rule_inputs(sample_count, sigma, epsilon)
+    blocker_size = check_count(blocker_size, "blocker size")
     check_ground_order(ground_order)
     structure = blocker_size ** (1.0 / ground_order)
     qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
@@ -135,10 +135,8 @@ def calibrate_radius_topk(
     """
 
     r = check_ground_order(ground_order)
-    if not k >= 1:
-        raise DomainError("k must be at least 1")
-    if not union_size >= 1:
-        raise DomainError("union size must be at least 1")
+    k = check_count(k, "k")
+    union_size = check_count(union_size, "union size")
     base = calibrate_radius(sample_count, sigma, epsilon, blocker_size=1, ground_order=1.0)
     part_i = base * union_size ** (1.0 / r) / k
     part_ii = base * k ** (-(r - 1.0) / r)
@@ -154,9 +152,8 @@ def calibrate_radius_decision(
     confidence half-width sigma * sqrt(-3 log eps) / sqrt(N).
     """
 
-    _check_rule_inputs(sample_count, sigma, epsilon)
-    if ground_n < 0:
-        raise DomainError("ground size must be nonnegative")
+    sample_count = _check_rule_inputs(sample_count, sigma, epsilon)
+    ground_n = check_count(ground_n, "ground size", 0)
     return sigma * math.sqrt(
         -3.0 * math.log(epsilon) + 3.0 * ground_n * math.log(2.0)
     ) / math.sqrt(sample_count)
@@ -172,8 +169,7 @@ def calibrate_radius_topk_decision(
 ) -> float:
     """Top-k decision radius: the plain decision radius times k^(-(r-1)/r)."""
     r = check_ground_order(ground_order)
-    if not k >= 1:
-        raise DomainError("k must be at least 1")
+    k = check_count(k, "k")
     return calibrate_radius_decision(sample_count, sigma, epsilon, ground_n) * k ** (
         -(r - 1.0) / r
     )
@@ -285,11 +281,10 @@ def cross_validate(
         raise DomainError("radius grid must be nonempty")
     if sorted(radii) != radii:
         raise DomainError("radius grid must be sorted ascending")
-    if repeats < 1:
-        raise DomainError("repeats must be at least 1")
+    repeats = check_count(repeats, "repeats")
+    seed = check_count(seed, "seed", 0)
     total = scenarios.count
-    if not 0 < train_size < total:
-        raise DomainError("train size must leave a nonempty test set")
+    train_size = check_count(train_size, "train size", most=total - 1)  # a nonempty test set
     solver = _CV_SOLVERS[model]
 
     streams = np.random.SeedSequence(seed).spawn(repeats)
@@ -367,8 +362,10 @@ def coverage_experiment(
     value >= truth and value <= truth + 2 theta.
     """
 
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    sample_count = check_count(sample_count, "sample count")
+    trials = check_count(trials, "trials")
+    seed = check_count(seed, "seed", 0)
+    reference_count = check_count(reference_count, "reference count", 2)  # for sigma
     if kind not in ("quantify", "decision"):
         raise DomainError("kind must be 'quantify' or 'decision'")
     streams = np.random.SeedSequence(seed).spawn(trials + 1)

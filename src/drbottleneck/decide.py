@@ -19,8 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DECISION_OBJECTIVE, DomainError, InvariantViolationError, check_element_ids, check_ground_order,
-    check_radius, exact_mean, exact_row_sums, exact_sum, exact_variance, overflow_error,
+    DECISION_OBJECTIVE, DomainError, InvariantViolationError, check_count, check_element_ids,
+    check_ground_order, check_radius, exact_mean, exact_row_sums, exact_sum, exact_variance,
+    overflow_error,
 )
 from .scenarios import ScenarioSet, require_matching_width
 from .search import iter_members, minimize_members
@@ -78,10 +79,14 @@ class _Maxima:
     exact, so the order the elements arrive in does not change it.
 
     ``screens`` and ``lookaheads`` sum such vectors in floating point, each
-    within ``pad`` of the exact sum (see the comment above ``_mean_pad``).
+    within ``pad`` of the exact sum (see the comment above ``_mean_pad``);
+    an infinite ``pad`` leaves only the exact path.  ``k`` is the number of
+    largest costs each value sums.
     """
 
-    def __init__(self, costs: np.ndarray):
+    k = 1
+
+    def __init__(self, costs: np.ndarray, pad: float | None = None):
         # one contiguous row per element, so a gather copies whole rows, then
         # a row of -inf: the index that pads the lists of children adding
         # fewer elements than their siblings
@@ -89,7 +94,7 @@ class _Maxima:
         self.columns = np.full((self.blank + 1, costs.shape[0]), -math.inf)
         self.columns[:-1] = costs.T
         self.ones = np.ones(costs.shape[0])
-        self.pad = _mean_pad(costs)
+        self.pad = _mean_pad(costs) if pad is None else pad
 
     def _gather(self, added) -> tuple[np.ndarray, int]:
         """The columns each child adds, padded with the -inf row to the most
@@ -172,10 +177,9 @@ class _TopK(_Maxima):
     """
 
     def __init__(self, costs: np.ndarray, k: int):
-        super().__init__(costs)
+        super().__init__(costs, pad=math.inf)  # no screen or lookahead
         self.k = k
         self.empty = np.repeat(np.minimum(costs.min(axis=1, keepdims=True), 0.0), k, axis=1)
-        self.pad = math.inf  # no screen or lookahead: the exact path only
 
     def extend(self, acc, added):
         block, width = self._gather(added)
@@ -208,8 +212,8 @@ def _fold(
     check_radius(radius)
     check_ground_order(ground_order)
     require_matching_width(scenarios, system)
-    if k is not None and not 1 <= k <= min_member_size(system):
-        raise DomainError("k must lie between 1 and the smallest member size")
+    if k is not None:
+        k = check_count(k, "k", most=min_member_size(system))
     if k is None or k == 1:
         return _Maxima(scenarios.costs)
     return _TopK(scenarios.costs, k)
@@ -528,7 +532,8 @@ def topk_decision(
 
     fold = _fold(system, scenarios, radius, k, ground_order)
     value, chosen, values = _minimize(system, fold, _means, force)
-    return _report(chosen, value + _radius_shift(radius, k, ground_order), values, "topk-robust")
+    shift = _radius_shift(radius, fold.k, ground_order)
+    return _report(chosen, value + shift, values, "topk-robust")
 
 
 def topk_variance_robust_decision(
@@ -546,7 +551,7 @@ def topk_variance_robust_decision(
     """
 
     fold = _fold(system, scenarios, radius, k, ground_order)
-    shift = _radius_shift(radius, k, ground_order)
+    shift = _radius_shift(radius, fold.k, ground_order)
     return _least_variance_in_band(system, fold, shift, force, "topk-variance-robust")
 
 

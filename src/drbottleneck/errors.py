@@ -1,12 +1,14 @@
-"""Exception types shared across the toolkit, the radius, ground norm order
-and element id checks shared by every module that takes one, and the exact
-sums every reported average is taken with.
+"""Exception types shared across the toolkit, the radius, ground norm order,
+count and element id checks shared by every module that takes one, and the
+exact sums every reported average is taken with.
 
 Every error carries a short machine-readable ``kind`` tag; the CLI maps these
 tags to exit codes.
 """
 
 import math
+import operator
+from bisect import bisect_left
 
 
 class SolverError(Exception):
@@ -77,11 +79,36 @@ def check_ground_order(r) -> float:
     return float(r)
 
 
+def check_count(value, name: str, least: int = 1, *, most: float = math.inf,
+                error: type[SolverError] = DomainError) -> int:
+    """``value`` as an int, once it is an integer from ``least`` to ``most``.
+
+    Every count, size, seed and node id passes here.  A Python or numpy
+    integer passes; a bool, a float (an integral one too, as ``range`` and
+    numpy's ``SeedSequence`` refuse it), a string or NaN is refused with
+    ``error``, as is a value out of range.
+    """
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or not least <= count <= most:
+        bounds = f"of at least {least}" if most == math.inf else f"from {least} to {most}"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
+    return count
+
+
 def check_element_ids(elements, n: int) -> list[int]:
-    """``elements`` as a sorted list, once it is a nonempty set of ids of the
-    ground set 0..n-1."""
-    ids = sorted(elements)
-    if not ids or ids[0] < 0 or ids[-1] >= n:
+    """``elements`` as a sorted list of ints, once it is a nonempty set of
+    integer ids of the ground set 0..n-1, refused as ``check_count`` would."""
+    try:
+        ids = sorted(elements)
+        if type(sum(ids)) is not int:  # a float, NaN or numpy integer is among them
+            ids = sorted(map(operator.index, ids))
+    except TypeError:  # a string, or a float
+        ids = []
+    # a bool adds and sorts as 0 or 1, so it lies among the ids below 2
+    if not ids or ids[0] < 0 or ids[-1] >= n or bool in map(type, ids[:bisect_left(ids, 2)]):
         raise DomainError(f"elements must be a nonempty set of ground element ids 0..{n - 1}")
     return ids
 

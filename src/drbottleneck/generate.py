@@ -16,11 +16,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .scenarios import ScenarioSet
 from .systems import AssignmentSystem, PathSystem
 
 RNG_NAME = "numpy-pcg64"
+
+
+def _check_counts(params, **least) -> None:
+    """Set each named integer field of frozen ``params`` to its checked int."""
+    for name, low in least.items():
+        value = check_count(getattr(params, name), name.replace("_", " "), low)
+        object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
@@ -46,14 +53,11 @@ class MultihopParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise DomainError("need at least two nodes")
+        _check_counts(self, nodes=2, source=0, sink=0, sample_count=1, seed=0)
         if min(self.power_low, self.distance_low, self.noise, self.bandwidth) <= 0:
             raise DomainError("physical parameters must be positive")
         if self.power_high < self.power_low or self.distance_high < self.distance_low:
             raise DomainError("parameter ranges must be nondecreasing")
-        if self.sample_count < 1:
-            raise DomainError("sample count must be positive")
 
 
 def shannon_capacity(power, distance, fading, bandwidth=1.0, noise=1e-10):
@@ -120,8 +124,7 @@ class TruncatedGaussianParams:
             raise DomainError("scale must be positive")
         if any(s < 0 for s in self.base_std):
             raise DomainError("standard deviations must be nonnegative")
-        if self.sample_count < 1:
-            raise DomainError("sample count must be positive")
+        _check_counts(self, sample_count=1, seed=0)
 
     @property
     def side(self) -> int:

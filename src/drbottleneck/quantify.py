@@ -42,6 +42,7 @@ from .errors import (
     DomainError,
     EnumerationLimitError,
     InvariantViolationError,
+    check_count,
     check_element_ids,
     check_ground_order,
     check_radius,
@@ -491,8 +492,7 @@ def check_gap_bounds(
 
     check_radius(radius)
     r = check_ground_order(ground_order)
-    if not blocker_size >= 1:
-        raise DomainError("blocker size must be at least 1")
+    blocker_size = check_count(blocker_size, "blocker size")
     gap = _oriented(robust_value - empirical_value, sense)
     lower = radius / blocker_size ** (1.0 / r)
     report = GapReport(gap=gap, lower_bound=lower, upper_bound=radius)
@@ -637,6 +637,7 @@ def topk_record(
 ) -> TopkRecord:
     """The SAA top-k sum and the enumerated top-k blocker families."""
     require_matching_width(scenarios, system)
+    k = check_count(k, "k")  # topk_sum_value refuses a k past the smallest member
     sums = [topk_sum_value(system, costs, k, force=force)[0] for costs in scenarios.costs]
     saa = exact_sum(sums) / scenarios.count
     try:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -37,7 +37,9 @@ from ._graphs import (
     max_bipartite_matching,
     min_st_cut_side,
 )
-from .errors import DomainError, EnumerationLimitError, InvalidInstanceError, saturating_sum
+from .errors import (
+    DomainError, EnumerationLimitError, InvalidInstanceError, check_count, saturating_sum,
+)
 
 #: Largest ground set for which explicit blocker enumeration is attempted.
 BLOCKER_ENUMERATION_LIMIT = 20
@@ -57,6 +59,10 @@ ENUM_MAX_EXPLICIT_MEMBERS = 512
 SEARCH_MAX_GRAPH_NODES = 14
 SEARCH_MAX_ASSIGNMENT_SIDE = 9
 
+#: ``check_count`` for instance fields: a bad size or id is a bad instance.
+_instance_count = partial(check_count, error=InvalidInstanceError)
+_element_id = partial(_instance_count, name="element id", least=0)
+
 
 @dataclass(frozen=True)
 class GroundSet:
@@ -65,8 +71,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInstanceError("ground set must contain at least one element")
+        object.__setattr__(self, "n", _instance_count(self.n, "ground size"))
 
 
 class CombinatorialSystem:
@@ -91,16 +96,14 @@ class CombinatorialSystem:
       Elements only grow along a branch, a complete state has no children,
       and children come in canonical order, which fixes the order of every
       search;
-    * optionally ``completion_groups(state)``: an integer array, one row per
-      group, such that every member below ``state`` takes at least one
-      element of each row and no row holds an element the state has; none
-      by default;
-    * with it, ``completion_block(state)``: the groups of all the children
-      of ``state`` (of the root alone, for None) as one integer block shaped
-      (children, groups, cells), whose row ``i`` is ``completion_groups`` of
-      child ``i`` in ``expand`` order, so the decision searches can look one
-      step ahead for a whole block of children with a fixed number of numpy
-      calls; or None, the default, for a block with no lookahead axis.
+    * optionally ``completion_block(state)``: the completion groups of all
+      the children of ``state`` (of the root alone, for None) as one integer
+      block shaped (children, groups, cells).  Row ``i`` holds the groups of
+      child ``i`` in ``expand`` order: every member below that child takes
+      at least one element of each group, and no group holds an element the
+      child has.  The decision searches then look one step ahead for a whole
+      block of children with a fixed number of numpy calls.  None, the
+      default, is a block with no lookahead axis.
     """
 
     search_limit: float = math.inf
@@ -134,9 +137,6 @@ class CombinatorialSystem:
         if not force and self.scale > self.search_limit:
             raise EnumerationLimitError(self.search_refusal)
 
-    def completion_groups(self, state):
-        return ()
-
     def completion_block(self, state):
         return None
 
@@ -157,18 +157,14 @@ class _GraphSystem(CombinatorialSystem):
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.nodes < 2:
-            raise InvalidInstanceError(f"a {self.kind} system needs at least two nodes")
+        object.__setattr__(self, "nodes", _instance_count(self.nodes, "nodes", 2))
+        node = partial(_instance_count, least=0, most=self.nodes - 1)
+        edges = tuple((node(u, "edge u"), node(v, "edge v")) for u, v in self.edges)
+        if any(u == v for u, v in edges):
+            raise InvalidInstanceError("self-loops are not allowed")
+        object.__setattr__(self, "edges", edges)
 
-    def _check_edges(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < self.nodes and 0 <= v < self.nodes):
-                raise InvalidInstanceError("edge endpoint out of range")
-            if u == v:
-                raise InvalidInstanceError("self-loops are not allowed")
-
-    @property
+    @cached_property
     def ground(self) -> GroundSet:
         return GroundSet(len(self.edges))
 
@@ -236,11 +232,11 @@ class PathSystem(_GraphSystem):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (0 <= self.s < self.nodes and 0 <= self.t < self.nodes):
-            raise InvalidInstanceError("s and t must be node ids")
+        last = self.nodes - 1
+        object.__setattr__(self, "s", _instance_count(self.s, "s", 0, most=last))
+        object.__setattr__(self, "t", _instance_count(self.t, "t", 0, most=last))
         if self.s == self.t:
             raise InvalidInstanceError("s and t must differ")
-        self._check_edges()
         if bfs_path_edges(self.nodes, self.incidence, self.s, self.t) is None:
             raise InvalidInstanceError("no s-t path exists")
 
@@ -307,8 +303,8 @@ class PathSystem(_GraphSystem):
 
     @classmethod
     def from_json(cls, payload: dict) -> PathSystem:
-        return cls(nodes=int(payload["nodes"]), edges=_parse_edges(payload),
-                   s=int(payload["s"]), t=int(payload["t"]))
+        return cls(nodes=payload["nodes"], edges=_parse_edges(payload),
+                   s=payload["s"], t=payload["t"])
 
     # search: extend from the current node along ascending edge ids
     def root(self):
@@ -329,7 +325,6 @@ class TreeSystem(_GraphSystem):
 
     def __post_init__(self):
         super().__post_init__()
-        self._check_edges()
         dsu = DisjointSets(self.nodes)
         for u, v in self.edges:
             dsu.union(u, v)
@@ -385,7 +380,7 @@ class TreeSystem(_GraphSystem):
 
     @classmethod
     def from_json(cls, payload: dict) -> TreeSystem:
-        return cls(nodes=int(payload["nodes"]), edges=_parse_edges(payload))
+        return cls(nodes=payload["nodes"], edges=_parse_edges(payload))
 
     # search: decide edges in id order, including an edge before skipping it
     def root(self):
@@ -517,8 +512,7 @@ class AssignmentSystem(CombinatorialSystem):
     )
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidInstanceError("assignment side must be positive")
+        object.__setattr__(self, "m", _instance_count(self.m, "m"))
 
     def cell(self, i: int, j: int) -> int:
         return i * self.m + j
@@ -526,7 +520,7 @@ class AssignmentSystem(CombinatorialSystem):
     def cell_position(self, element: int) -> tuple[int, int]:
         return divmod(element, self.m)
 
-    @property
+    @cached_property
     def ground(self) -> GroundSet:
         return GroundSet(self.m * self.m)
 
@@ -633,7 +627,7 @@ class AssignmentSystem(CombinatorialSystem):
 
     @classmethod
     def from_json(cls, payload: dict) -> AssignmentSystem:
-        return cls(m=int(payload["m"]))
+        return cls(m=payload["m"])
 
     # search: assign rows in order, each to the free columns in order
     def root(self):
@@ -648,11 +642,6 @@ class AssignmentSystem(CombinatorialSystem):
     @cached_property
     def _cells(self) -> np.ndarray:
         return np.arange(self.m * self.m).reshape(self.m, self.m)
-
-    def completion_groups(self, state):
-        # each unassigned row's free cells
-        _, _, (row, used) = state
-        return self._cells[row:].take([j for j in range(self.m) if j not in used], axis=1)
 
     def completion_block(self, state):
         # child i takes the i-th free column of the state's row, so its groups
@@ -680,21 +669,20 @@ class ExplicitSystem(CombinatorialSystem):
     enum_refusal = f"explicit enumeration limited to {ENUM_MAX_EXPLICIT_MEMBERS} members"
 
     def __post_init__(self):
-        members = tuple(frozenset(int(e) for e in m) for m in self.members)
+        n = _instance_count(self.n, "n", 0)  # 0: the largest member element plus one
+        element = partial(_element_id, name="member element", most=n - 1 if n else math.inf)
+        members = tuple(frozenset(map(element, m)) for m in self.members)
         if not members:
             raise InvalidInstanceError("the feasible family must be nonempty")
         for m in members:
             if not m:
                 raise InvalidInstanceError("feasible subsets must be nonempty")
-        top = max(max(m) for m in members)
-        n = self.n if self.n else top + 1
-        if top >= n or min(min(m) for m in members) < 0:
-            raise InvalidInstanceError("member elements must lie in 0..n-1")
+        n = n or max(max(m) for m in members) + 1
         members = tuple(sorted(set(members), key=lambda m: (len(m), sorted(m))))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "n", n)
 
-    @property
+    @cached_property
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
 
@@ -753,7 +741,7 @@ class ExplicitSystem(CombinatorialSystem):
         sets = payload.get("sets")
         if not isinstance(sets, list):
             raise InvalidInstanceError("explicit instance needs a 'sets' list")
-        return cls(members=tuple(frozenset(s) for s in sets), n=int(payload.get("n", 0)))
+        return cls(members=tuple(frozenset(s) for s in sets), n=payload.get("n", 0))
 
     # search: the members are the root's children, in canonical order
     def root(self):
@@ -771,7 +759,7 @@ class Clutter:
     subsets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        subsets = tuple(frozenset(int(e) for e in s) for s in self.subsets)
+        subsets = tuple(frozenset(map(_element_id, s)) for s in self.subsets)
         if not subsets:
             raise InvalidInstanceError("a clutter must be nonempty")
         subsets = tuple(sorted(set(subsets), key=lambda s: (len(s), sorted(s))))
@@ -826,7 +814,7 @@ def antichain_reduce(family) -> Clutter:
     removes the minimizer.
     """
 
-    subsets = [frozenset(int(e) for e in s) for s in family]
+    subsets = [frozenset(map(_element_id, s)) for s in family]
     if not subsets:
         raise InvalidInstanceError("cannot reduce an empty family")
     return Clutter(tuple(_minimize_family(subsets)))
@@ -931,10 +919,10 @@ def _parse_edges(payload: dict) -> tuple[tuple[int, int], ...]:
     out = []
     for pos, rec in enumerate(edges):
         try:
-            eid, u, v = int(rec["id"]), int(rec["u"]), int(rec["v"])
-        except (KeyError, TypeError, ValueError) as exc:
+            eid, u, v = rec["id"], rec["u"], rec["v"]
+        except (KeyError, TypeError) as exc:
             raise InvalidInstanceError(f"malformed edge record at position {pos}") from exc
-        if eid != pos:
+        if _instance_count(eid, "edge id", 0) != pos:
             raise InvalidInstanceError("edge ids must be 0..n-1 in order")
         out.append((u, v))
     return tuple(out)

@@ -15,7 +15,11 @@ that the other kinds' bottlenecks replaced, the assignment blocker's loop
 over row subsets, the decision models' from-scratch subset scores, the
 top-k sum's set-function bound on the library's search, the top-k family
 level's HiGHS and SLSQP solves, the per-prefix level's bracketed ``brentq``
-root, and the finite-order dual's nested golden sections.
+root, and the finite-order dual's nested golden sections.  Two former
+library functions that only the tests called live here too: the top-k dual
+certificate by enumeration, ``dual_topk_sum_value``, and one state's
+completion groups, ``reference_completion_groups``, which each row of a
+kind's ``completion_block`` must equal.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ from drbottleneck import (
     ExplicitSystem,
     PathSystem,
     TreeSystem,
+    antichain_reduce,
     bottleneck_value,
     element_level,
+    enumerate_members,
     iter_members,
     min_member_size,
     min_weight_blocker,
     minimize_members,
+    topk_blocker_enumerate,
 )
 from drbottleneck._graphs import bfs_path_edges
 from drbottleneck.decide import _report
@@ -134,6 +141,21 @@ def brute_topk(members, costs, k: int) -> float:
         vals = sorted((costs[j] for j in m), reverse=True)
         best = min(best, math.fsum(vals[:k]))
     return best
+
+
+def dual_topk_sum_value(system, costs, k: int) -> float:
+    """Max over top-k blocker families of the least member-subset cost sum.
+
+    Tiny-scale dual certificate for ``topk_sum_value``, via explicit
+    enumeration of both the feasible family and its top-k blocker.
+    """
+    c = system.validated_costs(costs)
+    clutter = antichain_reduce(enumerate_members(system))
+    families = topk_blocker_enumerate(clutter, k)
+    return max(
+        (min(math.fsum(c[j] for j in sorted(s)) for s in fam) for fam in families),
+        default=-math.inf,
+    )
 
 
 def brute_family_level(c, family, radius: float, r: float) -> float:
@@ -626,6 +648,19 @@ def reference_score(costs: np.ndarray, k: int | None = None):
 
 def _reference_objective(score, aggregate):
     return lambda elements: aggregate(score(elements)) if elements else -math.inf
+
+
+def reference_completion_groups(system, state):
+    """One row per completion group of ``state``: every member below it takes
+    an element of each row, and no row holds an element the state has.  An
+    assignment's groups are each unassigned row's free cells; the other
+    kinds have none.  Each row of ``completion_block(state)`` is this of one
+    child."""
+    if not isinstance(system, AssignmentSystem):
+        return ()
+    _, _, (row, used) = state
+    cells = np.arange(system.m * system.m).reshape(system.m, system.m)
+    return cells[row:].take([j for j in range(system.m) if j not in used], axis=1)
 
 
 def each_child(fn):

@@ -11,6 +11,7 @@ from _oracles import (
     brute_members,
     brute_minimal_hitting_sets,
     brute_topk,
+    dual_topk_sum_value,
 )
 from conftest import dyadic_costs, random_system
 from drbottleneck import (
@@ -24,7 +25,6 @@ from drbottleneck import (
     antichain_reduce,
     bottleneck_value,
     dual_bottleneck_value,
-    dual_topk_sum_value,
     enumerate_members,
     quantify_topk,
     topk_blocker_enumerate,

@@ -250,6 +250,32 @@ OVERFLOW_CASES = [
 ]
 
 
+VALID_INSTANCES = {
+    "path": {"type": "path", "nodes": 4, "s": 0, "t": 3, "edges": [
+        {"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 1, "v": 2}, {"id": 2, "u": 2, "v": 3}]},
+    "tree": {"type": "tree", "nodes": 4, "edges": [
+        {"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 1, "v": 2}, {"id": 2, "u": 2, "v": 3}]},
+    "assignment": {"type": "assignment", "m": 2},
+    "explicit": {"type": "explicit", "n": 2, "sets": [[0], [1]]},
+}
+
+# each value truncates, or converts, to a valid instance
+NON_INTEGER_FIELDS = [
+    ("assignment", ("m",), 2.7),
+    ("assignment", ("m",), True),
+    ("path", ("nodes",), 4.5),
+    ("path", ("s",), 0.9),
+    ("path", ("t",), 3.2),
+    ("path", ("edges", 1, "id"), 1.4),
+    ("path", ("edges", 1, "u"), 1.6),
+    ("path", ("edges", 1, "v"), 2.2),
+    ("tree", ("nodes",), 4.0),
+    ("explicit", ("n",), 2.5),
+    ("explicit", ("sets", 1, 0), "1"),
+    ("explicit", ("sets", 1, 0), 1.0),
+]
+
+
 class TestErrorPaths:
     def test_missing_files(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -312,6 +338,30 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "kind=invalid-instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, field, value", NON_INTEGER_FIELDS,
+        ids=[f"{kind}-{'.'.join(map(str, field))}-{value!r}"
+             for kind, field, value in NON_INTEGER_FIELDS],
+    )
+    def test_non_integer_instance_field(self, kind, field, value, tmp_path, capsys):
+        payload = json.loads(json.dumps(VALID_INSTANCES[kind]))
+        *path, last = field
+        target = payload
+        for key in path:
+            target = target[key]
+        target[last] = value
+        instance = tmp_path / "bad.json"
+        instance.write_text(json.dumps(payload))
+        width = {"path": 3, "tree": 3, "assignment": 4, "explicit": 2}[kind]
+        scenarios = tmp_path / "scen.csv"
+        save_scenarios(scenarios, ScenarioSet(np.arange(2.0 * width).reshape(2, width)))
+        code = run_cli(
+            "--model", "quantify", "--instance", str(instance), "--scenarios", str(scenarios),
+            "--theta", "0.5", "--out", str(tmp_path / "v"),
+        )
+        assert code == 1
+        assert "error kind=invalid-instance" in capsys.readouterr().err
 
     def test_unreadable_scenarios(self, generated, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

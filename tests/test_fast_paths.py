@@ -32,6 +32,7 @@ from _oracles import (
     reference_band,
     reference_base_bottleneck,
     reference_bracketed_root,
+    reference_completion_groups,
     reference_family_level,
     reference_finite_order,
     reference_least_variance_in_band,
@@ -700,9 +701,9 @@ def test_maxima_screen_and_lookahead_bounds():
 def test_block_screen_and_lookahead_are_each_childs():
     """With small-integer costs every sum is exact, so each child's block
     screen and lookahead must equal the ones computed from that child alone:
-    its maxima, and its own ``completion_groups``.  A block that kept a
-    child's own column among its groups would still be admissible, so no
-    decision catches it; this does."""
+    its maxima, and its own completion groups.  A block that kept a child's
+    own column among its groups would still be admissible, so no decision
+    catches it; this does."""
     rng = np.random.default_rng(99)
     system = AssignmentSystem(4)
     for _ in range(3):
@@ -717,7 +718,7 @@ def test_block_screen_and_lookahead_are_each_childs():
                 continue
             blocks += 1
             for child, ahead in zip(children, fold.lookaheads(block, groups).tolist()):
-                cells = system.completion_groups(child).tolist()
+                cells = reference_completion_groups(system, child).tolist()
                 maxima = np.array(fold.score(child[0]))
                 expected = max(
                     min(math.fsum(np.maximum(maxima, costs[:, e]).tolist()) for e in group)
@@ -731,8 +732,10 @@ def test_block_screen_and_lookahead_are_each_childs():
 def test_lookahead_pad_absorbs_worst_screen_error(monkeypatch, sign):
     """Screens and lookaheads moved by the error bound the pad covers,
     N^2 2**-53 max |cost|, either way, leave every decision unchanged.  The
-    costs are integer ties at 1e6 whose optimal means lie near 0, where the
-    search's 1e-12 band is far narrower than that bound."""
+    costs are integer ties at 1e6, with one scenario shifted by minus the sum
+    of the optimum's maxima: every member's mean moves by the same amount,
+    so the optimum is the same and its mean is exactly 0, where the search's
+    1e-12 band is far narrower than that bound."""
     screens, lookaheads = decide._Maxima.screens, decide._Maxima.lookaheads
 
     def moved(fold, value):
@@ -750,7 +753,10 @@ def test_lookahead_pad_absorbs_worst_screen_error(monkeypatch, sign):
     for m in (3, 4):
         system = AssignmentSystem(m)
         for _ in range(6):
-            scenarios = ScenarioSet(rng.integers(-3, 4, size=(int(rng.integers(4, 8)), m * m)) * 1e6)
+            costs = rng.integers(-3, 4, size=(int(rng.integers(4, 8)), m * m)) * 1e6
+            _, _, maxima = reference_minimize(system, reference_score(costs), exact_mean)
+            costs[0] -= math.fsum(maxima)
+            scenarios = ScenarioSet(costs)
             radius = float(rng.choice([0.0, 1e6]))
             assert _decision_outcomes(system, scenarios, radius, None) == _reference_outcomes(
                 system, scenarios, radius, None
