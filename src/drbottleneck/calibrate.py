@@ -14,8 +14,8 @@ from .decide import (
     _Maxima, robust_decision, saa_decision, tv_robust_decision, variance_robust_decision
 )
 from .errors import (
-    ROBUST_VALUE, DomainError, check_count, check_ground_order, exact_mean, exact_sum,
-    exact_variance, overflow_error,
+    ROBUST_VALUE, DomainError, check_count, check_ground_order, check_transport_order,
+    exact_mean, exact_sum, exact_variance, overflow_error,
 )
 from .quantify import WassersteinBall, quantify_robust
 from .scenarios import ScenarioSet
@@ -115,8 +115,9 @@ def calibrate_radius(
     sample_count = _check_rule_inputs(sample_count, sigma, epsilon)
     blocker_size = check_count(blocker_size, "blocker size")
     check_ground_order(ground_order)
+    q = check_transport_order(transport_order)
     structure = blocker_size ** (1.0 / ground_order)
-    qfac = 1.0 if math.isinf(transport_order) else transport_order ** (-1.0 / transport_order)
+    qfac = 1.0 if q == math.inf else q ** (-1.0 / q)
     return sigma * math.sqrt(-3.0 * math.log(epsilon)) * qfac * structure / math.sqrt(sample_count)
 
 

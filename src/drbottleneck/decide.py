@@ -24,7 +24,8 @@ from .errors import (
     overflow_error,
 )
 from .scenarios import ScenarioSet, require_matching_width
-from .search import iter_members, minimize_members
+from ._blocks import padded_elements
+from .search import minimize_members, walk_blocks
 from .systems import AssignmentSystem, CombinatorialSystem, min_member_size
 
 _FLOAT_MAX = sys.float_info.max
@@ -75,8 +76,10 @@ class IndifferenceSet:
 class _Maxima:
     """Per-scenario maxima of a subset's costs as an N-vector, all -inf for the
     empty set.  ``extend`` grows a parent's vector into the block of its
-    children's, one row each, by one gather and one maximum; a maximum is
-    exact, so the order the elements arrive in does not change it.
+    children's, one row each, by one gather and one maximum; ``grow`` does
+    the same from the flat index ``padded_elements`` gives, for a block of
+    children with one parent row each, or one for all.  A maximum is exact,
+    so the order the elements arrive in does not change it.
 
     ``screens`` and ``lookaheads`` sum such vectors in floating point, each
     within ``pad`` of the exact sum (see the comment above ``_mean_pad``);
@@ -96,19 +99,13 @@ class _Maxima:
         self.ones = np.ones(costs.shape[0])
         self.pad = _mean_pad(costs) if pad is None else pad
 
-    def _gather(self, added) -> tuple[np.ndarray, int]:
-        """The columns each child adds, padded with the -inf row to the most
-        any child adds, as (children * that width, N), and the width."""
-        width = max(1, max(map(len, added)))
-        index = [e for a in added for e in a]
-        if len(index) < width * len(added):
-            index = [e for a in added for e in (*a, *[self.blank] * (width - len(a)))]
-        return self.columns.take(index, axis=0), width
-
     def extend(self, acc, added):
-        block, width = self._gather(added)
+        return self.grow(acc, *padded_elements(added, self.blank))
+
+    def grow(self, acc, index, width):
+        block = self.columns.take(index, axis=0)
         if width > 1:
-            block = np.maximum.reduce(block.reshape(len(added), width, -1), axis=1)
+            block = np.maximum.reduce(block.reshape(-1, width, block.shape[1]), axis=1)
         if acc is not None:
             np.maximum(block, acc, out=block)
         return block
@@ -181,11 +178,11 @@ class _TopK(_Maxima):
         self.k = k
         self.empty = np.repeat(np.minimum(costs.min(axis=1, keepdims=True), 0.0), k, axis=1)
 
-    def extend(self, acc, added):
-        block, width = self._gather(added)
-        grown = np.empty((len(added), len(self.ones), self.k + width))
+    def grow(self, acc, index, width):
+        block = self.columns.take(index, axis=0).reshape(-1, width, len(self.ones))
+        grown = np.empty((len(block), len(self.ones), self.k + width))
         grown[:, :, :self.k] = self.empty if acc is None else acc
-        grown[:, :, self.k:] = block.reshape(len(added), width, -1).transpose(0, 2, 1)
+        grown[:, :, self.k:] = block.transpose(0, 2, 1)
         grown.sort(axis=2)
         return grown[:, :, -self.k:]
 
@@ -219,24 +216,6 @@ def _fold(
     return _TopK(scenarios.costs, k)
 
 
-def _block_callback(system: CombinatorialSystem, score, lookahead: bool, empty):
-    """The search callback of ``score(block, groups)``, which scores a block of
-    nonempty children with their completion groups, or None without them.
-    The empty set, held only by the root and a tree's first skip branches,
-    gets ``empty`` unscored, and its siblings go without groups."""
-
-    def callback(block, state, children):
-        groups = system.completion_block(state) if lookahead else None
-        # elements only grow along a branch: a nonempty parent's children are nonempty
-        if state is not None and state[0] or all(child[0] for child in children):
-            return score(block, groups)
-        kept = [i for i, child in enumerate(children) if child[0]]
-        values = iter(score(block[kept], None) if kept else ())
-        return [next(values) if child[0] else empty for child in children]
-
-    return callback
-
-
 def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, force: bool):
     """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
     to the lexicographically smallest set.  The aggregate is monotone, so its
@@ -254,7 +233,19 @@ def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, 
         return [max(key, (ahead - fold.pad) / n) for key, ahead in zip(keys, aheads)]
 
     lookahead = aggregate is _means and fold.pad < math.inf
-    callback = _block_callback(system, bound, lookahead, -math.inf)
+
+    def callback(block, state, children):
+        # the empty set, held only by the root and a tree's first skip
+        # branches, scores -inf unscored, and its siblings go without groups;
+        # elements only grow along a branch, so a nonempty parent's children
+        # are nonempty
+        groups = system.completion_block(state) if lookahead else None
+        if state is not None and state[0] or all(child[0] for child in children):
+            return bound(block, groups)
+        kept = [i for i, child in enumerate(children) if child[0]]
+        values = iter(bound(block[kept], None) if kept else ())
+        return [next(values) if child[0] else -math.inf for child in children]
+
     value, chosen = minimize_members(system, callback, force, extend=fold.extend)
     return value, chosen, fold.score(chosen)
 
@@ -265,41 +256,48 @@ def _radius_shift(radius: float, k: int, ground_order: float) -> float:
 
 
 def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
-    """Members whose mean score is at most ``threshold``, in canonical order.
+    """Members whose mean score is at most ``threshold``, in no fixed order.
 
-    Yields ``(member, values, mean)``.  The search prunes on the mean score,
-    which is monotone; since monotone bounds can invert by an ulp on partial
-    sets, the prune keeps a tolerance band above the threshold.  It prunes
-    where the screen, or the lookahead over the completion groups, clears the
-    limit by the pad, keeps where the screen lies below it by the pad, and
-    takes the exact mean only in between.
+    Yields ``(member, values, mean)``.  The block walk prunes on the mean
+    score, which is monotone; since monotone bounds can invert by an ulp on
+    partial sets, the prune keeps a tolerance band above the threshold.  It
+    prunes where the screen, or the lookahead over the completion groups,
+    clears the limit by the pad, keeps where the screen lies below it by the
+    pad, and takes the exact mean only in between.  The empty set, held only
+    by the root and a tree's first skip branches, is kept unscored.
     """
 
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
     bar = len(fold.ones) * limit
     slack = fold.pad + abs(bar) * 2.0**-50
 
-    def prune(block, groups) -> list[bool]:
+    def cuts(block, groups) -> np.ndarray:
         if slack == math.inf:
-            return [mean > limit for mean in _means(fold.values(block))]
-        # Python floats: a difference past the float range is inf, unwarned
-        screens = [screen - bar for screen in fold.screens(block).tolist()]
-        aheads = screens if groups is None else [
-            ahead - bar for ahead in fold.lookaheads(block, groups).tolist()
-        ]
-        cut = [screen > slack or ahead > slack for screen, ahead in zip(screens, aheads)]
-        unsure = [i for i, screen in enumerate(screens) if not cut[i] and screen >= -slack]
-        if unsure:
-            for i, mean in zip(unsure, _means(fold.values(block[unsure]))):
-                cut[i] = mean > limit
+            return np.array(_means(fold.values(block))) > limit
+        with np.errstate(over="ignore"):  # a difference past the float range is inf
+            screens = fold.screens(block) - bar
+            aheads = screens if groups is None else fold.lookaheads(block, groups) - bar
+        cut = (screens > slack) | (aheads > slack)
+        unsure = np.flatnonzero(~cut & (screens >= -slack))
+        if unsure.size:
+            cut[unsure] = np.array(_means(fold.values(block[unsure]))) > limit
         return cut
 
-    callback = _block_callback(system, prune, slack < math.inf, False)
-    for member in iter_members(system, callback, extend=fold.extend):
-        values = fold.score(member)
-        mean = exact_mean(values)
-        if mean <= threshold:
-            yield member, values, mean
+    def prune(block, children) -> np.ndarray:
+        empty = children.empty()
+        if empty is None:
+            return cuts(block, children.groups() if slack < math.inf else None)
+        cut = np.zeros(len(children), dtype=bool)
+        kept = np.flatnonzero(~empty)
+        if kept.size:
+            cut[kept] = cuts(block[kept], None)
+        return cut
+
+    for members, block in walk_blocks(system, prune, fold.grow):
+        values = fold.values(block)
+        for member, row, mean in zip(members, values.tolist(), _means(values)):
+            if mean <= threshold:
+                yield member, row, mean
 
 
 def _least_variance_in_band(

@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the radius, ground norm order,
-count and element id checks shared by every module that takes one, and the
-exact sums every reported average is taken with.
+transport order, count and element id checks shared by every module that
+takes one, and the exact sums every reported average is taken with.
 
 Every error carries a short machine-readable ``kind`` tag; the CLI maps these
 tags to exit codes.
@@ -77,6 +77,17 @@ def check_ground_order(r) -> float:
     if not 1 <= r < math.inf:
         raise DomainError("ground norm order must be finite and at least 1")
     return float(r)
+
+
+def check_transport_order(q, finite: bool = False) -> float:
+    """``q`` as a float, once it is a transport order: at least 1, and finite
+    where ``finite``; inf is order infinity.  NaN fails both comparisons.
+    Every public transport order passes here."""
+    if not (1 <= q < math.inf if finite else 1 <= q <= math.inf):
+        raise DomainError(
+            f"transport order must be {'finite and ' if finite else ''}at least 1, got {q!r}"
+        )
+    return float(q)
 
 
 def check_count(value, name: str, least: int = 1, *, most: float = math.inf,

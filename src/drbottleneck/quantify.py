@@ -46,6 +46,7 @@ from .errors import (
     check_element_ids,
     check_ground_order,
     check_radius,
+    check_transport_order,
     exact_row_sums,
     exact_sum,
 )
@@ -534,8 +535,7 @@ def quantify_robust_finite_order(
     if record.sense != "cost":
         raise DomainError("finite transport orders support the cost sense only")
     check_radius(radius)
-    if not 1 <= order < math.inf:
-        raise DomainError("transport order must be finite and at least 1")
+    check_transport_order(order, finite=True)
     r = check_ground_order(ground_order)
     if radius == 0.0:
         return record.saa, math.inf

@@ -1,27 +1,38 @@
-"""Exact search over feasible subsets: enumeration and bound-pruned minimization.
+"""Exact search over feasible subsets: enumeration, bound-pruned minimization
+and the block walk under a prune.
 
-Both walk the one state space each system kind defines (``root`` and
+All three walk the one state space each system kind defines (``root`` and
 ``expand``), whose children come in a canonical order per structure (paths
 extend from the source along ascending edge ids, spanning trees decide edges
 in id order, matchings assign rows in order).  That makes enumeration
 deterministic and lets the solvers report a canonical lexicographically
 smallest argmin.
 
-Both score each expanded state's children in one block.  ``extend(acc,
-added)`` returns the block of the children's accumulators: ``acc``, the
-parent's, grown by each set in the list ``added`` (what each child adds,
-possibly nothing), leaving ``acc`` as it was; item ``i`` of the block is
-child ``i``'s accumulator, and ``extend(None, [elements])`` builds a block of
-one from scratch.  An accumulator must be a function of the element set
-alone.  The default ``extend`` is set union, so the block is a list of the
-children's element sets.
-
-The callbacks, ``prune(accs, state, children)`` and ``bound_fn(accs, state,
-children)``, get that block with the expanded ``state`` and its list of
-``children``, and return one value per child, in order.  The root is scored
+``minimize_members`` scores each expanded state's children in one block.
+``extend(acc, added)`` returns the block of the children's accumulators:
+``acc``, the parent's, grown by each set in the list ``added`` (what each
+child adds, possibly nothing), leaving ``acc`` as it was; item ``i`` of the
+block is child ``i``'s accumulator, and ``extend(None, [elements])`` builds a
+block of one from scratch.  An accumulator must be a function of the element
+set alone.  The default ``extend`` is set union, so the block is a list of
+the children's element sets.  Its callback, ``bound_fn(accs, state,
+children)``, gets that block with the expanded ``state`` and its list of
+``children``, and returns one value per child, in order.  The root is scored
 alone, as a block of one whose ``state`` is None.  Since the children share
 a parent, a callback can look one step ahead for all of them at once:
 ``system.completion_block(state)`` gives each child's completion groups.
+
+``walk_blocks`` expands a whole block of states a step, from the kind's
+``root_block``: an assignment's block is arrays (the cells each state has
+taken and its free columns), and every other kind's a list of states
+expanded one by one.  ``grow(accs, index, width)`` grows the accumulators of
+the children's parents, one row each, by the flat index of the elements each
+child adds (``_blocks.padded_elements``).  Its callback, ``prune(accs,
+children)``, gets the children's accumulators and their block, whose
+``groups()`` are their completion groups and ``empty()`` marks those holding
+no element, and returns one cut flag per child.  Blocks are sized by a byte
+budget and filled from a pool of waiting states per depth, deepest first,
+so members come in no fixed order.
 """
 
 from __future__ import annotations
@@ -29,49 +40,96 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterator, Sequence
 
+import numpy as np
+
+from ._blocks import StateBlock, padded_elements
 from .errors import InvalidInstanceError
 from .systems import CombinatorialSystem
 
 Extend = Callable[[Any, list], Any]
+Grow = Callable[[Any, Sequence[int], int], Any]
+
+#: Bytes of the largest temporary one step of ``walk_blocks`` may build for a
+#: block of more than one state: the children's lookahead gather.  On the 9x9
+#: benchmark assignment, at 512 KiB, 768 KiB and 1 MiB the band walk took
+#: about 21, 18 and 16 ms, and the process peaked about 0.3, 0.7 and 1.4 MiB
+#: above the walk of one state a step; an uncapped walk peaked 30 MiB above.
+BLOCK_BYTES = 768 << 10
 
 
 def _union(acc: frozenset[int] | None, added: list) -> list:
     return added if acc is None else [acc | a for a in added]
 
 
-def iter_members(
-    system: CombinatorialSystem,
-    prune: Callable[[Any, tuple | None, list], Sequence[bool]] | None = None,
-    *,
-    extend: Extend = _union,
-) -> Iterator[frozenset[int]]:
-    """Yield feasible subsets in canonical order.
+def iter_members(system: CombinatorialSystem) -> Iterator[frozenset[int]]:
+    """Yield feasible subsets in canonical order, by one depth-first walk."""
 
-    ``prune`` scores the root, then each expanded state's children, one
-    block per call, and returns True for each child whose subtree is cut; it
-    must never cut a subtree containing a member that the caller still needs.
-    Every state visited, partial or complete, is scored once.  Each
-    depth-first frame keeps its block of children's accumulators.
-    """
-
-    def walk(state, acc):
+    def walk(state):
         elements, complete, _ = state
         if complete:
             yield elements
             return
-        children = list(system.expand(state))
-        if not children:
-            return
-        accs = extend(acc, [child[0] - elements for child in children])
-        cut = prune(accs, state, children) if prune is not None else [False] * len(children)
-        for i, child in enumerate(children):
-            if not cut[i]:
-                yield from walk(child, accs[i])
+        for child in system.expand(state):
+            yield from walk(child)
 
-    root = system.root()
-    accs = extend(None, [root[0]])
-    if prune is None or not prune(accs, None, [root])[0]:
-        yield from walk(root, accs[0])
+    yield from walk(system.root())
+
+
+def walk_blocks(
+    system: CombinatorialSystem,
+    prune: Callable[[Any, StateBlock], Sequence[bool]],
+    grow: Grow,
+) -> Iterator[tuple[list[frozenset[int]], Any]]:
+    """The members below every state ``prune`` keeps, a block at a time.
+
+    Each step expands a block of states, grows the children's accumulators
+    with one ``grow`` call and scores them with one ``prune`` call, which
+    gets the accumulators and the children's block and returns True for
+    each child whose subtree is cut; it must never cut a subtree holding a
+    member the caller still needs.  The root is scored first, as a block of
+    one.  Yields ``(members, accs)`` for the complete children each step
+    keeps.  The others wait in a pool per depth, and each step expands as
+    many states of one pool as fit ``BLOCK_BYTES`` of the expansion's gather
+    (``gather_size`` cost columns of an accumulator's size a state; one
+    state at the least): of the deepest pool holding that many, or else of
+    the shallowest, whose expansions fill the deeper pools.  A pool takes
+    the kept states of several expansions, since one expansion's rarely
+    fill a block, and holds at most a block plus one expansion's children,
+    so memory stays bounded.  Members come in no fixed order.
+    """
+    pools = {}  # depth: (block, accs) of the kept incomplete states waiting there
+
+    def visit(children, accs, depth):
+        kept = np.flatnonzero(~np.asarray(prune(accs, children), dtype=bool))
+        complete = children.complete()[kept]
+        if complete.any():
+            done = kept[complete]
+            yield children.take(done).elements(), accs[done]
+        rest = kept[~complete]
+        if rest.size:
+            block, accs = children.take(rest), accs[rest]
+            if depth in pools:
+                waiting, waiting_accs = pools[depth]
+                block, accs = waiting.join(block), np.concatenate((waiting_accs, accs))
+            pools[depth] = block, accs
+
+    def size(depth):
+        block, accs = pools[depth]
+        return max(1, BLOCK_BYTES // (block.gather_size * accs[0].nbytes))
+
+    root = system.root_block()
+    yield from visit(root, grow(None, *padded_elements(root.elements(), system.ground.n)), 0)
+    while pools:
+        full = [depth for depth in pools if len(pools[depth][0]) >= size(depth)]
+        depth = max(full) if full else min(pools)
+        cap = size(depth)
+        block, accs = pools.pop(depth)
+        if len(block) > cap:
+            pools[depth] = block.take(np.arange(cap, len(block))), accs[cap:]
+            block, accs = block.take(np.arange(cap)), accs[:cap]
+        children, parents, index, width = block.expand()
+        if len(children):
+            yield from visit(children, grow(accs[parents], index, width), depth + 1)
 
 
 def enumerate_members(

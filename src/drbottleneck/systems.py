@@ -37,6 +37,7 @@ from ._graphs import (
     max_bipartite_matching,
     min_st_cut_side,
 )
+from ._blocks import MatchingBlock, StateBlock, leave_one_out
 from .errors import (
     DomainError, EnumerationLimitError, InvalidInstanceError, check_count, saturating_sum,
 )
@@ -62,6 +63,7 @@ SEARCH_MAX_ASSIGNMENT_SIDE = 9
 #: ``check_count`` for instance fields: a bad size or id is a bad instance.
 _instance_count = partial(check_count, error=InvalidInstanceError)
 _element_id = partial(_instance_count, name="element id", least=0)
+_blocker_id = partial(check_count, name="element id", least=0)
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,10 @@ class CombinatorialSystem:
       Elements only grow along a branch, a complete state has no children,
       and children come in canonical order, which fixes the order of every
       search;
+    * ``root_block()``: the root as a :class:`StateBlock` of one, the unit
+      the band walk expands and scores a block of states at a time.  The
+      default block holds states and expands each with ``expand``; an
+      assignment's is array-native;
     * optionally ``completion_block(state)``: the completion groups of all
       the children of ``state`` (of the root alone, for None) as one integer
       block shaped (children, groups, cells).  Row ``i`` holds the groups of
@@ -139,6 +145,9 @@ class CombinatorialSystem:
 
     def completion_block(self, state):
         return None
+
+    def root_block(self) -> StateBlock:
+        return StateBlock(self, [self.root()])
 
 
 @dataclass(frozen=True)
@@ -485,14 +494,6 @@ def _shared_rows(masks: list[int]) -> tuple[tuple[int, ...], int]:
                 stack.append((rows + (i,), common))
 
 
-@lru_cache(maxsize=SEARCH_MAX_ASSIGNMENT_SIDE)
-def _leave_one_out(f: int) -> np.ndarray:
-    """Row i lists 0..f-1 without i, for f >= 2; read-only, as callers share it."""
-    rows = np.array([[j for j in range(f) if j != i] for i in range(f)])
-    rows.setflags(write=False)
-    return rows
-
-
 @dataclass(frozen=True)
 class AssignmentSystem(CombinatorialSystem):
     """Feasible subsets are the perfect matchings of an m-by-m assignment.
@@ -643,18 +644,28 @@ class AssignmentSystem(CombinatorialSystem):
     def _cells(self) -> np.ndarray:
         return np.arange(self.m * self.m).reshape(self.m, self.m)
 
+    def groups_at(self, row: int, free: np.ndarray) -> np.ndarray | None:
+        """The completion groups of states that assign ``row`` next, with free
+        columns ``free`` (states, f): the rows from ``row`` at those columns.
+        One gather of the grid, shaped (rows, states, f), read as (states,
+        rows, f); None once every row is assigned."""
+        if row >= self.m:
+            return None
+        return self._cells[row:].take(free, axis=1).transpose(1, 0, 2)
+
     def completion_block(self, state):
-        # child i takes the i-th free column of the state's row, so its groups
-        # are the rows below with the other free columns: one gather of the
-        # grid by the leave-one-out columns, shaped (rows, children, cells)
+        # child i takes the i-th free column of the state's row, so its free
+        # columns are the others: the leave-one-out columns
         if state is None:
-            return self._cells[None]
+            return self.groups_at(0, np.arange(self.m)[None])
         _, _, (row, used) = state
         if row + 1 >= self.m:  # the children are complete, or there are none
             return None
         free = np.array([j for j in range(self.m) if j not in used])
-        columns = free.take(_leave_one_out(len(free)))
-        return self._cells[row + 1:].take(columns, axis=1).transpose(1, 0, 2)
+        return self.groups_at(row + 1, free.take(leave_one_out(len(free))))
+
+    def root_block(self) -> MatchingBlock:
+        return MatchingBlock(self, 0, np.empty((1, 0), dtype=np.intp), np.arange(self.m)[None])
 
 
 @dataclass(frozen=True)
@@ -794,7 +805,12 @@ class BlockerElement:
     cols: frozenset[int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", frozenset(int(e) for e in self.elements))
+        ids = self.elements
+        # the fast path takes plain nonnegative ints; a bool, float, string,
+        # numpy integer or negative id goes through the check
+        if not ({*map(type, ids)} <= {int} and min(ids, default=0) >= 0):
+            ids = map(_blocker_id, ids)
+        object.__setattr__(self, "elements", frozenset(ids))
 
 
 @dataclass(frozen=True)

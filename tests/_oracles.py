@@ -15,11 +15,12 @@ that the other kinds' bottlenecks replaced, the assignment blocker's loop
 over row subsets, the decision models' from-scratch subset scores, the
 top-k sum's set-function bound on the library's search, the top-k family
 level's HiGHS and SLSQP solves, the per-prefix level's bracketed ``brentq``
-root, and the finite-order dual's nested golden sections.  Two former
-library functions that only the tests called live here too: the top-k dual
-certificate by enumeration, ``dual_topk_sum_value``, and one state's
-completion groups, ``reference_completion_groups``, which each row of a
-kind's ``completion_block`` must equal.
+root, the finite-order dual's nested golden sections, and the per-state
+pruned walk, ``pruned_members``, that the band's block walk replaced.  Two
+former library functions that only the tests called live here too: the
+top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
+state's completion groups, ``reference_completion_groups``, which each row
+of a kind's ``completion_block`` must equal.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from drbottleneck import (
     bottleneck_value,
     element_level,
     enumerate_members,
-    iter_members,
     min_member_size,
     min_weight_blocker,
     minimize_members,
@@ -663,6 +663,45 @@ def reference_completion_groups(system, state):
     return cells[row:].take([j for j in range(system.m) if j not in used], axis=1)
 
 
+# the decision models' band walk before the block walk replaced it: one
+# state expanded at a time, with the block of its children scored in one
+# call; the enumeration's ``iter_members`` lost ``prune`` and ``extend``
+
+
+def _union(acc, added):
+    return added if acc is None else [acc | a for a in added]
+
+
+def pruned_members(system, prune=None, *, extend=_union):
+    """Yield feasible subsets in canonical order.
+
+    ``prune`` scores the root, then each expanded state's children, one
+    block per call, and returns True for each child whose subtree is cut; it
+    must never cut a subtree containing a member that the caller still needs.
+    Every state visited, partial or complete, is scored once.  Each
+    depth-first frame keeps its block of children's accumulators.
+    """
+
+    def walk(state, acc):
+        elements, complete, _ = state
+        if complete:
+            yield elements
+            return
+        children = list(system.expand(state))
+        if not children:
+            return
+        accs = extend(acc, [child[0] - elements for child in children])
+        cut = prune(accs, state, children) if prune is not None else [False] * len(children)
+        for i, child in enumerate(children):
+            if not cut[i]:
+                yield from walk(child, accs[i])
+
+    root = system.root()
+    accs = extend(None, [root[0]])
+    if prune is None or not prune(accs, None, [root])[0]:
+        yield from walk(root, accs[0])
+
+
 def each_child(fn):
     """A search callback that scores a block of children one element set at a
     time, with ``fn``."""
@@ -681,7 +720,7 @@ def reference_band(system, score, threshold: float):
     bound = _reference_objective(score, exact_mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
     prune = each_child(lambda elements: bool(elements) and bound(elements) > limit)
-    for member in iter_members(system, prune):
+    for member in pruned_members(system, prune):
         values = score(member)
         mean = exact_mean(values)
         if mean <= threshold:

@@ -94,6 +94,18 @@ class TestEstimateSigma:
         with pytest.raises(DomainError, match="sigma must be positive and finite"):
             rule(sigma)
 
+    @pytest.mark.parametrize("order", [math.nan, 0.5, -2.0, -math.inf, 0.0])
+    def test_radius_refuses_bad_transport_order(self, order):
+        # NaN gave a NaN radius, 0.5 a radius of 6.65 and -2 a complex number
+        with pytest.raises(DomainError, match="transport order must be at least 1"):
+            calibrate_radius(10, 1.0, 0.1, 2, 1.0, order)
+
+    def test_radius_takes_order_one_to_infinity(self):
+        base = calibrate_radius(10, 1.0, 0.1, 2, 1.0)
+        assert calibrate_radius(10, 1.0, 0.1, 2, 1.0, math.inf) == base
+        assert calibrate_radius(10, 1.0, 0.1, 2, 1.0, 1) == base  # 1^(-1/1) = 1
+        assert calibrate_radius(10, 1.0, 0.1, 2, 1.0, 2.0) == base * 2.0**-0.5
+
 
 class TestTheoreticalCi:
     def test_quantify_kind(self):

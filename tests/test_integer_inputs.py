@@ -22,6 +22,7 @@ import pytest
 import drbottleneck
 from drbottleneck import (
     AssignmentSystem,
+    BlockerElement,
     Clutter,
     DomainError,
     ExplicitSystem,
@@ -88,6 +89,7 @@ CASES = {
     ("IndifferenceSet.contains", "elements"): Case(
         lambda e: indifference_set(ASSIGN, SCEN, 0.5).contains([0, e]), 3, 0),
     ("matching_permutation", "chosen"): Case(lambda e: matching_permutation(ASSIGN, [0, e]), 3, 0),
+    ("BlockerElement", "elements"): Case(lambda e: BlockerElement([0, e]), 1, 0),
     # k
     ("topk_sum_value", "k"): Case(lambda k: topk_sum_value(ASSIGN, SCEN.costs[0], k), 2, 1),
     ("topk_decision", "k"): Case(lambda k: topk_decision(ASSIGN, SCEN, 0.5, k), 2, 1),
@@ -152,10 +154,11 @@ CASES = {
 }
 
 #: Parameters whose names the walk collects but which are not integer inputs:
-#: a cost threshold, and the fields of result records the package builds.
+#: a cost threshold, and the fields of result records the package builds.  A
+#: blocker element is a record too, but callers build it as a certificate, so
+#: its ids are checked.
 NOT_INTEGER_INPUTS = {
     ("feasible_at_threshold", "t"): "a cost threshold, a float",
-    ("BlockerElement", "elements"): "a result record the blocker oracles build",
     ("CoverageReport", "trials"): "a result record",
     ("CrossValReport", "repeats"): "a result record",
     ("CrossValReport", "train_size"): "a result record",

@@ -1,12 +1,17 @@
 """Scores of the search callbacks: one bound per scored state, one prune per
 visited state.
 
-Both searches call their callback (argument 1 of each) once per block: the
+The best-first search calls its callback (argument 1) once per block: the
 root alone, then the children of each expanded state, with the block's
-accumulators, the parent state and the children.  These tests wrap the
-callbacks around the decision models, count one score per child in each
-block's result, and pin those counts on one small instance of each kind.
-Layer tracing wraps the same arguments, so its counters count blocks.
+accumulators, the parent state and the children.  The band's block walk
+calls its callback (argument 1) once per step: the root alone, then the
+children of every state of an expanded block, with their accumulators and
+their block.  These tests wrap both callbacks around the decision models,
+count one score per child in each block's result, and pin those counts on
+one small instance of each kind.  The best-first search generates states
+with the kind's ``expand``, the block walk with its blocks' ``expand``, so
+each is counted where it is made.  Layer tracing wraps the same arguments,
+so its counters count blocks.
 """
 
 import math
@@ -51,10 +56,11 @@ PINNED = {
 @pytest.fixture
 def traced(monkeypatch):
     """Bound values, prune calls, members yielded and the states each search
-    generated (the root, then every child ``expand`` yields)."""
+    generated (the root, then every child ``expand`` or a block's ``expand``
+    yields)."""
     counts = dict.fromkeys(["prune", "members", "pushed", "visited"], 0)
     counts["bounds"] = []
-    phase = ["pushed"]
+    walking = [False]  # a default block's expand calls the kind's, uncounted
 
     def minimize(system, bound_fn, *args, **kwargs):
         def recorded(*block):
@@ -62,33 +68,41 @@ def traced(monkeypatch):
             counts["bounds"].extend(scores)
             return scores
 
-        phase[0] = "pushed"
+        walking[0] = False
         counts["pushed"] += 1
         return minimize_members(system, recorded, *args, **kwargs)
 
-    def iterate(system, prune, *args, **kwargs):
+    def walk(system, prune, *args, **kwargs):
         def counted(*block):
             cuts = prune(*block)
             counts["prune"] += len(cuts)
             return cuts
 
-        phase[0] = "visited"
+        walking[0] = True
         counts["visited"] += 1
-        for member in iter_members(system, counted, *args, **kwargs):
-            counts["members"] += 1
-            yield member
+        for members, accs in walk_blocks(system, counted, *args, **kwargs):
+            counts["members"] += len(members)
+            yield members, accs
 
     def expand(system, state):
         for child in expand_of[type(system)](system, state):
-            counts[phase[0]] += 1
+            counts["pushed"] += not walking[0]
             yield child
 
-    minimize_members, iter_members = decide.minimize_members, decide.iter_members
+    def expand_block(block):
+        children = expand_block_of[type(block)](block)
+        counts["visited"] += len(children[0])
+        return children
+
+    minimize_members, walk_blocks = decide.minimize_members, decide.walk_blocks
     expand_of = {type(s): type(s).expand for s in SYSTEMS.values()}
     monkeypatch.setattr(decide, "minimize_members", minimize)
-    monkeypatch.setattr(decide, "iter_members", iterate)
+    monkeypatch.setattr(decide, "walk_blocks", walk)
     for cls in expand_of:
         monkeypatch.setattr(cls, "expand", expand)
+    expand_block_of = {type(s.root_block()): type(s.root_block()).expand for s in SYSTEMS.values()}
+    for cls in expand_block_of:
+        monkeypatch.setattr(cls, "expand", expand_block)
     return counts
 
 
