@@ -1,5 +1,5 @@
-"""Blocks of search states: the unit ``search.walk_blocks`` expands and
-scores in one step.
+"""Blocks of search states: the unit both searches of ``search`` expand and
+score in one step.
 
 ``StateBlock`` holds a kind's ``(elements, complete, payload)`` states in a
 list and expands each with the kind's ``expand``; ``MatchingBlock`` is an
@@ -31,9 +31,10 @@ def padded_elements(added, blank: int) -> tuple[list[int], int]:
 
 
 class StateBlock:
-    """A block of search states, which the band walk expands and scores in one
-    step.  This default, for every kind but the assignment, holds the kind's ``(elements, complete, payload)``
-    states in a list and expands each with the kind's ``expand``.
+    """A block of search states, which the searches expand and score in one
+    step.  This default, for every kind but the assignment, holds the kind's
+    ``(elements, complete, payload)`` states in a list and expands each with
+    the kind's ``expand``.
 
     ``take(index)`` and ``join(other)`` give the states at ``index``, and
     these followed by ``other``'s.  ``expand()`` gives ``(children, parents,
@@ -41,7 +42,11 @@ class StateBlock:
     ``expand`` order, as a block; the position here of each child's parent;
     and the elements each child adds, as ``padded_elements`` lays them out
     with the ground size as the blank.  ``groups()`` is the completion
-    groups of each state, laid out as ``completion_block``'s, or None.
+    groups of the states as one integer block shaped (states, groups,
+    cells), or None where there are none: every member below state ``i``
+    takes at least one element of each group of row ``i``, and no group
+    holds an element the state has, so the decision searches look one step
+    ahead for a whole block with a fixed number of numpy calls.
     ``gather_size`` bounds the cost columns one state's expansion and its
     children's lookahead gather, so the walk can size its blocks by it.
     Here it is the ground size: these kinds have no lookahead, a path or

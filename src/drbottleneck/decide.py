@@ -75,11 +75,11 @@ class IndifferenceSet:
 
 class _Maxima:
     """Per-scenario maxima of a subset's costs as an N-vector, all -inf for the
-    empty set.  ``extend`` grows a parent's vector into the block of its
-    children's, one row each, by one gather and one maximum; ``grow`` does
-    the same from the flat index ``padded_elements`` gives, for a block of
-    children with one parent row each, or one for all.  A maximum is exact,
-    so the order the elements arrive in does not change it.
+    empty set.  ``grow`` grows the parents' vectors into the block of their
+    children's, one row each, by one gather and one maximum, from the flat
+    index ``padded_elements`` gives, for a block of children with one parent
+    row each, or one for all.  A maximum is exact, so the order the elements
+    arrive in does not change it.
 
     ``screens`` and ``lookaheads`` sum such vectors in floating point, each
     within ``pad`` of the exact sum (see the comment above ``_mean_pad``);
@@ -99,9 +99,6 @@ class _Maxima:
         self.ones = np.ones(costs.shape[0])
         self.pad = _mean_pad(costs) if pad is None else pad
 
-    def extend(self, acc, added):
-        return self.grow(acc, *padded_elements(added, self.blank))
-
     def grow(self, acc, index, width):
         block = self.columns.take(index, axis=0)
         if width > 1:
@@ -115,7 +112,7 @@ class _Maxima:
         return block
 
     def score(self, elements) -> list[float]:
-        return self.values(self.extend(None, [elements]))[0].tolist()
+        return self.values(self.grow(None, *padded_elements([elements], self.blank)))[0].tolist()
 
     def screens(self, block) -> np.ndarray:
         """N times the mean of each row, screened: one matrix-vector product."""
@@ -216,6 +213,24 @@ def _fold(
     return _TopK(scenarios.costs, k)
 
 
+def _unless_empty(score, fill, lookahead: bool):
+    """A search callback that scores a block of children with ``score(accs,
+    groups)``, with their completion groups where ``lookahead``.  The empty
+    set, held only by the root and a tree's first skip branches, gets
+    ``fill`` unscored, and its siblings go without groups; elements only grow
+    along a branch, so a nonempty parent's children are nonempty."""
+
+    def callback(accs, children):
+        empty = children.empty()
+        if empty is None:
+            return score(accs, children.groups() if lookahead else None)
+        kept = np.flatnonzero(~empty)
+        values = iter(score(accs[kept], None) if kept.size else ())
+        return [fill if e else next(values) for e in empty.tolist()]
+
+    return callback
+
+
 def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, force: bool):
     """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
     to the lexicographically smallest set.  The aggregate is monotone, so its
@@ -232,21 +247,8 @@ def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, 
         aheads = fold.lookaheads(block, groups).tolist()
         return [max(key, (ahead - fold.pad) / n) for key, ahead in zip(keys, aheads)]
 
-    lookahead = aggregate is _means and fold.pad < math.inf
-
-    def callback(block, state, children):
-        # the empty set, held only by the root and a tree's first skip
-        # branches, scores -inf unscored, and its siblings go without groups;
-        # elements only grow along a branch, so a nonempty parent's children
-        # are nonempty
-        groups = system.completion_block(state) if lookahead else None
-        if state is not None and state[0] or all(child[0] for child in children):
-            return bound(block, groups)
-        kept = [i for i, child in enumerate(children) if child[0]]
-        values = iter(bound(block[kept], None) if kept else ())
-        return [next(values) if child[0] else -math.inf for child in children]
-
-    value, chosen = minimize_members(system, callback, force, extend=fold.extend)
+    callback = _unless_empty(bound, -math.inf, aggregate is _means and fold.pad < math.inf)
+    value, chosen = minimize_members(system, callback, force, grow=fold.grow)
     return value, chosen, fold.score(chosen)
 
 
@@ -283,16 +285,7 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
             cut[unsure] = np.array(_means(fold.values(block[unsure]))) > limit
         return cut
 
-    def prune(block, children) -> np.ndarray:
-        empty = children.empty()
-        if empty is None:
-            return cuts(block, children.groups() if slack < math.inf else None)
-        cut = np.zeros(len(children), dtype=bool)
-        kept = np.flatnonzero(~empty)
-        if kept.size:
-            cut[kept] = cuts(block[kept], None)
-        return cut
-
+    prune = _unless_empty(cuts, False, slack < math.inf)
     for members, block in walk_blocks(system, prune, fold.grow):
         values = fold.values(block)
         for member, row, mean in zip(members, values.tolist(), _means(values)):

@@ -8,45 +8,37 @@ in id order, matchings assign rows in order).  That makes enumeration
 deterministic and lets the solvers report a canonical lexicographically
 smallest argmin.
 
-``minimize_members`` scores each expanded state's children in one block.
-``extend(acc, added)`` returns the block of the children's accumulators:
-``acc``, the parent's, grown by each set in the list ``added`` (what each
-child adds, possibly nothing), leaving ``acc`` as it was; item ``i`` of the
-block is child ``i``'s accumulator, and ``extend(None, [elements])`` builds a
-block of one from scratch.  An accumulator must be a function of the element
-set alone.  The default ``extend`` is set union, so the block is a list of
-the children's element sets.  Its callback, ``bound_fn(accs, state,
-children)``, gets that block with the expanded ``state`` and its list of
-``children``, and returns one value per child, in order.  The root is scored
-alone, as a block of one whose ``state`` is None.  Since the children share
-a parent, a callback can look one step ahead for all of them at once:
-``system.completion_block(state)`` gives each child's completion groups.
+Both solvers expand blocks of states, from the kind's ``root_block``: an
+assignment's block is arrays (the cells each state has taken and its free
+columns), and every other kind's a list of states expanded one by one with
+``expand``.  ``grow(accs, index, width)`` grows the accumulators of the
+children's parents, one row each or one for all, by the flat index of the
+elements each child adds (``_blocks.padded_elements``); ``grow(None, index,
+width)`` builds them from scratch.  An accumulator must be a function of the
+element set alone.  The callback, ``(accs, children)``, gets the children's
+accumulators and their block, whose ``groups()`` are their completion groups
+and ``empty()`` marks those holding no element, and returns one value per
+child, in order.  The root is scored first, as a block of one.
 
-``walk_blocks`` expands a whole block of states a step, from the kind's
-``root_block``: an assignment's block is arrays (the cells each state has
-taken and its free columns), and every other kind's a list of states
-expanded one by one.  ``grow(accs, index, width)`` grows the accumulators of
-the children's parents, one row each, by the flat index of the elements each
-child adds (``_blocks.padded_elements``).  Its callback, ``prune(accs,
-children)``, gets the children's accumulators and their block, whose
-``groups()`` are their completion groups and ``empty()`` marks those holding
-no element, and returns one cut flag per child.  Blocks are sized by a byte
-budget and filled from a pool of waiting states per depth, deepest first,
-so members come in no fixed order.
+``minimize_members`` pops one state a step and scores its children, a block
+of one state's expansion, with ``bound_fn``.  ``walk_blocks`` expands a
+whole block of states a step and cuts the children ``prune`` flags; its
+blocks are sized by a byte budget and filled from a pool of waiting states
+per depth, deepest first, so members come in no fixed order.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from ._blocks import StateBlock, padded_elements
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, InvariantViolationError
 from .systems import CombinatorialSystem
 
-Extend = Callable[[Any, list], Any]
 Grow = Callable[[Any, Sequence[int], int], Any]
 
 #: Bytes of the largest temporary one step of ``walk_blocks`` may build for a
@@ -57,8 +49,14 @@ Grow = Callable[[Any, Sequence[int], int], Any]
 BLOCK_BYTES = 768 << 10
 
 
-def _union(acc: frozenset[int] | None, added: list) -> list:
-    return added if acc is None else [acc | a for a in added]
+def _scored(callback, accs, children: StateBlock):
+    """``callback(accs, children)``, refused unless it scores every child."""
+    scores = callback(accs, children)
+    if len(scores) != len(children):
+        raise InvariantViolationError(
+            f"a search callback scored {len(scores)} of a block of {len(children)} states"
+        )
+    return scores
 
 
 def iter_members(system: CombinatorialSystem) -> Iterator[frozenset[int]]:
@@ -100,7 +98,7 @@ def walk_blocks(
     pools = {}  # depth: (block, accs) of the kept incomplete states waiting there
 
     def visit(children, accs, depth):
-        kept = np.flatnonzero(~np.asarray(prune(accs, children), dtype=bool))
+        kept = np.flatnonzero(~np.asarray(_scored(prune, accs, children), dtype=bool))
         complete = children.complete()[kept]
         if complete.any():
             done = kept[complete]
@@ -142,10 +140,10 @@ def enumerate_members(
 
 def minimize_members(
     system: CombinatorialSystem,
-    bound_fn: Callable[[Any, tuple | None, list], Sequence[float]],
+    bound_fn: Callable[[Any, StateBlock], Sequence[float]],
     force: bool = False,
     *,
-    extend: Extend = _union,
+    grow: Grow,
 ) -> tuple[float, frozenset[int]]:
     """Exact minimum of ``bound_fn`` over feasible subsets.
 
@@ -160,37 +158,42 @@ def minimize_members(
     above it, and returns the smallest ``(value, sorted elements)`` among the
     complete members popped: the lexicographically smallest optimal member.
     The band absorbs rounding that can put a partial set's bound an ulp
-    above a completion's value.  The heap holds no accumulator; a popped
-    state rebuilds its own.
+    above a completion's value.  A heap entry is a state's place in its
+    block and holds no accumulator; a popped state rebuilds its own.
     """
 
     system.check_search_guard(force)
-    root = system.root()
-    counter = 0
-    heap = [(bound_fn(extend(None, [root[0]]), None, [root])[0], counter, root)]
+    blank = system.ground.n
+    heap = []
+    counter = count()
+
+    def push(children, accs):
+        complete = children.complete().tolist()
+        for index, value in enumerate(_scored(bound_fn, accs, children)):
+            heapq.heappush(heap, (value, next(counter), complete[index], children, index))
+
+    root = system.root_block()
+    push(root, grow(None, *padded_elements(root.elements(), blank)))
     limit = None
     champion: frozenset[int] | None = None
     champion_key: tuple | None = None
     while heap:
-        bound, _, state = heapq.heappop(heap)
+        bound, _, complete, block, index = heapq.heappop(heap)
         if limit is not None and bound > limit:
             break
-        elements, complete, _ = state
+        state = block.take([index])
         if complete:
             if limit is None:
                 limit = bound + 1e-12 * (1.0 + abs(bound))
+            elements = state.elements()[0]
             key = (bound, tuple(sorted(elements)))
             if champion_key is None or key < champion_key:
                 champion, champion_key = elements, key
             continue
-        children = list(system.expand(state))
-        if not children:
-            continue
-        acc = extend(None, [elements])[0]
-        accs = extend(acc, [child[0] - elements for child in children])
-        for value, child in zip(bound_fn(accs, state, children), children):
-            counter += 1
-            heapq.heappush(heap, (value, counter, child))
+        children, _, added, width = state.expand()
+        if len(children):
+            acc = grow(None, *padded_elements(state.elements(), blank))
+            push(children, grow(acc, added, width))
     if champion is None:
         raise InvalidInstanceError("no feasible subset found")
     return champion_key[0], champion

@@ -37,7 +37,7 @@ from ._graphs import (
     max_bipartite_matching,
     min_st_cut_side,
 )
-from ._blocks import MatchingBlock, StateBlock, leave_one_out
+from ._blocks import MatchingBlock, StateBlock
 from .errors import (
     DomainError, EnumerationLimitError, InvalidInstanceError, check_count, saturating_sum,
 )
@@ -99,17 +99,9 @@ class CombinatorialSystem:
       and children come in canonical order, which fixes the order of every
       search;
     * ``root_block()``: the root as a :class:`StateBlock` of one, the unit
-      the band walk expands and scores a block of states at a time.  The
-      default block holds states and expands each with ``expand``; an
-      assignment's is array-native;
-    * optionally ``completion_block(state)``: the completion groups of all
-      the children of ``state`` (of the root alone, for None) as one integer
-      block shaped (children, groups, cells).  Row ``i`` holds the groups of
-      child ``i`` in ``expand`` order: every member below that child takes
-      at least one element of each group, and no group holds an element the
-      child has.  The decision searches then look one step ahead for a whole
-      block of children with a fixed number of numpy calls.  None, the
-      default, is a block with no lookahead axis.
+      both searches expand and score.  The default block holds states and
+      expands each with ``expand``; an assignment's is array-native, and its
+      ``groups()`` let the decision searches look one step ahead.
     """
 
     search_limit: float = math.inf
@@ -142,9 +134,6 @@ class CombinatorialSystem:
     def check_search_guard(self, force: bool = False) -> None:
         if not force and self.scale > self.search_limit:
             raise EnumerationLimitError(self.search_refusal)
-
-    def completion_block(self, state):
-        return None
 
     def root_block(self) -> StateBlock:
         return StateBlock(self, [self.root()])
@@ -652,17 +641,6 @@ class AssignmentSystem(CombinatorialSystem):
         if row >= self.m:
             return None
         return self._cells[row:].take(free, axis=1).transpose(1, 0, 2)
-
-    def completion_block(self, state):
-        # child i takes the i-th free column of the state's row, so its free
-        # columns are the others: the leave-one-out columns
-        if state is None:
-            return self.groups_at(0, np.arange(self.m)[None])
-        _, _, (row, used) = state
-        if row + 1 >= self.m:  # the children are complete, or there are none
-            return None
-        free = np.array([j for j in range(self.m) if j not in used])
-        return self.groups_at(row + 1, free.take(leave_one_out(len(free))))
 
     def root_block(self) -> MatchingBlock:
         return MatchingBlock(self, 0, np.empty((1, 0), dtype=np.intp), np.arange(self.m)[None])

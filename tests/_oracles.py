@@ -20,7 +20,7 @@ pruned walk, ``pruned_members``, that the band's block walk replaced.  Two
 former library functions that only the tests called live here too: the
 top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
 state's completion groups, ``reference_completion_groups``, which each row
-of a kind's ``completion_block`` must equal.
+of a block's ``groups()`` must equal.
 """
 
 from __future__ import annotations
@@ -654,8 +654,8 @@ def reference_completion_groups(system, state):
     """One row per completion group of ``state``: every member below it takes
     an element of each row, and no row holds an element the state has.  An
     assignment's groups are each unassigned row's free cells; the other
-    kinds have none.  Each row of ``completion_block(state)`` is this of one
-    child."""
+    kinds have none.  Row ``i`` of a block's ``groups()`` is this of its
+    state ``i``."""
     if not isinstance(system, AssignmentSystem):
         return ()
     _, _, (row, used) = state
@@ -702,16 +702,27 @@ def pruned_members(system, prune=None, *, extend=_union):
         yield from walk(root, accs[0])
 
 
+def each_state(fn):
+    """A ``pruned_members`` callback that scores the children of a state one
+    element set at a time, with ``fn``."""
+    return lambda accs, state, children: [fn(elements) for elements in accs]
+
+
 def each_child(fn):
     """A search callback that scores a block of children one element set at a
-    time, with ``fn``."""
-    return lambda accs, state, children: [fn(elements) for elements in accs]
+    time, with ``fn``; it reads no accumulator, so ``no_accumulators`` is its
+    ``grow``."""
+    return lambda accs, children: [fn(elements) for elements in children.elements()]
+
+
+def no_accumulators(accs, index, width):
+    return None
 
 
 def reference_minimize(system, score, aggregate, force=False):
     """``(value, chosen, scores)`` of the subset of least aggregate score."""
     bound = each_child(_reference_objective(score, aggregate))
-    value, chosen = minimize_members(system, bound, force)
+    value, chosen = minimize_members(system, bound, force, grow=no_accumulators)
     return value, chosen, score(chosen)
 
 
@@ -719,7 +730,7 @@ def reference_band(system, score, threshold: float):
     """Members whose mean score is at most ``threshold``: ``(member, values, mean)``."""
     bound = _reference_objective(score, exact_mean)
     limit = threshold + 1e-12 * (1.0 + abs(threshold))
-    prune = each_child(lambda elements: bool(elements) and bound(elements) > limit)
+    prune = each_state(lambda elements: bool(elements) and bound(elements) > limit)
     for member in pruned_members(system, prune):
         values = score(member)
         mean = exact_mean(values)
@@ -771,7 +782,7 @@ def reference_topk_sum_value(system, costs, k: int, force: bool = False):
         short = k - min(k, len(elements))
         return _reference_topk_sum(c[sorted(elements)], k) + short * floor
 
-    return minimize_members(system, each_child(bound), force=force)
+    return minimize_members(system, each_child(bound), force=force, grow=no_accumulators)
 
 
 # the top-k family level before its numpy solve: HiGHS for r = 1, and for

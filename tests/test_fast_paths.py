@@ -52,7 +52,6 @@ from conftest import (
     random_path_system,
     random_system,
     random_tree_system,
-    states_with_members,
 )
 from drbottleneck import (
     AssignmentSystem,
@@ -85,6 +84,7 @@ from drbottleneck import (
     variance_robust_decision,
 )
 from drbottleneck import _family, _finite, quantify
+from drbottleneck._blocks import padded_elements
 from drbottleneck._graphs import min_st_cut_side
 from drbottleneck.decide import (
     _radius_shift, _report, _shifted, _tv_breakpoints, _tv_objectives
@@ -669,15 +669,24 @@ def test_block_decisions_match_reference(kind):
 def _expanded_blocks(system, fold):
     """``(children, block, groups, below)`` for each expanded state of an
     assignment: its children, their accumulators and completion groups as
-    the searches score them, and the members below each child."""
-    for state, below in states_with_members(system):
+    the best-first search scores them, the groups from the children's block,
+    and the members below each child."""
+    members = enumerate_members(system)
+
+    def walk(state, one):  # a kind's state, and the same state as a block of one
         children = list(system.expand(state))
-        if children:
-            acc = fold.extend(None, [state[0]])[0] if state[0] else None
-            block = fold.extend(acc, [child[0] - state[0] for child in children])
-            yield children, block, system.completion_block(state), [
-                [m for m in below if child[0] <= m] for child in children
-            ]
+        if not children:
+            return
+        block, _, added, width = one.expand()
+        assert block.elements() == [child[0] for child in children]
+        acc = fold.grow(None, *padded_elements(one.elements(), fold.blank))
+        yield children, fold.grow(acc, added, width), block.groups(), [
+            [m for m in members if child[0] <= m] for child in children
+        ]
+        for i, child in enumerate(children):
+            yield from walk(child, block.take([i]))
+
+    yield from walk(system.root(), system.root_block())
 
 
 def test_maxima_screen_and_lookahead_bounds():

@@ -1,12 +1,14 @@
 """Search contracts: canonical enumeration order and canonical argmins."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from _oracles import (
-    brute_members, brute_topk, each_child, pruned_members, reference_completion_groups,
+    brute_members, brute_topk, each_child, each_state, no_accumulators, pruned_members,
+    reference_completion_groups,
 )
 from conftest import dyadic_costs, random_system, states_with_members
 from drbottleneck import (
@@ -22,6 +24,9 @@ from drbottleneck import (
     topk_sum_value,
     topk_variance_robust_decision,
 )
+from drbottleneck.decide import _Maxima
+from drbottleneck.errors import InvariantViolationError
+from drbottleneck.search import walk_blocks
 
 SYSTEMS = {
     "path": PathSystem(
@@ -74,7 +79,7 @@ def test_iter_members_canonical_order(kind):
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_iter_members_pruned_order(kind):
     # the frozen per-state walk that the band's block walk replaced
-    members = list(pruned_members(SYSTEMS[kind], prune=each_child(lambda els: 1 in els)))
+    members = list(pruned_members(SYSTEMS[kind], prune=each_state(lambda els: 1 in els)))
     assert members == [frozenset(m) for m in PRUNED_ORDER[kind]]
 
 
@@ -93,31 +98,43 @@ def test_assignment_completion_groups(m):
             assert all(set(group) & member for member in below)
 
 
+def _blocks_by_depth(system):
+    """Every depth of the search tree as one block, with the kind's states there
+    in the same order: a block's children, parent by parent, come in
+    ``expand`` order.  As in the searches, complete states are not expanded."""
+    block, states = system.root_block(), [system.root()]
+    while True:
+        assert block.elements() == [state[0] for state in states]
+        yield block, states
+        kept = [i for i, state in enumerate(states) if not state[1]]
+        if not kept:
+            return
+        block = block.take(kept).expand()[0]
+        states = [child for i in kept for child in system.expand(states[i])]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_assignment_completion_block(m):
-    # row i of a state's block is the groups of its i-th child, and the
-    # root's block of one holds the root's groups
+    # row i of a block's groups is the groups of its state i, from the root
+    # to the complete matchings, which have none
     system = AssignmentSystem(m)
-    root_groups = reference_completion_groups(system, system.root())
-    assert system.completion_block(None).tolist() == [root_groups.tolist()]
-    for state, _ in states_with_members(system):
-        children = list(system.expand(state))
-        block = system.completion_block(state)
-        if not children or children[0][1]:
-            assert block is None
+    for block, states in _blocks_by_depth(system):
+        groups = block.groups()
+        if states[0][1]:
+            assert groups is None
             continue
-        assert block.shape[0] == len(children)
-        assert block.tolist() == [
-            reference_completion_groups(system, child).tolist() for child in children
+        assert groups.tolist() == [
+            reference_completion_groups(system, state).tolist() for state in states
         ]
 
 
 @pytest.mark.parametrize("kind", ["path", "tree", "explicit"])
 def test_base_kinds_have_no_completion_groups(kind):
     system = SYSTEMS[kind]
+    assert system.root_block().groups() is None
+    assert all(block.groups() is None for block, _ in _blocks_by_depth(system))
     assert all(
         len(reference_completion_groups(system, state)) == 0
-        and system.completion_block(state) is None
         for state, _ in states_with_members(system)
     )
 
@@ -133,10 +150,48 @@ def test_base_kinds_have_no_completion_groups(kind):
 )
 def test_minimize_members_tied_argmin(kind, bound, value):
     system = SYSTEMS[kind]
-    best, chosen = minimize_members(system, bound)
+    best, chosen = minimize_members(system, bound, grow=no_accumulators)
     assert best == value
     assert chosen == frozenset(TIED_ARGMIN[kind])
     assert sorted(chosen) == min(sorted(m) for m in iter_members(system))
+
+
+def _miscounted(callback, change):
+    """``callback`` with one score dropped (-1) or added (+1) for each block of
+    more than one child; the root, alone, is scored as it is."""
+
+    def scored(accs, children):
+        scores = list(callback(accs, children))
+        if len(children) < 2:
+            return scores
+        return scores[:-1] if change < 0 else scores + scores[-1:]
+
+    return scored
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_minimize_members_refuses_miscounted_scores(kind, change):
+    bound = _miscounted(each_child(lambda els: float(len(els))), change)
+    with pytest.raises(InvariantViolationError, match="scored"):
+        minimize_members(SYSTEMS[kind], bound, grow=no_accumulators)
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_walk_blocks_refuses_miscounted_cuts(kind, change):
+    system = SYSTEMS[kind]
+    fold = _Maxima(np.arange(2.0 * system.ground.n).reshape(2, -1))
+    prune = _miscounted(lambda accs, children: [False] * len(children), change)
+    with pytest.raises(InvariantViolationError, match="scored"):
+        list(walk_blocks(system, prune, fold.grow))
+
+
+def test_minimize_members_bound_fn_is_argument_1():
+    # the benchmark's layer tracer (perfbench/tracing.py) counts
+    # search.minimize_members.bound_evals by wrapping argument 1, found by
+    # this position or this name; a rename would silently count nothing
+    assert list(inspect.signature(minimize_members).parameters)[1] == "bound_fn"
 
 
 def test_minimize_members_root_bound_above_optimum():

@@ -1,17 +1,15 @@
 """Scores of the search callbacks: one bound per scored state, one prune per
 visited state.
 
-The best-first search calls its callback (argument 1) once per block: the
-root alone, then the children of each expanded state, with the block's
-accumulators, the parent state and the children.  The band's block walk
-calls its callback (argument 1) once per step: the root alone, then the
-children of every state of an expanded block, with their accumulators and
-their block.  These tests wrap both callbacks around the decision models,
-count one score per child in each block's result, and pin those counts on
-one small instance of each kind.  The best-first search generates states
-with the kind's ``expand``, the block walk with its blocks' ``expand``, so
-each is counted where it is made.  Layer tracing wraps the same arguments,
-so its counters count blocks.
+Both searches call their callback (argument 1) once per block, with the
+children's accumulators and their block: the root alone, then the children
+of each state the best-first search pops, or of every state of a block the
+band's walk expands.  These tests wrap both callbacks around the decision
+models, count one score per child in each block's result, and pin those
+counts, with the best-first search's callback calls, on one small instance
+of each kind.  Both searches generate states with their blocks' ``expand``,
+where each is counted.  Layer tracing wraps the same arguments, so its
+counters count blocks.
 """
 
 import math
@@ -26,7 +24,11 @@ from drbottleneck import (
     ScenarioSet,
     TreeSystem,
     decide,
+    saa_decision,
+    topk_decision,
+    topk_sum_value,
     topk_variance_robust_decision,
+    tv_robust_decision,
     variance_robust_decision,
 )
 
@@ -52,23 +54,43 @@ PINNED = {
     "explicit": ((7, 7, 3), (7, 7, 2)),
 }
 
+# (children scored, callback calls) of the best-first search alone: saa_decision,
+# tv_robust_decision at d = 0.5, topk_decision with k = 2 at radius 0.5, and
+# topk_sum_value with k = 2 on the first scenario's costs
+SEARCHES = {
+    "path": ((9, 4), (6, 3), (9, 4), (6, 3)),
+    "tree": ((26, 17), (33, 22), (37, 25), (35, 23)),
+    "assignment": ((27, 13), (38, 21), (45, 25), (14, 7)),
+    "explicit": ((7, 2), (7, 2), (7, 2), (7, 2)),
+}
+
+MODELS = {
+    "max": lambda system, scenarios: variance_robust_decision(system, scenarios, 0.5),
+    "top2": lambda system, scenarios: topk_variance_robust_decision(system, scenarios, 0.5, k=2),
+    "saa": saa_decision,
+    "tv": lambda system, scenarios: tv_robust_decision(system, scenarios, 0.5),
+    "topk": lambda system, scenarios: topk_decision(system, scenarios, 0.5, k=2),
+    "topk-sum": lambda system, scenarios: topk_sum_value(system, scenarios.costs[0], 2),
+}
+
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Bound values, prune calls, members yielded and the states each search
-    generated (the root, then every child ``expand`` or a block's ``expand``
+    """Bound values, bound and prune calls, members yielded and the states
+    each search generated (the root, then every child a block's ``expand``
     yields)."""
-    counts = dict.fromkeys(["prune", "members", "pushed", "visited"], 0)
+    counts = dict.fromkeys(["calls", "prune", "members", "pushed", "visited"], 0)
     counts["bounds"] = []
-    walking = [False]  # a default block's expand calls the kind's, uncounted
+    tally = ["pushed"]  # the count the running search's expansions go to
 
     def minimize(system, bound_fn, *args, **kwargs):
         def recorded(*block):
             scores = bound_fn(*block)
+            counts["calls"] += 1
             counts["bounds"].extend(scores)
             return scores
 
-        walking[0] = False
+        tally[0] = "pushed"
         counts["pushed"] += 1
         return minimize_members(system, recorded, *args, **kwargs)
 
@@ -78,31 +100,23 @@ def traced(monkeypatch):
             counts["prune"] += len(cuts)
             return cuts
 
-        walking[0] = True
+        tally[0] = "visited"
         counts["visited"] += 1
         for members, accs in walk_blocks(system, counted, *args, **kwargs):
             counts["members"] += len(members)
             yield members, accs
 
-    def expand(system, state):
-        for child in expand_of[type(system)](system, state):
-            counts["pushed"] += not walking[0]
-            yield child
-
-    def expand_block(block):
-        children = expand_block_of[type(block)](block)
-        counts["visited"] += len(children[0])
+    def expand(block):
+        children = expand_of[type(block)](block)
+        counts[tally[0]] += len(children[0])
         return children
 
     minimize_members, walk_blocks = decide.minimize_members, decide.walk_blocks
-    expand_of = {type(s): type(s).expand for s in SYSTEMS.values()}
     monkeypatch.setattr(decide, "minimize_members", minimize)
     monkeypatch.setattr(decide, "walk_blocks", walk)
+    expand_of = {type(s.root_block()): type(s.root_block()).expand for s in SYSTEMS.values()}
     for cls in expand_of:
         monkeypatch.setattr(cls, "expand", expand)
-    expand_block_of = {type(s.root_block()): type(s.root_block()).expand for s in SYSTEMS.values()}
-    for cls in expand_block_of:
-        monkeypatch.setattr(cls, "expand", expand_block)
     return counts
 
 
@@ -112,15 +126,15 @@ def _scenarios(system):
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
-@pytest.mark.parametrize("model", [0, 1], ids=["max", "top2"])
+@pytest.mark.parametrize("model", list(MODELS))
 def test_one_callback_per_scored_state(traced, kind, model):
     system = SYSTEMS[kind]
-    if model == 0:
-        variance_robust_decision(system, _scenarios(system), 0.5)
-    else:
-        topk_variance_robust_decision(system, _scenarios(system), 0.5, k=2)
-    counts = (len(traced["bounds"]), traced["prune"], traced["members"])
-    assert len(traced["bounds"]) == traced["pushed"]
+    MODELS[model](system, _scenarios(system))
+    bounds = len(traced["bounds"])
+    assert bounds == traced["pushed"]
     assert traced["prune"] == traced["visited"]
-    assert counts == PINNED[kind][model]
+    if model in ("max", "top2"):
+        assert (bounds, traced["prune"], traced["members"]) == PINNED[kind][model == "top2"]
+    else:
+        assert (bounds, traced["calls"]) == SEARCHES[kind][list(MODELS).index(model) - 2]
     assert traced["bounds"][0] == -math.inf  # the empty root
