@@ -36,8 +36,8 @@ class StateBlock:
     ``(elements, complete, payload)`` states in a list and expands each with
     the kind's ``expand``.
 
-    ``take(index)`` and ``join(other)`` give the states at ``index``, and
-    these followed by ``other``'s.  ``expand()`` gives ``(children, parents,
+    ``take(index)`` and ``join(*others)`` give the states at ``index``, and
+    these followed by the others'.  ``expand()`` gives ``(children, parents,
     index, width)``: the children of every state, parent by parent in
     ``expand`` order, as a block; the position here of each child's parent;
     and the elements each child adds, as ``padded_elements`` lays them out
@@ -48,7 +48,7 @@ class StateBlock:
     holds an element the state has, so the decision searches look one step
     ahead for a whole block with a fixed number of numpy calls.
     ``gather_size`` bounds the cost columns one state's expansion and its
-    children's lookahead gather, so the walk can size its blocks by it.
+    children's lookahead gather, so the searches can size their steps by it.
     Here it is the ground size: these kinds have no lookahead, a path or
     tree state has at most that many children, each adding one element or
     none, and an explicit system's root, which adds every member, is a block
@@ -69,8 +69,8 @@ class StateBlock:
     def take(self, index) -> StateBlock:
         return StateBlock(self.system, [self.states[i] for i in index])
 
-    def join(self, other: StateBlock) -> StateBlock:
-        return StateBlock(self.system, self.states + other.states)
+    def join(self, *others: StateBlock) -> StateBlock:
+        return StateBlock(self.system, self.states + [s for o in others for s in o.states])
 
     def elements(self) -> list[frozenset[int]]:
         return [state[0] for state in self.states]
@@ -133,9 +133,10 @@ class MatchingBlock(StateBlock):
     def take(self, index) -> MatchingBlock:
         return MatchingBlock(self.system, self.row, self.taken[index], self.free[index])
 
-    def join(self, other: MatchingBlock) -> MatchingBlock:
-        taken = np.concatenate((self.taken, other.taken))
-        return MatchingBlock(self.system, self.row, taken, np.concatenate((self.free, other.free)))
+    def join(self, *others: MatchingBlock) -> MatchingBlock:
+        taken = np.concatenate((self.taken, *(o.taken for o in others)))
+        free = np.concatenate((self.free, *(o.free for o in others)))
+        return MatchingBlock(self.system, self.row, taken, free)
 
     def elements(self) -> list[frozenset[int]]:
         return list(map(frozenset, self.taken.tolist()))
@@ -151,6 +152,9 @@ class MatchingBlock(StateBlock):
 
     def expand(self) -> tuple[MatchingBlock, np.ndarray, np.ndarray, int]:
         f = self.free.shape[1]
+        if not f:  # complete matchings have no children
+            none = np.empty(0, dtype=np.intp)
+            return self.take(none), none, none, 1
         added = self.free.ravel() + self.row * self.system.m
         parents = np.arange(len(self.free)).repeat(f)
         taken = np.concatenate((self.taken[parents], added[:, None]), axis=1)

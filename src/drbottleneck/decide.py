@@ -10,6 +10,7 @@ variants score subsets by the per-scenario sum of their k largest costs.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -77,9 +78,8 @@ class _Maxima:
     """Per-scenario maxima of a subset's costs as an N-vector, all -inf for the
     empty set.  ``grow`` grows the parents' vectors into the block of their
     children's, one row each, by one gather and one maximum, from the flat
-    index ``padded_elements`` gives, for a block of children with one parent
-    row each, or one for all.  A maximum is exact, so the order the elements
-    arrive in does not change it.
+    index ``padded_elements`` gives.  A maximum is exact, so the order the
+    elements arrive in does not change it.
 
     ``screens`` and ``lookaheads`` sum such vectors in floating point, each
     within ``pad`` of the exact sum (see the comment above ``_mean_pad``);
@@ -175,6 +175,14 @@ class _TopK(_Maxima):
         self.k = k
         self.empty = np.repeat(np.minimum(costs.min(axis=1, keepdims=True), 0.0), k, axis=1)
 
+    def scenario(self, i: int) -> _TopK:
+        """The fold of scenario ``i`` alone, on views of this fold's arrays."""
+        fold = copy.copy(self)
+        fold.columns, fold.ones, fold.empty = (
+            self.columns[:, i:i + 1], self.ones[i:i + 1], self.empty[i:i + 1]
+        )
+        return fold
+
     def grow(self, acc, index, width):
         block = self.columns.take(index, axis=0).reshape(-1, width, len(self.ones))
         grown = np.empty((len(block), len(self.ones), self.k + width))
@@ -184,8 +192,11 @@ class _TopK(_Maxima):
         return grown[:, :, -self.k:]
 
     def values(self, block) -> np.ndarray:
-        sums = exact_row_sums(block.reshape(-1, self.k).tolist(), DECISION_OBJECTIVE)
-        return np.array(sums).reshape(block.shape[:2])
+        # one flat list, summed a slice at a time: a list per row would put a
+        # large block's rows all in the collector's care at once
+        flat, k = block.ravel().tolist(), self.k
+        rows = (flat[i:i + k] for i in range(0, len(flat), k))
+        return np.array(exact_row_sums(rows, DECISION_OBJECTIVE)).reshape(block.shape[:2])
 
 
 Aggregate = Callable[[np.ndarray], list[float]]

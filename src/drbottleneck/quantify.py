@@ -36,7 +36,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bottleneck import bottleneck_value, topk_blocker_enumerate, topk_sum_value
+from .bottleneck import bottleneck_value, topk_blocker_enumerate
+from .decide import _means, _minimize, _TopK
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -58,6 +59,7 @@ from .systems import (
     CombinatorialSystem,
     antichain_reduce,
     max_blocker_size,
+    min_member_size,
     min_weight_blocker,
 )
 
@@ -637,8 +639,11 @@ def topk_record(
 ) -> TopkRecord:
     """The SAA top-k sum and the enumerated top-k blocker families."""
     require_matching_width(scenarios, system)
-    k = check_count(k, "k")  # topk_sum_value refuses a k past the smallest member
-    sums = [topk_sum_value(system, costs, k, force=force)[0] for costs in scenarios.costs]
+    k = check_count(k, "k")
+    # one top-k fold of every scenario, searched a scenario at a time: each
+    # search is topk_sum_value's on that scenario's costs
+    fold = _TopK(scenarios.costs, check_count(k, "k", most=min_member_size(system)))
+    sums = [_minimize(system, fold.scenario(i), _means, force)[0] for i in range(scenarios.count)]
     saa = exact_sum(sums) / scenarios.count
     try:
         clutter = antichain_reduce(enumerate_members(system, force=force))

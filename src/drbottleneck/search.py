@@ -12,24 +12,29 @@ Both solvers expand blocks of states, from the kind's ``root_block``: an
 assignment's block is arrays (the cells each state has taken and its free
 columns), and every other kind's a list of states expanded one by one with
 ``expand``.  ``grow(accs, index, width)`` grows the accumulators of the
-children's parents, one row each or one for all, by the flat index of the
-elements each child adds (``_blocks.padded_elements``); ``grow(None, index,
-width)`` builds them from scratch.  An accumulator must be a function of the
-element set alone.  The callback, ``(accs, children)``, gets the children's
+children's parents, one row each, by the flat index of the elements each
+child adds (``_blocks.padded_elements``); ``grow(None, index, width)``
+builds them from scratch.  An accumulator must be a function of the element
+set alone.  The callback, ``(accs, children)``, gets the children's
 accumulators and their block, whose ``groups()`` are their completion groups
 and ``empty()`` marks those holding no element, and returns one value per
 child, in order.  The root is scored first, as a block of one.
 
-``minimize_members`` pops one state a step and scores its children, a block
-of one state's expansion, with ``bound_fn``.  ``walk_blocks`` expands a
-whole block of states a step and cuts the children ``prune`` flags; its
-blocks are sized by a byte budget and filled from a pool of waiting states
-per depth, deepest first, so members come in no fixed order.
+Both size their steps by one byte budget, ``BLOCK_BYTES`` of expansion
+gather, each state costed by ``_state_bytes``, and both need accumulators
+that are arrays with one row per state.  ``minimize_members`` pops states in
+key order, as many a step as fit the budget, expands them a depth at a time
+and scores the children with ``bound_fn``; each heap entry holds its block
+and the block's accumulators.  ``walk_blocks`` expands a block of states a
+step and cuts the children ``prune`` flags; its blocks are filled from a
+pool of waiting states per depth, deepest first, so members come in no
+fixed order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import count
 from typing import Any, Callable, Iterator, Sequence
 
@@ -41,12 +46,32 @@ from .systems import CombinatorialSystem
 
 Grow = Callable[[Any, Sequence[int], int], Any]
 
-#: Bytes of the largest temporary one step of ``walk_blocks`` may build for a
-#: block of more than one state: the children's lookahead gather.  On the 9x9
+#: Bytes of the largest temporary one step of either search may build for
+#: more than one state: the children's lookahead gather.  On the 9x9
 #: benchmark assignment, at 512 KiB, 768 KiB and 1 MiB the band walk took
 #: about 21, 18 and 16 ms, and the process peaked about 0.3, 0.7 and 1.4 MiB
 #: above the walk of one state a step; an uncapped walk peaked 30 MiB above.
 BLOCK_BYTES = 768 << 10
+
+
+def _state_bytes(block: StateBlock, accs) -> int:
+    """What one state of ``block`` costs a step: its expansion's gather,
+    ``gather_size`` cost columns of an accumulator row's bytes, a row of no
+    bytes costed as one so that ``BLOCK_BYTES`` still caps the states."""
+    return block.gather_size * max(1, accs[0].nbytes)
+
+
+def _gathered(states) -> tuple[StateBlock, Any]:
+    """The states listed as ``(node, index)``, all of one depth, as one block
+    and its accumulators; a node is ``(block, accs, ...)``."""
+    parts = {}  # id(node): (node, indices), in order of first appearance
+    for node, index in states:
+        parts.setdefault(id(node), (node, []))[1].append(index)
+    blocks = [node[0].take(index) for node, index in parts.values()]
+    accs = [node[1][index] for node, index in parts.values()]
+    if len(blocks) == 1:
+        return blocks[0], accs[0]
+    return blocks[0].join(*blocks[1:]), np.concatenate(accs)
 
 
 def _scored(callback, accs, children: StateBlock):
@@ -112,8 +137,7 @@ def walk_blocks(
             pools[depth] = block, accs
 
     def size(depth):
-        block, accs = pools[depth]
-        return max(1, BLOCK_BYTES // (block.gather_size * accs[0].nbytes))
+        return max(1, BLOCK_BYTES // _state_bytes(*pools[depth]))
 
     root = system.root_block()
     yield from visit(root, grow(None, *padded_elements(root.elements(), system.ground.n)), 0)
@@ -147,53 +171,72 @@ def minimize_members(
 ) -> tuple[float, frozenset[int]]:
     """Exact minimum of ``bound_fn`` over feasible subsets.
 
-    ``bound_fn`` scores the root, then the children of each state expanded,
+    ``bound_fn`` scores the root, then the children of each block expanded,
     one block per call, so every state pushed is scored once.  Its value on
     a complete member is the true objective, and its value on a partial
     state must not exceed that of any complete member below it: an
     admissible lower bound, such as a score monotone nondecreasing under
     element insertion, or a one-step lookahead over the state's completion
-    groups.  One best-first pass finds the first complete member, then keeps
-    popping states until their bound leaves a band of 1e-12 relative width
-    above it, and returns the smallest ``(value, sorted elements)`` among the
-    complete members popped: the lexicographically smallest optimal member.
+    groups.
+
+    One best-first pass pops states in key order, a step at a time.  A step
+    pops as many incomplete states as fit ``BLOCK_BYTES`` of expansion
+    gather, each costed by ``_state_bytes`` (one state at the least),
+    and the complete members ahead of them; only states whose key is at
+    most the limit are popped.  The limit is the champion's value plus a
+    band of 1e-12 relative width, tightened each time the champion improves,
+    and the search stops once no key is within it.  The champion is the
+    smallest ``(value, sorted elements)`` among the complete members popped:
+    with admissible keys, the lexicographically smallest optimal member.
     The band absorbs rounding that can put a partial set's bound an ulp
-    above a completion's value.  A heap entry is a state's place in its
-    block and holds no accumulator; a popped state rebuilds its own.
+    above a completion's value.  The popped states are expanded a depth at
+    a time, as one block each, whose children are grown from the parents'
+    accumulators with one ``grow`` call and scored with one ``bound_fn``
+    call.  A heap entry holds its block and the block's accumulators, so no
+    popped state rebuilds its own.
     """
 
     system.check_search_guard(force)
-    blank = system.ground.n
     heap = []
     counter = count()
 
-    def push(children, accs):
+    def push(children, accs, depth):
+        # every entry of a block shares its (block, accs, depth, state cost)
+        node = (children, accs, depth, _state_bytes(children, accs))
         complete = children.complete().tolist()
         for index, value in enumerate(_scored(bound_fn, accs, children)):
-            heapq.heappush(heap, (value, next(counter), complete[index], children, index))
+            heapq.heappush(heap, (value, next(counter), complete[index], index, node))
 
     root = system.root_block()
-    push(root, grow(None, *padded_elements(root.elements(), blank)))
-    limit = None
+    push(root, grow(None, *padded_elements(root.elements(), system.ground.n)), 0)
+    limit = math.inf
     champion: frozenset[int] | None = None
     champion_key: tuple | None = None
     while heap:
-        bound, _, complete, block, index = heapq.heappop(heap)
-        if limit is not None and bound > limit:
+        popped = {}  # depth: [(node, index)] of the incomplete states this step expands
+        spent = 0
+        while heap and spent < BLOCK_BYTES and heap[0][0] <= limit:
+            value, _, complete, index, node = heap[0]
+            if complete:
+                heapq.heappop(heap)
+                elements = node[0].take([index]).elements()[0]
+                key = (value, tuple(sorted(elements)))
+                if champion_key is None or key < champion_key:
+                    champion, champion_key = elements, key
+                    limit = value + 1e-12 * (1.0 + abs(value))
+                continue
+            if spent and spent + node[3] > BLOCK_BYTES:
+                break
+            heapq.heappop(heap)
+            spent += node[3]
+            popped.setdefault(node[2], []).append((node, index))
+        if not popped:
             break
-        state = block.take([index])
-        if complete:
-            if limit is None:
-                limit = bound + 1e-12 * (1.0 + abs(bound))
-            elements = state.elements()[0]
-            key = (bound, tuple(sorted(elements)))
-            if champion_key is None or key < champion_key:
-                champion, champion_key = elements, key
-            continue
-        children, _, added, width = state.expand()
-        if len(children):
-            acc = grow(None, *padded_elements(state.elements(), blank))
-            push(children, grow(acc, added, width))
+        for depth, states in popped.items():
+            block, accs = _gathered(states)
+            children, parents, added, width = block.expand()
+            if len(children):
+                push(children, grow(accs[parents], added, width), depth + 1)
     if champion is None:
         raise InvalidInstanceError("no feasible subset found")
     return champion_key[0], champion

@@ -15,16 +15,20 @@ that the other kinds' bottlenecks replaced, the assignment blocker's loop
 over row subsets, the decision models' from-scratch subset scores, the
 top-k sum's set-function bound on the library's search, the top-k family
 level's HiGHS and SLSQP solves, the per-prefix level's bracketed ``brentq``
-root, the finite-order dual's nested golden sections, and the per-state
-pruned walk, ``pruned_members``, that the band's block walk replaced.  Two
-former library functions that only the tests called live here too: the
-top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
-state's completion groups, ``reference_completion_groups``, which each row
-of a block's ``groups()`` must equal.
+root, the finite-order dual's nested golden sections, the per-state pruned
+walk, ``pruned_members``, that the band's block walk replaced, and the
+best-first search of one state a step, ``per_state_minimize``, that the
+budgeted search replaced.  Two former library functions that only the tests
+called live here too: the top-k dual certificate by enumeration,
+``dual_topk_sum_value``, and one state's completion groups,
+``reference_completion_groups``, which each row of a block's ``groups()``
+must equal.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from collections import deque
 from functools import partial
@@ -41,6 +45,7 @@ from drbottleneck import (
     ConvergenceError,
     DomainError,
     ExplicitSystem,
+    InvalidInstanceError,
     PathSystem,
     TreeSystem,
     antichain_reduce,
@@ -52,6 +57,7 @@ from drbottleneck import (
     minimize_members,
     topk_blocker_enumerate,
 )
+from drbottleneck._blocks import padded_elements
 from drbottleneck._graphs import bfs_path_edges
 from drbottleneck.decide import _report
 from drbottleneck.errors import exact_mean, exact_variance
@@ -702,6 +708,52 @@ def pruned_members(system, prune=None, *, extend=_union):
         yield from walk(root, accs[0])
 
 
+# the best-first search before it popped a block of states a step: one state
+# a step, its accumulator rebuilt from its elements
+
+
+def per_state_minimize(system, bound_fn, force=False, *, grow):
+    """``(value, chosen)``: the least ``bound_fn`` value over feasible subsets,
+    ties to the lexicographically smallest, popping one state a step."""
+    system.check_search_guard(force)
+    blank = system.ground.n
+    heap = []
+    counter = itertools.count()
+
+    def push(children, accs):
+        complete = children.complete().tolist()
+        scores = bound_fn(accs, children)
+        assert len(scores) == len(children)
+        for index, value in enumerate(scores):
+            heapq.heappush(heap, (value, next(counter), complete[index], children, index))
+
+    root = system.root_block()
+    push(root, grow(None, *padded_elements(root.elements(), blank)))
+    limit = None
+    champion = None
+    champion_key = None
+    while heap:
+        bound, _, complete, block, index = heapq.heappop(heap)
+        if limit is not None and bound > limit:
+            break
+        state = block.take([index])
+        if complete:
+            if limit is None:
+                limit = bound + 1e-12 * (1.0 + abs(bound))
+            elements = state.elements()[0]
+            key = (bound, tuple(sorted(elements)))
+            if champion_key is None or key < champion_key:
+                champion, champion_key = elements, key
+            continue
+        children, _, added, width = state.expand()
+        if len(children):
+            acc = grow(None, *padded_elements(state.elements(), blank))
+            push(children, grow(acc, added, width))
+    if champion is None:
+        raise InvalidInstanceError("no feasible subset found")
+    return champion_key[0], champion
+
+
 def each_state(fn):
     """A ``pruned_members`` callback that scores the children of a state one
     element set at a time, with ``fn``."""
@@ -716,7 +768,8 @@ def each_child(fn):
 
 
 def no_accumulators(accs, index, width):
-    return None
+    """A zero-width block: one empty accumulator row per child."""
+    return np.empty((len(index) // width, 0))
 
 
 def reference_minimize(system, score, aggregate, force=False):

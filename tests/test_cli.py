@@ -15,6 +15,7 @@ from drbottleneck import (
     ScenarioSet,
     TreeSystem,
     bottleneck,
+    decide,
     save_scenarios,
     system_to_json,
 )
@@ -623,8 +624,10 @@ class TestGridSharesTheEmpiricalWork:
         ]
 
     def test_one_topk_enumeration_per_run(self, bridge, tmp_path, monkeypatch):
+        # one top-k sum search per scenario (``topk_record`` runs them on one
+        # fold, through the decision search) and one enumeration per run
         count = load_scenarios(bridge["scenarios"]).count
-        sums = count_calls(monkeypatch, bottleneck.topk_sum_value)
+        sums = count_calls(monkeypatch, decide._minimize)
         families = count_calls(monkeypatch, bottleneck.topk_blocker_enumerate)
         for grid in ("0.5", "0,0.5,1,2"):
             sums.clear()

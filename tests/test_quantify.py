@@ -492,6 +492,40 @@ class TestTopkQuantify:
         assert quote.exact == pytest.approx(5.5, abs=1e-9)
         assert not quote.downgraded
 
+    def test_record_builds_one_fold_and_matches_each_scenario_search(self, monkeypatch):
+        """``topk_record`` searches one top-k fold a scenario at a time; its
+        SAA is the mean of ``topk_sum_value`` on each scenario, bit for bit."""
+        from drbottleneck import decide, topk_sum_value
+        from drbottleneck.errors import exact_sum
+
+        built = []
+        init = decide._TopK.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        rng = np.random.default_rng(406)
+        done = 0
+        while done < 12:
+            system = random_system(rng)
+            if system.ground.n > 8 or min_member_size(system) < 2:
+                continue
+            count = int(rng.integers(1, 6))
+            costs = rng.uniform(-5.0, 10.0, size=(count, system.ground.n))
+            if done % 2:
+                costs = np.round(costs)  # integer ties
+            scen = ScenarioSet(costs)
+            for k in range(1, min(3, min_member_size(system)) + 1):
+                sums = [topk_sum_value(system, c, k)[0] for c in scen.costs]
+                built.clear()
+                monkeypatch.setattr(decide._TopK, "__init__", counted)
+                record = topk_record(system, scen, k)
+                monkeypatch.undo()
+                assert len(built) == 1
+                assert record.saa == exact_sum(sums) / count
+            done += 1
+
     def test_zero_radius_collapses(self):
         rng = np.random.default_rng(404)
         from drbottleneck import min_member_size

@@ -24,6 +24,7 @@ from drbottleneck import (
     topk_sum_value,
     topk_variance_robust_decision,
 )
+from drbottleneck._blocks import StateBlock
 from drbottleneck.decide import _Maxima
 from drbottleneck.errors import InvariantViolationError
 from drbottleneck.search import walk_blocks
@@ -126,6 +127,20 @@ def test_assignment_completion_block(m):
         assert groups.tolist() == [
             reference_completion_groups(system, state).tolist() for state in states
         ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_complete_and_empty_blocks_expand_to_empty_blocks(m):
+    # as a list block of complete states does, an assignment's block of
+    # complete matchings, or of no states, expands to no children
+    system = AssignmentSystem(m)
+    *_, (complete, states) = _blocks_by_depth(system)
+    assert complete.complete().all() and len(complete) == math.factorial(m)
+    list_block = StateBlock(system, states)
+    for block in (complete, complete.take([]), system.root_block().take([]), list_block):
+        children, parents, added, width = block.expand()
+        assert (len(children), len(parents), len(added), width) == (0, 0, 0, 1)
+        assert children.elements() == []
 
 
 @pytest.mark.parametrize("kind", ["path", "tree", "explicit"])

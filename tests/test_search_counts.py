@@ -3,13 +3,15 @@ visited state.
 
 Both searches call their callback (argument 1) once per block, with the
 children's accumulators and their block: the root alone, then the children
-of each state the best-first search pops, or of every state of a block the
-band's walk expands.  These tests wrap both callbacks around the decision
-models, count one score per child in each block's result, and pin those
-counts, with the best-first search's callback calls, on one small instance
-of each kind.  Both searches generate states with their blocks' ``expand``,
-where each is counted.  Layer tracing wraps the same arguments, so its
-counters count blocks.
+of each depth of states the best-first search pops in a step, or of every
+state of a block the band's walk expands.  These tests wrap both callbacks
+around the decision models, count one score per child in each block's
+result, and pin those counts, with the best-first search's callback calls,
+on one small instance of each kind: at the default byte budget, and at a
+budget of one byte, where the best-first search pops one state a step and
+scores the states it scored before it popped blocks.  Both searches
+generate states with their blocks' ``expand``, where each is counted.
+Layer tracing wraps the same arguments, so its counters count blocks.
 """
 
 import math
@@ -25,6 +27,7 @@ from drbottleneck import (
     TreeSystem,
     decide,
     saa_decision,
+    search,
     topk_decision,
     topk_sum_value,
     topk_variance_robust_decision,
@@ -44,23 +47,42 @@ SYSTEMS = {
 }
 
 # (bound calls, prune calls, members yielded) of variance_robust_decision at
-# radius 0.5, then of topk_variance_robust_decision with k = 2 at radius 0.5;
-# on the assignment the maximum fold's one-step lookahead over the free cells
-# of each unassigned row cuts (44, 56) states to (27, 39)
-PINNED = {
+# radius 0.5, then of topk_variance_robust_decision with k = 2 at radius 0.5,
+# with the best-first search popping one state a step; on the assignment the
+# maximum fold's one-step lookahead over the free cells of each unassigned
+# row cuts (44, 56) states to (27, 39)
+ONE_STATE_PINNED = {
     "path": ((9, 9, 2), (9, 9, 1)),
     "tree": ((26, 35, 4), (37, 39, 2)),
     "assignment": ((27, 39, 9), (45, 50, 3)),
     "explicit": ((7, 7, 3), (7, 7, 2)),
 }
 
-# (children scored, callback calls) of the best-first search alone: saa_decision,
-# tv_robust_decision at d = 0.5, topk_decision with k = 2 at radius 0.5, and
-# topk_sum_value with k = 2 on the first scenario's costs
-SEARCHES = {
+# (children scored, callback calls) of the best-first search alone, popping one
+# state a step: saa_decision, tv_robust_decision at d = 0.5, topk_decision with
+# k = 2 at radius 0.5, and topk_sum_value with k = 2 on the first scenario's
+# costs
+ONE_STATE_SEARCHES = {
     "path": ((9, 4), (6, 3), (9, 4), (6, 3)),
     "tree": ((26, 17), (33, 22), (37, 25), (35, 23)),
     "assignment": ((27, 13), (38, 21), (45, 25), (14, 7)),
+    "explicit": ((7, 2), (7, 2), (7, 2), (7, 2)),
+}
+
+# the same counts at the default budget, where a step pops every state within
+# the limit: until the first complete member is popped, the search on these
+# instances expands whole depths and scores every state of the assignment and
+# tree; the band's counts do not move
+PINNED = {
+    "path": ((9, 9, 2), (9, 9, 1)),
+    "tree": ((46, 35, 4), (46, 39, 2)),
+    "assignment": ((65, 39, 9), (65, 50, 3)),
+    "explicit": ((7, 7, 3), (7, 7, 2)),
+}
+SEARCHES = {
+    "path": ((9, 3), (9, 3), (9, 3), (9, 3)),
+    "tree": ((46, 7), (44, 7), (46, 7), (46, 7)),
+    "assignment": ((65, 5), (65, 5), (65, 5), (65, 5)),
     "explicit": ((7, 2), (7, 2), (7, 2), (7, 2)),
 }
 
@@ -125,16 +147,29 @@ def _scenarios(system):
     return ScenarioSet(rng.integers(0, 6, size=(6, system.ground.n)).astype(float))
 
 
-@pytest.mark.parametrize("kind", sorted(SYSTEMS))
-@pytest.mark.parametrize("model", list(MODELS))
-def test_one_callback_per_scored_state(traced, kind, model):
+def _check_counts(traced, kind, model, pinned, searches):
     system = SYSTEMS[kind]
     MODELS[model](system, _scenarios(system))
     bounds = len(traced["bounds"])
     assert bounds == traced["pushed"]
     assert traced["prune"] == traced["visited"]
     if model in ("max", "top2"):
-        assert (bounds, traced["prune"], traced["members"]) == PINNED[kind][model == "top2"]
+        assert (bounds, traced["prune"], traced["members"]) == pinned[kind][model == "top2"]
     else:
-        assert (bounds, traced["calls"]) == SEARCHES[kind][list(MODELS).index(model) - 2]
+        assert (bounds, traced["calls"]) == searches[kind][list(MODELS).index(model) - 2]
     assert traced["bounds"][0] == -math.inf  # the empty root
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@pytest.mark.parametrize("model", list(MODELS))
+def test_one_callback_per_scored_state(traced, kind, model):
+    _check_counts(traced, kind, model, PINNED, SEARCHES)
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+@pytest.mark.parametrize("model", list(MODELS))
+def test_one_state_a_step_scores_the_same_states(traced, monkeypatch, kind, model):
+    """At a budget of one byte the best-first search pops one state a step,
+    as it did before it popped blocks, and scores the same states."""
+    monkeypatch.setattr(search, "BLOCK_BYTES", 1)
+    _check_counts(traced, kind, model, ONE_STATE_PINNED, ONE_STATE_SEARCHES)
