@@ -82,8 +82,9 @@ class _Maxima:
     elements arrive in does not change it.
 
     ``screens`` and ``lookaheads`` sum such vectors in floating point, each
-    within ``pad`` of the exact sum (see the comment above ``_mean_pad``);
-    an infinite ``pad`` leaves only the exact path.  ``k`` is the number of
+    within ``pad`` of the exact sum (see the comment above ``_mean_pad``),
+    and ``keys`` turns them into the search's keys for partial states; an
+    infinite ``pad`` leaves only the exact path.  ``k`` is the number of
     largest costs each value sums.
     """
 
@@ -130,6 +131,16 @@ class _Maxima:
         sums = (cells.reshape(-1, len(self.ones)) @ self.ones).reshape(cells.shape[:3])
         return np.maximum.reduce(np.minimum.reduce(sums, axis=0), axis=0)
 
+    def keys(self, block, groups) -> np.ndarray:
+        """Each child's key as a partial state, fl(fl(max(screen, lookahead)
+        - pad) / N), at most the exact mean of every completion (the comment
+        above ``_mean_pad``); ``groups`` is as ``lookaheads`` takes it, or
+        None for the screen alone."""
+        sums = self.screens(block)
+        if groups is not None:
+            np.maximum(sums, self.lookaheads(block, groups), out=sums)
+        return (sums - self.pad) / len(self.ones)
+
 
 # The float screen of the maximum fold.  With N scenarios, M = max |cost| and
 # unit roundoff w = 2**-53, a dot product with a ones vector adds N terms of
@@ -144,15 +155,19 @@ class _Maxima:
 # Lookahead: a completion C takes a cell e of each group and its maxima are at
 # least max(acc, column e) in every scenario, so S_C >= S_e; with pad >= N^2 wM
 # the lookahead less the pad is at most S_C, so fl(lookahead - pad) <= fl(S_C)
-# and fl(fl(lookahead - pad) / N) <= V_C.  Band test against T = fl(NL), which
-# errs by wN|L|: fl(x - T) > slack gives x - T > slack, and then fl(S) (or
-# fl(S_C)) >= N succ(L) when slack >= (N^2 + N) wM + 3wN|L| + N 2**-1074;
-# fl(s - T) < -slack gives fl(S) <= NL by the same count.  The pad is
-# (N^2 M + N 2**-1020) 2**-50, four times the first term and sixteen times the
-# last, and the band adds |T| 2**-50 for the |L| term; the margins cover the
-# rounding of the pad, the slack and the comparisons.  A finite pad needs
-# N^2 M finite, so no screened sum (at most NM) overflows; an infinite pad or
-# slack leaves only the exact path.
+# and fl(fl(lookahead - pad) / N) <= V_C.  The screen is the lookahead of no
+# groups: it lies within N^2 wM of the state's own exact sum, which is at most
+# S_C.  So fl(fl(max(screen, lookahead) - pad) / N) <= V_C, and the best-first
+# search keys a partial state by it, summing only complete members exactly.
+# Band test against T = fl(NL), which errs by wN|L|: fl(x - T) > slack gives
+# x - T > slack, and then fl(S) (or fl(S_C)) >= N succ(L) when
+# slack >= (N^2 + N) wM + 3wN|L| + N 2**-1074; fl(s - T) < -slack gives
+# fl(S) <= NL by the same count.  The pad is (N^2 M + N 2**-1020) 2**-50, four
+# times the first term and sixteen times the last, and the band adds
+# |T| 2**-50 for the |L| term; the margins cover the rounding of the pad, the
+# slack and the comparisons.  A finite pad needs N^2 M finite, so no screened
+# sum (at most NM) overflows; an infinite pad or slack leaves only the exact
+# path.
 def _mean_pad(costs: np.ndarray) -> float:
     n = costs.shape[0]
     return (n * n * float(np.abs(costs).max()) + n * 2.0**-1020) * 2.0**-50
@@ -199,7 +214,9 @@ class _TopK(_Maxima):
         return np.array(exact_row_sums(rows, DECISION_OBJECTIVE)).reshape(block.shape[:2])
 
 
-Aggregate = Callable[[np.ndarray], list[float]]
+#: The exact score of each row of a block of values; total variation also
+#: takes ``partial_rows``, the mask of rows it may key by a bound instead.
+Aggregate = Callable[..., list[float]]
 
 
 def _means(values: np.ndarray) -> list[float]:
@@ -224,19 +241,36 @@ def _fold(
     return _TopK(scenarios.costs, k)
 
 
-def _unless_empty(score, fill, lookahead: bool):
+def _callback(score, fill):
     """A search callback that scores a block of children with ``score(accs,
-    groups)``, with their completion groups where ``lookahead``.  The empty
-    set, held only by the root and a tree's first skip branches, gets
-    ``fill`` unscored, and its siblings go without groups; elements only grow
-    along a branch, so a nonempty parent's children are nonempty."""
+    children)``.  Two kinds of child get ``fill``, a value that bounds, or
+    keeps, every member below them: the empty set, held only by the root and
+    a tree's first skip branches, unscored (elements only grow along a branch,
+    so a nonempty parent's children are nonempty); and a partial state whose
+    score leaves the float range, found a child at a time once the block's
+    score is refused.  A complete member's score past the range is refused."""
+
+    def scored(accs, children):
+        try:
+            return score(accs, children)
+        except DomainError:  # an overflow: find the children it came from
+            pass
+        scores = []
+        for i, complete in enumerate(children.complete().tolist()):
+            try:
+                scores.extend(score(accs[i:i + 1], children.take([i])))
+            except DomainError:
+                if complete:
+                    raise
+                scores.append(fill)
+        return scores
 
     def callback(accs, children):
         empty = children.empty()
         if empty is None:
-            return score(accs, children.groups() if lookahead else None)
+            return scored(accs, children)
         kept = np.flatnonzero(~empty)
-        values = iter(score(accs[kept], None) if kept.size else ())
+        values = iter(scored(accs[kept], children.take(kept)) if kept.size else ())
         return [fill if e else next(values) for e in empty.tolist()]
 
     return callback
@@ -244,22 +278,30 @@ def _unless_empty(score, fill, lookahead: bool):
 
 def _minimize(system: CombinatorialSystem, fold: _Maxima, aggregate: Aggregate, force: bool):
     """``(value, chosen, scores)`` of the subset of least aggregate score; ties go
-    to the lexicographically smallest set.  The aggregate is monotone, so its
-    value on a partial set bounds every completion; the empty set scores -inf.
-    The mean's key is the larger of that and the lookahead over the state's
-    completion groups, which never exceeds a completion's mean either, so the
-    champion is the same."""
-    n = len(fold.ones)
+    to the lexicographically smallest set.  A complete member's key is its
+    exact score, and a partial state's a bound on every completion's, so the
+    champion is the same: the mean fold's, where its pad is finite, is
+    fl(fl(max(screen, lookahead) - pad) / N), with the lookahead over the
+    state's completion groups (the comment above ``_mean_pad``), and total
+    variation's is its least breakpoint screen less the padding (the comment
+    above ``_tv_breakpoints``).  The top-k fold, and a mean fold whose pad is
+    infinite, key a partial state by its exact score, which is monotone.  The
+    empty set, and a partial state whose score leaves the float range, key at
+    -inf."""
 
-    def bound(block, groups) -> list[float]:
-        keys = aggregate(fold.values(block))
-        if groups is None:
-            return keys
-        aheads = fold.lookaheads(block, groups).tolist()
-        return [max(key, (ahead - fold.pad) / n) for key, ahead in zip(keys, aheads)]
+    def bound(block, children) -> list[float]:
+        values = fold.values(block)
+        if aggregate is not _means:  # total variation, with its own screen
+            return aggregate(values, partial_rows=~children.complete())
+        if fold.pad == math.inf:  # no screen: the exact mean
+            return _means(values)
+        keys = fold.keys(block, children.groups())
+        complete = np.flatnonzero(children.complete())
+        if complete.size:
+            keys[complete] = _means(values[complete])
+        return keys.tolist()
 
-    callback = _unless_empty(bound, -math.inf, aggregate is _means and fold.pad < math.inf)
-    value, chosen = minimize_members(system, callback, force, grow=fold.grow)
+    value, chosen = minimize_members(system, _callback(bound, -math.inf), force, grow=fold.grow)
     return value, chosen, fold.score(chosen)
 
 
@@ -284,9 +326,10 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
     bar = len(fold.ones) * limit
     slack = fold.pad + abs(bar) * 2.0**-50
 
-    def cuts(block, groups) -> np.ndarray:
+    def cuts(block, children) -> np.ndarray:
         if slack == math.inf:
             return np.array(_means(fold.values(block))) > limit
+        groups = children.groups()
         with np.errstate(over="ignore"):  # a difference past the float range is inf
             screens = fold.screens(block) - bar
             aheads = screens if groups is None else fold.lookaheads(block, groups) - bar
@@ -296,8 +339,7 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
             cut[unsure] = np.array(_means(fold.values(block[unsure]))) > limit
         return cut
 
-    prune = _unless_empty(cuts, False, slack < math.inf)
-    for members, block in walk_blocks(system, prune, fold.grow):
+    for members, block in walk_blocks(system, _callback(cuts, False), fold.grow):
         values = fold.values(block)
         for member, row, mean in zip(members, values.tolist(), _means(values)):
             if mean <= threshold:
@@ -480,39 +522,67 @@ def tv_robust_decision(
 # either side; every other row is screened as zeros, and so keeps every
 # breakpoint.  The sums and reductions run along rows only, so a row screens
 # the same in any block.
-def _tv_breakpoints(u: np.ndarray, d: float) -> np.ndarray:
-    """For each row of ascending values ``u``, a mask of the breakpoints whose
-    screened objective lies within the proven padding of the row's least; the
-    exact minimizer is among them.  Tied breakpoints score the same exactly."""
+# The key of a partial state is its row's least screen less the padding.  The
+# exact side lies within 15wM + 2**-1075 of the true f at each breakpoint (the
+# roundings above and of its two products), and the true objective, the min
+# over beta of f, is attained at a breakpoint; so the least screen is at most
+# the true objective plus B + 15wM, and the key, less a padding of
+# 16 (n + 32) wM and rounded, at most the true objective less 15 (n + 30) wM.
+# A completion C has values at least the row's in every scenario, and f is
+# monotone, so its true objective is no lower; its exact objective lies within
+# 15 wM_C + 2**-1075 of that, with M_C its own largest magnitude.  If
+# M_C <= 2M the padding left covers it.  Else C's largest value is M_C, above
+# the row's largest by more than M_C / 2; the objective is (1 - d/2) times the
+# mean of the largest (1 - d/2) share of the values plus d/2 times the
+# largest, which weighs the largest by at least 1/n, so C's objective is more
+# than M_C / (2n) above the row's, which covers it too.
+def _tv_breakpoints(u: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ascending values ``u``: a mask of the breakpoints whose
+    screened objective lies within the proven padding of the row's least, the
+    exact minimizer among them (tied breakpoints score the same exactly); and
+    the least less the padding, a bound on the exact objective of the row and
+    of every row at least as large in each value, or NaN for a row too large
+    to screen."""
     n = u.shape[1]
     top = np.maximum(-u[:, :1], u[:, -1:])
-    largest = _FLOAT_MAX / (4.0 * n + 128.0)  # the largest M a row is screened at
-    if np.maximum.reduce(top, axis=None) > largest:
-        u = np.where(top <= largest, u, 0.0)
+    fits = top <= _FLOAT_MAX / (4.0 * n + 128.0)  # the largest M a row is screened at
+    if not fits.all():
+        u = np.where(fits, u, 0.0)
     screened = np.cumsum(u[:, ::-1], axis=1)[:, ::-1]
     screened -= np.arange(n, 0, -1) * u
     screened /= n
     screened += (1.0 - d / 2.0) * u
     screened += d / 2.0 * u[:, -1:]
     least = np.minimum.reduce(screened, axis=1, keepdims=True)
-    return screened <= least + (top * ((n + 32) * 2.0**-49) + 2.0**-1070)
+    padding = top * ((n + 32) * 2.0**-49) + 2.0**-1070
+    return screened <= least + padding, np.where(fits, least - padding, math.nan)[:, 0]
 
 
-def _tv_objectives(values: np.ndarray, d: float) -> list[float]:
+def _tv_objectives(
+    values: np.ndarray, d: float, partial_rows: np.ndarray | None = None
+) -> list[float]:
     """The total-variation objective of each row of ``values``, from one
     sorted screen of the block; only the breakpoints each row keeps are summed
     exactly.  A kept breakpoint's shortfall is the fsum of (v - beta)_+ over
-    the values above it; the zeros of its ties leave the sum unchanged."""
+    the values above it; the zeros of its ties leave the sum unchanged.  A row
+    that ``partial_rows`` marks, where the screen reaches it, gets its bound
+    from ``_tv_breakpoints`` instead and is not summed."""
     u = np.sort(values, axis=1)
-    rows = u.tolist()
+    kept, floors = _tv_breakpoints(u, d)
+    keyed = np.zeros(len(u), dtype=bool) if partial_rows is None else partial_rows
+    keyed = keyed & ~np.isnan(floors)
+    best = np.where(keyed, floors, math.inf).tolist()
+    exact = np.flatnonzero(~keyed)
+    if not exact.size:
+        return best
+    rows, exact = u[exact].tolist(), exact.tolist()
     if any(row[-1] - row[0] == math.inf for row in rows):  # a difference past the float range
         raise overflow_error(DECISION_OBJECTIVE)
     n, lean, half = len(rows[0]), 1.0 - d / 2.0, d / 2.0
-    best = [math.inf] * len(rows)
-    for i, j in zip(*(index.tolist() for index in np.nonzero(_tv_breakpoints(u, d)))):
-        row = rows[i]
+    for i, j in zip(*(index.tolist() for index in np.nonzero(kept[exact]))):
+        row, r = rows[i], exact[i]
         shortfall = exact_sum([v - row[j] for v in row[j:]], DECISION_OBJECTIVE)
-        best[i] = min(best[i], lean * row[j] + shortfall / n + half * row[-1])
+        best[r] = min(best[r], lean * row[j] + shortfall / n + half * row[-1])
     return best
 
 

@@ -16,13 +16,14 @@ over row subsets, the decision models' from-scratch subset scores, the
 top-k sum's set-function bound on the library's search, the top-k family
 level's HiGHS and SLSQP solves, the per-prefix level's bracketed ``brentq``
 root, the finite-order dual's nested golden sections, the per-state pruned
-walk, ``pruned_members``, that the band's block walk replaced, and the
+walk, ``pruned_members``, that the band's block walk replaced, the
 best-first search of one state a step, ``per_state_minimize``, that the
-budgeted search replaced.  Two former library functions that only the tests
-called live here too: the top-k dual certificate by enumeration,
-``dual_topk_sum_value``, and one state's completion groups,
-``reference_completion_groups``, which each row of a block's ``groups()``
-must equal.
+budgeted search replaced, and the decision search keyed by exact scores,
+``exact_key_minimize``, that float keys for partial states replaced.  Two
+former library functions that only the tests called live here too: the
+top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
+state's completion groups, ``reference_completion_groups``, which each row
+of a block's ``groups()`` must equal.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from drbottleneck import (
     TreeSystem,
     antichain_reduce,
     bottleneck_value,
+    decide,
     element_level,
     enumerate_members,
     min_member_size,
@@ -752,6 +754,35 @@ def per_state_minimize(system, bound_fn, force=False, *, grow):
     if champion is None:
         raise InvalidInstanceError("no feasible subset found")
     return champion_key[0], champion
+
+
+def exact_key_minimize(system, fold, aggregate, force=False):
+    """``(value, chosen, scores)`` of the decision search keyed by exact
+    scores: every child by its exact aggregate, a mean's raised to its
+    lookahead over the completion groups less the pad where the pad is
+    finite; the empty set by -inf.  The callback that float keys for partial
+    states replaced."""
+    n = len(fold.ones)
+
+    def bound(block, groups):
+        keys = aggregate(fold.values(block))
+        if groups is None:
+            return keys
+        aheads = fold.lookaheads(block, groups).tolist()
+        return [max(key, (ahead - fold.pad) / n) for key, ahead in zip(keys, aheads)]
+
+    lookahead = aggregate is decide._means and fold.pad < math.inf
+
+    def callback(accs, children):
+        empty = children.empty()
+        if empty is None:
+            return bound(accs, children.groups() if lookahead else None)
+        kept = np.flatnonzero(~empty)
+        values = iter(bound(accs[kept], None) if kept.size else ())
+        return [-math.inf if e else next(values) for e in empty.tolist()]
+
+    value, chosen = minimize_members(system, callback, force, grow=fold.grow)
+    return value, chosen, fold.score(chosen)
 
 
 def each_state(fn):

@@ -1,12 +1,15 @@
-"""The budgeted best-first search against the frozen search of one state a step.
+"""The budgeted best-first search against the frozen search of one state a
+step, and the decision models' float keys against the frozen exact keys.
 
 ``search.minimize_members`` pops as many states a step as fit its byte
 budget and keeps each block's accumulators in the heap;
 ``_oracles.per_state_minimize`` pops one state a step and rebuilds its
-accumulator from its elements.  With the decision models' admissible keys
-both must return the same ``(value, chosen)``, on every kind and every fold.
-A step of more than one state must keep its largest temporary, the
-lookahead gather, within the budget.
+accumulator from its elements.  ``decide._minimize`` keys a partial state
+by a float bound where its fold or aggregate has one;
+``_oracles.exact_key_minimize`` keys every state by its exact score.  With
+admissible keys all three must return the same ``(value, chosen)``, on
+every kind and every fold.  A step of more than one state must keep its
+largest temporary, the lookahead gather, within the budget.
 """
 
 from functools import partial
@@ -14,7 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from _oracles import per_state_minimize
+from _oracles import exact_key_minimize, per_state_minimize
 from conftest import random_system
 from drbottleneck import AssignmentSystem, ScenarioSet, decide, min_member_size, search
 from test_band_walk import _decide_instance
@@ -24,27 +27,35 @@ AGGREGATES = {
     "top2": (2, decide._means),
     "top3": (3, decide._means),
     "tv": (None, partial(decide._tv_objectives, d=0.5)),
+    "tv0": (None, partial(decide._tv_objectives, d=0.0)),
+    "tv2": (None, partial(decide._tv_objectives, d=2.0)),
 }
 
 
 def _cost_shapes(rng, n):
-    """Integer ties, one scenario, negative costs and mixed signs."""
+    """Integer ties, one scenario, negative costs and mixed signs, then costs
+    near the float limit: 8 scenarios of magnitude up to 5e306, so the
+    maximum fold's pad, 64 M 2**-50, is past the float range and only the
+    exact path is left, while no member's score overflows; their
+    total-variation rows are past the screen's reach and scored exactly."""
     count = int(rng.integers(2, 7))
     yield rng.integers(0, 4, size=(count, n)).astype(float)
     yield rng.uniform(0.0, 10.0, size=(1, n))
     yield -rng.integers(0, 3, size=(count, n)).astype(float)
     yield rng.uniform(-10.0, 5.0, size=(count, n))
+    yield rng.uniform(-5e306, 5e306, size=(8, n))
+    yield rng.integers(-3, 4, size=(8, n)) * 1.6e306
 
 
 def _check(monkeypatch, system, costs, aggregate):
-    """Both searches' ``(value, chosen)`` under one fold; returns the pair."""
+    """The three searches' ``(value, chosen)`` under one fold; returns the pair."""
     k, fn = AGGREGATES[aggregate]
     fold = decide._fold(system, ScenarioSet(costs), k=k)
     found = decide._minimize(system, fold, fn, False)[:2]
     with monkeypatch.context() as patched:
         patched.setattr(decide, "minimize_members", per_state_minimize)
         expected = decide._minimize(system, fold, fn, False)[:2]
-    assert found == expected, (costs, aggregate)
+    assert found == expected == exact_key_minimize(system, fold, fn)[:2], (costs, aggregate)
     return found
 
 
@@ -74,7 +85,7 @@ def test_other_kinds_match_per_state_search(monkeypatch, kind):
     assert topk_checked > 0
 
 
-@pytest.mark.parametrize("aggregate", ["max", "tv"])
+@pytest.mark.parametrize("aggregate", ["max", "tv", "tv0", "tv2"])
 def test_decide_instance_matches_per_state_search(monkeypatch, aggregate):
     system, scenarios = _decide_instance()
     _, chosen = _check(monkeypatch, system, scenarios.costs, aggregate)

@@ -13,7 +13,9 @@ from drbottleneck import (
     decide,
     DomainError,
     ExplicitSystem,
+    PathSystem,
     ScenarioSet,
+    TreeSystem,
     bottleneck_value,
     calibrate_radius_decision,
     calibrate_radius_topk_decision,
@@ -325,6 +327,64 @@ class TestOverflow:
         values = (1e153, 2e153, -3e153)
         assert report.mean == math.fsum(values) / 3
         assert report.variance == math.fsum((v - report.mean) ** 2 for v in values) / 3 < math.inf
+
+    # A partial state's score leaves the float range and no member's does:
+    # element 0 alone sums -3.4e308 (SAA; the pad is infinite, so the state
+    # is scored exactly) or spreads over 2.2e308 (total variation), while
+    # the optimum, which takes element 0 and the 5e307 column, scores 5e307
+    # and every other member 6e307.  Columns per kind: the path's two edges,
+    # the tree's three edges and the 2x2 assignment's four cells.
+    PARTIAL = {
+        "path": (PathSystem(nodes=3, edges=((0, 1), (1, 2)), s=0, t=2), (0, 1), {0, 1}),
+        "tree": (TreeSystem(nodes=3, edges=((0, 1), (1, 2), (0, 2))), (0, 1, 2), {0, 1}),
+        "assignment": (AssignmentSystem(m=2), (0, 2, 2, 1), {0, 3}),
+    }
+    SUM = ([-1.7e308, -1.7e308], [5e307, 5e307], [6e307, 6e307])  # the columns
+    SPREAD = ([5e307, -1.7e308], [5e307, 5e307], [6e307, 6e307])
+
+    def _partial_case(self, kind, columns):
+        system, layout, optimum = self.PARTIAL[kind]
+        return system, ScenarioSet(np.array([columns[c] for c in layout]).T), optimum
+
+    @pytest.mark.parametrize("kind", sorted(PARTIAL))
+    def test_partial_sum_past_the_range_is_not_refused(self, kind):
+        system, scen, optimum = self._partial_case(kind, self.SUM)
+        for report in (saa_decision(system, scen), variance_robust_decision(system, scen, 0.5)):
+            assert report.chosen == frozenset(optimum)
+            assert report.per_scenario == (5e307, 5e307)
+        assert saa_decision(system, scen).objective == 5e307
+        assert variance_robust_decision(system, scen, 0.5).objective == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(PARTIAL))
+    @pytest.mark.parametrize("d", [0.0, 0.5, 2.0])
+    def test_partial_spread_past_the_range_is_not_refused(self, kind, d):
+        system, scen, optimum = self._partial_case(kind, self.SPREAD)
+        report = tv_robust_decision(system, scen, d)
+        assert (report.chosen, report.objective) == (frozenset(optimum), 5e307)
+        assert saa_decision(system, scen).objective == 5e307
+
+    def test_partial_topk_sum_past_the_range_is_not_refused(self):
+        # the partial set {0} fills its top-2 block with the floor, -1.7e308,
+        # and sums -3.4e308; the member {0, 1} sums -1.2e308
+        system, _, _ = self.PARTIAL["path"]
+        report = topk_decision(system, ScenarioSet([[-1.7e308, 5e307]]), 0.0, 2)
+        assert (report.chosen, report.objective) == (frozenset({0, 1}), -1.2e308)
+
+    @pytest.mark.parametrize("kind", sorted(PARTIAL))
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            saa_decision,
+            lambda system, scen: variance_robust_decision(system, scen, 0.5),
+            lambda system, scen: tv_robust_decision(system, scen, 0.5),
+        ],
+        ids=["saa", "variance", "tv"],
+    )
+    def test_member_past_the_range_is_refused(self, kind, solve):
+        # every member's exact sum, of 1.7e308, 1.7e308 and -1, overflows
+        system = self.PARTIAL[kind][0]
+        with pytest.raises(DomainError, match="overflows the float range"):
+            solve(system, ScenarioSet(np.repeat(self.LARGE.costs[:, :1], system.ground.n, axis=1)))
 
     def test_tv_worst_scenario_near_the_range_edge(self):
         # at d = 2 the objective is d/2 times the largest value, which fits

@@ -13,6 +13,7 @@ certificate against brute force.
 """
 
 import math
+import sys
 import warnings
 from collections import Counter
 from functools import partial
@@ -772,6 +773,57 @@ def test_lookahead_pad_absorbs_worst_screen_error(monkeypatch, sign):
             )
 
 
+def _key_rows(rng, shape: str, count: int) -> np.ndarray:
+    """``count`` rows of one shape, a row a state's values in every scenario:
+    integer ties, one scenario, negative and mixed signs, magnitudes from
+    1e-6 to 1e300 a row, subnormals, and magnitudes past the reach of the
+    total-variation screen (the float maximum over 4n + 128) but within the
+    maximum fold's finite pad (below the float maximum over n^2, so n <= 13)."""
+    n = 1 if shape == "one-scenario" else int(rng.integers(2, 14 if shape == "past-reach" else 61))
+    size, top = (count, n), sys.float_info.max
+    return {
+        "ties": lambda: rng.integers(-3, 4, size=size).astype(float),
+        "one-scenario": lambda: rng.normal(size=size) * 10.0,
+        "negative": lambda: -rng.uniform(0.0, 10.0, size=size),
+        "mixed": lambda: rng.normal(size=size) * 10.0,
+        "magnitudes": lambda: rng.normal(size=size) * 10.0 ** rng.uniform(-6.0, 300.0, (count, 1)),
+        "subnormal": lambda: rng.integers(-5, 6, size=size) * 5e-324 + rng.normal(size=size) * (
+            rng.integers(0, 2, size=(count, 1)) * 1e-310
+        ),
+        "past-reach": lambda: rng.choice([-1.0, 1.0], size=size) * rng.uniform(
+            top / (4 * n + 128), 0.95 * top / (n * n), size=size
+        ),
+    }[shape]()
+
+
+KEY_SHAPES = ["ties", "one-scenario", "negative", "mixed", "magnitudes", "subnormal", "past-reach"]
+
+
+@pytest.mark.parametrize("shape", KEY_SHAPES)
+def test_mean_keys_bound_every_completion(shape):
+    """A partial state's key, ``_Maxima.keys``, is at most the exact mean of
+    every completion's maxima: without groups, of the state's own and of any
+    larger; with its completion groups, of one taking a cell of each group.
+    5,000 states per shape, the maxima of two elements each, in blocks of 100
+    sharing one pad."""
+    rng = np.random.default_rng(KEY_SHAPES.index(shape) + 170)
+    for _ in range(50):
+        columns = _key_rows(rng, shape, 40)  # 40 elements' costs, a row each
+        fold = decide._Maxima(columns.T)
+        assert fold.pad < math.inf
+        pairs = rng.integers(0, 40, size=(100, 2))
+        block = np.maximum(columns[pairs[:, 0]], columns[pairs[:, 1]])
+        groups = rng.integers(0, 40, size=(100, 3, 4))
+        picks = np.take_along_axis(groups, rng.integers(0, 4, size=(100, 3, 1)), axis=2)[:, :, 0]
+        completions = np.maximum(block, np.maximum.reduce(columns[picks], axis=1))
+        keys = fold.keys(block, None)
+        for below in (block, completions):
+            assert (keys <= np.array(decide._means(below))).all(), (shape, columns)
+        ahead = fold.keys(block, groups)
+        assert (ahead >= keys).all()
+        assert (ahead <= np.array(decide._means(completions))).all(), (shape, columns)
+
+
 def _topk_costs(rng, n):
     """Seeded cost vectors: floats, mixed signs, ties on multiples of 0.1,
     and magnitudes from 1e-8 to 1e8 of either sign."""
@@ -852,7 +904,7 @@ def test_tv_objective_matches_reference():
         d = [0.0, 2.0, 2.0 * int(rng.integers(0, len(values) + 1)) / len(values)][case % 3]
         if kind == 1:
             u = np.sort(values)
-            assert _tv_breakpoints(u[None], d).all(), "every breakpoint is kept"
+            assert _tv_breakpoints(u[None], d)[0].all(), "every breakpoint is kept"
         values = values.tolist()
         assert _tv_objective(values, d) == reference_tv_objective(values, d), (values, d)
 
@@ -863,7 +915,7 @@ def test_tv_screen_keeps_few_breakpoints():
     rng = np.random.default_rng(62)
     for _ in range(1000):
         values = rng.normal(rng.uniform(30.0, 32.0), rng.uniform(2.0, 4.0), size=50)
-        assert _tv_breakpoints(np.sort(values)[None], 0.5).sum() <= 2, values.tolist()
+        assert _tv_breakpoints(np.sort(values)[None], 0.5)[0].sum() <= 2, values.tolist()
 
 
 def test_tv_block_rows_score_alone():
@@ -884,6 +936,29 @@ def test_tv_block_rows_score_alone():
         d = [0.0, 0.5, 2.0, float(rng.uniform(0.0, 2.0))][case % 4]
         expected = [reference_tv_objective(row, d) for row in block.tolist()]
         assert _tv_objectives(block, d) == expected, (block, d)
+
+
+@pytest.mark.parametrize("shape", KEY_SHAPES)
+def test_tv_keys_bound_every_completion(shape):
+    """A partial row's total-variation key, ``_tv_objectives`` with the row
+    in ``partial_rows``, is at most the exact objective of the row and of a
+    row at least as large in every value; a row past the screen's reach is
+    scored exactly.  5,000 rows per shape, in blocks of 100, at radii 0,
+    0.5, 1, 2 and one drawn."""
+    rng = np.random.default_rng(KEY_SHAPES.index(shape) + 180)
+    for case in range(50):
+        rows = _key_rows(rng, shape, 100)
+        d = [0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 2.0))][case % 5]
+        partial_rows = np.ones(len(rows), dtype=bool)
+        keys = np.array(_tv_objectives(rows, d, partial_rows=partial_rows))
+        exact = np.array(_tv_objectives(rows, d))
+        larger = np.maximum(rows, rows[rng.permutation(len(rows))])
+        assert (keys <= exact).all(), (rows, d)
+        assert (keys <= np.array(_tv_objectives(larger, d))).all(), (rows, d)
+        n = rows.shape[1]
+        past = np.abs(rows).max(axis=1) > sys.float_info.max / (4 * n + 128)
+        assert (keys[past] == exact[past]).all()
+        assert past.all() if shape == "past-reach" else not past.any()
 
 
 def _topk_family_cases(seed, systems=12):

@@ -11,7 +11,9 @@ on one small instance of each kind: at the default byte budget, and at a
 budget of one byte, where the best-first search pops one state a step and
 scores the states it scored before it popped blocks.  Both searches
 generate states with their blocks' ``expand``, where each is counted.
-Layer tracing wraps the same arguments, so its counters count blocks.
+Layer tracing wraps the same arguments, so its counters count blocks.  On
+the benchmark's 9x9 assignment the rows summed exactly are pinned too, with
+the children and calls of both callbacks.
 """
 
 import math
@@ -34,6 +36,7 @@ from drbottleneck import (
     tv_robust_decision,
     variance_robust_decision,
 )
+from test_band_walk import _decide_instance
 
 SYSTEMS = {
     "path": PathSystem(
@@ -86,6 +89,15 @@ SEARCHES = {
     "explicit": ((7, 2), (7, 2), (7, 2), (7, 2)),
 }
 
+# (exact rows, children scored, callback calls) of three models on the 9x9
+# base instance of the benchmark's matching-decide workload: the rows that
+# decide.exact_row_sums and decide.exact_sum see, and the children both
+# searches' callbacks score and their calls.  Keyed by exact scores, the
+# searches summed 1,888 (saa), 1,677 (tv) and 1,931 (max) rows, with the same
+# children and calls; with float keys for partial states only the complete
+# children are summed, and in the band the children the screen leaves unsure.
+NINE_BY_NINE = {"saa": (1, 1889, 82), "tv": (3, 1678, 83), "max": (44, 14831, 183)}
+
 MODELS = {
     "max": lambda system, scenarios: variance_robust_decision(system, scenarios, 0.5),
     "top2": lambda system, scenarios: topk_variance_robust_decision(system, scenarios, 0.5, k=2),
@@ -98,9 +110,9 @@ MODELS = {
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Bound values, bound and prune calls, members yielded and the states
-    each search generated (the root, then every child a block's ``expand``
-    yields)."""
+    """Bound values, bound and prune calls, children pruned, members yielded
+    and the states each search generated (the root, then every child a
+    block's ``expand`` yields)."""
     counts = dict.fromkeys(["calls", "prune", "members", "pushed", "visited"], 0)
     counts["bounds"] = []
     tally = ["pushed"]  # the count the running search's expansions go to
@@ -119,6 +131,7 @@ def traced(monkeypatch):
     def walk(system, prune, *args, **kwargs):
         def counted(*block):
             cuts = prune(*block)
+            counts["calls"] += 1
             counts["prune"] += len(cuts)
             return cuts
 
@@ -173,3 +186,24 @@ def test_one_state_a_step_scores_the_same_states(traced, monkeypatch, kind, mode
     as it did before it popped blocks, and scores the same states."""
     monkeypatch.setattr(search, "BLOCK_BYTES", 1)
     _check_counts(traced, kind, model, ONE_STATE_PINNED, ONE_STATE_SEARCHES)
+
+
+@pytest.mark.parametrize("model", sorted(NINE_BY_NINE))
+def test_nine_by_nine_sums_only_complete_members(traced, monkeypatch, model):
+    rows = [0]
+    row_sums, one_sum = decide.exact_row_sums, decide.exact_sum
+
+    def counted_rows(block, *args):
+        block = list(block)
+        rows[0] += len(block)
+        return row_sums(block, *args)
+
+    def counted_sum(values, *args):
+        rows[0] += 1
+        return one_sum(values, *args)
+
+    monkeypatch.setattr(decide, "exact_row_sums", counted_rows)
+    monkeypatch.setattr(decide, "exact_sum", counted_sum)
+    MODELS[model](*_decide_instance())
+    children = len(traced["bounds"]) + traced["prune"]
+    assert (rows[0], children, traced["calls"]) == NINE_BY_NINE[model]
