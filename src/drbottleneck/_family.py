@@ -5,7 +5,8 @@ the radius, the least subset sum min over s of (b_s + a_s . beta), where the
 rows a_s of a 0/1 matrix A mark the family's subsets.  ``simplex_lift``
 solves r = 1 as a linear program; ``dual_level`` solves r > 1 through the
 conic dual (Mohajerin Esfahani and Kuhn, Math. Prog. 2018).  Every solve
-ends certified or raises ``ConvergenceError``.
+ends certified or raises ``ConvergenceError``, and gives the lift that
+attains its level, which top-k member generation prices the members under.
 """
 
 from __future__ import annotations
@@ -17,8 +18,13 @@ import numpy as np
 from .errors import ConvergenceError, exact_sum
 
 # simplex pivots or dual steps before ConvergenceError, the certified
-# relative gap of the dual, and the simplex's pivot tolerance
+# relative gap of the dual, and the simplex's pivot tolerance; and the family
+# levels one scenario's top-k member generation may solve before its quote
+# is downgraded to a bracket.  On the bundled 9x9 at k = 2 and 3 and radii up
+# to 8 a scenario solved at most 1,068; at radius 32 some needed up to 4,965,
+# and a scenario that runs out spends about 1 s (r = 1) to 5 s (r = 2)
 FAMILY_LEVEL_MAX_ITER = 500
+TOPK_MAX_FAMILY_SOLVES = 5000
 FAMILY_LEVEL_GAP = 1e-12
 PIVOT_TOL = 1e-9
 
@@ -74,21 +80,24 @@ def _pnorm(v: np.ndarray, p: float) -> float:
     return top * float(np.sum((v / top) ** p)) ** (1.0 / p)
 
 
-def dual_level(A: np.ndarray, b: np.ndarray, radius: float, r: float, level) -> float:
-    """The r > 1 family level by an active-set method on the conic dual.
+def dual_level(A: np.ndarray, b: np.ndarray, radius: float, r: float, level):
+    """The r > 1 family level, and the lift attaining it, by an active-set
+    method on the conic dual.
 
     The dual minimizes f(lam) = lam . b + radius * ||A^T lam||_p (p the
     conjugate exponent of r) over the simplex.  Its gradient entries are
     b_s + a_s . beta(lam), with beta(lam) = radius * v^(p-1) / ||v||_p^(p-1)
     and v = A^T lam; beta(lam) has r-norm exactly the radius, so
     L = level(beta(lam)) is attained and U = f(lam) bounds the level from
-    above.  On the active set S (the support of lam, with independent rows)
+    above.  ``level`` returns L with the lift that attains it, as scaled
+    into the ball.  On the active set S (the support of lam, with independent rows)
     a step drives the active gradient entries to a common value: the
     stationary point of f on the affine hull of S, in closed form for r = 2
     (a quadratic in the common value), or a damped Newton step.  A step is
     cut where a multiplier reaches zero, and that member leaves S.  When the
     active entries agree, the member with the least gradient entry enters.
-    The solve stops once U - L <= FAMILY_LEVEL_GAP * (1 + |U|).
+    The solve stops once U - L <= FAMILY_LEVEL_GAP * (1 + |U|) and returns
+    ``(L, lift)``.
     """
 
     p = r / (r - 1.0)
@@ -105,10 +114,10 @@ def dual_level(A: np.ndarray, b: np.ndarray, radius: float, r: float, level) -> 
         w = (v / norm) ** (p - 1.0)
         grad = b + radius * (A @ w)
         upper = exact_sum((lam * b[active]).tolist()) + radius * norm
-        lower = level(radius * w)
+        lower, lift = level(radius * w)
         scale = 1.0 + abs(upper)
         if upper - lower <= FAMILY_LEVEL_GAP * scale:
-            return lower
+            return lower, lift
         g = grad[active]
         # the face counts as solved once its entries agree to a tenth of the gap
         if g.max() - g.min() > 0.1 * FAMILY_LEVEL_GAP * scale:

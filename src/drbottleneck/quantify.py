@@ -22,21 +22,23 @@ Finite transport orders minimize a univariate convex dual whose inner sups
 come from each scenario's lift envelope, built once per radius from the same
 record by Eisner-Severance discovery (exact at r = 1); the multiplier is
 bisected to adjacent floats and the value is certified by an explicit
-feasible distribution.  The top-k-sum generalization reports certified
-brackets and, at tiny scale, the exact value; its SAA and its enumerated
-blocker families are likewise computed once, by ``topk_record``, and
-``quantify_topk`` prices one radius.
+feasible distribution.  The top-k-sum generalization reports the paper's
+certified bracket and the exact value by member generation: per scenario,
+the best family level over selections of the members held, certified by
+the top-k sum under its lift, or else that sum's member joins.  Its SAA,
+each scenario's optimum and the union size are likewise computed once, by
+``topk_record``, and ``quantify_topk`` prices one radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .bottleneck import bottleneck_value, topk_blocker_enumerate
+from .bottleneck import bottleneck_value, topk_blocker_enumerate, topk_sum_value
 from .decide import _means, _minimize, _TopK
 from .errors import (
     ConvergenceError,
@@ -565,54 +567,182 @@ class TopkQuote:
     union_size: int
 
 
-def _family_level(c: np.ndarray, family, radius: float, r: float) -> float:
-    """max over feasible lifts of the family's cheapest member-subset sum.
+def _family_level(c: np.ndarray, family, radius: float, r: float) -> tuple[float, np.ndarray]:
+    """max over feasible lifts of the family's cheapest member-subset sum,
+    with the lift that attains it.
 
     ``family`` is a set of element subsets; the lift beta >= 0 lives on the
     family union with r-norm at most the radius.  Families of singletons
-    reduce to the closed-form element level.  Otherwise the program
+    reduce to the closed-form element level, attained within rounding by
+    raising each cheap element to it.  Otherwise the program
 
         maximize min over s of (b_s + a_s . beta)   (b_s the subset's cost sum)
 
     is solved exactly: for r = 1 by a dense simplex, whose optimal basis
     certifies the value; for r > 1 through its conic dual, the minimum over
     the simplex of lambda . b + radius * ||A^T lambda||_{r*}, whose value
-    certifies the level within ``_family.FAMILY_LEVEL_GAP``.  The returned
-    level is attained by an explicit feasible lift.
+    certifies the level within ``_family.FAMILY_LEVEL_GAP``; the level is
+    the least subset sum under the lift.  Returns ``(level, lift)``: the
+    lift is a vector over the whole ground, zero off the union and scaled
+    into the ball where rounding left it outside.
     """
 
     subsets = [sorted(s) for s in family]
+    lift = np.zeros(len(c))
     if all(len(s) == 1 for s in subsets):
-        return element_level(c, {s[0] for s in subsets}, radius, r)
+        elements = sorted({s[0] for s in subsets})
+        level = element_level(c, elements, radius, r)
+        lift[elements] = _into_ball(level - c[elements], radius, r)
+        return level, lift
     union = sorted(set().union(*subsets))
     base = exact_row_sums([c[j] for j in s] for s in subsets)
     if radius == 0.0:
-        return min(base)
+        return min(base), lift
     pos = {j: i for i, j in enumerate(union)}
     rows = [[pos[j] for j in s] for s in subsets]
     A = np.zeros((len(rows), len(union)))
     for i, row in enumerate(rows):
         A[i, row] = 1.0
 
-    def level(beta: np.ndarray) -> float:
-        # the least subset sum under an explicit lift, scaled into the ball
-        beta = np.clip(beta, 0.0, None)
-        if r == 1.0:
-            norm = exact_sum(beta.tolist())
-        else:
-            norm = float(np.sum(beta**r)) ** (1.0 / r)
-        if norm > radius:
-            beta = beta * (radius / norm)
-        lift = beta.tolist()
-        return min(exact_row_sums([b, *(lift[j] for j in row)] for row, b in zip(rows, base)))
+    def level(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        # the least subset sum under an explicit lift on the union
+        beta = _into_ball(beta, radius, r)
+        values = beta.tolist()
+        attained = min(exact_row_sums([b, *(values[j] for j in row)] for row, b in zip(rows, base)))
+        return attained, beta
 
     # loaded on the first family level: compiling the solvers at package
     # import would raise the peak memory of every run that never needs them
     from ._family import dual_level, simplex_lift
 
     if r == 1.0:
-        return level(simplex_lift(A, np.array(base) - min(base), radius))
-    return dual_level(A, np.array(base), radius, r, level)
+        attained, beta = level(simplex_lift(A, np.array(base) - min(base), radius))
+    else:
+        attained, beta = dual_level(A, np.array(base), radius, r, level)
+    lift[union] = beta
+    return attained, lift
+
+
+def _into_ball(beta: np.ndarray, radius: float, r: float) -> np.ndarray:
+    """beta clipped to be nonnegative and scaled into the r-norm ball of the
+    radius where rounding left it outside."""
+    beta = np.clip(beta, 0.0, None)
+    if r == 1.0:
+        norm = exact_sum(beta.tolist())
+    else:
+        norm = float(np.sum(beta**r)) ** (1.0 / r)
+    return beta * (radius / norm) if norm > radius else beta
+
+
+class _Exhausted(Exception):
+    """A scenario spent its ``_family.TOPK_MAX_FAMILY_SOLVES`` family levels."""
+
+
+def _selection_level(c: np.ndarray, choices: list, radius: float, r: float, levels: dict):
+    """U_F: the best family level over the selections of one k-subset per
+    member, ``(level, lift)``; ``choices[i]`` is member i's ``_subsets``.
+
+    A depth-first search over the members, trying first the subsets heaviest
+    under the partial selection's lift.  Adding a subset never raises a
+    level, so a partial selection whose level, or whose newest subset's
+    ceiling, is no higher than the best complete level bounds all of its
+    completions and is cut.  Each family is solved once a scenario, into
+    ``levels``; a solve past the cap raises ``_Exhausted``.
+    """
+    from . import _family
+
+    costs = c.tolist()
+    best = (-math.inf, None)
+
+    def visit(depth, family, here, lift):
+        nonlocal best
+        rows, ceilings = choices[depth]
+        # Python floats: a weight past the range is inf, without a warning
+        lifted = [a + b for a, b in zip(costs, lift.tolist())]
+        weights = [sum(lifted[j] for j in row) for row in rows]
+        for i in sorted(range(len(rows)), key=weights.__getitem__, reverse=True):
+            if ceilings[i] <= best[0]:
+                continue
+            child = family | {frozenset(rows[i])}
+            if child == family:
+                level, child_lift = here, lift
+            else:
+                if child not in levels:
+                    if len(levels) >= _family.TOPK_MAX_FAMILY_SOLVES:
+                        raise _Exhausted
+                    levels[child] = _family_level(c, child, radius, r)
+                level, child_lift = levels[child]
+            if level <= best[0]:
+                continue
+            if depth + 1 == len(choices):
+                best = (level, child_lift)
+            else:
+                visit(depth + 1, child, level, child_lift)
+
+    try:
+        visit(0, frozenset(), math.inf, np.zeros(len(c)))
+    finally:
+        # visit's closure holds visit: a cycle that would keep every frame
+        # and lift of the search alive until the next garbage collection
+        del visit
+    return best
+
+
+def _subsets(c: np.ndarray, member: frozenset[int], k: int, shift: float):
+    """The k-subsets of a member, and each one's ceiling: a bound on the
+    level of every family that holds it, its cost sum plus ``shift``, the
+    most a lift in the ball adds to k costs, padded far past the rounding of
+    either sum.  A sum past the float range cuts nothing: its family level
+    is refused when solved."""
+    costs = c.tolist()
+    rows = list(combinations(sorted(member), k))
+    ceilings = []
+    for row in rows:
+        picked = [costs[j] for j in row]
+        total = sum(picked)
+        pad = 1e-12 * (sum(map(abs, picked)) + shift + 1.0)
+        ceilings.append(total + shift + pad if math.isfinite(total) else math.inf)
+    return rows, ceilings
+
+
+def _generated_level(
+    system: CombinatorialSystem, c: np.ndarray, k: int, optimum, radius: float, r: float
+) -> tuple[float, float, bool]:
+    """One scenario's worst-case top-k sum by member generation, as
+    ``(lower, upper, exact)``.
+
+    F starts as the scenario's empirical optimum.  Each round takes U_F, the
+    best family level over the selections of F (``_selection_level``), an
+    upper bound, and L, the top-k sum under U_F's lift, an attained value.
+    It stops with the exact value U_F once L >= U_F - 1e-12 * (1 + |U_F|),
+    or once the member that attains L is in F already: every member of F
+    sums to at least U_F under the lift, so L falls short of U_F only by the
+    rounding of the lifted costs, which can pass that tolerance where a
+    member's costs nearly cancel.  Otherwise that member joins F.  Where
+    the scenario's family-level solves run out, ``exact`` is False and the
+    bounds are the best L and least U_F found, -inf and inf before the
+    first.
+    """
+    shift = k ** ((r - 1.0) / r) * radius
+    members = [optimum]
+    choices = [_subsets(c, optimum, k, shift)]
+    levels: dict = {}
+    lower, upper = -math.inf, math.inf
+    while True:
+        try:
+            level, lift = _selection_level(c, choices, radius, r, levels)
+        except _Exhausted:
+            return lower, upper, False
+        upper = min(upper, level)
+        with np.errstate(over="ignore"):  # a lifted cost past the range is refused
+            lifted = c + lift
+        # force: the record's own searches passed the scale guard
+        value, member = topk_sum_value(system, lifted, k, force=True)
+        lower = max(lower, value)
+        if value >= level - 1e-12 * (1.0 + abs(level)) or member in members:
+            return value, level, True
+        members.append(member)
+        choices.append(_subsets(c, member, k, shift))
 
 
 @dataclass(frozen=True)
@@ -620,69 +750,78 @@ class TopkRecord:
     """The part of a top-k quote that no radius or ground order changes.
 
     ``saa`` is the mean over scenarios of the least top-k sum (one branch
-    and bound each); ``families`` are the top-k blocker families of the
-    system's members, or None where enumeration is refused; ``union_size``
-    is the largest family union, or the ground size where refused.  Made
-    once by ``topk_record``; ``quantify_topk`` prices one radius from it.
+    and bound each) and ``optima[i]`` the member attaining scenario i's, the
+    start of its member generation; ``union_size`` is the largest union of
+    the system's enumerated top-k blocker families, or the ground size where
+    enumeration is refused.  Made once by ``topk_record``; ``quantify_topk``
+    prices one radius from it.
     """
 
     system: CombinatorialSystem
     scenarios: ScenarioSet
     k: int
     saa: float
-    families: list | None
+    optima: tuple[frozenset[int], ...]
     union_size: int
 
 
 def topk_record(
     system: CombinatorialSystem, scenarios: ScenarioSet, k: int, force: bool = False
 ) -> TopkRecord:
-    """The SAA top-k sum and the enumerated top-k blocker families."""
+    """The SAA top-k sum, each scenario's optimum and the union size."""
     require_matching_width(scenarios, system)
-    k = check_count(k, "k")
+    k = check_count(k, "k", most=min_member_size(system))
     # one top-k fold of every scenario, searched a scenario at a time: each
     # search is topk_sum_value's on that scenario's costs
-    fold = _TopK(scenarios.costs, check_count(k, "k", most=min_member_size(system)))
-    sums = [_minimize(system, fold.scenario(i), _means, force)[0] for i in range(scenarios.count)]
-    saa = exact_sum(sums) / scenarios.count
+    fold = _TopK(scenarios.costs, k)
+    searches = [_minimize(system, fold.scenario(i), _means, force) for i in range(scenarios.count)]
+    saa = exact_sum(value for value, _, _ in searches) / scenarios.count
+    union_size = system.ground.n
     try:
         clutter = antichain_reduce(enumerate_members(system, force=force))
         families = topk_blocker_enumerate(clutter, k)
-    except EnumerationLimitError:
-        families = None
-    union_size = system.ground.n
-    if families is not None:
         union_size = max(len(frozenset().union(*fam)) for fam in families)
-    return TopkRecord(system, scenarios, k, saa, families, union_size)
+    except EnumerationLimitError:
+        pass
+    optima = tuple(chosen for _, chosen, _ in searches)
+    return TopkRecord(system, scenarios, k, saa, optima, union_size)
 
 
 def quantify_topk(record: TopkRecord, radius: float, ground_order: float = 1.0) -> TopkQuote:
-    """Robust expected top-k-sum value: bracket always, exact where tiny.
+    """Robust expected top-k-sum value: the paper's bracket and the exact
+    value by member generation.
 
     The bracket is [saa + k * radius / U^(1/r), saa + k^((r-1)/r) * radius]
-    with U the record's ``union_size``.  The exact value is, per scenario,
-    the best family level over the enumerated top-k blocker; where the
-    record holds no families the quote is downgraded to the bracket.
+    with U the record's ``union_size``.  The exact value is the mean of each
+    scenario's ``_generated_level``; at radius 0 it is the SAA.  Where a
+    scenario's family-level solves run out, the quote is downgraded: no
+    exact value, and the bracket tightened to the means of the scenarios'
+    generation bounds where those are tighter.
     """
 
     check_radius(radius)
     r = check_ground_order(ground_order)
-    saa, k, families = record.saa, record.k, record.families
-    exact_value = None
-    if families is not None:
-        totals = [
-            max(_family_level(c, fam, radius, r) for fam in families)
-            for c in record.scenarios.costs
-        ]
-        exact_value = exact_sum(totals) / record.scenarios.count
+    saa, k, count = record.saa, record.k, record.scenarios.count
     lower = saa + k * radius / record.union_size ** (1.0 / r)
     upper = saa + k ** ((r - 1.0) / r) * radius
+    exact_value = saa
+    if radius != 0.0:
+        bounds = [
+            _generated_level(record.system, c, k, optimum, radius, r)
+            for c, optimum in zip(record.scenarios.costs, record.optima)
+        ]
+        if all(exact for _, _, exact in bounds):
+            exact_value = exact_sum(level for _, level, _ in bounds) / count
+        else:
+            exact_value = None
+            lower = max(lower, exact_sum(low for low, _, _ in bounds) / count)
+            upper = min(upper, exact_sum(high for _, high, _ in bounds) / count)
     return TopkQuote(
         saa=saa,
         lower=lower,
         upper=upper,
         exact=exact_value,
-        downgraded=families is None,
+        downgraded=exact_value is None,
         union_size=record.union_size,
     )
 

@@ -63,7 +63,7 @@ from drbottleneck._blocks import padded_elements
 from drbottleneck._graphs import bfs_path_edges
 from drbottleneck.decide import _report
 from drbottleneck.errors import exact_mean, exact_variance
-from drbottleneck.quantify import _lift_root
+from drbottleneck.quantify import _family_level, _lift_root
 
 
 def brute_members(system) -> list[frozenset]:
@@ -305,6 +305,17 @@ def exact_topk_oracle(members, costs, radius, r, k) -> float:
         if not any(kept <= family for kept in minimal):
             minimal.append(family)
     return max(brute_family_level(costs, family, radius, r) for family in minimal)
+
+
+def enumerated_topk_value(system, scenarios, k: int, radius: float, r: float) -> float:
+    """The robust expected top-k sum by the route that member generation
+    replaced: per scenario, the max over the enumerated top-k blocker
+    families of the library's family level, then the exact mean.  Tiny
+    instances only, as the enumeration guard allows."""
+    clutter = antichain_reduce(enumerate_members(system))
+    families = topk_blocker_enumerate(clutter, k)
+    totals = [max(_family_level(c, fam, radius, r)[0] for fam in families) for c in scenarios.costs]
+    return math.fsum(totals) / scenarios.count
 
 
 def two_point_mixture_oracle(members, costs, radius, order, ground_order):

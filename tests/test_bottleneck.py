@@ -14,6 +14,7 @@ from _oracles import (
     dual_topk_sum_value,
 )
 from conftest import dyadic_costs, random_system
+from test_quantify import check_certificate, final_rounds
 from drbottleneck import (
     AssignmentSystem,
     Clutter,
@@ -250,11 +251,13 @@ class TestTopkBlocker:
             assert primal == pytest.approx(dual, abs=1e-12)
             checked += 1
 
-    def test_transversal_limit_refuses_the_k3_tree(self):
+    def test_transversal_limit_refuses_the_k3_tree(self, monkeypatch):
         """An 8-edge tree with 18 spanning trees passes the ground and k
         guards, but at k = 3 its top-k blocker enumeration outgrows the
         candidate limit of ``minimal_transversals`` and is refused at once;
-        k = 2 stays admitted.  ``quantify_topk`` downgrades to the bracket."""
+        k = 2 stays admitted.  ``quantify_topk`` is exact there all the same,
+        by member generation, and its certificate is rebuilt by brute
+        force."""
         system = TreeSystem(
             nodes=6, edges=((2, 4), (3, 5), (0, 1), (1, 2), (0, 3), (0, 5), (2, 4), (0, 2))
         )
@@ -264,6 +267,16 @@ class TestTopkBlocker:
         with pytest.raises(EnumerationLimitError, match="candidate sets"):
             topk_blocker_enumerate(clutter, 3)
         scen = ScenarioSet(np.random.default_rng(7).uniform(0.0, 10.0, size=(1, 8)))
-        quote = quantify_topk(topk_record(system, scen, 3), 0.5, 2.0)
-        assert quote.downgraded and quote.exact is None
-        assert quote.lower <= quote.upper
+        members = brute_members(system)
+        for radius, r in ((0.5, 2.0), (1.0, 1.0)):
+            record = topk_record(system, scen, 3)
+            assert record.union_size == 8
+            quote, rounds = final_rounds(monkeypatch, record, radius, r)
+            assert not quote.downgraded and len(rounds) == 1
+            c, held, lift, level, value = rounds[0]
+            assert quote.exact == level
+            assert quote.lower <= quote.exact <= quote.upper
+            check_certificate(
+                c, held, lift, level, value, radius, r, 3,
+                lambda costs: brute_topk(members, costs, 3),
+            )

@@ -624,20 +624,27 @@ class TestGridSharesTheEmpiricalWork:
         ]
 
     def test_one_topk_enumeration_per_run(self, bridge, tmp_path, monkeypatch):
-        # one top-k sum search per scenario (``topk_record`` runs them on one
-        # fold, through the decision search) and one enumeration per run
+        # one top-k sum search per scenario for the record (``topk_record``
+        # runs them on one fold, through the decision search) and one
+        # enumeration per run; member generation's certificate searches, one
+        # ``topk_sum_value`` a round, are per radius by design and pinned
+        # apart: none at radius 0, 6 for the 5 scenarios at 0.5 (one takes
+        # two rounds), 19 over the grid
         count = load_scenarios(bridge["scenarios"]).count
-        sums = count_calls(monkeypatch, decide._minimize)
+        searches = count_calls(monkeypatch, decide._minimize)
+        certificates = count_calls(monkeypatch, bottleneck.topk_sum_value)
         families = count_calls(monkeypatch, bottleneck.topk_blocker_enumerate)
-        for grid in ("0.5", "0,0.5,1,2"):
-            sums.clear()
+        for grid, pinned in (("0.5", 6), ("0,0.5,1,2", 19)):
+            searches.clear()
+            certificates.clear()
             families.clear()
             assert run_cli(
                 "--model", "gamma-quantify", "--instance", bridge["instance"],
                 "--scenarios", bridge["scenarios"], "--theta-grid", grid,
                 "--gamma", "2", "--out", str(tmp_path / "g"),
             ) == 0
-            assert (len(sums), len(families)) == (count, 1), grid
+            saa = len(searches) - len(certificates)
+            assert (saa, len(families), len(certificates)) == (count, 1, pinned), grid
 
 
 # every model that reads an instance, as (line id, argv); --d is read by

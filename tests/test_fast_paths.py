@@ -961,10 +961,10 @@ def test_tv_keys_bound_every_completion(shape):
         assert past.all() if shape == "past-reach" else not past.any()
 
 
-def _topk_family_cases(seed, systems=12):
-    """``(costs, family)`` pairs: every top-k blocker family, at k = 2 and 3,
-    of seeded random systems with at most 6 elements, under the costs of
-    ``_topk_costs``."""
+def _topk_family_cases(seed, systems=12, ks=(2, 3)):
+    """``(costs, family)`` pairs: every top-k blocker family, at each k of
+    ``ks`` up to the least member size, of seeded random systems with at
+    most 6 elements, under the costs of ``_topk_costs``."""
     rng = np.random.default_rng(seed)
     done = 0
     while done < systems:
@@ -973,7 +973,7 @@ def _topk_family_cases(seed, systems=12):
             continue
         done += 1
         clutter = antichain_reduce(enumerate_members(system))
-        for k in range(2, min(3, min_member_size(system)) + 1):
+        for k in (k for k in ks if k <= min_member_size(system)):
             families = topk_blocker_enumerate(clutter, k)
             for costs in _topk_costs(rng, system.ground.n):
                 for family in families:
@@ -981,6 +981,27 @@ def _topk_family_cases(seed, systems=12):
 
 
 FAMILY_RADII = (1e-12, 0.05, 0.7, 6.0)
+
+
+def _check_attained(costs, family, radius, r, level, lift):
+    """The lift a family level returns is feasible, zero off the family
+    union, and attains the level: the least subset sum under it, summed
+    exactly.  A family of singletons has the closed-form element level,
+    which its lift attains within the rounding of level - c."""
+    union = set().union(*family)
+    assert lift.shape == costs.shape and (lift >= 0.0).all()
+    assert not lift[[j for j in range(len(costs)) if j not in union]].any()
+    norm = math.fsum(lift.tolist()) if r == 1.0 else float(np.sum(lift**r)) ** (1.0 / r)
+    assert norm <= radius * (1.0 + 1e-12)
+    attained = min(
+        math.fsum([math.fsum(costs[j] for j in sorted(s)), *(lift[j] for j in sorted(s))])
+        for s in family
+    )
+    if all(len(s) == 1 for s in family):
+        scale = 1.0 + abs(level) + max(abs(costs[j]) for j in union)
+        assert abs(attained - level) <= 1e-12 * scale, (attained, level)
+    else:
+        assert level == attained
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -991,10 +1012,24 @@ def test_family_level_matches_brute_force(r):
     for costs, family in _topk_family_cases(81, systems=20):
         for radius in FAMILY_RADII:
             expected = brute_family_level(costs, family, radius, r)
-            got = _family_level(costs, family, radius, r)
+            got, lift = _family_level(costs, family, radius, r)
+            _check_attained(costs, family, radius, r, got, lift)
             assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected)), (
                 costs.tolist(), sorted(map(sorted, family)), radius, got, expected
             )
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+def test_singleton_family_level_lifts(r):
+    """Every top-1 blocker family is of singletons: its lift is in the ball
+    and attains the element level within rounding."""
+    checked = 0
+    for costs, family in _topk_family_cases(83, ks=(1,)):
+        for radius in FAMILY_RADII:
+            got, lift = _family_level(costs, family, radius, r)
+            _check_attained(costs, family, radius, r, got, lift)
             checked += 1
     assert checked > 500
 
@@ -1015,7 +1050,8 @@ def test_family_level_matches_reference(r):
                 expected = reference_family_level(costs, family, radius, r)
             except ConvergenceError:
                 continue
-            got = _family_level(costs, family, radius, r)
+            got, lift = _family_level(costs, family, radius, r)
+            _check_attained(costs, family, radius, r, got, lift)
             context = (costs.tolist(), sorted(map(sorted, family)), radius, got, expected)
             assert abs(got - expected) <= 1e-9 * (1.0 + abs(expected)), context
             if r > 1.0:
@@ -1029,11 +1065,11 @@ def test_exhausted_family_level_raises(monkeypatch, r):
     # equal sums: the optimal multipliers spread over several subsets
     costs = np.ones(5)
     family = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
-    expected = _family_level(costs, family, 0.7, r)
+    expected = _family_level(costs, family, 0.7, r)[0]
     for needed in range(_family.FAMILY_LEVEL_MAX_ITER + 1):
         monkeypatch.setattr(_family, "FAMILY_LEVEL_MAX_ITER", needed)
         try:
-            got = _family_level(costs, family, 0.7, r)
+            got = _family_level(costs, family, 0.7, r)[0]
         except ConvergenceError:
             continue
         break
@@ -1085,7 +1121,7 @@ def test_family_level_blocked_and_dependent_steps(monkeypatch):
 
     for costs, family, radius in _pair_families(83, 200):
         expected = brute_family_level(costs, family, radius, 2.0)
-        got = _family_level(costs, family, radius, 2.0)
+        got = _family_level(costs, family, radius, 2.0)[0]
         assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected)), (
             costs.tolist(), sorted(map(sorted, family)), radius, got, expected
         )
@@ -1094,7 +1130,7 @@ def test_family_level_blocked_and_dependent_steps(monkeypatch):
     costs, family = np.array([0.0, 0.0, 0.0, 3.0]), [{0, 2}, {2}, {1}, {0, 1, 3}, {0, 2, 3}, {0}]
     for radius in (1.0, 3.0):
         dropped = counts["dropped"]
-        got = _family_level(costs, family, radius, 1.5)
+        got = _family_level(costs, family, radius, 1.5)[0]
         assert counts["dropped"] > dropped
         expected = reference_family_level(costs, family, radius, 1.5)
         assert abs(got - expected) <= 1e-9 * (1.0 + abs(expected)), (radius, got, expected)

@@ -13,7 +13,9 @@ scores the states it scored before it popped blocks.  Both searches
 generate states with their blocks' ``expand``, where each is counted.
 Layer tracing wraps the same arguments, so its counters count blocks.  On
 the benchmark's 9x9 assignment the rows summed exactly are pinned too, with
-the children and calls of both callbacks.
+the children and calls of both callbacks.  So is the work of top-k
+quantification's member generation on the benchmark's bridge: the family
+levels it solves and the certificate searches it runs.
 """
 
 import math
@@ -21,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from drbottleneck import (
     AssignmentSystem,
     ExplicitSystem,
@@ -28,9 +31,12 @@ from drbottleneck import (
     ScenarioSet,
     TreeSystem,
     decide,
+    quantify,
+    quantify_topk,
     saa_decision,
     search,
     topk_decision,
+    topk_record,
     topk_sum_value,
     topk_variance_robust_decision,
     tv_robust_decision,
@@ -207,3 +213,25 @@ def test_nine_by_nine_sums_only_complete_members(traced, monkeypatch, model):
     MODELS[model](*_decide_instance())
     children = len(traced["bounds"]) + traced["prune"]
     assert (rows[0], children, traced["calls"]) == NINE_BY_NINE[model]
+
+
+# (family levels solved, certificate searches) of top-k quantification at
+# k = 2 on the benchmark's tiny bridge: its six scenarios over the radius grid
+# 0.5, 1, 2 at r = 1, and its first three at radius 0.5 at r = 2.  The max
+# over the 9 enumerated top-k blocker families solved 162 and 27 levels and
+# searched nothing; member generation solves a level per new family its
+# selection search does not cut, and searches once a round.
+BRIDGE = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+TOPK_WORK = {1.0: ((0.5, 1.0, 2.0), 6, (23, 22)), 2.0: ((0.5,), 3, (4, 4))}
+
+
+@pytest.mark.parametrize("r", sorted(TOPK_WORK))
+def test_topk_generation_work_on_the_bridge_grid(monkeypatch, r):
+    grid, rows, pinned = TOPK_WORK[r]
+    costs = np.random.default_rng(11).uniform(0.0, 10.0, size=(rows, 5))
+    record = topk_record(BRIDGE, ScenarioSet(costs), 2)
+    levels = count_calls(monkeypatch, quantify._family_level)
+    searches = count_calls(monkeypatch, topk_sum_value)
+    for radius in grid:
+        assert quantify_topk(record, radius, r).exact is not None
+    assert (len(levels), len(searches)) == pinned
