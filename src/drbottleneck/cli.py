@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -81,7 +83,10 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="drbottleneck",
         description="Distributionally robust bottleneck solvers and experiments.",
@@ -145,19 +150,26 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+def _write(path, text: str, newline: str | None = None) -> None:
+    """Write an output built in memory with one call."""
+    with open(path, "w", newline=newline, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_num(v) if isinstance(v, float) else v for v in row])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_num(v) if isinstance(v, float) else v for v in row] for row in rows)
+    _write(path, text.getvalue(), newline="")
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write_json(path, payload) -> None:
-    payload = {"schema_version": JSON_SCHEMA_VERSION, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, _json_text({"schema_version": JSON_SCHEMA_VERSION, **payload}))
 
 
 def _load_pair(args):
@@ -310,9 +322,7 @@ def _simulate(args):
             sample_count=args.samples, seed=args.seed + 1,
         )
         system, scenarios, metadata = generate_matching_gaussian(params)
-    with open(args.out + ".instance.json", "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(system), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(args.out + ".instance.json", _json_text(system_to_json(system)))
     save_scenarios(args.out + ".scenarios.csv", scenarios)
     _write_json(args.out + ".meta.json", metadata)
 
@@ -450,8 +460,7 @@ MODELS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _reject_nan(args)
         MODELS[args.model](args)

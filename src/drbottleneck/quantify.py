@@ -33,6 +33,7 @@ each scenario's optimum and the union size are likewise computed once, by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -232,7 +233,7 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     """
 
     c = np.asarray(sorted_costs, dtype=float)
-    budget = radius**r
+    budget = _budget(radius, r)
     m = len(c)
     prefixes = _screened_prefixes(c, radius, budget, r)
     # np.cumsum's running sums up to the last prefix kept, in Python floats,
@@ -266,17 +267,41 @@ def _prefix_level(sorted_costs: np.ndarray, radius: float, r: float) -> float:
     return _bisected_level(c, radius, budget, r)
 
 
+def _budget(radius: float, r: float) -> float:
+    """radius^r, the budget of a lift, refused where it leaves the float range."""
+    try:
+        return radius**r
+    except OverflowError:
+        raise DomainError(
+            f"the lift budget radius^r overflows the float range at radius {radius!r} "
+            f"and ground order {r!r}"
+        ) from None
+
+
 def _bisected_level(c: np.ndarray, radius: float, budget: float, r: float) -> float:
     """``_prefix_level`` where rounding rejects every prefix: bisect the
     budget, monotone as computed, until the level fits and the next float up
-    does not.  Lifting c_0 alone by twice the radius overspends."""
+    does not.  Lifting c_0 alone by twice the radius overspends.  Where
+    that bound overflows, the largest float brackets the level unless it
+    fits; the level is at most c_0 + radius, so it is then that float, or,
+    where c_0 + radius overflows too, past the float range and refused."""
+
+    def used(t: float) -> float:
+        with np.errstate(over="ignore"):  # a lift past the float range spends inf
+            return float(np.sum(np.clip(t - c, 0.0, None) ** r))
+
     lo, hi = float(c[0]), float(c[0]) + 2.0 * radius
+    if hi == math.inf:
+        hi = sys.float_info.max
+        if used(hi) <= budget:
+            if lo + radius == math.inf:
+                raise DomainError("the element level overflows the float range")
+            return hi
     for _ in range(LEVEL_SEARCH_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
         if not lo < mid < hi:
             return lo
-        used = float(np.sum(np.clip(mid - c, 0.0, None) ** r))
-        if used <= budget:
+        if used(mid) <= budget:
             lo = mid
         else:
             hi = mid
@@ -801,6 +826,7 @@ def quantify_topk(record: TopkRecord, radius: float, ground_order: float = 1.0) 
 
     check_radius(radius)
     r = check_ground_order(ground_order)
+    _budget(radius, r)
     saa, k, count = record.saa, record.k, record.scenarios.count
     lower = saa + k * radius / record.union_size ** (1.0 / r)
     upper = saa + k ** ((r - 1.0) / r) * radius

@@ -9,6 +9,8 @@ save followed by load is the identity.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +54,13 @@ def require_matching_width(scenarios: ScenarioSet, system: CombinatorialSystem) 
 
 
 def save_scenarios(path, scenarios: ScenarioSet) -> None:
+    """Write a scenario CSV file, built in memory and written in one call."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(range(scenarios.width))
+    writer.writerows([repr(x) for x in row] for row in scenarios.costs.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(range(scenarios.width))
-        for row in scenarios.costs:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write(text.getvalue())
 
 
 def _parse_header(row: list[str]) -> int:
@@ -78,15 +82,43 @@ def _parse_header(row: list[str]) -> int:
     return len(row)
 
 
+def _read_header(reader) -> int:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ScenarioParseError("scenario file is empty", row=0)
+    return _parse_header(header)
+
+
 def load_scenarios(path) -> ScenarioSet:
-    """Read a scenario CSV file."""
+    """Read a scenario CSV file.
+
+    The rows after the header are parsed in one ``np.loadtxt`` call.  It
+    accepts a subset of ``float``'s grammar (no quotes, underscores or
+    non-ASCII digits), reads every value it accepts as ``float`` does and
+    skips the same empty lines as the ``csv`` reader.  A file it refuses,
+    or whose width is not the header's, is read again cell by cell, which
+    locates the bad cell: every error, with its row and column, is that of
+    the cell-by-cell read.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        width = _read_header(csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a body without rows warns
+                costs = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
+        except Exception:  # any refusal: the cell-by-cell read raises its error
+            costs = None
+    if costs is None or costs.shape[1] != width:
+        return _load_cells(path)
+    return ScenarioSet(costs)
+
+
+def _load_cells(path) -> ScenarioSet:
+    """``load_scenarios`` one cell at a time, raising at the first bad one."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ScenarioParseError("scenario file is empty", row=0)
-        width = _parse_header(header)
+        width = _read_header(reader)
         rows = []
         for idx, row in enumerate(reader, start=1):
             if not row:

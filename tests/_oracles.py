@@ -19,7 +19,11 @@ root, the finite-order dual's nested golden sections, the per-state pruned
 walk, ``pruned_members``, that the band's block walk replaced, the
 best-first search of one state a step, ``per_state_minimize``, that the
 budgeted search replaced, and the decision search keyed by exact scores,
-``exact_key_minimize``, that float keys for partial states replaced.  Two
+``exact_key_minimize``, that float keys for partial states replaced, and
+the command line's input and output: the scenario reader of one ``float``
+a cell, ``cellwise_load_scenarios``, that a bulk parse replaced, and the
+writers that streamed each output, ``streamed_csv``, ``streamed_json`` and
+``streamed_save_scenarios``, that one write per output replaced.  Two
 former library functions that only the tests called live here too: the
 top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
 state's completion groups, ``reference_completion_groups``, which each row
@@ -28,8 +32,10 @@ of a block's ``groups()`` must equal.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
+import json
 import math
 from collections import deque
 from functools import partial
@@ -48,6 +54,8 @@ from drbottleneck import (
     ExplicitSystem,
     InvalidInstanceError,
     PathSystem,
+    ScenarioParseError,
+    ScenarioSet,
     TreeSystem,
     antichain_reduce,
     bottleneck_value,
@@ -1088,3 +1096,79 @@ def reference_finite_order(system, scenarios, radius: float, order: float, groun
         if f2 < best_val:
             best_lam, best_val = x2, f2
     return best_val, best_lam
+
+
+def _cellwise_header(row: list[str]) -> int:
+    for col, cell in enumerate(row):
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ScenarioParseError(
+                f"header cell {cell!r} is not an element id", row=0, column=col
+            )
+        if value != col:
+            raise ScenarioParseError(
+                f"header ids must be dense 0..n-1; got {value} at column {col}",
+                row=0,
+                column=col,
+            )
+    if not row:
+        raise ScenarioParseError("empty header row", row=0)
+    return len(row)
+
+
+def cellwise_load_scenarios(path) -> ScenarioSet:
+    """The scenario reader that a bulk parse replaced: one ``float`` a cell."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ScenarioParseError("scenario file is empty", row=0)
+        width = _cellwise_header(header)
+        rows = []
+        for idx, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ScenarioParseError(
+                    f"row {idx} has {len(row)} cells, expected {width}", row=idx
+                )
+            values = []
+            for col, cell in enumerate(row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ScenarioParseError(
+                        f"cell {cell!r} is not numeric", row=idx, column=col
+                    )
+            rows.append(values)
+        if not rows:
+            raise ScenarioParseError("no scenario rows found", row=1)
+        return ScenarioSet(np.array(rows, dtype=float))
+
+
+def streamed_csv(path, header, rows) -> None:
+    """The command line's CSV writer that one write per output replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def streamed_json(path, payload, schema_version: int) -> None:
+    """The command line's JSON writer that one write per output replaced."""
+    payload = {"schema_version": schema_version, **payload}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def streamed_save_scenarios(path, scenarios) -> None:
+    """``save_scenarios`` as it wrote one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(range(scenarios.width))
+        for row in scenarios.costs:
+            writer.writerow([repr(float(x)) for x in row])

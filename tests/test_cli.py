@@ -1,5 +1,6 @@
 """Command-line pipelines: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import streamed_csv, streamed_json
 from conftest import count_calls
 from drbottleneck import (
     AssignmentSystem,
@@ -19,6 +21,7 @@ from drbottleneck import (
     save_scenarios,
     system_to_json,
 )
+from drbottleneck import cli
 from drbottleneck.cli import main
 from drbottleneck.scenarios import load_scenarios
 
@@ -655,10 +658,14 @@ FUZZ_LINES = {
     "quantify-theta-1e300": ["--model", "quantify", "--theta", "1e300"],
     "quantify-q2": ["--model", "quantify", "--q", "2"],
     "quantify-r2": ["--model", "quantify", "--r", "2"],
+    "quantify-theta-1e300-r2": ["--model", "quantify", "--theta", "1e300", "--r", "2"],
     "calibrate": ["--model", "calibrate"],
     "evaluate": ["--model", "evaluate"],
     "gamma-quantify-r1": ["--model", "gamma-quantify", "--gamma", "1"],
     "gamma-quantify-r2": ["--model", "gamma-quantify", "--gamma", "1", "--r", "2"],
+    "gamma-quantify-theta-1e300-r2": [
+        "--model", "gamma-quantify", "--gamma", "2", "--theta", "1e300", "--r", "2"
+    ],
     "decide": ["--model", "decide"],
     "robust-decide": ["--model", "robust-decide"],
     "tv-decide": ["--model", "tv-decide", "--d", "0.5"],
@@ -718,3 +725,88 @@ class TestNoTraceback:
                 elif not (err and err[-1].startswith("error kind=")):
                     failures.append((shape, line, code, err[-1:]))
         assert failures == []
+
+
+def outputs_less_time(out):
+    """The CSV and JSON bytes of a run, with the CSV's time_sec column cut."""
+    rows = [line.split(",") for line in open(out + ".csv", newline="").read().split("\r\n")]
+    at = rows[0].index("time_sec")
+    csv_text = "\r\n".join(",".join(row[:at] + row[at + 1:]) for row in rows)
+    return csv_text, open(out + ".json", "rb").read()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call's options
+    reach the next."""
+
+    def test_one_parser_per_process(self, bridge, tmp_path, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs),
+        )
+        pair = ["--instance", bridge["instance"], "--scenarios", bridge["scenarios"]]
+        for i, model in enumerate(["quantify", "calibrate", "evaluate", "quantify"]):
+            assert run_cli("--model", model, *pair, "--out", str(tmp_path / str(i))) == 0
+        assert len(built) == 1
+
+    def test_options_do_not_leak_between_calls(self, bridge, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        pair = ["--instance", bridge["instance"], "--scenarios", bridge["scenarios"]]
+        default = ["--model", "quantify", *pair, "--theta-grid", "0,0.5,1"]
+        alone = str(tmp_path / "alone")
+        assert run_cli(*default, "--out", alone) == 0
+        assert run_cli(*default, "--r", "2", "--sense", "capacity",
+                       "--out", str(tmp_path / "other")) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--model", "no-such-model", *pair, "--out", str(tmp_path / "bad"))
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--version")
+        assert exc.value.code == 0
+        after = str(tmp_path / "after")
+        assert run_cli(*default, "--out", after) == 0
+        capsys.readouterr()
+        assert outputs_less_time(after) == outputs_less_time(alone)
+        assert outputs_less_time(after) != outputs_less_time(str(tmp_path / "other"))
+
+
+class TestOutputBytes:
+    """Each output, built in memory and written once, has the bytes the
+    streaming writers gave."""
+
+    @pytest.mark.parametrize("line", [
+        ["--model", "quantify", "--theta-grid", "0,0.25,1,2.5", "--sense", "capacity"],
+        ["--model", "gamma-quantify", "--gamma", "2", "--theta-grid", "0,0.5"],
+        ["--model", "calibrate", "--theta-grid", "0,0.25,1", "--r", "2"],
+        ["--model", "evaluate"],
+        ["--model", "quantify", "--theta", "1", "--q", "2"],
+    ], ids=["quantify", "gamma-quantify", "calibrate", "evaluate", "finite-order"])
+    def test_grid_outputs_match_the_streamed_writers(self, line, bridge, tmp_path, monkeypatch):
+        written = []
+        write_csv, write_json = cli._write_csv, cli._write_json
+
+        def both_csv(path, header, rows):
+            write_csv(path, header, rows)
+            streamed_csv(path + ".streamed", header, rows)
+            written.append(path)
+
+        def both_json(path, payload):
+            write_json(path, payload)
+            streamed_json(path + ".streamed", payload, cli.JSON_SCHEMA_VERSION)
+            written.append(path)
+
+        monkeypatch.setattr(cli, "_write_csv", both_csv)
+        monkeypatch.setattr(cli, "_write_json", both_json)
+        out = str(tmp_path / "out")
+        assert run_cli(*line, "--instance", bridge["instance"],
+                       "--scenarios", bridge["scenarios"], "--out", out) == 0
+        assert sorted(written) == [out + ".csv", out + ".json"]
+        for path in written:
+            assert open(path, "rb").read() == open(path + ".streamed", "rb").read(), path
+
+    def test_simulate_instance_json_bytes(self, generated):
+        text = open(generated["instance"], encoding="utf-8").read()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,12 @@
 """Scenario generators and CSV persistence."""
 
+import math
+
 import numpy as np
 import pytest
 
+from _oracles import cellwise_load_scenarios, streamed_save_scenarios
+from drbottleneck import scenarios as scenarios_module
 from drbottleneck import (
     DomainError,
     MultihopParams,
@@ -134,6 +138,163 @@ class TestScenarioCsv:
         with pytest.raises(DomainError) as err:
             require_matching_width(scenarios, triangle)
         assert "column" in str(err.value)
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308, -5e-324,
+                  2.2250738585072014e-308, 1e-320)
+
+
+def _random_values(rng, shape):
+    """Random reprs across the float range, subnormals and special values."""
+    magnitude = 10.0 ** rng.uniform(-300.0, 307.0, size=shape) * rng.uniform(1.0, 10.0, size=shape)
+    values = magnitude * rng.choice([-1.0, 1.0], size=shape)
+    subnormal = rng.integers(1, 2**52, size=shape).view(np.float64)
+    subnormal *= rng.choice([-1.0, 1.0], size=shape)
+    special = rng.choice(SPECIAL_VALUES, size=shape)
+    pick = rng.integers(0, 4, size=shape)
+    return np.where(pick == 0, subnormal, np.where(pick == 1, special, values))
+
+
+def _cell_text(rng, x: float) -> str:
+    """One float written in one of the forms float() and np.loadtxt both read."""
+    forms = [repr(x), f"{x:.17g}", f"{x:.3e}", f"{x:E}", f" {x!r}\t", f"{x:.17g} "]
+    if math.copysign(1.0, x) > 0.0:
+        forms.append("+" + repr(x))
+    # three digits round the largest floats past the range
+    forms = [text for text in forms if math.isfinite(float(text))]
+    return forms[int(rng.integers(len(forms)))]
+
+
+def _valid_lines(rng):
+    n, width = int(rng.integers(1, 12)), int(rng.integers(1, 20))
+    values = _random_values(rng, (n, width))
+    header = ",".join(str(j) for j in range(width))
+    return [header] + [",".join(_cell_text(rng, x) for x in row) for row in values.tolist()]
+
+
+def _body_position(rng, lines) -> int:
+    return int(rng.integers(1, len(lines)))
+
+
+def _set_cell(rng, lines, text):
+    i = _body_position(rng, lines)
+    cells = lines[i].split(",")
+    cells[int(rng.integers(len(cells)))] = text
+    return lines[:i] + [",".join(cells)] + lines[i + 1:]
+
+
+def _insert_line(rng, lines, text):
+    i = int(rng.integers(1, len(lines) + 1))
+    return lines[:i] + [text] + lines[i:]
+
+
+def _edit_line(rng, lines, edit):
+    i = _body_position(rng, lines)
+    return lines[:i] + [edit(lines[i])] + lines[i + 1:]
+
+
+# name -> (lines -> lines, line end); every body line exists, so edits apply
+MALFORMED = {
+    "as-written": (lambda rng, lines: lines, "\n"),
+    "blank-line": (lambda rng, lines: _insert_line(rng, lines, ""), "\n"),
+    "whitespace-line": (lambda rng, lines: _insert_line(rng, lines, " \t "), "\n"),
+    "whitespace-tail": (lambda rng, lines: lines + ["   "], "\n"),
+    "quoted-cell": (lambda rng, lines: _set_cell(rng, lines, '"1.5"'), "\n"),
+    "quoted-comma": (lambda rng, lines: _set_cell(rng, lines, '"1,5"'), "\n"),
+    "crlf": (lambda rng, lines: lines, "\r\n"),
+    "cr": (lambda rng, lines: lines, "\r"),
+    "blank-crlf": (lambda rng, lines: _insert_line(rng, lines, ""), "\r\n"),
+    "bom": (lambda rng, lines: ["\ufeff" + lines[0]] + lines[1:], "\n"),
+    "bom-cell": (lambda rng, lines: _set_cell(rng, lines, "\ufeff1.5"), "\n"),
+    "trailing-comma": (lambda rng, lines: _edit_line(rng, lines, lambda x: x + ","), "\n"),
+    "hash-line": (lambda rng, lines: _insert_line(rng, lines, "# a note"), "\n"),
+    "hash-tail": (lambda rng, lines: _edit_line(rng, lines, lambda x: x + " # note"), "\n"),
+    "underscore": (lambda rng, lines: _set_cell(rng, lines, "1_0"), "\n"),
+    "full-width": (lambda rng, lines: _set_cell(rng, lines, "\uff11\uff12"), "\n"),
+    "non-breaking-space": (lambda rng, lines: _set_cell(rng, lines, "\xa01.5"), "\n"),
+    "nan": (lambda rng, lines: _set_cell(rng, lines, "nan"), "\n"),
+    "inf": (lambda rng, lines: _set_cell(rng, lines, "-Infinity"), "\n"),
+    "past-the-range": (lambda rng, lines: _set_cell(rng, lines, "1e309"), "\n"),
+    "word": (lambda rng, lines: _set_cell(rng, lines, "fast"), "\n"),
+    "empty-cell": (lambda rng, lines: _set_cell(rng, lines, ""), "\n"),
+    "nul": (lambda rng, lines: _set_cell(rng, lines, "1\x00"), "\n"),
+    "ragged-short": (
+        lambda rng, lines: _edit_line(rng, lines, lambda x: x.rpartition(",")[0]), "\n"
+    ),
+    "ragged-long": (lambda rng, lines: _edit_line(rng, lines, lambda x: x + ",1.0"), "\n"),
+    "bad-header": (lambda rng, lines: ["0,x," + lines[0]] + lines[1:], "\n"),
+    "sparse-header": (lambda rng, lines: [lines[0] + ",99"] + lines[1:], "\n"),
+    "blank-header": (lambda rng, lines: [""] + lines, "\n"),
+    "header-only": (lambda rng, lines: lines[:1], "\n"),
+    "header-and-blanks": (lambda rng, lines: lines[:1] + ["", ""], "\n"),
+    "empty-file": (lambda rng, lines: [], ""),
+}
+
+
+def _outcome(load, path):
+    try:
+        return ("costs", load(path).costs.tobytes())
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+
+
+class TestBulkLoader:
+    """The bulk parse against the frozen reader of one ``float`` a cell: on
+    every file the same cost bytes, or the same error, row and column."""
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_matches_the_cellwise_reader(self, name, tmp_path, monkeypatch):
+        cellwise = []
+        fallback = scenarios_module._load_cells
+        monkeypatch.setattr(
+            scenarios_module, "_load_cells", lambda path: cellwise.append(path) or fallback(path)
+        )
+        edit, end = MALFORMED[name]
+        rng = np.random.default_rng(sorted(MALFORMED).index(name))
+        outcomes = set()
+        for i in range(12):
+            lines = edit(rng, _valid_lines(rng))
+            path = tmp_path / f"{i}.csv"
+            path.write_bytes(end.join(lines).encode("utf-8") + end.encode())
+            got = _outcome(load_scenarios, path)
+            assert got == _outcome(cellwise_load_scenarios, path), (name, end.join(lines))
+            outcomes.add(got[0] if got[0] == "costs" else got[0].__name__)
+        if name in ("as-written", "blank-line", "crlf", "cr", "blank-crlf", "non-breaking-space"):
+            # valid files: the bulk parse read every value, bit for bit
+            assert outcomes == {"costs"} and cellwise == []
+
+    def test_invalid_utf8_raises_as_before(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0,1\n1.0,2.0\n3.0,\xe94\n")
+        got = _outcome(load_scenarios, path)
+        assert got[0] is UnicodeDecodeError
+        assert got == _outcome(cellwise_load_scenarios, path)
+
+    def test_written_files_take_the_bulk_parse(self, tmp_path, monkeypatch):
+        cellwise = []
+        fallback = scenarios_module._load_cells
+        monkeypatch.setattr(
+            scenarios_module, "_load_cells", lambda path: cellwise.append(path) or fallback(path)
+        )
+        rng = np.random.default_rng(5)
+        for i, (n, width) in enumerate([(1, 1), (1, 9), (7, 1), (12, 81), (3, 190)]):
+            scenarios = ScenarioSet(_random_values(rng, (n, width)))
+            path = tmp_path / f"{i}.csv"
+            save_scenarios(path, scenarios)
+            assert load_scenarios(path).costs.tobytes() == scenarios.costs.tobytes()
+        assert cellwise == []
+        path.write_text("0,1\n1.0,2.0\n3.0\n")
+        with pytest.raises(ScenarioParseError):
+            load_scenarios(path)
+        assert cellwise == [path]
+
+    def test_save_writes_the_streamed_bytes(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for n, width in [(1, 1), (4, 7), (12, 81)]:
+            scenarios = ScenarioSet(_random_values(rng, (n, width)))
+            save_scenarios(tmp_path / "one.csv", scenarios)
+            streamed_save_scenarios(tmp_path / "rows.csv", scenarios)
+            assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestBundledDataset:

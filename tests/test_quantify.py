@@ -98,6 +98,45 @@ class TestElementLevel:
                 spent = np.sum(np.clip(level - costs, 0, None) ** r)
                 assert spent == pytest.approx(radius**r, rel=1e-9)
 
+    def test_overflowing_bracket_keeps_the_level(self):
+        # c_0 + 2 * radius overflows, where the bisection used to return the
+        # least cost, 5; lifting that cost alone by the radius reaches 1e308
+        costs = [1.7e308, -1.7e308, 1e308, -1e308, 5.0]
+        level = element_level(costs, [0, 2, 4], 1e308, 1.0)
+        c = np.array(costs)[[0, 2, 4]]
+
+        def spent(t):
+            with np.errstate(over="ignore"):
+                return float(np.sum(np.clip(t - c, 0.0, None)))
+
+        assert spent(level) <= 1e308 < spent(np.nextafter(level, np.inf))
+        system = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+        scenarios = ScenarioSet([costs])
+        robust = quantify_robust(system, scenarios, WassersteinBall(radius=1e308)).value
+        generated = quantify_topk(topk_record(system, scenarios, 1), 1e308, 1.0).exact
+        assert level == robust == generated == 1e308
+
+    def test_level_past_the_float_range_is_refused(self):
+        # c_0 + radius overflows too: only a level the floats cannot hold is refused
+        with pytest.raises(DomainError, match="element level overflows"):
+            element_level([1e308], [0], 1e308, 1.0)
+        assert element_level([1e308] * 3, range(3), 1.5e308, 1.0) == 1.5e308
+
+    def test_overflowing_budget_is_refused(self):
+        # radius^r past the float range: a refusal, not an OverflowError or a
+        # RuntimeWarning (which the suite turns into errors)
+        system = PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+        scenarios = ScenarioSet(np.random.default_rng(11).uniform(0.0, 10.0, size=(3, 5)))
+        refusals = [
+            lambda: element_level([1.0, 2.0], [0, 1], 1e300, 2.0),
+            lambda: quantify_robust(system, scenarios, WassersteinBall(1e300, ground_order=2.0)),
+            lambda: quantify_topk(topk_record(system, scenarios, 1), 1e300, 2.0),
+            lambda: quantify_topk(topk_record(system, scenarios, 2), 1e300, 2.0),
+        ]
+        for refused in refusals:
+            with pytest.raises(DomainError, match="budget radius\\^r overflows"):
+                refused()
+
 
 class TestRobustScenarioValue:
     def test_triangle_l1(self, triangle):
