@@ -377,8 +377,8 @@ def finite_order_bracket(record, radius: float, q: float, r: float) -> FiniteOrd
     from that scenario's empirical result.  The models are refined in place,
     so they are built afresh for every radius."""
     models = [
-        _LiftModel(record.system, np.asarray(costs, dtype=float), base, q, r)
-        for costs, base in zip(record.scenarios.costs, record.results)
+        _LiftModel(record.system, costs, base, q, r)
+        for costs, base in zip(record.oriented, record.results)
     ]
     budget = radius**q
     for _ in range(MULTIPLIER_SEARCH_MAX_ITER):

@@ -9,12 +9,14 @@ such that raising some blocker element's cheap costs up to t fits the budget,
 
 Each scenario's empirical bottleneck value and dual witness do not depend on
 the radius, so ``empirical_record`` computes them once (one
-``bottleneck_value`` call per scenario) and every radius of a grid is quoted
-from that record; ``quantify_robust`` is the one-radius case.  The level
-search starts at the exact level of the empirical dual witness and asks the
-minimum-weight blocker oracle for the cheapest lift to the current level,
-moving to that element's exact level while it is higher; it stops on a
-certificate, with the level attained by an explicit blocker element.
+``bottleneck_value`` call per scenario) and holds, per scenario, the costs
+as the solvers see them and the witness's ids sorted by cost with those
+costs; every radius of a grid is quoted from that record, and
+``quantify_robust`` is the one-radius case.  The level search starts at the
+exact level of that sorted witness and asks the minimum-weight blocker
+oracle for the cheapest lift to the current level, moving to that element's
+exact level while it is higher; it stops on a certificate, with the level
+attained by an explicit blocker element.
 A per-element level is closed-form for r in {1, 2} and otherwise a Newton
 root of the convex prefix budget, taken from the right, whose level meets
 the budget as computed.
@@ -346,6 +348,47 @@ def _raise_cost(system, c: np.ndarray, t: float, r: float):
     return min_weight_blocker(system, weights)
 
 
+def _by_cost(c: np.ndarray, element: BlockerElement):
+    """``(element, ids, costs)``: the element's ids in ascending order of
+    cost, ties by id, and those costs, ``_prefix_level``'s input.  The ids
+    whose cost is at most a level are a prefix of ``ids``."""
+    ids = np.array(sorted(element.elements), dtype=np.intp)
+    ids = ids[np.argsort(c[ids], kind="stable")]
+    return element, ids, c[ids]
+
+
+def _start(c: np.ndarray, empirical: BottleneckResult):
+    """``_by_cost`` of the empirical dual witness, which no radius changes;
+    a result whose witness's least cost is not its value is refused."""
+    start = _by_cost(c, empirical.dual_witness)
+    if not len(start[2]) or start[2][0] != empirical.value:
+        raise DomainError("the empirical bottleneck result is not that of these costs")
+    return start
+
+
+def _level_search(system, c: np.ndarray, value: float, start, radius: float, r: float):
+    """One scenario's level search, from the ``_start`` of its empirical
+    bottleneck ``value``: ``(level, witness, raised)``, where ``raised``
+    holds the witness's ids whose cost is at most the level.  Each blocker
+    lift is sorted once, for its level and, if it wins, for ``raised``."""
+    level = value
+    witness, ids, costs = start
+    if radius != 0.0:
+        level = _prefix_level(costs, radius, r)
+        calls = 0
+        while level < value + radius:
+            if calls == LEVEL_SEARCH_MAX_ITER:
+                raise ConvergenceError(f"level search still rising after {calls} blocker calls")
+            calls += 1
+            _, lift = _raise_cost(system, c, level, r)
+            lifted = _by_cost(c, lift)
+            cand = _prefix_level(lifted[2], radius, r)
+            if not cand > level:
+                break
+            level, (witness, ids, costs) = cand, lifted
+    return level, witness, ids[: np.searchsorted(costs, level, side="right")]
+
+
 def robust_scenario_value(
     system: CombinatorialSystem,
     costs,
@@ -356,40 +399,23 @@ def robust_scenario_value(
     """Single-scenario worst-case bottleneck level under an r-norm budget.
 
     ``empirical`` is ``bottleneck_value(system, costs)``, which no radius
-    changes, so a sweep over radii computes it once per scenario; a result
-    whose dual witness's least cost is not its value is refused.  From the
-    exact level of its dual witness, each step asks the minimum-weight
-    blocker oracle for the cheapest lift to the level and moves to that
-    element's exact level while it is higher.  The stop is a certificate: a
-    lift cheaper than radius^r reaches strictly higher, and one costing at
-    least radius^r leaves every blocker element at or below the level, which
-    is attained by the returned witness.  At radius 0 the level is the
-    empirical value itself.
+    changes; a result whose dual witness's least cost is not its value is
+    refused.  From the exact level of its dual witness, each step asks the
+    minimum-weight blocker oracle for the cheapest lift to the level and
+    moves to that element's exact level while it is higher.  The stop is a
+    certificate: a lift cheaper than radius^r reaches strictly higher, and
+    one costing at least radius^r leaves every blocker element at or below
+    the level, which is attained by the returned witness.  At radius 0 the
+    level is the empirical value itself.  The one-scenario case of
+    ``EmpiricalRecord.quote``, which holds each scenario's start.
     """
 
     check_radius(radius)
     r = check_ground_order(ground_order)
     c = system.validated_costs(costs)
-    witness = empirical.dual_witness
-    if float(np.min(c[sorted(witness.elements)])) != empirical.value:
-        raise DomainError("the empirical bottleneck result is not that of these costs")
-    if radius == 0.0:
-        raised = frozenset(j for j in witness.elements if c[j] <= empirical.value)
-        return ScenarioRobustness(empirical.value, witness, raised)
-
-    level = element_level(c, witness.elements, radius, r)
-    calls = 0
-    while level < empirical.value + radius:
-        if calls == LEVEL_SEARCH_MAX_ITER:
-            raise ConvergenceError(f"level search still rising after {calls} blocker calls")
-        calls += 1
-        _, lift = _raise_cost(system, c, level, r)
-        cand = element_level(c, lift.elements, radius, r)
-        if not cand > level:
-            break
-        level, witness = cand, lift
-    raised = frozenset(j for j in witness.elements if c[j] <= level)
-    return ScenarioRobustness(level, witness, raised)
+    start = _start(c, empirical)
+    level, witness, raised = _level_search(system, c, empirical.value, start, radius, r)
+    return ScenarioRobustness(level, witness, frozenset(raised.tolist()))
 
 
 def _oriented(x, sense: str):
@@ -405,18 +431,22 @@ def _oriented(x, sense: str):
 class EmpiricalRecord:
     """Each scenario's empirical bottleneck, which no radius changes.
 
-    ``results[k]`` is ``bottleneck_value`` of scenario k's costs as the
-    solvers see them (negated in the capacity sense), with the dual witness
-    every level search starts from; ``values[k]`` is its value in the
+    ``oriented`` holds the scenario costs as the solvers see them (negated
+    in the capacity sense, read-only) and ``results[k]`` is
+    ``bottleneck_value`` of row k; ``starts[k]`` is its dual witness with the
+    witness's ids sorted by cost and those costs, where every level search
+    of scenario k starts.  ``values[k]`` is the bottleneck value in the
     caller's sense and ``saa`` their mean, summed exactly.  Made once by
     ``empirical_record``; ``quote`` prices one radius from it, so a radius
-    grid computes each bottleneck once.
+    grid computes each bottleneck and sorts each start once.
     """
 
     system: CombinatorialSystem
     scenarios: ScenarioSet
     sense: str
+    oriented: np.ndarray
     results: tuple[BottleneckResult, ...]
+    starts: tuple[tuple[BlockerElement, np.ndarray, np.ndarray], ...]
     values: tuple[float, ...]
     saa: float
 
@@ -428,21 +458,17 @@ class EmpiricalRecord:
         summation, making the value independent of scenario order bit for
         bit.
         """
-        costs = self.scenarios.costs
+        check_radius(config.radius)
+        r = check_ground_order(config.ground_order)
         per: list[ScenarioRobustness] = []
-        support = np.array(costs, dtype=float)
-        for k, empirical in enumerate(self.results):
-            rec = robust_scenario_value(
-                self.system,
-                _oriented(costs[k], self.sense),
-                empirical,
-                config.radius,
-                config.ground_order,
+        support = np.array(self.scenarios.costs, dtype=float)
+        for k, (empirical, start) in enumerate(zip(self.results, self.starts)):
+            level, witness, raised = _level_search(
+                self.system, self.oriented[k], empirical.value, start, config.radius, r
             )
-            level = _oriented(rec.level, self.sense)
-            per.append(ScenarioRobustness(level, rec.witness, rec.raised))
-            if rec.raised:
-                support[k, sorted(rec.raised)] = level
+            level = _oriented(level, self.sense)
+            per.append(ScenarioRobustness(level, witness, frozenset(raised.tolist())))
+            support[k, raised] = level
         value = exact_sum(rec.level for rec in per) / self.scenarios.count
         support.setflags(write=False)
         return RobustQuote(value, tuple(per), support, config, self.sense)
@@ -459,12 +485,13 @@ def empirical_record(
     roles, so the adversary lowers capacities.
     """
     require_matching_width(scenarios, system)
-    results = tuple(
-        bottleneck_value(system, _oriented(row, sense)) for row in scenarios.costs
-    )
+    oriented = _oriented(scenarios.costs, sense)
+    oriented.setflags(write=False)
+    results = tuple(bottleneck_value(system, row) for row in oriented)
+    starts = tuple(_start(row, res) for row, res in zip(oriented, results))
     values = tuple(_oriented(res.value, sense) for res in results)
     saa = exact_sum(values) / scenarios.count
-    return EmpiricalRecord(system, scenarios, sense, results, values, saa)
+    return EmpiricalRecord(system, scenarios, sense, oriented, results, starts, values, saa)
 
 
 def quantify_robust(

@@ -99,18 +99,21 @@ def load_scenarios(path) -> ScenarioSet:
     skips the same empty lines as the ``csv`` reader.  A file it refuses,
     or whose width is not the header's, is read again cell by cell, which
     locates the bad cell: every error, with its row and column, is that of
-    the cell-by-cell read.
+    the cell-by-cell read.  A file that is not UTF-8 text is refused.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        width = _read_header(csv.reader(fh))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a body without rows warns
-                costs = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
-        except Exception:  # any refusal: the cell-by-cell read raises its error
-            costs = None
-    if costs is None or costs.shape[1] != width:
-        return _load_cells(path)
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            width = _read_header(csv.reader(fh))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a body without rows warns
+                    costs = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
+            except Exception:  # any refusal: the cell-by-cell read raises its error
+                costs = None
+        if costs is None or costs.shape[1] != width:
+            return _load_cells(path)
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"scenario file is not UTF-8 text: {exc}") from None
     return ScenarioSet(costs)
 
 

@@ -270,7 +270,7 @@ class PathSystem(_GraphSystem):
         near = cheaper.find(self.s)
         side = frozenset(u for u in range(self.nodes) if cheaper.find(u) == near)
         witness = BlockerElement(frozenset(self._crossing(side)), kind="cut", partition=side)
-        return BottleneckResult(value, self.threshold_witness(c, value), witness)
+        return BottleneckResult(value, self.threshold_witness(cost, value), witness)
 
     def min_member_size(self):
         return len(bfs_path_edges(self.nodes, self.incidence, self.s, self.t))
@@ -928,12 +928,16 @@ _KINDS = {cls.kind: cls for cls in (PathSystem, TreeSystem, AssignmentSystem, Ex
 def system_from_json(payload) -> CombinatorialSystem:
     """Parse an instance from a JSON string, file object, or dict.
 
-    Malformed instances raise :class:`InvalidInstanceError`.
+    Malformed instances, and a file object whose bytes do not decode, raise
+    :class:`InvalidInstanceError`.
     """
     if isinstance(payload, str):
         payload = json.loads(payload)
     elif hasattr(payload, "read"):
-        payload = json.load(payload)
+        try:
+            payload = json.load(payload)
+        except UnicodeDecodeError as exc:
+            raise InvalidInstanceError(f"instance file does not decode as text: {exc}") from None
     if not isinstance(payload, dict) or "type" not in payload:
         raise InvalidInstanceError("instance JSON must be an object with a 'type'")
     kind = payload["type"]

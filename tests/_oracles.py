@@ -23,7 +23,9 @@ budgeted search replaced, and the decision search keyed by exact scores,
 the command line's input and output: the scenario reader of one ``float``
 a cell, ``cellwise_load_scenarios``, that a bulk parse replaced, and the
 writers that streamed each output, ``streamed_csv``, ``streamed_json`` and
-``streamed_save_scenarios``, that one write per output replaced.  Two
+``streamed_save_scenarios``, that one write per output replaced, and the
+per-scenario level search that sorted its witness on every call,
+``reference_scenario_value``, that the record's sorted starts replaced.  Two
 former library functions that only the tests called live here too: the
 top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
 state's completion groups, ``reference_completion_groups``, which each row
@@ -1096,6 +1098,37 @@ def reference_finite_order(system, scenarios, radius: float, order: float, groun
         if f2 < best_val:
             best_lam, best_val = x2, f2
     return best_val, best_lam
+
+
+def reference_scenario_value(system, costs, empirical, radius: float, r: float):
+    """The per-scenario level search that the record's sorted starts
+    replaced: the witness re-sorted by ``element_level`` on every call and
+    every lift, and ``raised`` read cost by cost.  Returns ``(level,
+    witness, raised)``; the iteration cap is the library's."""
+    from drbottleneck import quantify
+
+    c = system.validated_costs(costs)
+    witness = empirical.dual_witness
+    if float(np.min(c[sorted(witness.elements)])) != empirical.value:
+        raise DomainError("the empirical bottleneck result is not that of these costs")
+    if radius == 0.0:
+        raised = frozenset(j for j in witness.elements if c[j] <= empirical.value)
+        return empirical.value, witness, raised
+    level = element_level(c, witness.elements, radius, r)
+    calls = 0
+    while level < empirical.value + radius:
+        if calls == quantify.LEVEL_SEARCH_MAX_ITER:
+            raise ConvergenceError(f"level search still rising after {calls} blocker calls")
+        calls += 1
+        with np.errstate(over="ignore"):
+            weights = np.clip(level - c, 0.0, None) ** r
+        _, lift = min_weight_blocker(system, weights)
+        cand = element_level(c, lift.elements, radius, r)
+        if not cand > level:
+            break
+        level, witness = cand, lift
+    raised = frozenset(j for j in witness.elements if c[j] <= level)
+    return level, witness, raised
 
 
 def _cellwise_header(row: list[str]) -> int:

@@ -13,11 +13,14 @@ from conftest import count_calls
 from drbottleneck import (
     AssignmentSystem,
     ExplicitSystem,
+    MultihopParams,
     PathSystem,
     ScenarioSet,
     TreeSystem,
     bottleneck,
     decide,
+    generate_multihop,
+    quantify,
     save_scenarios,
     system_to_json,
 )
@@ -649,6 +652,29 @@ class TestGridSharesTheEmpiricalWork:
             saa = len(searches) - len(certificates)
             assert (saa, len(families), len(certificates)) == (count, 1, pinned), grid
 
+    def test_multihop_pass_oracle_work(self, tmp_path, monkeypatch):
+        # the three lines of one benchmark pass on its multihop instance (20
+        # nodes, 10 scenarios, an 11-radius capacity grid at r = 1 and 2):
+        # one bottleneck per scenario and line, one element level per
+        # search at a positive radius and per blocker lift, and one blocker
+        # call per lift
+        system, scenarios, _ = generate_multihop(MultihopParams(nodes=20, sample_count=10, seed=7))
+        pair = write_pair(tmp_path, "multihop", system, scenarios.costs)
+        bottlenecks = count_calls(monkeypatch, bottleneck.bottleneck_value)
+        levels = count_calls(monkeypatch, quantify._prefix_level)
+        lifts = count_calls(monkeypatch, quantify._raise_cost)
+        grid = ["--theta-grid", "0,0.02,0.04,0.06,0.08,0.1,0.12,0.14,0.16,0.18,0.2"]
+        for argv in (
+            ["--model", "quantify", *grid, "--r", "1"],
+            ["--model", "calibrate", *grid, "--r", "2"],
+            ["--model", "evaluate"],
+        ):
+            assert run_cli(
+                *argv, "--instance", pair["instance"], "--scenarios", pair["scenarios"],
+                "--sense", "capacity", "--out", str(tmp_path / "m"),
+            ) == 0
+        assert (len(bottlenecks), len(levels), len(lifts)) == (30, 307, 107)
+
 
 # every model that reads an instance, as (line id, argv); --d is read by
 # tv-decide alone
@@ -671,6 +697,10 @@ FUZZ_LINES = {
     "tv-decide": ["--model", "tv-decide", "--d", "0.5"],
     "gamma-decide": ["--model", "gamma-decide"],
     "oracle": ["--model", "oracle"],
+    # the shape's files with a byte 0xe9, which is not UTF-8, written by
+    # ``write_latin1``; a line's own --instance or --scenarios comes last
+    "quantify-latin1-scenarios": ["--model", "quantify", "--scenarios", "latin1.scenarios.csv"],
+    "quantify-latin1-instance": ["--model", "quantify", "--instance", "latin1.instance.json"],
 }
 FUZZ_SYSTEMS = {
     "path": PathSystem(nodes=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3),
@@ -695,6 +725,20 @@ def fuzz_shapes(n, rng):
     }
 
 
+def write_latin1(pair) -> None:
+    """The pair's files with a byte 0xe9 (Latin-1 for "é", not UTF-8), in
+    the working directory: before the first cost cell, and in a new field
+    of the instance JSON."""
+    with open(pair["scenarios"], "rb") as fh:
+        text = fh.read()
+    with open("latin1.scenarios.csv", "wb") as fh:
+        fh.write(text.replace(b"\n", b"\n\xe9", 1))
+    with open(pair["instance"], "rb") as fh:
+        text = fh.read()
+    with open("latin1.instance.json", "wb") as fh:
+        fh.write(text.replace(b"{", b'{"note": "\xe9", ', 1))
+
+
 def all_finite(payload) -> bool:
     if isinstance(payload, float):
         return math.isfinite(payload)
@@ -708,16 +752,18 @@ class TestNoTraceback:
     finite output or a stated refusal, never an escaping exception."""
 
     @pytest.mark.parametrize("kind", FUZZ_SYSTEMS)
-    def test_extreme_costs(self, kind, tmp_path, capsys):
+    def test_extreme_costs(self, kind, tmp_path, capsys, monkeypatch):
         system = FUZZ_SYSTEMS[kind]
         rng = np.random.default_rng(sorted(FUZZ_SYSTEMS).index(kind))
+        monkeypatch.chdir(tmp_path)
         failures = []
         for shape, costs in fuzz_shapes(system.ground.n, rng).items():
             pair = write_pair(tmp_path, shape, system, costs)
+            write_latin1(pair)
             for line, argv in FUZZ_LINES.items():
                 out = str(tmp_path / "out")
-                code = run_cli(*argv, "--instance", pair["instance"],
-                               "--scenarios", pair["scenarios"], "--out", out)
+                code = run_cli("--instance", pair["instance"],
+                               "--scenarios", pair["scenarios"], "--out", out, *argv)
                 err = capsys.readouterr().err.strip().splitlines()
                 if code == 0:
                     if not all_finite(json.load(open(out + ".json"))):
@@ -725,6 +771,19 @@ class TestNoTraceback:
                 elif not (err and err[-1].startswith("error kind=")):
                     failures.append((shape, line, code, err[-1:]))
         assert failures == []
+
+    def test_non_utf8_files_are_refused(self, bridge, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_latin1(bridge)
+        for argv, kind in (
+            (["--scenarios", "latin1.scenarios.csv"], "parse"),
+            (["--instance", "latin1.instance.json"], "invalid-instance"),
+        ):
+            code = run_cli("--model", "quantify", "--instance", bridge["instance"],
+                           "--scenarios", bridge["scenarios"], *argv, "--out", "out")
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 1 and err[-1].startswith(f"error kind={kind}: "), err
+            assert "0xe9" in err[-1]
 
 
 def outputs_less_time(out):

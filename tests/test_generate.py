@@ -263,12 +263,17 @@ class TestBulkLoader:
             # valid files: the bulk parse read every value, bit for bit
             assert outcomes == {"costs"} and cellwise == []
 
-    def test_invalid_utf8_raises_as_before(self, tmp_path):
-        path = tmp_path / "latin1.csv"
-        path.write_bytes(b"0,1\n1.0,2.0\n3.0,\xe94\n")
-        got = _outcome(load_scenarios, path)
-        assert got[0] is UnicodeDecodeError
-        assert got == _outcome(cellwise_load_scenarios, path)
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path):
+        # the frozen reader lets the decoder's error out; the loader refuses
+        # the file, with the decoder's message and no row or column
+        for i, text in enumerate((b"0,1\n1.0,2.0\n3.0,\xe94\n", b"0,\xe9\n1.0,2.0\n")):
+            path = tmp_path / f"latin1-{i}.csv"
+            path.write_bytes(text)
+            got = _outcome(load_scenarios, path)
+            frozen = _outcome(cellwise_load_scenarios, path)
+            assert frozen[0] is UnicodeDecodeError
+            assert got == (ScenarioParseError, f"scenario file is not UTF-8 text: {frozen[1]}",
+                           None, None)
 
     def test_written_files_take_the_bulk_parse(self, tmp_path, monkeypatch):
         cellwise = []

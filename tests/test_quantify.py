@@ -15,6 +15,7 @@ from _oracles import (
     common_level_robust_oracle,
     enumerated_topk_value,
     exact_topk_oracle,
+    reference_scenario_value,
     two_point_mixture_oracle,
 )
 from conftest import count_calls, random_system
@@ -216,14 +217,47 @@ class TestRobustScenarioValue:
         expected = robust_scenario_value(system, costs, bottleneck_value(system, costs), 1.0, r)
         needed = len(calls)
         assert needed > 1
+        record = empirical_record(system, ScenarioSet([costs]))
+        ball = WassersteinBall(1.0, r)
         monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", needed)
         assert robust_scenario_value(
             system, costs, bottleneck_value(system, costs), 1.0, r
         ) == expected
+        assert record.quote(ball).per_scenario == (expected,)
         for cap in (needed - 1, 1):
             monkeypatch.setattr(quantify, "LEVEL_SEARCH_MAX_ITER", cap)
             with pytest.raises(ConvergenceError, match=f"after {cap} blocker calls"):
                 robust_scenario_value(system, costs, bottleneck_value(system, costs), 1.0, r)
+            with pytest.raises(ConvergenceError, match=f"after {cap} blocker calls"):
+                record.quote(ball)
+
+    @pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
+    @pytest.mark.parametrize("sense", ["cost", "capacity"])
+    def test_record_route_is_the_scenario_route(self, kind, sense):
+        # the record's quote, robust_scenario_value and the frozen search
+        # that sorted its witness on every call agree bit for bit: levels,
+        # witnesses, raised sets and the worst-case support
+        rng = np.random.default_rng(sorted(["path", "tree", "assignment", "explicit"]).index(kind))
+        sign = 1.0 if sense == "cost" else -1.0
+        for _ in range(4):
+            system = random_system(rng, kind)
+            n = system.ground.n
+            for costs in (rng.uniform(-5.0, 5.0, (3, n)), rng.integers(-3, 4, (3, n)) / 2.0):
+                scenarios = ScenarioSet(costs)
+                record = empirical_record(system, scenarios, sense)
+                for r, radius in product((1.0, 1.5, 2.0, 3.0), (0.0, 1e-9, 0.7, 3.0, 1e4)):
+                    quote = record.quote(WassersteinBall(radius, r))
+                    support = np.array(costs)
+                    for k, got in enumerate(quote.per_scenario):
+                        c = sign * costs[k]
+                        empirical = bottleneck_value(system, c)
+                        one = robust_scenario_value(system, c, empirical, radius, r)
+                        frozen = reference_scenario_value(system, c, empirical, radius, r)
+                        for want in ((one.level, one.witness, one.raised), frozen):
+                            assert (sign * want[0]).hex() == got.level.hex(), (kind, r, radius)
+                            assert (want[1], want[2]) == (got.witness, got.raised)
+                        support[k, sorted(one.raised)] = got.level
+                    assert quote.worst_case_support.tobytes() == support.tobytes()
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_multihop_level_search_stops_within_three_calls(self, monkeypatch, r):

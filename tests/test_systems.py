@@ -1,5 +1,6 @@
 """Combinatorial system construction, blocker oracles, thresholds."""
 
+import io
 import json
 import math
 import sys
@@ -274,6 +275,13 @@ class TestInstanceJson:
     def test_unknown_type(self):
         with pytest.raises(InvalidInstanceError):
             system_from_json('{"type": "matroid"}')
+
+    def test_undecodable_file_is_invalid(self):
+        # a byte 0xe9 is not UTF-8, read as text or as bytes
+        raw = b'{"type": "assignment", "m": 2, "note": "\xe9"}'
+        for fh in (io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), io.BytesIO(raw)):
+            with pytest.raises(InvalidInstanceError, match="does not decode.*0xe9"):
+                system_from_json(fh)
 
 
 class TestDeepInstances:
