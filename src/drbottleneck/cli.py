@@ -6,8 +6,8 @@ prefix.  Numbers are written with shortest round-trip precision; repeated
 runs of the same configuration produce identical outputs except for the
 wall-time columns.
 
-Exit codes: 0 success, 1 domain or parse errors, 2 scale-guard refusals,
-3 internal invariant violations.
+Exit codes: 0 success, 1 domain or parse errors, 2 scale-guard refusals (a
+size guard or the search budget), 3 internal invariant violations.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="output path prefix")
     parser.add_argument("--force-enumeration", action="store_true",
-                        help="override exact-search scale guards")
+                        help="lift the enumeration size guards and the search budget")
     parser.add_argument("--generator", choices=("multihop", "matching-gaussian"),
                         default="multihop", help="generator for --model simulate")
     parser.add_argument("--nodes", type=int, default=20,

@@ -310,7 +310,7 @@ def _radius_shift(radius: float, k: int, ground_order: float) -> float:
     return k ** ((ground_order - 1.0) / ground_order) * radius
 
 
-def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
+def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float, force: bool = False):
     """Members whose mean score is at most ``threshold``, in no fixed order.
 
     Yields ``(member, values, mean)``.  The block walk prunes on the mean
@@ -339,7 +339,7 @@ def _band(system: CombinatorialSystem, fold: _Maxima, threshold: float):
             cut[unsure] = np.array(_means(fold.values(block[unsure]))) > limit
         return cut
 
-    for members, block in walk_blocks(system, _callback(cuts, False), fold.grow):
+    for members, block in walk_blocks(system, _callback(cuts, False), fold.grow, force):
         values = fold.values(block)
         for member, row, mean in zip(members, values.tolist(), _means(values)):
             if mean <= threshold:
@@ -352,7 +352,7 @@ def _least_variance_in_band(
     """The least population variance among subsets whose mean score is within
     ``shift`` of the sample-average optimum, ties lexicographic."""
     saa_value, _, _ = _minimize(system, fold, _means, force)
-    band = _band(system, fold, saa_value + shift)
+    band = _band(system, fold, saa_value + shift, force)
     keyed = ((exact_variance(v, mean), tuple(sorted(m)), m, v) for m, v, mean in band)
     best = min(keyed, default=None)
     if best is None:
@@ -450,7 +450,7 @@ def indifference_set(
     threshold = base.objective + radius
     members = None
     if materialize:
-        band = _band(system, _Maxima(scenarios.costs), threshold)
+        band = _band(system, _Maxima(scenarios.costs), threshold, force)
         members = tuple(sorted((m for m, _, _ in band), key=lambda m: tuple(sorted(m))))
     return IndifferenceSet(
         threshold=threshold, baseline=base, members=members, scenarios=scenarios

@@ -110,8 +110,9 @@ def check_count(value, name: str, least: int = 1, *, most: float = math.inf,
 
 
 def check_element_ids(elements, n: int) -> list[int]:
-    """``elements`` as a sorted list of ints, once it is a nonempty set of
-    integer ids of the ground set 0..n-1, refused as ``check_count`` would."""
+    """``elements`` as a sorted list of its distinct ints, once it is a
+    nonempty collection of integer ids of the ground set 0..n-1, refused as
+    ``check_count`` would; a repeated id counts once, as in a set."""
     try:
         ids = sorted(elements)
         if type(sum(ids)) is not int:  # a float, NaN or numpy integer is among them
@@ -121,7 +122,7 @@ def check_element_ids(elements, n: int) -> list[int]:
     # a bool adds and sorts as 0 or 1, so it lies among the ids below 2
     if not ids or ids[0] < 0 or ids[-1] >= n or bool in map(type, ids[:bisect_left(ids, 2)]):
         raise DomainError(f"elements must be a nonempty set of ground element ids 0..{n - 1}")
-    return ids
+    return sorted(set(ids))
 
 
 # Every average the package reports is an exact sum over a count.  An exact

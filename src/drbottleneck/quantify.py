@@ -788,7 +788,7 @@ def _generated_level(
         upper = min(upper, level)
         with np.errstate(over="ignore"):  # a lifted cost past the range is refused
             lifted = c + lift
-        # force: the record's own searches passed the scale guard
+        # force: the record's own searches on this system ran within the budget
         value, member = topk_sum_value(system, lifted, k, force=True)
         lower = max(lower, value)
         if value >= level - 1e-12 * (1.0 + abs(level)) or member in members:

@@ -20,15 +20,11 @@ accumulators and their block, whose ``groups()`` are their completion groups
 and ``empty()`` marks those holding no element, and returns one value per
 child, in order.  The root is scored first, as a block of one.
 
-Both size their steps by one byte budget, ``BLOCK_BYTES`` of expansion
-gather, each state costed by ``_state_bytes``, and both need accumulators
-that are arrays with one row per state.  ``minimize_members`` pops states in
-key order, as many a step as fit the budget, expands them a depth at a time
-and scores the children with ``bound_fn``; each heap entry holds its block
-and the block's accumulators.  ``walk_blocks`` expands a block of states a
-step and cuts the children ``prune`` flags; its blocks are filled from a
-pool of waiting states per depth, deepest first, so members come in no
-fixed order.
+Both size their steps by ``BLOCK_BYTES`` of expansion gather and need
+accumulators that are arrays with one row per state.  Both bound their work,
+not the instance's size: one call counts the states it scores, and the block
+that would take it past ``SEARCH_MAX_STATES`` raises ``EnumerationLimitError``
+unless ``force``.  So a refusal comes after the budget's work, not at once.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ._blocks import StateBlock, padded_elements
-from .errors import InvalidInstanceError, InvariantViolationError
+from .errors import EnumerationLimitError, InvalidInstanceError, InvariantViolationError
 from .systems import CombinatorialSystem
 
 Grow = Callable[[Any, Sequence[int], int], Any]
@@ -52,6 +48,13 @@ Grow = Callable[[Any, Sequence[int], int], Any]
 #: about 21, 18 and 16 ms, and the process peaked about 0.3, 0.7 and 1.4 MiB
 #: above the walk of one state a step; an uncapped walk peaked 30 MiB above.
 BLOCK_BYTES = 768 << 10
+
+#: The most states one ``minimize_members`` or ``walk_blocks`` call scores.
+#: It admits the largest searches on the 9x9 benchmark assignment (50
+#: scenarios): 92,188 states best first (top-k, k = 3) and 675,823 in the
+#: band (theta = 2).  A refused band walk has spent about 4 s (4 us a state),
+#: a refused top-k search 30-38 us and 1.7 KB of heap a state.
+SEARCH_MAX_STATES = 1 << 20
 
 
 def _state_bytes(block: StateBlock, accs) -> int:
@@ -74,14 +77,27 @@ def _gathered(states) -> tuple[StateBlock, Any]:
     return blocks[0].join(*blocks[1:]), np.concatenate(accs)
 
 
-def _scored(callback, accs, children: StateBlock):
-    """``callback(accs, children)``, refused unless it scores every child."""
-    scores = callback(accs, children)
-    if len(scores) != len(children):
-        raise InvariantViolationError(
-            f"a search callback scored {len(scores)} of a block of {len(children)} states"
-        )
-    return scores
+def _scorer(callback, force: bool):
+    """``callback`` for one search call, refused unless it scores every child,
+    and before a block that takes the call past ``SEARCH_MAX_STATES`` unless ``force``."""
+    budget, reached = (math.inf if force else SEARCH_MAX_STATES), 0
+
+    def score(accs, children: StateBlock):
+        nonlocal reached
+        reached += len(children)
+        if reached > budget:
+            raise EnumerationLimitError(
+                f"exact search reached {reached} states, past its budget of {budget}; "
+                "pass force=True to lift it"
+            )
+        scores = callback(accs, children)
+        if len(scores) != len(children):
+            raise InvariantViolationError(
+                f"a search callback scored {len(scores)} of a block of {len(children)} states"
+            )
+        return scores
+
+    return score
 
 
 def iter_members(system: CombinatorialSystem) -> Iterator[frozenset[int]]:
@@ -102,6 +118,7 @@ def walk_blocks(
     system: CombinatorialSystem,
     prune: Callable[[Any, StateBlock], Sequence[bool]],
     grow: Grow,
+    force: bool = False,
 ) -> Iterator[tuple[list[frozenset[int]], Any]]:
     """The members below every state ``prune`` keeps, a block at a time.
 
@@ -112,18 +129,19 @@ def walk_blocks(
     member the caller still needs.  The root is scored first, as a block of
     one.  Yields ``(members, accs)`` for the complete children each step
     keeps.  The others wait in a pool per depth, and each step expands as
-    many states of one pool as fit ``BLOCK_BYTES`` of the expansion's gather
-    (``gather_size`` cost columns of an accumulator's size a state; one
-    state at the least): of the deepest pool holding that many, or else of
-    the shallowest, whose expansions fill the deeper pools.  A pool takes
-    the kept states of several expansions, since one expansion's rarely
-    fill a block, and holds at most a block plus one expansion's children,
-    so memory stays bounded.  Members come in no fixed order.
+    many states of one pool as fit ``BLOCK_BYTES`` (``_state_bytes`` a state,
+    one at the least): of the deepest pool holding that many, or else of the
+    shallowest, whose expansions fill the deeper pools.  A pool takes the
+    kept states of several expansions, since one expansion's rarely fill a
+    block, and holds at most a block plus one expansion's children, so
+    memory stays bounded.  Members come in no fixed order.  Past
+    ``SEARCH_MAX_STATES`` scored states it raises, unless ``force``.
     """
+    cuts = _scorer(prune, force)
     pools = {}  # depth: (block, accs) of the kept incomplete states waiting there
 
     def visit(children, accs, depth):
-        kept = np.flatnonzero(~np.asarray(_scored(prune, accs, children), dtype=bool))
+        kept = np.flatnonzero(~np.asarray(cuts(accs, children), dtype=bool))
         complete = children.complete()[kept]
         if complete.any():
             done = kept[complete]
@@ -180,23 +198,23 @@ def minimize_members(
     groups.
 
     One best-first pass pops states in key order, a step at a time.  A step
-    pops as many incomplete states as fit ``BLOCK_BYTES`` of expansion
-    gather, each costed by ``_state_bytes`` (one state at the least),
-    and the complete members ahead of them; only states whose key is at
-    most the limit are popped.  The limit is the champion's value plus a
-    band of 1e-12 relative width, tightened each time the champion improves,
-    and the search stops once no key is within it.  The champion is the
-    smallest ``(value, sorted elements)`` among the complete members popped:
-    with admissible keys, the lexicographically smallest optimal member.
-    The band absorbs rounding that can put a partial set's bound an ulp
-    above a completion's value.  The popped states are expanded a depth at
-    a time, as one block each, whose children are grown from the parents'
-    accumulators with one ``grow`` call and scored with one ``bound_fn``
-    call.  A heap entry holds its block and the block's accumulators, so no
-    popped state rebuilds its own.
+    pops as many incomplete states as fit ``BLOCK_BYTES`` (``_state_bytes``
+    a state, one at the least), and the complete members ahead of them; only
+    states whose key is at most the limit are popped.  The limit is the
+    champion's value plus a band of 1e-12 relative width, tightened each
+    time the champion improves, and the search stops once no key is within
+    it.  The champion is the smallest ``(value, sorted elements)`` among the
+    complete members popped: with admissible keys, the lexicographically
+    smallest optimal member.  The band absorbs rounding that can put a
+    partial set's bound an ulp above a completion's value.  The popped
+    states are expanded a depth at a time, as one block each, whose children
+    are grown from the parents' accumulators with one ``grow`` call and
+    scored with one ``bound_fn`` call.  A heap entry holds its block and the
+    block's accumulators, so no popped state rebuilds its own.  Past
+    ``SEARCH_MAX_STATES`` scored states it raises, unless ``force``.
     """
 
-    system.check_search_guard(force)
+    score = _scorer(bound_fn, force)
     heap = []
     counter = count()
 
@@ -204,7 +222,7 @@ def minimize_members(
         # every entry of a block shares its (block, accs, depth, state cost)
         node = (children, accs, depth, _state_bytes(children, accs))
         complete = children.complete().tolist()
-        for index, value in enumerate(_scored(bound_fn, accs, children)):
+        for index, value in enumerate(score(accs, children)):
             heapq.heappush(heap, (value, next(counter), complete[index], index, node))
 
     root = system.root_block()

@@ -13,7 +13,7 @@ two oracle views used throughout the toolkit,
   h-by-k submatrix with ``|h| + |k| = m + 1``, or an enumerated minimal
   hitting set),
 
-its cardinality facts, its JSON record, its scale guards, and the state
+its cardinality facts, its JSON record, its enumeration guard, and the state
 space that member enumeration and branch and bound search.
 
 All objects are immutable after construction and safe to share between
@@ -56,10 +56,6 @@ ENUM_MAX_GRAPH_NODES = 8
 ENUM_MAX_ASSIGNMENT_SIDE = 4
 ENUM_MAX_EXPLICIT_MEMBERS = 512
 
-#: Guards for bound-pruned search (branch and bound still visits the tree).
-SEARCH_MAX_GRAPH_NODES = 14
-SEARCH_MAX_ASSIGNMENT_SIDE = 9
-
 #: ``check_count`` for instance fields: a bad size or id is a bad instance.
 _instance_count = partial(check_count, error=InvalidInstanceError)
 _element_id = partial(_instance_count, name="element id", least=0)
@@ -91,7 +87,8 @@ class CombinatorialSystem:
     * ``bottleneck(c)`` behind ``bottleneck.bottleneck_value``: one pass on
       validated costs giving the least max-cost, the threshold witness at it
       and a blocker element whose least cost is it;
-    * ``scale`` with the limits and refusals the guards below apply;
+    * ``scale``, past whose ``enum_limit`` ``check_enum_guard`` refuses
+      exhaustive enumeration (the searches bound their own work instead);
     * one search state space, ``root()`` and ``expand(state)`` over states
       ``(elements, complete, payload)``: the elements forced so far, whether
       they form a feasible subset, and what the kind needs to expand further.
@@ -103,9 +100,6 @@ class CombinatorialSystem:
       expands each with ``expand``; an assignment's is array-native, and its
       ``groups()`` let the decision searches look one step ahead.
     """
-
-    search_limit: float = math.inf
-    search_refusal: str = ""
 
     def validated_costs(self, costs) -> np.ndarray:
         c = np.asarray(costs, dtype=float)
@@ -131,10 +125,6 @@ class CombinatorialSystem:
         if not force and self.scale > self.enum_limit:
             raise EnumerationLimitError(self.enum_refusal)
 
-    def check_search_guard(self, force: bool = False) -> None:
-        if not force and self.scale > self.search_limit:
-            raise EnumerationLimitError(self.search_refusal)
-
     def root_block(self) -> StateBlock:
         return StateBlock(self, [self.root()])
 
@@ -148,11 +138,6 @@ class _GraphSystem(CombinatorialSystem):
 
     enum_limit = ENUM_MAX_GRAPH_NODES
     enum_refusal = f"member enumeration limited to {ENUM_MAX_GRAPH_NODES} nodes"
-    search_limit = SEARCH_MAX_GRAPH_NODES
-    search_refusal = (
-        f"exact search limited to {SEARCH_MAX_GRAPH_NODES} nodes; "
-        "pass force=True to override"
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _instance_count(self.nodes, "nodes", 2))
@@ -495,11 +480,6 @@ class AssignmentSystem(CombinatorialSystem):
     kind = "assignment"
     enum_limit = ENUM_MAX_ASSIGNMENT_SIDE
     enum_refusal = f"matching enumeration limited to m <= {ENUM_MAX_ASSIGNMENT_SIDE}"
-    search_limit = SEARCH_MAX_ASSIGNMENT_SIDE
-    search_refusal = (
-        f"exact search limited to m <= {SEARCH_MAX_ASSIGNMENT_SIDE}; "
-        "pass force=True to override"
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "m", _instance_count(self.m, "m"))

@@ -738,7 +738,6 @@ def pruned_members(system, prune=None, *, extend=_union):
 def per_state_minimize(system, bound_fn, force=False, *, grow):
     """``(value, chosen)``: the least ``bound_fn`` value over feasible subsets,
     ties to the lexicographically smallest, popping one state a step."""
-    system.check_search_guard(force)
     blank = system.ground.n
     heap = []
     counter = itertools.count()

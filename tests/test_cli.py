@@ -22,6 +22,7 @@ from drbottleneck import (
     generate_multihop,
     quantify,
     save_scenarios,
+    search,
     system_to_json,
 )
 from drbottleneck import cli
@@ -316,16 +317,20 @@ class TestErrorPaths:
         assert code == 1
         assert f"error kind=domain: {subject} overflows" in capsys.readouterr().err
 
-    def test_scale_guard_exit_code(self, tmp_path, capsys):
+    def test_scale_guard_exit_code(self, tmp_path, capsys, monkeypatch):
+        """The variance-robust band at radius 2 on a 14-node multihop runs past
+        the search budget (millions of states at the full one), so it exits 2;
+        a small budget keeps the test fast."""
+        monkeypatch.setattr(search, "SEARCH_MAX_STATES", 10000)
         gen = tmp_path / "big"
         run_cli(
-            "--model", "simulate", "--generator", "multihop", "--nodes", "17",
-            "--samples", "2", "--seed", "1", "--out", str(gen),
+            "--model", "simulate", "--generator", "multihop", "--nodes", "14",
+            "--samples", "10", "--seed", "7", "--out", str(gen),
         )
         out = tmp_path / "z"
         code = run_cli(
             "--model", "robust-decide", "--instance", str(gen) + ".instance.json",
-            "--scenarios", str(gen) + ".scenarios.csv", "--theta", "0.1",
+            "--scenarios", str(gen) + ".scenarios.csv", "--theta", "2",
             "--out", str(out),
         )
         assert code == 2

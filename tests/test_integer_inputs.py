@@ -50,6 +50,7 @@ from drbottleneck import (
     topk_sum_value,
     topk_variance_robust_decision,
 )
+from drbottleneck.errors import check_element_ids
 
 ASSIGN = AssignmentSystem(m=2)
 SCEN = ScenarioSet(np.array([[1.0, 4.0, 3.0, 2.0], [2.0, 1.0, 5.0, 3.0], [3.0, 3.0, 1.0, 4.0],
@@ -205,3 +206,12 @@ def test_non_integers_refused(pair, bad):
 def test_numpy_integers_match_python_ints(pair):
     case = CASES[pair]
     assert repr(case.call(np.int64(case.valid))) == repr(case.call(case.valid))
+
+
+def test_repeated_element_ids_count_once():
+    """A repeated id is one element, as in a set: ``[0, 0]`` lifts element 0
+    once, to the level that ``[0]`` gives, where counting it twice gave 1.5."""
+    costs = [1.0, 2.0, 3.0]
+    assert element_level(costs, [0, 0], 1.0) == element_level(costs, [0], 1.0) == 2.0
+    assert element_level(costs, [1, 0, 1], 1.0) == element_level(costs, {0, 1}, 1.0)
+    assert check_element_ids([2, 0, 2, np.int64(1), 0], 3) == [0, 1, 2]

@@ -922,8 +922,8 @@ class TestStructureConstant:
         assert structure_constant(AssignmentSystem(m=3), 1.0) == 4.0
         assert structure_constant(AssignmentSystem(m=3), 2.0) == pytest.approx(2.0)
 
-    def test_enumeration_guards(self):
-        from drbottleneck import EnumerationLimitError, enumerate_members
+    def test_enumeration_guards(self, monkeypatch):
+        from drbottleneck import EnumerationLimitError, enumerate_members, search
 
         big = ExplicitSystem(
             members=tuple(frozenset({0, i}) for i in range(1, 600)), n=600
@@ -936,9 +936,12 @@ class TestStructureConstant:
         chain = PathSystem(
             nodes=16, edges=tuple((i, i + 1) for i in range(15)), s=0, t=15
         )
-        with pytest.raises(EnumerationLimitError):
-            chain.check_search_guard()
-        chain.check_search_guard(force=True)
+        # the chain's one path is 16 states deep; a budget of 8 refuses the 9th
+        scenarios = ScenarioSet(np.ones((2, 15)))
+        monkeypatch.setattr(search, "SEARCH_MAX_STATES", 8)
+        with pytest.raises(EnumerationLimitError, match="reached 9 states, past its budget of 8"):
+            saa_decision(chain, scenarios)
+        assert saa_decision(chain, scenarios, force=True).chosen == frozenset(range(15))
 
 
 class TestConcurrentUse:

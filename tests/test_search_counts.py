@@ -15,7 +15,10 @@ Layer tracing wraps the same arguments, so its counters count blocks.  On
 the benchmark's 9x9 assignment the rows summed exactly are pinned too, with
 the children and calls of both callbacks.  So is the work of top-k
 quantification's member generation on the benchmark's bridge: the family
-levels it solves and the certificate searches it runs.
+levels it solves and the certificate searches it runs.  And so is the work
+each search call is allowed: ``search.SEARCH_MAX_STATES`` scored states,
+past which the 9x9's searches refuse at a patched budget, and within which
+the paper's 20-node multihop decisions are answered.
 """
 
 import math
@@ -26,11 +29,14 @@ import pytest
 from conftest import count_calls
 from drbottleneck import (
     AssignmentSystem,
+    EnumerationLimitError,
     ExplicitSystem,
+    MultihopParams,
     PathSystem,
     ScenarioSet,
     TreeSystem,
     decide,
+    generate_multihop,
     quantify,
     quantify_topk,
     saa_decision,
@@ -235,3 +241,63 @@ def test_topk_generation_work_on_the_bridge_grid(monkeypatch, r):
     for radius in grid:
         assert quantify_topk(record, radius, r).exact is not None
     assert (len(levels), len(searches)) == pinned
+
+
+# (budget, the states reached when refused, the forced report's chosen set,
+# objective, mean and variance) on the 9x9: the SAA search of 1,889 states,
+# and the variance-robust band at radius 0.5, of 12,942 after its SAA search
+NINE_BY_NINE_BUDGET = {
+    "saa": (1000, 1041, ([7, 12, 19, 35, 42, 45, 59, 67, 74], "0x1.0f7b1a03475f7p+5",
+                         "0x1.0f7b1a03475f7p+5", "0x1.d7e34108452afp+0")),
+    "max": (4000, 4023, ([7, 12, 19, 29, 42, 45, 59, 67, 80], "0x1.59903fa4382c3p+0",
+                         "0x1.10671c8b3cffcp+5", "0x1.59903fa4382c3p+0")),
+}
+FORCED = {
+    "saa": lambda system, scenarios: saa_decision(system, scenarios, force=True),
+    "max": lambda system, scenarios: variance_robust_decision(system, scenarios, 0.5, force=True),
+}
+
+
+@pytest.mark.parametrize("model", sorted(NINE_BY_NINE_BUDGET))
+def test_budget_refuses_past_its_states(monkeypatch, model):
+    """A search that would score more than the budget's states refuses, with
+    the count it reached; ``force`` lifts the budget and gives the report."""
+    budget, reached, pinned = NINE_BY_NINE_BUDGET[model]
+    monkeypatch.setattr(search, "SEARCH_MAX_STATES", budget)
+    with pytest.raises(EnumerationLimitError) as refused:
+        MODELS[model](*_decide_instance())
+    assert str(refused.value) == (
+        f"exact search reached {reached} states, past its budget of {budget}; "
+        "pass force=True to lift it"
+    )
+    report = FORCED[model](*_decide_instance())
+    key = sorted(report.chosen), report.objective.hex(), report.mean.hex(), report.variance.hex()
+    assert key == pinned
+
+
+# (children scored, callback calls, the report's chosen set and objective) of
+# three models on the paper's 20-node multihop network (seed 7) at 10 and 100
+# scenarios, answered within the budget: the same reports the size guard
+# refused, and gave with force
+MULTIHOP = {
+    (10, "saa"): (338, 4, [18, 26, 144], "0x1.7cb7e61db100ep+1"),
+    (10, "max"): (703, 9, [18, 26, 144], "0x1.8985f8c96bdb8p-1"),
+    (10, "tv"): (270, 4, [18, 26, 144], "0x1.cd1a42d7aedd6p+1"),
+    (100, "saa"): (233, 7, [8, 26], "0x1.86e66e649b366p+1"),
+    (100, "max"): (517, 13, [8, 26], "0x1.a1aaefe9903f2p-1"),
+    (100, "tv"): (160, 5, [8, 26], "0x1.ed8b66952779cp+1"),
+}
+MULTIHOP_MODELS = {
+    "saa": saa_decision,
+    "max": lambda system, scenarios: variance_robust_decision(system, scenarios, 0.1),
+    "tv": lambda system, scenarios: tv_robust_decision(system, scenarios, 0.5),
+}
+
+
+@pytest.mark.parametrize("samples, model", sorted(MULTIHOP))
+def test_multihop_decisions_within_the_budget(traced, samples, model):
+    children, calls, chosen, objective = MULTIHOP[samples, model]
+    system, scenarios, _ = generate_multihop(MultihopParams(nodes=20, sample_count=samples, seed=7))
+    report = MULTIHOP_MODELS[model](system, scenarios)
+    assert (sorted(report.chosen), report.objective.hex()) == (chosen, objective)
+    assert (len(traced["bounds"]) + traced["prune"], traced["calls"]) == (children, calls)
