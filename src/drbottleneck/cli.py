@@ -4,7 +4,9 @@ One run executes one model over an instance/scenario pair (or a generator)
 and writes a results CSV plus a JSON summary next to the requested output
 prefix.  Numbers are written with shortest round-trip precision; repeated
 runs of the same configuration produce identical outputs except for the
-wall-time columns.
+wall-time columns.  Each output is built in memory and rewritten in place by
+``scenarios.write_in_place``: an existing file keeps its inode and is written
+over, not truncated to zero first, and nothing is fsynced.
 
 Exit codes: 0 success, 1 domain or parse errors, 2 scale-guard refusals (a
 size guard or the search budget), 3 internal invariant violations.
@@ -43,6 +45,7 @@ from .errors import (
     InvalidInstanceError,
     InvariantViolationError,
     ScenarioParseError,
+    check_count,
     saturating_sum,
 )
 from .generate import (
@@ -58,7 +61,7 @@ from .quantify import (
     quantify_topk,
     topk_record,
 )
-from .scenarios import load_scenarios, require_matching_width, save_scenarios
+from .scenarios import load_scenarios, require_matching_width, save_scenarios, write_in_place
 from .search import enumerate_members
 from .systems import (
     AssignmentSystem,
@@ -150,18 +153,12 @@ def _num(x) -> str:
     return repr(float(x))
 
 
-def _write(path, text: str, newline: str | None = None) -> None:
-    """Write an output built in memory with one call."""
-    with open(path, "w", newline=newline, encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_csv(path, header, rows) -> None:
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(header)
     writer.writerows([_num(v) if isinstance(v, float) else v for v in row] for row in rows)
-    _write(path, text.getvalue(), newline="")
+    write_in_place(path, text.getvalue(), newline="")
 
 
 def _json_text(payload) -> str:
@@ -169,7 +166,7 @@ def _json_text(payload) -> str:
 
 
 def _write_json(path, payload) -> None:
-    _write(path, _json_text({"schema_version": JSON_SCHEMA_VERSION, **payload}))
+    write_in_place(path, _json_text({"schema_version": JSON_SCHEMA_VERSION, **payload}))
 
 
 def _load_pair(args):
@@ -313,8 +310,8 @@ def _simulate(args):
         )
         system, scenarios, metadata = generate_multihop(params)
     else:
-        side = args.side
-        rng = np.random.default_rng(args.seed)
+        side = check_count(args.side, "side")
+        rng = np.random.default_rng(check_count(args.seed, "seed", 0))
         means = tuple(rng.uniform(20.0, 60.0, size=side * side))
         stds = tuple(rng.uniform(1.0, 5.0, size=side * side))
         params = TruncatedGaussianParams(
@@ -322,7 +319,7 @@ def _simulate(args):
             sample_count=args.samples, seed=args.seed + 1,
         )
         system, scenarios, metadata = generate_matching_gaussian(params)
-    _write(args.out + ".instance.json", _json_text(system_to_json(system)))
+    write_in_place(args.out + ".instance.json", _json_text(system_to_json(system)))
     save_scenarios(args.out + ".scenarios.csv", scenarios)
     _write_json(args.out + ".meta.json", metadata)
 
@@ -330,7 +327,7 @@ def _simulate(args):
 def _oracle(args):
     """Cross-check the fast oracles against enumeration on the instance."""
     system, scenarios = _load_pair(args)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_count(args.seed, "seed", 0))
     n = system.ground.n
     members = enumerate_members(system, force=args.force_enumeration)
     clutter = antichain_reduce(members)

@@ -1,15 +1,19 @@
-"""Empirical scenario sets and their CSV persistence.
+"""Empirical scenario sets and their CSV persistence, and the package's one
+file writer.
 
 A scenario set holds N observed cost vectors over the ground elements.  The
 CSV layout is one header row of element ids (0..n-1) followed by one row per
 scenario; floats are written with shortest round-trip precision so that
-save followed by load is the identity.
+save followed by load is the identity.  Every file the package writes, the
+scenario CSV and the command line's outputs, goes through ``write_in_place``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -53,14 +57,35 @@ def require_matching_width(scenarios: ScenarioSet, system: CombinatorialSystem) 
         )
 
 
+def write_in_place(path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in one call, in place.
+
+    An existing file is written over from its start, then truncated at the
+    written length if it was longer, so it keeps its inode and permissions
+    and is never truncated to zero first, which on ext4 costs several times
+    the write.  A new file is created with mode 0o666 less the umask, as by
+    ``open``.  Only a regular file is truncated: ``/dev/null`` and other
+    devices refuse ``ftruncate``.  ``newline`` is ``open``'s.  Nothing is
+    fsynced, and a write that fails part way leaves a damaged file, as
+    ``open(path, "w")`` does; here the old bytes past the new ones may
+    remain.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline=newline, encoding="utf-8") as fh:
+        old = os.fstat(fd)
+        fh.write(text)
+        if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():
+            fh.truncate()
+
+
 def save_scenarios(path, scenarios: ScenarioSet) -> None:
-    """Write a scenario CSV file, built in memory and written in one call."""
+    """Write a scenario CSV file, built in memory and rewritten in place in
+    one call by ``write_in_place``."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(range(scenarios.width))
     writer.writerows([repr(x) for x in row] for row in scenarios.costs.tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text.getvalue())
+    write_in_place(path, text.getvalue(), newline="")
 
 
 def _parse_header(row: list[str]) -> int:

@@ -1,9 +1,12 @@
 """Command-line pipelines: outputs, determinism, exit codes."""
 
 import argparse
+import ast
 import csv
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from drbottleneck import (
 )
 from drbottleneck import cli
 from drbottleneck.cli import main
-from drbottleneck.scenarios import load_scenarios
+from drbottleneck.scenarios import load_scenarios, write_in_place
 
 
 def run_cli(*argv):
@@ -71,6 +74,22 @@ class TestSimulate:
         ) == 0
         instance = json.load(open(str(out) + ".instance.json"))
         assert instance == {"type": "assignment", "m": 3}
+
+    @pytest.mark.parametrize("option, value, least", [
+        ("side", "-2", 1),  # squared, -2 would pass as a count of 4 cells
+        ("side", "0", 1),
+        ("seed", "-1", 0),  # numpy's generator refuses it with a ValueError
+    ])
+    def test_matching_generator_counts(self, option, value, least, tmp_path, capsys):
+        counts = {"side": "3", "seed": "2", option: value}
+        assert run_cli(
+            "--model", "simulate", "--generator", "matching-gaussian", "--samples", "5",
+            "--side", counts["side"], "--seed", counts["seed"], "--out", str(tmp_path / "m"),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error kind=domain: {option} must be an integer of at least "
+                       f"{least}, got {value}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestQuantify:
@@ -234,6 +253,16 @@ class TestOracleModel:
         )
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_negative_seed_refused(self, tree, tmp_path, capsys):
+        # numpy's generator refuses it with a ValueError
+        assert run_cli(
+            "--model", "oracle", "--instance", tree["instance"],
+            "--scenarios", tree["scenarios"], "--seed", "-1", "--out", str(tmp_path / "o"),
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error kind=domain: seed must be an integer of at least 0, got -1\n")
+        assert not (tmp_path / "o.csv").exists()
 
 
 # Scenario costs on the explicit system {0}, {1} whose reported averages
@@ -874,3 +903,128 @@ class TestOutputBytes:
     def test_simulate_instance_json_bytes(self, generated):
         text = open(generated["instance"], encoding="utf-8").read()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def writing_opens(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call in ``source`` that opens a
+    file for writing: ``open``, ``io.open``, ``os.fdopen`` or a ``.open``
+    method with a mode holding w, a, x or + (or a mode that is not a
+    literal), ``os.open`` with a write flag, or a pathlib or numpy writer."""
+    write_flags = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+    writers = {"write_text", "write_bytes", "savetxt", "tofile"}
+
+    def writes(call):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if name in writers:
+            return True
+        if name not in ("open", "fdopen"):
+            return False
+        keywords = {kw.arg: kw.value for kw in call.keywords}
+        if owner == "os" and name == "open":
+            flags = call.args[1] if len(call.args) > 1 else keywords.get("flags")
+            return any(getattr(node, "id", getattr(node, "attr", None)) in write_flags
+                       for node in ast.walk(flags))
+        at = 1 if isinstance(func, ast.Name) or owner in ("io", "os", "codecs") else 0
+        mode = call.args[at] if len(call.args) > at else keywords.get("mode")
+        if mode is None:
+            return False
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True
+        return any(c in mode.value for c in "wax+")
+
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call) and writes(child):
+                found.append((inner, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestWriteInPlace:
+    """Every output is rewritten in place by ``scenarios.write_in_place``:
+    the same file, its old bytes written over and the tail cut, never
+    truncated to zero first."""
+
+    def quantify(self, pair, out, grid):
+        return run_cli("--model", "quantify", "--instance", pair["instance"],
+                       "--scenarios", pair["scenarios"], "--theta-grid", grid, "--out", out)
+
+    def test_shorter_rerun_leaves_no_stale_tail(self, bridge, tmp_path):
+        out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+        assert self.quantify(bridge, out, ",".join(str(i / 10) for i in range(11))) == 0
+        long_sizes = [os.path.getsize(out + ext) for ext in (".csv", ".json")]
+        assert self.quantify(bridge, out, "0.5") == 0
+        assert self.quantify(bridge, fresh, "0.5") == 0
+        assert outputs_less_time(out) == outputs_less_time(fresh)
+        assert len(read_csv(out + ".csv")) == 2
+        short_sizes = [os.path.getsize(out + ext) for ext in (".csv", ".json")]
+        assert all(short < long for short, long in zip(short_sizes, long_sizes))
+
+    def test_rerun_keeps_each_file(self, bridge, tmp_path):
+        out = str(tmp_path / "out")
+        assert self.quantify(bridge, out, "0,0.5,1") == 0
+        os.chmod(out + ".csv", 0o600)
+        before = [os.stat(out + ext) for ext in (".csv", ".json")]
+        assert self.quantify(bridge, out, "0") == 0
+        after = [os.stat(out + ext) for ext in (".csv", ".json")]
+        assert [s.st_ino for s in after] == [s.st_ino for s in before]
+        assert [s.st_mode for s in after] == [s.st_mode for s in before]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            write_in_place(tmp_path / "new.txt", "x\n")
+        finally:
+            os.umask(mask)
+        assert os.stat(tmp_path / "new.txt").st_mode & 0o777 == 0o640
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_outputs_linked_to_dev_null(self, bridge, tmp_path):
+        # ftruncate on a character device fails with EINVAL
+        out = str(tmp_path / "out")
+        for ext in (".csv", ".json"):
+            os.symlink("/dev/null", out + ext)
+        assert self.quantify(bridge, out, "0,0.5,1") == 0
+        assert all(os.path.islink(out + ext) for ext in (".csv", ".json"))
+
+    def test_save_scenarios_over_a_longer_file(self, tmp_path):
+        path = str(tmp_path / "s.csv")
+        rng = np.random.default_rng(3)
+        save_scenarios(path, ScenarioSet(rng.uniform(0.0, 10.0, size=(20, 6))))
+        short = ScenarioSet(rng.uniform(0.0, 10.0, size=(2, 3)))
+        save_scenarios(path, short)
+        assert np.array_equal(load_scenarios(path).costs, short.costs)
+
+    def test_missing_output_directory(self, bridge, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out")
+        assert self.quantify(bridge, out, "0") == 1
+        assert capsys.readouterr().err.startswith("error kind=io: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_detector_finds_writing_opens(self):
+        source = """
+import io, os
+def reads(p):
+    open(p); open(p, "rb"); io.open(p, mode="r"); os.open(p, os.O_RDONLY); Path(p).open()
+def writes(p, m):
+    open(p, "w"); io.open(p, mode="ab"); open(p, "r+"); open(p, m); Path(p).open("x")
+    os.open(p, os.O_WRONLY | os.O_CREAT); os.fdopen(3, "w"); Path(p).write_text("")
+    np.savetxt(p, [])
+"""
+        found = writing_opens(source)
+        assert {where for where, _ in found} == {"writes"}
+        assert len(found) == 9
+
+    def test_only_the_writer_opens_files_for_writing(self):
+        package = Path(cli.__file__).parent
+        sites = {(path.name, where)
+                 for path in sorted(package.glob("*.py"))
+                 for where, _ in writing_opens(path.read_text(encoding="utf-8"))}
+        assert sites == {("scenarios.py", "write_in_place")}
