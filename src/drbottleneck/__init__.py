@@ -4,14 +4,12 @@ Exact solvers and statistical calibration for min-max (bottleneck) and
 top-k-sum combinatorial problems whose cost vectors are known only through
 empirical scenarios, with Wasserstein and total-variation ambiguity sets,
 built-in combinatorial oracles (minimum cuts, matchings, blocker
-enumeration), reproducible scenario generators, and brute-force
-verification helpers.
+enumeration) and reproducible scenario generators.
 """
 
 from .bottleneck import (
     BottleneckResult,
     bottleneck_value,
-    dual_bottleneck_value,
     topk_blocker_enumerate,
     topk_sum_value,
 )

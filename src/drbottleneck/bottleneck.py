@@ -2,17 +2,15 @@
 
 The bottleneck value of a cost vector is the least possible maximum element
 cost over feasible subsets.  Its dual form maximizes, over blocker elements,
-the minimum element cost; the primal comes with a dual witness, and the dual
-has its own threshold search through the blocker oracle, so each can certify
-the other.  The top-k generalization scores a subset by the sum
-of its k largest costs.
+the minimum element cost.  Every evaluation certifies both: it returns a
+member whose largest cost is the value and a blocker element, meeting every
+member, whose least cost is the value.  The top-k generalization scores a
+subset by the sum of its k largest costs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import numpy as np
 
 from .decide import _means, _minimize, _TopK
 from .errors import EnumerationLimitError, check_count
@@ -21,7 +19,6 @@ from .systems import (
     Clutter,
     CombinatorialSystem,
     min_member_size,
-    min_weight_blocker,
     minimal_transversals,
 )
 
@@ -42,34 +39,6 @@ def bottleneck_value(system: CombinatorialSystem, costs) -> BottleneckResult:
     """
 
     return system.bottleneck(system.validated_costs(costs))
-
-
-def dual_bottleneck_value(system: CombinatorialSystem, costs) -> float:
-    """Max over blocker elements of their minimum cost.
-
-    Computed by bisecting the distinct costs with the minimum-weight blocker
-    oracle (a level is attainable iff some blocker element avoids every
-    cheaper element), which keeps the route independent of the primal
-    threshold search.
-    """
-
-    c = system.validated_costs(costs)
-    levels = np.unique(c)
-
-    def attainable(level: float) -> bool:
-        weights = (c < level).astype(float)
-        value, _ = min_weight_blocker(system, weights)
-        return value == 0.0
-
-    lo, hi = 0, len(levels) - 1
-    # the smallest cost is always attainable; find the largest one that is
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if attainable(levels[mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return float(levels[lo])
 
 
 def topk_sum_value(

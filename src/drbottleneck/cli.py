@@ -8,8 +8,13 @@ wall-time columns.  Each output is built in memory and rewritten in place by
 ``scenarios.write_in_place``: an existing file keeps its inode and is written
 over, not truncated to zero first, and nothing is fsynced.
 
-Exit codes: 0 success, 1 domain or parse errors, 2 scale-guard refusals (a
-size guard or the search budget), 3 internal invariant violations.
+Exit codes: 0 success, 1 domain or parse errors, 2 scale-guard refusals, 3
+internal invariant violations.  A refusal is an exact search past the search
+budget, or a blocker oracle past its size limit: an assignment side above
+``ASSIGNMENT_BLOCKER_LIMIT``, or an explicit system's blocker enumeration
+past ``BLOCKER_ENUMERATION_LIMIT`` elements or ``TRANSVERSAL_MAX_CANDIDATES``
+candidates a step.  ``--force-enumeration`` lifts the search budget and the
+member-enumeration guard of the top-k union size, never a blocker limit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .bottleneck import bottleneck_value, dual_bottleneck_value
 from .calibrate import asymptotic_ci, smallest_radius_in_band
 from .decide import (
     _shifted,
@@ -46,7 +50,7 @@ from .errors import (
     InvariantViolationError,
     ScenarioParseError,
     check_count,
-    saturating_sum,
+    check_transport_order,
 )
 from .generate import (
     MultihopParams,
@@ -62,16 +66,7 @@ from .quantify import (
     topk_record,
 )
 from .scenarios import load_scenarios, require_matching_width, save_scenarios, write_in_place
-from .search import enumerate_members
-from .systems import (
-    AssignmentSystem,
-    antichain_reduce,
-    blocker_enumerate,
-    feasible_at_threshold,
-    min_weight_blocker,
-    system_from_json,
-    system_to_json,
-)
+from .systems import AssignmentSystem, system_from_json, system_to_json
 
 JSON_SCHEMA_VERSION = 1
 
@@ -111,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="output path prefix")
     parser.add_argument("--force-enumeration", action="store_true",
-                        help="lift the enumeration size guards and the search budget")
+                        help="lift the search budget and the member-enumeration guard; "
+                             "the blocker oracles' size limits stay")
     parser.add_argument("--generator", choices=("multihop", "matching-gaussian"),
                         default="multihop", help="generator for --model simulate")
     parser.add_argument("--nodes", type=int, default=20,
@@ -134,7 +130,9 @@ def _reject_nan(args) -> None:
 
 
 def _radius_grid(args) -> list[float]:
-    if args.theta_grid:
+    if args.theta_grid is not None:
+        if not args.theta_grid:
+            raise DomainError("--theta-grid needs at least one radius")
         if args.theta_grid != sorted(args.theta_grid):
             raise DomainError("--theta-grid must be sorted ascending")
         return args.theta_grid
@@ -324,65 +322,6 @@ def _simulate(args):
     _write_json(args.out + ".meta.json", metadata)
 
 
-def _oracle(args):
-    """Cross-check the fast oracles against enumeration on the instance."""
-    system, scenarios = _load_pair(args)
-    rng = np.random.default_rng(check_count(args.seed, "seed", 0))
-    n = system.ground.n
-    members = enumerate_members(system, force=args.force_enumeration)
-    clutter = antichain_reduce(members)
-    blocker = blocker_enumerate(clutter)
-    checks = 0
-    for _ in range(50):
-        costs = rng.uniform(0.0, 10.0, size=n)
-        result = bottleneck_value(system, costs)
-        primal = result.value
-        brute_primal = min(max(costs[j] for j in m) for m in members)
-        dual = dual_bottleneck_value(system, costs)
-        brute_dual = max(min(costs[j] for j in b.elements) for b in blocker)
-        if not (primal == brute_primal == dual == brute_dual):
-            raise InvariantViolationError(
-                f"bottleneck oracle mismatch: {primal} {brute_primal} {dual} {brute_dual}"
-            )
-        checks += 1
-        # the certificates: a member whose largest cost is the value, and a
-        # blocker element, meeting every member, whose least cost is the value
-        member, witness = result.argmin_subset, result.dual_witness.elements
-        top = max(costs[j] for j in member)
-        low = min(costs[j] for j in witness)
-        if not (top == primal == low):
-            raise InvariantViolationError(
-                f"bottleneck certificate mismatch: member max {top}, value {primal}, "
-                f"witness min {low}"
-            )
-        if member not in members or not all(m & witness for m in members):
-            raise InvariantViolationError(
-                "bottleneck certificates are not a member and a blocker element"
-            )
-        checks += 1
-        weights = rng.uniform(0.0, 1.0, size=n)
-        fast, _ = min_weight_blocker(system, weights)
-        brute = min(saturating_sum(weights[j] for j in sorted(b.elements)) for b in blocker)
-        if abs(fast - brute) > 1e-9:
-            raise InvariantViolationError(
-                f"min-weight blocker mismatch: {fast} vs {brute}"
-            )
-        checks += 1
-        t = float(rng.uniform(0.0, 10.0))
-        feasible = feasible_at_threshold(system, costs, t)
-        brute_feasible = any(all(costs[j] <= t for j in m) for m in members)
-        if feasible != brute_feasible:
-            raise InvariantViolationError("threshold feasibility mismatch")
-        checks += 1
-    print(f"all checks passed ({checks} comparisons, "
-          f"{len(members)} members, {len(blocker)} blocker elements)")
-    _write_csv(args.out + ".csv", ["theta", "value", "time_sec"],
-               [(0.0, float(checks), 0.0)])
-    _write_json(args.out + ".json", {"model": args.model, "comparisons": checks,
-                                     "members": len(members),
-                                     "blocker_elements": len(blocker)})
-
-
 MODELS = {
     "quantify": _GridModel(
         _quantify_point,
@@ -452,7 +391,6 @@ MODELS = {
         columns=("ci_lower", "ci_upper"),
         summary=lambda args, _, grid, records: {"sense": args.sense, **records[0]},
     ),
-    "oracle": _oracle,
 }
 
 
@@ -460,6 +398,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _reject_nan(args)
+        check_transport_order(args.q)
         MODELS[args.model](args)
     except (DomainError, InvalidInstanceError, ScenarioParseError, ConvergenceError,
             OSError, json.JSONDecodeError) as exc:

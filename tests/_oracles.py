@@ -25,9 +25,10 @@ a cell, ``cellwise_load_scenarios``, that a bulk parse replaced, and the
 writers that streamed each output, ``streamed_csv``, ``streamed_json`` and
 ``streamed_save_scenarios``, that one write per output replaced, and the
 per-scenario level search that sorted its witness on every call,
-``reference_scenario_value``, that the record's sorted starts replaced.  Two
+``reference_scenario_value``, that the record's sorted starts replaced.  Three
 former library functions that only the tests called live here too: the
-top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
+bottleneck's dual by bisection on the blocker oracle, ``dual_bottleneck_value``,
+the top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
 state's completion groups, ``reference_completion_groups``, which each row
 of a block's ``groups()`` must equal.
 """
@@ -159,6 +160,34 @@ def brute_topk(members, costs, k: int) -> float:
         vals = sorted((costs[j] for j in m), reverse=True)
         best = min(best, math.fsum(vals[:k]))
     return best
+
+
+def dual_bottleneck_value(system, costs) -> float:
+    """Max over blocker elements of their minimum cost.
+
+    Computed by bisecting the distinct costs with the minimum-weight blocker
+    oracle (a level is attainable iff some blocker element avoids every
+    cheaper element), which keeps the route independent of the primal
+    threshold search.
+    """
+
+    c = system.validated_costs(costs)
+    levels = np.unique(c)
+
+    def attainable(level: float) -> bool:
+        weights = (c < level).astype(float)
+        value, _ = min_weight_blocker(system, weights)
+        return value == 0.0
+
+    lo, hi = 0, len(levels) - 1
+    # the smallest cost is always attainable; find the largest one that is
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if attainable(levels[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return float(levels[lo])
 
 
 def dual_topk_sum_value(system, costs, k: int) -> float:

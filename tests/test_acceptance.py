@@ -11,6 +11,7 @@ from _oracles import (
     brute_members,
     brute_minimal_hitting_sets,
     common_level_robust_oracle,
+    dual_bottleneck_value,
     exact_topk_oracle,
     two_point_mixture_oracle,
 )
@@ -33,7 +34,6 @@ from drbottleneck import (
     check_gap_bounds,
     coverage_experiment,
     decision_worst_case_distribution,
-    dual_bottleneck_value,
     element_level,
     empirical_record,
     generate_multihop,

@@ -11,6 +11,7 @@ from _oracles import (
     brute_members,
     brute_minimal_hitting_sets,
     brute_topk,
+    dual_bottleneck_value,
     dual_topk_sum_value,
 )
 from conftest import dyadic_costs, random_system
@@ -25,7 +26,6 @@ from drbottleneck import (
     TreeSystem,
     antichain_reduce,
     bottleneck_value,
-    dual_bottleneck_value,
     enumerate_members,
     quantify_topk,
     topk_blocker_enumerate,
@@ -69,6 +69,25 @@ class TestBottleneckValue:
                 res.argmin_subset in members
             )
             assert max(costs[j] for j in res.argmin_subset) == res.value
+
+    @pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
+    def test_certificates_match_enumeration(self, kind):
+        """The value is the enumerated primal; the member is a feasible subset
+        whose largest cost is the value, and the witness meets every member
+        and has the value as its least cost.  Odd draws have integer ties."""
+        rng = np.random.default_rng(zlib.crc32(("certificates-" + kind).encode()))
+        for i in range(50):
+            system = random_system(rng, kind)
+            n = system.ground.n
+            costs = rng.integers(0, 4, size=n).astype(float) if i % 2 else rng.uniform(0, 10, n)
+            res = bottleneck_value(system, costs)
+            members = brute_members(system)
+            witness = res.dual_witness.elements
+            assert res.value == brute_bottleneck(members, costs)
+            assert res.argmin_subset in members
+            assert max(costs[j] for j in res.argmin_subset) == res.value
+            assert min(costs[j] for j in witness) == res.value
+            assert all(witness & m for m in members)
 
     def test_monotone_in_costs(self):
         rng = np.random.default_rng(7)

@@ -3,9 +3,11 @@
 import argparse
 import ast
 import csv
+import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -242,29 +244,6 @@ def explicit(tmp_path):
     return write_pair(tmp_path, "explicit", ExplicitSystem(members=members, n=6), seed=8)
 
 
-class TestOracleModel:
-    @pytest.mark.parametrize("fixture", ["generated", "matching", "tree", "explicit"])
-    def test_all_checks_pass(self, fixture, request, tmp_path, capsys):
-        pair = request.getfixturevalue(fixture)
-        out = tmp_path / "oracle"
-        code = run_cli(
-            "--model", "oracle", "--instance", pair["instance"],
-            "--scenarios", pair["scenarios"], "--seed", "3", "--out", str(out),
-        )
-        assert code == 0
-        assert "all checks passed" in capsys.readouterr().out
-
-    def test_negative_seed_refused(self, tree, tmp_path, capsys):
-        # numpy's generator refuses it with a ValueError
-        assert run_cli(
-            "--model", "oracle", "--instance", tree["instance"],
-            "--scenarios", tree["scenarios"], "--seed", "-1", "--out", str(tmp_path / "o"),
-        ) == 1
-        assert capsys.readouterr().err == (
-            "error kind=domain: seed must be an integer of at least 0, got -1\n")
-        assert not (tmp_path / "o.csv").exists()
-
-
 # Scenario costs on the explicit system {0}, {1} whose reported averages
 # leave the float range
 OVERFLOWING_COSTS = {
@@ -364,6 +343,28 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "kind=scale-guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system, refusal",
+        [
+            (ExplicitSystem(members=[{j, (j + 1) % 22} for j in range(22)], n=22),
+             "ground set too large for blocker enumeration"),
+            (AssignmentSystem(m=11), "assignment blocker enumeration limited to m <= 10"),
+        ],
+        ids=["explicit-22", "assignment-11"],
+    )
+    def test_force_keeps_the_blocker_limits(self, system, refusal, tmp_path, capsys):
+        """--force-enumeration lifts the search budget, not the size limits
+        of the blocker oracles that every bottleneck evaluation needs."""
+        pair = write_pair(tmp_path, "big", system, count=2)
+        code = run_cli(
+            "--model", "quantify", "--instance", pair["instance"],
+            "--scenarios", pair["scenarios"], "--force-enumeration",
+            "--out", str(tmp_path / "g"),
+        )
+        assert code == 2
+        assert f"error kind=scale-guard: {refusal}" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize(
         "payload",
@@ -481,7 +482,6 @@ OUTPUT_SHAPES = {
         {"theta", "value"},
     ),
     "evaluate": (CI_CSV, {"model", "sense", "mean_value", "per_scenario"}, None),
-    "oracle": (BASE_CSV, {"model", "comparisons", "members", "blocker_elements"}, None),
 }
 
 
@@ -524,25 +524,56 @@ class TestOutputShape:
 
 class TestOptionChecks:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--model", "quantify", "--theta", "0.3", "--q", "nan"],
-            ["--model", "quantify", "--theta", "0.3", "--r", "nan"],
-            ["--model", "decide", "--theta", "nan"],
-            ["--model", "robust-decide", "--theta-grid", "0,nan"],
-            ["--model", "tv-decide", "--d", "nan"],
-            ["--model", "decide", "--theta", "inf"],
+            (["--model", "quantify", "--theta", "0.3", "--q", "nan"],
+             "--q must be a number, not NaN"),
+            (["--model", "quantify", "--theta", "0.3", "--r", "nan"],
+             "--r must be a number, not NaN"),
+            (["--model", "decide", "--theta", "nan"], "--theta must be a number, not NaN"),
+            (["--model", "robust-decide", "--theta-grid", "0,nan"],
+             "--theta-grid must be a number, not NaN"),
+            (["--model", "tv-decide", "--d", "nan"], "--d must be a number, not NaN"),
+            (["--model", "decide", "--theta", "inf"], "radius must be finite and nonnegative"),
+            (["--model", "quantify", "--theta-grid", ","],
+             "--theta-grid needs at least one radius"),
+            (["--model", "decide", "--theta-grid", ""],
+             "--theta-grid needs at least one radius"),
+            (["--model", "quantify", "--q=-inf"], "transport order must be at least 1, got -inf"),
+            (["--model", "decide", "--q=-inf"], "transport order must be at least 1, got -inf"),
         ],
-        ids=["q", "r", "theta", "theta-grid", "d", "theta-inf"],
+        ids=["q", "r", "theta", "theta-grid", "d", "theta-inf", "theta-grid-comma",
+             "theta-grid-empty", "quantify-q-minus-inf", "decide-q-minus-inf"],
     )
-    def test_nan_rejected(self, generated, tmp_path, capsys, argv):
+    def test_nan_rejected(self, generated, tmp_path, capsys, argv, message):
         code = run_cli(
             *argv, "--instance", generated["instance"],
             "--scenarios", generated["scenarios"], "--out", str(tmp_path / "n"),
         )
         assert code == 1
-        assert "kind=domain" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error kind=domain: {message}\n"
         assert not (tmp_path / "n.csv").exists()
+
+    @pytest.mark.parametrize(
+        "q, order", [("inf", "inf"), ("infinity", "inf"), ("oo", "inf"), ("2", 2.0)]
+    )
+    def test_order_spellings_accepted(self, generated, tmp_path, q, order):
+        out = str(tmp_path / "q")
+        code = run_cli(
+            "--model", "quantify", "--instance", generated["instance"],
+            "--scenarios", generated["scenarios"], "--theta", "0.1", "--q", q, "--out", out,
+        )
+        assert code == 0
+        assert json.load(open(out + ".json"))["transport_order"] == order
+
+    def test_oracle_model_is_gone(self, generated, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "--model", "oracle", "--instance", generated["instance"],
+                "--scenarios", generated["scenarios"], "--out", str(tmp_path / "o"),
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "model", ["decide", "robust-decide", "gamma-quantify", "gamma-decide", "calibrate"]
@@ -730,7 +761,6 @@ FUZZ_LINES = {
     "robust-decide": ["--model", "robust-decide"],
     "tv-decide": ["--model", "tv-decide", "--d", "0.5"],
     "gamma-decide": ["--model", "gamma-decide"],
-    "oracle": ["--model", "oracle"],
     # the shape's files with a byte 0xe9, which is not UTF-8, written by
     # ``write_latin1``; a line's own --instance or --scenarios comes last
     "quantify-latin1-scenarios": ["--model", "quantify", "--scenarios", "latin1.scenarios.csv"],
@@ -1028,3 +1058,22 @@ def writes(p, m):
                  for path in sorted(package.glob("*.py"))
                  for where, _ in writing_opens(path.read_text(encoding="utf-8"))}
         assert sites == {("scenarios.py", "write_in_place")}
+
+
+class TestTracedLayers:
+    """The layer tracer replaces functions it looks up by (module, name) once
+    ``drbottleneck.cli`` has imported every module; a traced name that a
+    change deletes or renames fails here, not in the next traced run."""
+
+    def test_every_traced_name_resolves(self):
+        path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = [(module, fn) for module, fn in tracing.SPAN_LAYERS if "." not in module]
+        names.append(tuple(tracing.ITER_MEMBERS.split(".")))
+        missing = [
+            f"{module}.{fn}" for module, fn in names
+            if not callable(getattr(sys.modules.get(f"{tracing.PACKAGE}.{module}"), fn, None))
+        ]
+        assert missing == []

@@ -235,6 +235,18 @@ class TestFeasibleAtThreshold:
             flags = [feasible_at_threshold(system, costs, t) for t in grid]
             assert flags == sorted(flags)
 
+    @pytest.mark.parametrize("kind", ["path", "tree", "assignment", "explicit"])
+    def test_matches_enumeration(self, kind):
+        # at each cost, where feasibility can switch on, and at a random level
+        rng = np.random.default_rng(zlib.crc32(("feasible-" + kind).encode()))
+        for _ in range(50):
+            system = random_system(rng, kind)
+            members = brute_members(system)
+            costs = rng.uniform(0, 10, size=system.ground.n)
+            for t in [*costs, float(rng.uniform(0, 10))]:
+                brute = any(all(costs[j] <= t for j in m) for m in members)
+                assert feasible_at_threshold(system, costs, t) == brute
+
 
 class TestMaxBlockerSize:
     def test_assignment_closed_form(self):
