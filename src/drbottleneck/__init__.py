@@ -80,7 +80,7 @@ from .quantify import (
     worst_case_distribution,
 )
 from .scenarios import ScenarioSet, load_scenarios, require_matching_width, save_scenarios
-from .search import enumerate_members, iter_members, minimize_members
+from .search import iter_members, minimize_members
 from .systems import (
     AssignmentSystem,
     BlockerElement,

@@ -13,8 +13,8 @@ internal invariant violations.  A refusal is an exact search past the search
 budget, or a blocker oracle past its size limit: an assignment side above
 ``ASSIGNMENT_BLOCKER_LIMIT``, or an explicit system's blocker enumeration
 past ``BLOCKER_ENUMERATION_LIMIT`` elements or ``TRANSVERSAL_MAX_CANDIDATES``
-candidates a step.  ``--force-enumeration`` lifts the search budget and the
-member-enumeration guard of the top-k union size, never a blocker limit.
+candidates a step.  ``--force-enumeration`` lifts the search budget, never a
+blocker limit.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="output path prefix")
     parser.add_argument("--force-enumeration", action="store_true",
-                        help="lift the search budget and the member-enumeration guard; "
-                             "the blocker oracles' size limits stay")
+                        help="lift the search budget; the blocker oracles' size limits stay")
     parser.add_argument("--generator", choices=("multihop", "matching-gaussian"),
                         default="multihop", help="generator for --model simulate")
     parser.add_argument("--nodes", type=int, default=20,

@@ -41,7 +41,9 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .bottleneck import bottleneck_value, topk_blocker_enumerate, topk_sum_value
+from .bottleneck import (
+    TOPK_BLOCKER_MAX_GROUND, bottleneck_value, topk_blocker_enumerate, topk_sum_value,
+)
 from .decide import _means, _minimize, _TopK
 from .errors import (
     ConvergenceError,
@@ -57,7 +59,7 @@ from .errors import (
     exact_sum,
 )
 from .scenarios import ScenarioSet, require_matching_width
-from .search import enumerate_members
+from .search import iter_members
 from .systems import (
     BlockerElement,
     BottleneckResult,
@@ -805,8 +807,9 @@ class TopkRecord:
     and bound each) and ``optima[i]`` the member attaining scenario i's, the
     start of its member generation; ``union_size`` is the largest union of
     the system's enumerated top-k blocker families, or the ground size where
-    enumeration is refused.  Made once by ``topk_record``; ``quantify_topk``
-    prices one radius from it.
+    they are not enumerated: past ``TOPK_BLOCKER_MAX_GROUND`` elements, or
+    refused.  Made once by ``topk_record``; ``quantify_topk`` prices one
+    radius from it.
     """
 
     system: CombinatorialSystem
@@ -829,12 +832,18 @@ def topk_record(
     searches = [_minimize(system, fold.scenario(i), _means, force) for i in range(scenarios.count)]
     saa = exact_sum(value for value, _, _ in searches) / scenarios.count
     union_size = system.ground.n
-    try:
-        clutter = antichain_reduce(enumerate_members(system, force=force))
-        families = topk_blocker_enumerate(clutter, k)
-        union_size = max(len(frozenset().union(*fam)) for fam in families)
-    except EnumerationLimitError:
-        pass
+    # families only on a ground of at most 8 elements, where listing the
+    # members needs no guard: a path state is a simple path from s, named by
+    # its edge set (at most 2^8 states); a tree state is an edge index and an
+    # edge set (at most 9 * 2^8); an explicit system has at most 255 distinct
+    # members, and an assignment is at most 2x2
+    if system.ground.n <= TOPK_BLOCKER_MAX_GROUND:
+        try:
+            clutter = antichain_reduce(iter_members(system))
+            families = topk_blocker_enumerate(clutter, k)
+            union_size = max(len(frozenset().union(*fam)) for fam in families)
+        except EnumerationLimitError:
+            pass
     optima = tuple(chosen for _, chosen, _ in searches)
     return TopkRecord(system, scenarios, k, saa, optima, union_size)
 

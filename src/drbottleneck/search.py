@@ -25,6 +25,9 @@ accumulators that are arrays with one row per state.  Both bound their work,
 not the instance's size: one call counts the states it scores, and the block
 that would take it past ``SEARCH_MAX_STATES`` raises ``EnumerationLimitError``
 unless ``force``.  So a refusal comes after the budget's work, not at once.
+``iter_members`` has no budget: it lists every member, and the package walks
+it only on a ground of at most ``TOPK_BLOCKER_MAX_GROUND`` elements
+(``quantify.topk_record``).
 """
 
 from __future__ import annotations
@@ -101,17 +104,15 @@ def _scorer(callback, force: bool):
 
 
 def iter_members(system: CombinatorialSystem) -> Iterator[frozenset[int]]:
-    """Yield feasible subsets in canonical order, by one depth-first walk."""
-
-    def walk(state):
-        elements, complete, _ = state
-        if complete:
-            yield elements
-            return
-        for child in system.expand(state):
-            yield from walk(child)
-
-    yield from walk(system.root())
+    """Yield feasible subsets in canonical order, by one depth-first walk on
+    its own stack (children pushed in reverse), so depth needs no recursion."""
+    stack = [system.root()]
+    while stack:
+        state = stack.pop()
+        if state[1]:
+            yield state[0]
+        else:
+            stack.extend(reversed(list(system.expand(state))))
 
 
 def walk_blocks(
@@ -170,14 +171,6 @@ def walk_blocks(
         children, parents, index, width = block.expand()
         if len(children):
             yield from visit(children, grow(accs[parents], index, width), depth + 1)
-
-
-def enumerate_members(
-    system: CombinatorialSystem, force: bool = False
-) -> list[frozenset[int]]:
-    """All feasible subsets, exhaustively (guarded to small instances)."""
-    system.check_enum_guard(force)
-    return list(iter_members(system))
 
 
 def minimize_members(

@@ -13,8 +13,8 @@ two oracle views used throughout the toolkit,
   h-by-k submatrix with ``|h| + |k| = m + 1``, or an enumerated minimal
   hitting set),
 
-its cardinality facts, its JSON record, its enumeration guard, and the state
-space that member enumeration and branch and bound search.
+its cardinality facts, its JSON record, and the state space that member
+enumeration and branch and bound search.
 
 All objects are immutable after construction and safe to share between
 threads; the oracles are pure functions of their arguments.
@@ -51,11 +51,6 @@ TRANSVERSAL_MAX_CANDIDATES = 8000
 #: over row subsets that finds the bottleneck's witness.
 ASSIGNMENT_BLOCKER_LIMIT = 10
 
-#: Guards for exhaustive member enumeration.
-ENUM_MAX_GRAPH_NODES = 8
-ENUM_MAX_ASSIGNMENT_SIDE = 4
-ENUM_MAX_EXPLICIT_MEMBERS = 512
-
 #: ``check_count`` for instance fields: a bad size or id is a bad instance.
 _instance_count = partial(check_count, error=InvalidInstanceError)
 _element_id = partial(_instance_count, name="element id", least=0)
@@ -87,8 +82,6 @@ class CombinatorialSystem:
     * ``bottleneck(c)`` behind ``bottleneck.bottleneck_value``: one pass on
       validated costs giving the least max-cost, the threshold witness at it
       and a blocker element whose least cost is it;
-    * ``scale``, past whose ``enum_limit`` ``check_enum_guard`` refuses
-      exhaustive enumeration (the searches bound their own work instead);
     * one search state space, ``root()`` and ``expand(state)`` over states
       ``(elements, complete, payload)``: the elements forced so far, whether
       they form a feasible subset, and what the kind needs to expand further.
@@ -121,10 +114,6 @@ class CombinatorialSystem:
             raise DomainError("weights must be nonnegative")
         return w
 
-    def check_enum_guard(self, force: bool = False) -> None:
-        if not force and self.scale > self.enum_limit:
-            raise EnumerationLimitError(self.enum_refusal)
-
     def root_block(self) -> StateBlock:
         return StateBlock(self, [self.root()])
 
@@ -135,9 +124,6 @@ class _GraphSystem(CombinatorialSystem):
 
     nodes: int
     edges: tuple[tuple[int, int], ...]
-
-    enum_limit = ENUM_MAX_GRAPH_NODES
-    enum_refusal = f"member enumeration limited to {ENUM_MAX_GRAPH_NODES} nodes"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _instance_count(self.nodes, "nodes", 2))
@@ -150,10 +136,6 @@ class _GraphSystem(CombinatorialSystem):
     @cached_property
     def ground(self) -> GroundSet:
         return GroundSet(len(self.edges))
-
-    @property
-    def scale(self) -> int:
-        return self.nodes
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -478,8 +460,6 @@ class AssignmentSystem(CombinatorialSystem):
     m: int
 
     kind = "assignment"
-    enum_limit = ENUM_MAX_ASSIGNMENT_SIDE
-    enum_refusal = f"matching enumeration limited to m <= {ENUM_MAX_ASSIGNMENT_SIDE}"
 
     def __post_init__(self):
         object.__setattr__(self, "m", _instance_count(self.m, "m"))
@@ -493,10 +473,6 @@ class AssignmentSystem(CombinatorialSystem):
     @cached_property
     def ground(self) -> GroundSet:
         return GroundSet(self.m * self.m)
-
-    @property
-    def scale(self) -> int:
-        return self.m
 
     def threshold_witness(self, costs, t):
         # matchings augment rows in order
@@ -634,8 +610,6 @@ class ExplicitSystem(CombinatorialSystem):
     n: int = 0
 
     kind = "explicit"
-    enum_limit = ENUM_MAX_EXPLICIT_MEMBERS
-    enum_refusal = f"explicit enumeration limited to {ENUM_MAX_EXPLICIT_MEMBERS} members"
 
     def __post_init__(self):
         n = _instance_count(self.n, "n", 0)  # 0: the largest member element plus one
@@ -654,10 +628,6 @@ class ExplicitSystem(CombinatorialSystem):
     @cached_property
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
-
-    @property
-    def scale(self) -> int:
-        return len(self.members)
 
     @cached_property
     def blocker(self) -> tuple[BlockerElement, ...]:

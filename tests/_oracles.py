@@ -25,12 +25,13 @@ a cell, ``cellwise_load_scenarios``, that a bulk parse replaced, and the
 writers that streamed each output, ``streamed_csv``, ``streamed_json`` and
 ``streamed_save_scenarios``, that one write per output replaced, and the
 per-scenario level search that sorted its witness on every call,
-``reference_scenario_value``, that the record's sorted starts replaced.  Three
-former library functions that only the tests called live here too: the
-bottleneck's dual by bisection on the blocker oracle, ``dual_bottleneck_value``,
-the top-k dual certificate by enumeration, ``dual_topk_sum_value``, and one
-state's completion groups, ``reference_completion_groups``, which each row
-of a block's ``groups()`` must equal.
+``reference_scenario_value``, that the record's sorted starts replaced.  Four
+former library functions that only the tests called live here too: every
+member listed without a guard, ``enumerate_members``, the bottleneck's dual
+by bisection on the blocker oracle, ``dual_bottleneck_value``, the top-k
+dual certificate by enumeration, ``dual_topk_sum_value``, and one state's
+completion groups, ``reference_completion_groups``, which each row of a
+block's ``groups()`` must equal.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from drbottleneck import (
     bottleneck_value,
     decide,
     element_level,
-    enumerate_members,
+    iter_members,
     min_member_size,
     min_weight_blocker,
     minimize_members,
@@ -188,6 +189,11 @@ def dual_bottleneck_value(system, costs) -> float:
         else:
             hi = mid - 1
     return float(levels[lo])
+
+
+def enumerate_members(system) -> list[frozenset[int]]:
+    """Every feasible subset of ``system`` in canonical order, unguarded."""
+    return list(iter_members(system))
 
 
 def dual_topk_sum_value(system, costs, k: int) -> float:

@@ -12,6 +12,7 @@ from _oracles import (
     brute_minimal_hitting_sets,
     common_level_robust_oracle,
     dual_bottleneck_value,
+    enumerate_members,
     exact_topk_oracle,
     two_point_mixture_oracle,
 )
@@ -52,7 +53,7 @@ from drbottleneck import (
     variance_robust_decision,
     worst_case_distribution,
 )
-from drbottleneck import ExplicitSystem, _finite, enumerate_members
+from drbottleneck import ExplicitSystem, _finite
 
 
 def report(num: int, ok: bool, detail: str) -> None:

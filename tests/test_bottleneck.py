@@ -13,6 +13,7 @@ from _oracles import (
     brute_topk,
     dual_bottleneck_value,
     dual_topk_sum_value,
+    enumerate_members,
 )
 from conftest import dyadic_costs, random_system
 from test_quantify import check_certificate, final_rounds
@@ -26,7 +27,6 @@ from drbottleneck import (
     TreeSystem,
     antichain_reduce,
     bottleneck_value,
-    enumerate_members,
     quantify_topk,
     topk_blocker_enumerate,
     topk_record,

@@ -7,12 +7,15 @@ import importlib.util
 import json
 import math
 import os
+import pkgutil
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drbottleneck
 from _oracles import streamed_csv, streamed_json
 from conftest import count_calls
 from drbottleneck import (
@@ -365,6 +368,18 @@ class TestErrorPaths:
         assert code == 2
         assert f"error kind=scale-guard: {refusal}" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_force_lists_no_matchings(self, tmp_path):
+        """On an 11x11, past the top-k family enumeration's ground, the forced
+        searches run and no member is listed for the union size (listing
+        all 11! matchings would not end)."""
+        pair = write_pair(tmp_path, "big", AssignmentSystem(m=11), count=2)
+        code = run_cli(
+            "--model", "gamma-quantify", "--instance", pair["instance"],
+            "--scenarios", pair["scenarios"], "--force-enumeration", "--gamma", "2",
+            "--theta", "0", "--out", str(tmp_path / "g"),
+        )
+        assert code == 0
 
     @pytest.mark.parametrize(
         "payload",
@@ -836,6 +851,16 @@ class TestNoTraceback:
                     failures.append((shape, line, code, err[-1:]))
         assert failures == []
 
+    def test_deep_state_space(self, tmp_path):
+        # 1,500 parallel edges make the tree's state space 1,500 deep
+        system = TreeSystem(nodes=2, edges=((0, 1),) * 1500)
+        pair = write_pair(tmp_path, "deep", system, count=2)
+        assert run_cli(
+            "--model", "gamma-quantify", "--instance", pair["instance"],
+            "--scenarios", pair["scenarios"], "--gamma", "1", "--theta", "0",
+            "--out", str(tmp_path / "g"),
+        ) == 0
+
     def test_non_utf8_files_are_refused(self, bridge, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_latin1(bridge)
@@ -1075,5 +1100,24 @@ class TestTracedLayers:
         missing = [
             f"{module}.{fn}" for module, fn in names
             if not callable(getattr(sys.modules.get(f"{tracing.PACKAGE}.{module}"), fn, None))
+        ]
+        assert missing == []
+
+
+class TestReadmeNames:
+    """README cites package constants and functions as ``module.NAME``; a
+    change that deletes or renames one fails here, not in a reader's hands."""
+
+    def test_every_cited_name_resolves(self):
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        modules = {info.name for info in pkgutil.iter_modules(drbottleneck.__path__)}
+        cited = [
+            (module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", text)
+            if module in modules and name != "py"
+        ]
+        assert ("search", "SEARCH_MAX_STATES") in cited
+        missing = [
+            f"{module}.{name}" for module, name in cited
+            if not hasattr(importlib.import_module(f"drbottleneck.{module}"), name)
         ]
         assert missing == []

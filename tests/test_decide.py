@@ -262,7 +262,7 @@ class TestTotalVariation:
             at_zero = tv_robust_decision(system, scen, 0.0).objective
             assert at_zero == pytest.approx(saa_decision(system, scen).objective, abs=1e-9)
             at_two = tv_robust_decision(system, scen, 2.0).objective
-            from drbottleneck import enumerate_members
+            from _oracles import enumerate_members
 
             worst = min(
                 max(scen.costs[:, sorted(m)].max(axis=1)) for m in enumerate_members(system)

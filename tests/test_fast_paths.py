@@ -29,6 +29,7 @@ from _oracles import (
     brute_family_level,
     brute_members,
     brute_minimal_cut_side,
+    enumerate_members,
     reference_assignment_blocker,
     reference_band,
     reference_base_bottleneck,
@@ -67,7 +68,6 @@ from drbottleneck import (
     bottleneck_value,
     decide,
     empirical_record,
-    enumerate_members,
     indifference_set,
     load_scenarios,
     min_member_size,

@@ -39,6 +39,7 @@ from drbottleneck import (
     empirical_record,
     generate_multihop,
     indifference_set,
+    iter_members,
     l1_robust_level,
     matching_permutation,
     min_member_size,
@@ -923,15 +924,7 @@ class TestStructureConstant:
         assert structure_constant(AssignmentSystem(m=3), 2.0) == pytest.approx(2.0)
 
     def test_enumeration_guards(self, monkeypatch):
-        from drbottleneck import EnumerationLimitError, enumerate_members, search
-
-        big = ExplicitSystem(
-            members=tuple(frozenset({0, i}) for i in range(1, 600)), n=600
-        )
-        with pytest.raises(EnumerationLimitError):
-            enumerate_members(big)
-        assert len(enumerate_members(big, force=True)) == 599
-        from drbottleneck import PathSystem
+        from drbottleneck import EnumerationLimitError, search
 
         chain = PathSystem(
             nodes=16, edges=tuple((i, i + 1) for i in range(15)), s=0, t=15
@@ -942,6 +935,27 @@ class TestStructureConstant:
         with pytest.raises(EnumerationLimitError, match="reached 9 states, past its budget of 8"):
             saa_decision(chain, scenarios)
         assert saa_decision(chain, scenarios, force=True).chosen == frozenset(range(15))
+
+
+class TestTopkUnion:
+    """``topk_record`` lists members for the union of the top-k blocker
+    families only where the family enumeration takes the ground."""
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_no_walk_past_the_family_ground(self, monkeypatch, force):
+        # a 2x2 (ground 4) is walked once; a 3x3 (ground 9) is not, forced or not
+        walks = count_calls(monkeypatch, iter_members)
+        rng = np.random.default_rng(3)
+        for m, union, walked in ((2, 4, 1), (3, 9, 1)):
+            scen = ScenarioSet(rng.uniform(0.0, 10.0, size=(2, m * m)))
+            assert topk_record(AssignmentSystem(m), scen, 2, force=force).union_size == union
+            assert len(walks) == walked
+
+    def test_chain_of_nine_nodes(self):
+        # eight edges: each family is one 2-subset of the one path, so U = 2
+        chain = PathSystem(nodes=9, edges=tuple((i, i + 1) for i in range(8)), s=0, t=8)
+        scen = ScenarioSet(np.random.default_rng(0).uniform(0.0, 10.0, size=(2, 8)))
+        assert topk_record(chain, scen, 2).union_size == 2
 
 
 class TestConcurrentUse:

@@ -77,6 +77,15 @@ def test_iter_members_canonical_order(kind):
     assert members == [frozenset(m) for m in CANONICAL_ORDER[kind]]
 
 
+def test_iter_members_deeper_than_the_recursion_limit():
+    # 1,500 parallel tree edges decide one edge per state, and a 1,200-node
+    # chain's one path is 1,200 states deep: the walk keeps its own stack
+    parallel = TreeSystem(nodes=2, edges=((0, 1),) * 1500)
+    assert list(iter_members(parallel)) == [frozenset({j}) for j in range(1500)]
+    chain = PathSystem(nodes=1200, edges=tuple((i, i + 1) for i in range(1199)), s=0, t=1199)
+    assert list(iter_members(chain)) == [frozenset(range(1199))]
+
+
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_iter_members_pruned_order(kind):
     # the frozen per-state walk that the band's block walk replaced

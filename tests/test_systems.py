@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from _oracles import brute_members, brute_minimal_hitting_sets
+from _oracles import brute_members, brute_minimal_hitting_sets, enumerate_members
 from conftest import dyadic_costs, random_system
 from drbottleneck import (
     AssignmentSystem,
@@ -24,7 +24,6 @@ from drbottleneck import (
     TreeSystem,
     antichain_reduce,
     blocker_enumerate,
-    enumerate_members,
     feasible_at_threshold,
     max_blocker_size,
     min_weight_blocker,
